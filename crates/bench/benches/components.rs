@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mpt_kernel::{allocate_max_min, GovernorKind, Pid, ProcessClass};
 use mpt_sim::{SimBuilder, SteppingMode};
 use mpt_soc::{platforms, ComponentId};
-use mpt_thermal::{LumpedModel, RcNetwork, SolverKind};
+use mpt_thermal::{LumpedModel, RcNetwork};
 use mpt_units::{Kelvin, Seconds, Watts};
 use mpt_workloads::apps;
 use mpt_workloads::benchmarks::{BasicMathLarge, SteadyCompute};
@@ -60,7 +60,7 @@ fn bench_thermal_network(c: &mut Criterion) {
     group.finish();
 }
 
-/// Head-to-head thermal solvers on the Odroid network, the comparison
+/// The exact-LTI thermal step on the Odroid network, the throughput
 /// recorded in `BENCH_solver.json`: each "iteration" is 1000 ticks so
 /// the sub-microsecond per-tick cost clears the stub harness's timer
 /// noise. The one-off discretization build is warmed outside the timed
@@ -69,24 +69,22 @@ fn bench_solvers(c: &mut Criterion) {
     let platform = platforms::exynos_5422();
     let spec = platform.thermal_spec().clone();
     let mut group = c.benchmark_group("solver");
-    for kind in SolverKind::ALL {
-        for (label, dt) in [
-            ("step_100ms_x1000", Seconds::from_millis(100.0)),
-            ("step_10ms_x1000", Seconds::from_millis(10.0)),
-            ("step_1s_x1000", Seconds::new(1.0)),
-        ] {
-            group.bench_function(&format!("{kind}/{label}"), |b| {
-                let mut net = RcNetwork::with_solver(&spec, kind, None).expect("valid spec");
-                let mut powers = vec![Watts::ZERO; net.len()];
-                powers[1] = Watts::new(2.5);
-                net.step(dt, &powers).expect("warm-up step");
-                b.iter(|| {
-                    for _ in 0..1000 {
-                        net.step(dt, &powers).expect("step");
-                    }
-                })
-            });
-        }
+    for (label, dt) in [
+        ("step_100ms_x1000", Seconds::from_millis(100.0)),
+        ("step_10ms_x1000", Seconds::from_millis(10.0)),
+        ("step_1s_x1000", Seconds::new(1.0)),
+    ] {
+        group.bench_function(&format!("exact_lti/{label}"), |b| {
+            let mut net = RcNetwork::from_spec(&spec).expect("valid spec");
+            let mut powers = vec![Watts::ZERO; net.len()];
+            powers[1] = Watts::new(2.5);
+            net.step(dt, &powers).expect("warm-up step");
+            b.iter(|| {
+                for _ in 0..1000 {
+                    net.step(dt, &powers).expect("step");
+                }
+            })
+        });
     }
     group.finish();
 }

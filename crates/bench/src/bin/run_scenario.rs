@@ -24,11 +24,10 @@ use mpt_core::scenario::{run_scenario_framed_cached, AlertRuleSpec, CampaignSpec
 use mpt_daq::{ColumnFrame, Query, QueryError};
 use mpt_obs::{clock, trace::chrome_trace_json_full, Counter, Recorder};
 use mpt_sim::SteppingMode;
-use mpt_thermal::SolverKind;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: run_scenario [SCENARIO.json]\n       run_scenario --campaign CAMPAIGN.json [--jobs N]\n\noptions:\n  --jobs N           worker threads for campaigns; 0 (default) = one per CPU\n  --trace-out FILE   write a Chrome trace-event JSON with spans and counter\n                     tracks (load in Perfetto/about:tracing)\n  --metrics-out FILE write counters + latency quantiles; .json extension\n                     selects a JSON snapshot, anything else Prometheus text\n  --report-out FILE  write the session report JSON: outcome, derived\n                     observables, fired alerts and frequency residency\n                     (campaigns: the full campaign report with the\n                     per-cell alert/derived rollup)\n  --fleet-out FILE   write the per-cell fleet population rollups as JSON\n                     (campaigns with a \"fleet\" block only): throttle-onset\n                     CDF, time-above-trip quantiles, peak-temp histogram\n  --alerts FILE      merge extra alert rules (a JSON array of rule\n                     objects, e.g. scenarios/alerts/*.json) into the\n                     scenario or campaign base before running\n  --solver NAME      override the thermal solver (exact_lti | forward_euler)\n                     for the scenario, or every cell of a campaign\n  --engine NAME      override the stepping engine (fixed | event) for the\n                     scenario, or every cell of a campaign\n  --query EXPR       run a telemetry query (repeatable). Grammar:\n                     agg(channel) [by axis,...] [where axis=value ...]\n                     with agg one of min|max|mean|median|sum|count|p<N>.\n                     Scenarios query the session frame; campaigns query\n                     the per-cell metrics frame, falling back to the\n                     assembled per-cell telemetry for time channels.\n                     Spec-embedded `queries` run first, then these\n  --query-out FMT    query result format: csv (default) or json\n  --columnar-out F   write the columnar telemetry frame (scenario: the\n                     session frame; campaign: the per-cell metrics\n                     frame). Extension picks the format: .json, .arrow\n                     (needs --features arrow-ipc), anything else CSV\n  --progress         render live progress on stderr: per-cell bar, tick\n                     throughput and ETA (campaigns), tick throughput\n                     (scenarios); stdout stays machine-readable\n  --serve-obs ADDR   serve live observability over HTTP while running:\n                     GET /metrics (Prometheus), /progress (JSON snapshot)\n                     and /events?cursor=N (long-poll NDJSON journal).\n                     ADDR is host:port; port 0 picks one (printed to\n                     stderr)\n  --journal-out FILE write the full event journal as NDJSON after the run\n                     (one meta line, then one event per line)\n  --verify           run the MPT6xx static reachability certifier before\n                     tick 0: an interval envelope over every trajectory\n                     the spec (and any fleet jitter) can realize. The\n                     verdict lands in the session/campaign report; a\n                     guaranteed trip (MPT603) refuses to simulate\n\nWith no file, a scenario is read from stdin."
+        "usage: run_scenario [SCENARIO.json]\n       run_scenario --campaign CAMPAIGN.json [--jobs N]\n\noptions:\n  --jobs N           worker threads for campaigns; 0 (default) = one per CPU\n  --trace-out FILE   write a Chrome trace-event JSON with spans and counter\n                     tracks (load in Perfetto/about:tracing)\n  --metrics-out FILE write counters + latency quantiles; .json extension\n                     selects a JSON snapshot, anything else Prometheus text\n  --report-out FILE  write the session report JSON: outcome, derived\n                     observables, fired alerts and frequency residency\n                     (campaigns: the full campaign report with the\n                     per-cell alert/derived rollup)\n  --fleet-out FILE   write the per-cell fleet population rollups as JSON\n                     (campaigns with a \"fleet\" block only): throttle-onset\n                     CDF, time-above-trip quantiles, peak-temp histogram\n  --alerts FILE      merge extra alert rules (a JSON array of rule\n                     objects, e.g. scenarios/alerts/*.json) into the\n                     scenario or campaign base before running\n  --engine NAME      override the stepping engine (fixed | event) for the\n                     scenario, or every cell of a campaign\n  --query EXPR       run a telemetry query (repeatable). Grammar:\n                     agg(channel) [by axis,...] [where axis=value ...]\n                     with agg one of min|max|mean|median|sum|count|p<N>.\n                     Scenarios query the session frame; campaigns query\n                     the per-cell metrics frame, falling back to the\n                     assembled per-cell telemetry for time channels.\n                     Spec-embedded `queries` run first, then these\n  --query-out FMT    query result format: csv (default) or json\n  --columnar-out F   write the columnar telemetry frame (scenario: the\n                     session frame; campaign: the per-cell metrics\n                     frame). Extension picks the format: .json, .arrow\n                     (needs --features arrow-ipc), anything else CSV\n  --progress         render live progress on stderr: per-cell bar, tick\n                     throughput and ETA (campaigns), tick throughput\n                     (scenarios); stdout stays machine-readable\n  --serve-obs ADDR   serve live observability over HTTP while running:\n                     GET /metrics (Prometheus), /progress (JSON snapshot)\n                     and /events?cursor=N (long-poll NDJSON journal).\n                     ADDR is host:port; port 0 picks one (printed to\n                     stderr)\n  --journal-out FILE write the full event journal as NDJSON after the run\n                     (one meta line, then one event per line)\n  --verify           run the MPT6xx static reachability certifier before\n                     tick 0: an interval envelope over every trajectory\n                     the spec (and any fleet jitter) can realize. The\n                     verdict lands in the session/campaign report; a\n                     guaranteed trip (MPT603) refuses to simulate\n\nWith no file, a scenario is read from stdin."
     );
     std::process::exit(2);
 }
@@ -42,7 +41,6 @@ struct Args {
     report_out: Option<String>,
     fleet_out: Option<String>,
     alerts: Option<String>,
-    solver: Option<SolverKind>,
     engine: Option<SteppingMode>,
     queries: Vec<String>,
     query_json: bool,
@@ -63,7 +61,6 @@ fn parse_args() -> Args {
         report_out: None,
         fleet_out: None,
         alerts: None,
-        solver: None,
         engine: None,
         queries: Vec::new(),
         query_json: false,
@@ -102,16 +99,6 @@ fn parse_args() -> Args {
             "--alerts" => {
                 let Some(path) = it.next() else { usage() };
                 args.alerts = Some(path);
-            }
-            "--solver" => {
-                let Some(name) = it.next() else { usage() };
-                match name.parse() {
-                    Ok(kind) => args.solver = Some(kind),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                }
             }
             "--engine" => {
                 let Some(name) = it.next() else { usage() };
@@ -510,9 +497,6 @@ fn run_scenario_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
     let mut spec: ScenarioSpec =
         serde_json::from_str(json).map_err(|e| format!("bad scenario json: {e}"))?;
     spec.alerts.extend(load_extra_alerts(args)?);
-    if let Some(kind) = args.solver {
-        spec.solver = kind.into();
-    }
     if let Some(mode) = args.engine {
         spec.engine = mode.into();
     }
@@ -622,9 +606,6 @@ fn run_campaign_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
     let mut spec: CampaignSpec =
         serde_json::from_str(json).map_err(|e| format!("bad campaign json: {e}"))?;
     spec.base.alerts.extend(load_extra_alerts(args)?);
-    if let Some(kind) = args.solver {
-        spec.base.solver = kind.into();
-    }
     if let Some(mode) = args.engine {
         spec.base.engine = mode.into();
     }

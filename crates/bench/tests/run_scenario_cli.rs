@@ -1,6 +1,5 @@
-//! End-to-end checks of the `run_scenario` binary's command line,
-//! exercising the `--solver` override the way CI's solver-equivalence
-//! smoke does.
+//! End-to-end checks of the `run_scenario` binary's command line: flag
+//! parsing, the lint gate before tick 0 and the output files.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -54,31 +53,6 @@ fn peak_line(stdout: &str) -> &str {
 }
 
 #[test]
-fn solver_override_accepts_both_solvers_and_agrees() {
-    let (code, exact_out, _) = run(&["--solver", "exact_lti"], TINY_SCENARIO);
-    assert_eq!(code, 0, "exact_lti run failed:\n{exact_out}");
-    let (code, euler_out, _) = run(&["--solver", "forward_euler"], TINY_SCENARIO);
-    assert_eq!(code, 0, "forward_euler run failed:\n{euler_out}");
-    // Outcomes print at 0.1 C / 0.01 W resolution; the solvers agree well
-    // inside that, so the headline lines match exactly.
-    assert_eq!(peak_line(&exact_out), peak_line(&euler_out));
-}
-
-#[test]
-fn unknown_solver_is_a_usage_error() {
-    let (code, _, stderr) = run(&["--solver", "magic"], TINY_SCENARIO);
-    assert_eq!(code, 2);
-    assert!(
-        stderr.contains("unknown solver") && stderr.contains("magic"),
-        "stderr should name the bad solver: {stderr}"
-    );
-    assert!(
-        stderr.contains("exact_lti") && stderr.contains("forward_euler"),
-        "stderr should list the valid solvers: {stderr}"
-    );
-}
-
-#[test]
 fn engine_override_accepts_both_engines_and_agrees() {
     let (code, fixed_out, _) = run(&["--engine", "fixed"], TINY_SCENARIO);
     assert_eq!(code, 0, "fixed run failed:\n{fixed_out}");
@@ -104,10 +78,11 @@ fn unknown_engine_is_a_usage_error() {
 }
 
 #[test]
-fn solver_flag_requires_a_value() {
-    let (code, _, stderr) = run(&["--solver"], "");
+fn retired_solver_flag_is_a_usage_error() {
+    let (code, stdout, stderr) = run(&["--solver", "exact_lti"], TINY_SCENARIO);
     assert_eq!(code, 2);
     assert!(stderr.contains("usage:"), "expected usage text: {stderr}");
+    assert!(stdout.is_empty(), "nothing may run: {stdout}");
 }
 
 #[test]
@@ -135,16 +110,24 @@ fn dangling_control_sensor_is_refused_before_tick_zero() {
 }
 
 #[test]
-fn unknown_solver_in_file_gets_mpt106_from_the_lint_gate() {
+fn retired_solver_field_gets_mpt106_from_the_lint_gate() {
     let scenario = r#"{
         "platform": "exynos5422",
         "duration_s": 1.0,
-        "solver": "magic",
+        "solver": "forward_euler",
         "workloads": [ { "kind": "basic_math" } ]
     }"#;
-    let (code, _, stderr) = run(&[], scenario);
+    let (code, stdout, stderr) = run(&[], scenario);
     assert_eq!(code, 1);
     assert!(stderr.contains("MPT106"), "expected MPT106: {stderr}");
+    assert!(
+        stderr.contains("nothing was simulated"),
+        "refusal must come before tick 0: {stderr}"
+    );
+    assert!(
+        !stdout.contains("peak temperature"),
+        "no outcome may be printed: {stdout}"
+    );
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //! ```
 //! use mpt_core::campaign::run_campaign;
 //! use mpt_core::scenario::{
-//!     CampaignSpec, ClusterSpec, EngineSpec, PlatformSpec, ScenarioSpec,
-//!     SolverSpec, SweepAxes, ThermalPolicySpec, WorkloadKind, WorkloadSpec,
+//!     CampaignSpec, ClusterSpec, EngineSpec, PlatformSpec, ScenarioSpec, SweepAxes,
+//!     ThermalPolicySpec, WorkloadKind, WorkloadSpec,
 //! };
 //!
 //! let spec = CampaignSpec {
@@ -22,7 +22,6 @@
 //!         thermal: ThermalPolicySpec::Disabled,
 //!         app_aware: None,
 //!         alerts: Vec::new(),
-//!         solver: SolverSpec::default(),
 //!         engine: EngineSpec::default(),
 //!         control_sensor: None,
 //!         workloads: vec![WorkloadSpec {
@@ -683,8 +682,8 @@ pub fn run_campaign_json_observed(
 mod tests {
     use super::*;
     use crate::scenario::{
-        ClusterSpec, EngineSpec, PlatformSpec, ScenarioSpec, SolverSpec, SweepAxes,
-        ThermalPolicySpec, WorkloadKind, WorkloadSpec,
+        ClusterSpec, EngineSpec, PlatformSpec, ScenarioSpec, SweepAxes, ThermalPolicySpec,
+        WorkloadKind, WorkloadSpec,
     };
 
     fn small_campaign() -> CampaignSpec {
@@ -696,7 +695,6 @@ mod tests {
                 thermal: ThermalPolicySpec::Disabled,
                 app_aware: None,
                 alerts: Vec::new(),
-                solver: SolverSpec::default(),
                 engine: EngineSpec::default(),
                 control_sensor: None,
                 workloads: vec![WorkloadSpec {

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use mpt_kernel::{IpaConfig, IpaGovernor, ProcessClass, StepWiseGovernor, TripPoint};
 use mpt_sim::{Result, SimBuilder, SimError, Simulator, SteppingMode};
 use mpt_soc::{platforms, ComponentId, Platform};
-use mpt_thermal::{SolverKind, TransitionCache};
+use mpt_thermal::TransitionCache;
 use mpt_units::{Celsius, Seconds, Watts};
 use mpt_workloads::benchmarks::{
     BasicMathLarge, BurstyCompute, ComputePhase, Nenamark, PhasedCompute, SteadyCompute, ThreeDMark,
@@ -43,43 +43,6 @@ impl PlatformSpec {
         match self {
             PlatformSpec::Snapdragon810 => platforms::snapdragon_810(),
             PlatformSpec::Exynos5422 => platforms::exynos_5422(),
-        }
-    }
-}
-
-/// Which thermal solver integrates the RC network.
-///
-/// The scenario-level mirror of [`mpt_thermal::SolverKind`]: the exact
-/// LTI discretization is the default; forward Euler is kept for
-/// bit-exact reproduction of pre-solver-layer results and as the
-/// accuracy reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-#[serde(rename_all = "snake_case")]
-pub enum SolverSpec {
-    /// Exact discretization `T[k+1] = Ad·T[k] + Bd·P[k]` with cached
-    /// transition matrices (the default).
-    #[default]
-    ExactLti,
-    /// Explicit sub-stepped forward Euler (the historical integrator).
-    ForwardEuler,
-}
-
-impl SolverSpec {
-    /// The equivalent engine solver kind.
-    #[must_use]
-    pub fn to_kind(self) -> SolverKind {
-        match self {
-            SolverSpec::ExactLti => SolverKind::ExactLti,
-            SolverSpec::ForwardEuler => SolverKind::ForwardEuler,
-        }
-    }
-}
-
-impl From<SolverKind> for SolverSpec {
-    fn from(kind: SolverKind) -> Self {
-        match kind {
-            SolverKind::ExactLti => SolverSpec::ExactLti,
-            SolverKind::ForwardEuler => SolverSpec::ForwardEuler,
         }
     }
 }
@@ -477,9 +440,6 @@ pub struct ScenarioSpec {
     /// Alert rules evaluated online against the run.
     #[serde(default)]
     pub alerts: Vec<AlertRuleSpec>,
-    /// The thermal solver (defaults to the exact LTI discretization).
-    #[serde(default)]
-    pub solver: SolverSpec,
     /// The stepping engine (defaults to fixed-dt ticking).
     #[serde(default)]
     pub engine: EngineSpec,
@@ -859,8 +819,7 @@ pub fn build_scenario_with(
 
 /// [`build_scenario_with`] sharing a transition-matrix cache — the
 /// campaign runner passes one cache so cells sweeping the same platform
-/// and tick factor each discretization exactly once. Only the exact-LTI
-/// solver consults it.
+/// and tick factor each discretization exactly once.
 ///
 /// # Errors
 ///
@@ -877,9 +836,7 @@ pub fn build_scenario_cached(
         return Err(invalid("a scenario needs at least one workload".into()));
     }
     let platform = spec.platform.build();
-    let mut builder = SimBuilder::new(platform.clone())
-        .thermal_solver(spec.solver.to_kind())
-        .stepping(spec.engine.to_mode());
+    let mut builder = SimBuilder::new(platform.clone()).stepping(spec.engine.to_mode());
     if let Some(cache) = solver_cache {
         builder = builder.solver_cache(cache);
     }
@@ -1185,7 +1142,6 @@ mod tests {
             thermal: ThermalPolicySpec::Disabled,
             app_aware: None,
             alerts: Vec::new(),
-            solver: SolverSpec::default(),
             engine: EngineSpec::default(),
             control_sensor: None,
             workloads: vec![WorkloadSpec {
@@ -1268,28 +1224,6 @@ mod tests {
         spec.control_sensor = Some("gpu".into());
         let outcome = run_scenario(&spec).unwrap();
         assert!(outcome.peak_temperature_c.is_finite());
-    }
-
-    #[test]
-    fn solver_field_defaults_and_parses() {
-        // Absent field → exact LTI (the default solver).
-        let spec = bml_spec();
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.solver, SolverSpec::ExactLti);
-
-        let json = r#"{
-            "platform": "exynos5422",
-            "duration_s": 1.0,
-            "solver": "forward_euler",
-            "workloads": [ { "kind": "basic_math" } ]
-        }"#;
-        let spec: ScenarioSpec = serde_json::from_str(json).unwrap();
-        assert_eq!(spec.solver, SolverSpec::ForwardEuler);
-        assert_eq!(spec.solver.to_kind(), SolverKind::ForwardEuler);
-
-        let bad = json.replace("forward_euler", "magic");
-        assert!(serde_json::from_str::<ScenarioSpec>(&bad).is_err());
     }
 
     #[test]
@@ -1378,21 +1312,6 @@ mod tests {
         };
         let err = run_scenario(&spec).unwrap_err();
         assert!(err.to_string().contains("phase"), "got {err}");
-    }
-
-    #[test]
-    fn solvers_agree_on_scenario_outcome() {
-        let exact = run_scenario(&bml_spec()).unwrap();
-        let mut spec = bml_spec();
-        spec.solver = SolverSpec::ForwardEuler;
-        let euler = run_scenario(&spec).unwrap();
-        assert!(
-            (exact.peak_temperature_c - euler.peak_temperature_c).abs() < 0.1,
-            "exact {} vs euler {}",
-            exact.peak_temperature_c,
-            euler.peak_temperature_c
-        );
-        assert!((exact.average_power_w - euler.average_power_w).abs() < 0.05);
     }
 
     #[test]

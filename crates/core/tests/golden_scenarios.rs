@@ -9,7 +9,6 @@ use mpt_core::campaign::{run_cells, run_cells_observed};
 use mpt_core::report::SessionReport;
 use mpt_core::scenario::{
     run_scenario, run_scenario_analyzed, CampaignSpec, EngineSpec, PlatformSpec, ScenarioSpec,
-    SolverSpec,
 };
 use mpt_obs::{Counter, Recorder};
 
@@ -74,30 +73,6 @@ fn scenario_runs_are_bit_identical_across_repeats() {
         let first = run_scenario(&spec).expect("runs");
         let second = run_scenario(&spec).expect("runs");
         assert_eq!(first, second, "{}", path.display());
-    }
-}
-
-/// The pre-solver-layer integrator is still selectable: every shipped
-/// scenario runs under `"solver": "forward_euler"`, bit-identically
-/// across repeats, and lands within the exact solver's tolerance.
-#[test]
-fn forward_euler_solver_still_runs_shipped_scenarios() {
-    for path in scenario_files().iter().filter(|p| !is_campaign(p)) {
-        let json = std::fs::read_to_string(path).expect("readable file");
-        let mut spec: ScenarioSpec = serde_json::from_str(&json).expect("parses");
-        spec.duration_s = 2.0;
-        let exact = run_scenario(&spec).expect("runs");
-        spec.solver = SolverSpec::ForwardEuler;
-        let euler_a = run_scenario(&spec).expect("runs");
-        let euler_b = run_scenario(&spec).expect("runs");
-        assert_eq!(euler_a, euler_b, "{}", path.display());
-        assert!(
-            (exact.peak_temperature_c - euler_a.peak_temperature_c).abs() < 0.1,
-            "{}: exact {} vs euler {}",
-            path.display(),
-            exact.peak_temperature_c,
-            euler_a.peak_temperature_c
-        );
     }
 }
 

@@ -9,21 +9,20 @@
 //! before tick 0, so a dangling reference refuses to simulate with the
 //! same `MPTxxx` diagnostic the linter prints.
 //!
-//! Checking is two-stage: a few fields (notably `solver` and `engine`)
-//! are inspected on the raw JSON value *before* the typed parse, so a
-//! misspelled solver gets the specific MPT106 (and a misspelled engine
-//! MPT301) rather than a generic MPT101.
+//! Checking is two-stage: a few fields are inspected on the raw JSON
+//! value *before* the typed parse. A misspelled engine gets the specific
+//! MPT301 rather than a generic MPT101, and the retired `solver` field
+//! gets MPT106: the serde layer ignores unknown keys, so without this
+//! check an old `"solver": "forward_euler"` file would silently run the
+//! exact solver.
 
 use mpt_core::scenario::{
-    AlertRuleSpec, CampaignSpec, EngineSpec, PlatformSpec, ScenarioSpec, SolverSpec, SweepAxes,
-    ThermalPolicySpec, WorkloadKind,
+    AlertRuleSpec, CampaignSpec, PlatformSpec, ScenarioSpec, SweepAxes, ThermalPolicySpec,
+    WorkloadKind,
 };
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 use crate::model::MAX_SANE_TEMP_C;
-
-/// Solver names accepted by scenario JSON, mirroring `SolverSpec`.
-pub const KNOWN_SOLVERS: [&str; 2] = ["exact_lti", "forward_euler"];
 
 /// Engine names accepted by scenario JSON, mirroring `EngineSpec`.
 pub const KNOWN_ENGINES: [&str; 2] = ["fixed", "event"];
@@ -48,7 +47,7 @@ pub fn check_scenario_json(json: &str, path: &str) -> Report {
         return r;
     };
     if let Some(obj) = value.as_object() {
-        if !solver_name_ok(serde::__find(obj, "solver"), path, &mut r) {
+        if !no_solver_field(serde::__find(obj, "solver"), path, &mut r) {
             return r;
         }
         if !engine_name_ok(serde::__find(obj, "engine"), path, &mut r) {
@@ -78,7 +77,7 @@ pub fn check_campaign_json(json: &str, path: &str) -> Report {
         .as_object()
         .and_then(|obj| serde::__find(obj, "base"))
         .and_then(serde::Value::as_object);
-    if !solver_name_ok(base.and_then(|b| serde::__find(b, "solver")), path, &mut r) {
+    if !no_solver_field(base.and_then(|b| serde::__find(b, "solver")), path, &mut r) {
         return r;
     }
     if !engine_name_ok(base.and_then(|b| serde::__find(b, "engine")), path, &mut r) {
@@ -155,15 +154,6 @@ pub fn check_scenario(spec: &ScenarioSpec, path: &str) -> Report {
                 format!("workloads[{i}]: {msg}"),
             ));
         }
-    }
-    r.checks_run += 1;
-    if spec.engine == EngineSpec::Event && spec.solver == SolverSpec::ForwardEuler {
-        r.diagnostics.push(Diagnostic::new(
-            Code::InvalidEngine,
-            path,
-            "engine \"event\" needs the exact_lti solver: forward_euler sub-steps at a fixed \
-             rate, so analytic macro jumps would change the integration",
-        ));
     }
     if let Some(sensor) = &spec.control_sensor {
         r.checks_run += 1;
@@ -727,35 +717,19 @@ fn parse_value(json: &str, path: &str, r: &mut Report) -> Option<serde::Value> {
     }
 }
 
-/// True when the raw `solver` value (if any) names a known solver; pushes
-/// MPT106 and returns false otherwise.
-fn solver_name_ok(solver: Option<&serde::Value>, path: &str, r: &mut Report) -> bool {
+/// True when the raw document has no `solver` key; pushes MPT106 and
+/// returns false when the retired field is present, whatever its value.
+fn no_solver_field(solver: Option<&serde::Value>, path: &str, r: &mut Report) -> bool {
     r.checks_run += 1;
-    let Some(value) = solver else {
+    if solver.is_none() {
         return true;
-    };
-    match value.as_str() {
-        Some(name) if KNOWN_SOLVERS.contains(&name) => true,
-        Some(name) => {
-            r.diagnostics.push(Diagnostic::new(
-                Code::UnknownSolver,
-                path,
-                format!(
-                    "solver {name:?} is not registered (valid: {})",
-                    KNOWN_SOLVERS.join(", ")
-                ),
-            ));
-            false
-        }
-        None => {
-            r.diagnostics.push(Diagnostic::new(
-                Code::UnknownSolver,
-                path,
-                "solver must be a string naming a registered solver",
-            ));
-            false
-        }
     }
+    r.diagnostics.push(Diagnostic::new(
+        Code::RetiredSolverField,
+        path,
+        "the \"solver\" field is retired; every run uses the exact LTI discretization",
+    ));
+    false
 }
 
 /// True when the raw `engine` value (if any) names a known stepping
@@ -822,13 +796,22 @@ mod tests {
 
     #[test]
     fn unknown_solver_fires_mpt106_before_typed_parse() {
-        let report = check_scenario_json(
-            r#"{ "platform": "exynos5422", "duration_s": 1.0, "solver": "magic",
-                 "workloads": [ { "kind": "basic_math" } ] }"#,
-            "s",
-        );
-        let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
-        assert_eq!(codes, vec![Code::UnknownSolver]);
+        // Any value of the retired field, the old valid names included,
+        // in a scenario or in a campaign base.
+        for value in [r#""forward_euler""#, r#""exact_lti""#, r#""magic""#, "7"] {
+            let scenario = format!(
+                r#"{{ "platform": "exynos5422", "duration_s": 1.0, "solver": {value},
+                     "workloads": [ {{ "kind": "basic_math" }} ] }}"#
+            );
+            let campaign = format!(r#"{{ "base": {scenario}, "sweep": {{}} }}"#);
+            for report in [
+                check_scenario_json(&scenario, "s"),
+                check_campaign_json(&campaign, "c"),
+            ] {
+                let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
+                assert_eq!(codes, vec![Code::RetiredSolverField], "solver: {value}");
+            }
+        }
     }
 
     #[test]
@@ -840,25 +823,6 @@ mod tests {
         );
         let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
         assert_eq!(codes, vec![Code::InvalidEngine]);
-    }
-
-    #[test]
-    fn event_engine_with_forward_euler_fires_mpt301() {
-        let report = check_scenario_json(
-            r#"{ "platform": "exynos5422", "duration_s": 1.0,
-                 "engine": "event", "solver": "forward_euler",
-                 "workloads": [ { "kind": "basic_math" } ] }"#,
-            "s",
-        );
-        let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
-        assert_eq!(codes, vec![Code::InvalidEngine]);
-        // The supported pairing stays clean.
-        let report = check_scenario_json(
-            r#"{ "platform": "exynos5422", "duration_s": 1.0, "engine": "event",
-                 "workloads": [ { "kind": "basic_math" } ] }"#,
-            "s",
-        );
-        assert!(report.diagnostics.is_empty(), "{}", report.render_text());
     }
 
     #[test]

@@ -81,8 +81,9 @@ pub enum Code {
     DanglingControlSensor,
     /// MPT105: a trip point or policy parameter is outside the sane range.
     ParameterOutOfRange,
-    /// MPT106: `solver` names no registered thermal solver.
-    UnknownSolver,
+    /// MPT106: the retired `solver` field is present (exact LTI is the
+    /// only thermal solver).
+    RetiredSolverField,
     /// MPT107: an alert rule can never fire or has invalid parameters.
     UnreachableAlert,
     /// MPT108: a campaign sweep axis is empty, duplicated or inconsistent.
@@ -93,8 +94,7 @@ pub enum Code {
     NondeterministicRng,
     /// MPT203: iteration over an unordered container.
     UnorderedContainer,
-    /// MPT301: `engine` names no stepping engine, or the event engine is
-    /// combined with a feature it does not support.
+    /// MPT301: `engine` names no stepping engine.
     InvalidEngine,
     /// MPT302: a phased workload's schedule is not strictly increasing.
     NonMonotonicPhases,
@@ -145,7 +145,7 @@ impl Code {
         Code::InvalidWorkload,
         Code::DanglingControlSensor,
         Code::ParameterOutOfRange,
-        Code::UnknownSolver,
+        Code::RetiredSolverField,
         Code::UnreachableAlert,
         Code::InvalidSweepAxis,
         Code::WallClockRead,
@@ -183,7 +183,7 @@ impl Code {
             Code::InvalidWorkload => "MPT103",
             Code::DanglingControlSensor => "MPT104",
             Code::ParameterOutOfRange => "MPT105",
-            Code::UnknownSolver => "MPT106",
+            Code::RetiredSolverField => "MPT106",
             Code::UnreachableAlert => "MPT107",
             Code::InvalidSweepAxis => "MPT108",
             Code::WallClockRead => "MPT201",
@@ -243,13 +243,13 @@ impl Code {
             Code::InvalidWorkload => "workload spec cannot be built",
             Code::DanglingControlSensor => "control_sensor names no platform sensor",
             Code::ParameterOutOfRange => "trip point or policy parameter out of range",
-            Code::UnknownSolver => "solver names no registered thermal solver",
+            Code::RetiredSolverField => "retired solver field present",
             Code::UnreachableAlert => "alert rule invalid or can never fire",
             Code::InvalidSweepAxis => "campaign sweep axis empty, duplicated or inconsistent",
             Code::WallClockRead => "wall-clock read outside mpt_obs::clock",
             Code::NondeterministicRng => "nondeterministically seeded RNG",
             Code::UnorderedContainer => "iteration-order-sensitive unordered container",
-            Code::InvalidEngine => "engine unknown or incompatible with the event stepper",
+            Code::InvalidEngine => "engine names no registered stepping engine",
             Code::NonMonotonicPhases => "phased workload schedule must be strictly increasing",
             Code::QueryUnknownChannel => "query malformed or names an unrecorded channel",
             Code::QueryNonAxisKey => "query groups or filters on a non-axis key",
@@ -304,7 +304,7 @@ impl Code {
             Code::ParameterOutOfRange => {
                 "temperatures must lie in (ambient, 125] C and rates/periods must be positive"
             }
-            Code::UnknownSolver => "valid solvers: exact_lti, forward_euler",
+            Code::RetiredSolverField => "delete the field; exact_lti is the only thermal solver",
             Code::UnreachableAlert => {
                 "fix the rule parameters or add the mechanism (workload/policy) it observes"
             }

@@ -14,7 +14,8 @@
 //! - [`config`] (MPT1xx) — cross-reference checks over scenario,
 //!   campaign and alert JSON: sensor names resolve, trip points lie in
 //!   the sensor range, alert rules reference observables the configured
-//!   mechanisms emit, solver names are registered, sweep axes are sane.
+//!   mechanisms emit, the retired `solver` field is absent, sweep axes
+//!   are sane.
 //!   `run_scenario` runs the same checks fail-fast before tick 0.
 //! - [`source`] (MPT2xx) — a determinism scan over the sim crates
 //!   flagging wall-clock reads, nondeterministic RNGs and unordered

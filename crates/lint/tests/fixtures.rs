@@ -12,8 +12,8 @@ const EXPECTED: [(&str, Code); 10] = [
     ("asymmetric_g.model.json", Code::InvalidConductance),
     ("non_monotonic_opp.model.json", Code::OppVoltageMonotonicity),
     ("dangling_sensor.json", Code::DanglingControlSensor),
-    ("unknown_solver.json", Code::UnknownSolver),
-    ("event_engine_forward_euler.json", Code::InvalidEngine),
+    ("unknown_solver.json", Code::RetiredSolverField),
+    ("unknown_engine.json", Code::InvalidEngine),
     ("phased_nonmonotonic.json", Code::NonMonotonicPhases),
     (
         "query_unknown_channel.campaign.json",

@@ -9,7 +9,7 @@ use mpt_kernel::{
 use mpt_obs::{AlertRule, Recorder};
 use mpt_soc::{ComponentId, Platform};
 use mpt_sysfs::SysFs;
-use mpt_thermal::{RcNetwork, SolverKind, TransitionCache};
+use mpt_thermal::{RcNetwork, TransitionCache};
 use mpt_units::{Celsius, Seconds};
 use mpt_workloads::Workload;
 
@@ -41,7 +41,6 @@ pub struct SimBuilder {
     recorder: Option<Arc<Recorder>>,
     trip_reference: Option<Celsius>,
     alert_rules: Vec<AlertRule>,
-    solver: SolverKind,
     solver_cache: Option<Arc<TransitionCache>>,
     stepping: SteppingMode,
 }
@@ -79,7 +78,6 @@ impl SimBuilder {
             recorder: None,
             trip_reference: None,
             alert_rules: Vec::new(),
-            solver: SolverKind::default(),
             solver_cache: None,
             stepping: SteppingMode::default(),
         }
@@ -95,17 +93,9 @@ impl SimBuilder {
         self
     }
 
-    /// Selects the thermal solver (default [`SolverKind::ExactLti`]).
-    #[must_use]
-    pub fn thermal_solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Shares a transition-matrix cache with other simulators, so a
     /// campaign sweeping many cells over the same platform factors each
-    /// `(dynamics, dt)` discretization exactly once. Only the exact-LTI
-    /// solver consults the cache; forward Euler ignores it.
+    /// `(dynamics, dt)` discretization exactly once.
     #[must_use]
     pub fn solver_cache(mut self, cache: Arc<TransitionCache>) -> Self {
         self.solver_cache = Some(cache);
@@ -271,8 +261,7 @@ impl SimBuilder {
                 });
             }
         }
-        let mut network =
-            RcNetwork::with_solver(self.platform.thermal_spec(), self.solver, self.solver_cache)?;
+        let mut network = RcNetwork::with_cache(self.platform.thermal_spec(), self.solver_cache)?;
         if let Some(t0) = self.initial_temperature {
             network.set_uniform_temperature(t0.to_kelvin());
         }

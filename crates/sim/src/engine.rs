@@ -276,9 +276,16 @@ impl SimCore {
                 &mpt_kernel::paths::cur_freq(id),
                 Attribute::value(bottom.as_khz().to_string()),
             )?;
+            // The cap is parsed back every pass, so garbage is refused
+            // at write time (EINVAL) rather than poisoning later runs.
             self.sysfs.register(
                 &mpt_kernel::paths::max_freq(id),
-                Attribute::value(top.as_khz().to_string()),
+                Attribute::validated(top.as_khz().to_string(), |v| {
+                    v.trim()
+                        .parse::<u64>()
+                        .map(drop)
+                        .map_err(|_| "does not parse as a kHz frequency".to_owned())
+                }),
             )?;
             self.sysfs.register(
                 &mpt_kernel::paths::min_freq(id),

@@ -72,10 +72,10 @@ pub struct ThermalSpec {
 /// ```
 ///
 /// This struct is the **single** network→state-space derivation in the
-/// workspace: `mpt-thermal` solvers integrate it (forward Euler or exact
-/// discretization) and `mpt-core`'s stability analysis consumes the same
-/// matrices through [`RcNetwork::lti`], so there is exactly one place
-/// where the conductance matrix is assembled.
+/// workspace: `mpt-thermal`'s exact discretization integrates it and
+/// `mpt-core`'s stability analysis consumes the same matrices through
+/// [`RcNetwork::lti`], so there is exactly one place where the
+/// conductance matrix is assembled.
 ///
 /// [`RcNetwork::lti`]: https://docs.rs/mpt-thermal
 #[derive(Debug, Clone, PartialEq)]
@@ -83,8 +83,8 @@ pub struct ThermalLti {
     /// Per-node heat capacity `C_i` in J/K.
     pub heat_capacity: Vec<f64>,
     /// Symmetric pairwise conductance matrix in W/K; diagonal unused.
-    /// Kept alongside the assembled forms so the forward-Euler reference
-    /// solver can reproduce the historical per-pair arithmetic exactly.
+    /// Kept alongside the assembled forms so the forward-Euler test oracle
+    /// can reproduce the historical per-pair arithmetic exactly.
     pub conductance: Vec<Vec<f64>>,
     /// Per-node conductance to ambient in W/K.
     pub ambient_conductance: Vec<f64>,

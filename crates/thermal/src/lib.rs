@@ -28,14 +28,12 @@
 //!    attracting stable fixed point; the roots merge at the **critical
 //!    power**, beyond which the system has no fixed point and runs away.
 //!
-//! Integration itself is pluggable: [`RcNetwork`] delegates stepping to a
-//! [`ThermalSolver`] — [`ExactLti`] (the default) discretizes the network
-//! once per `(dynamics, dt)` as `T[k+1] = Ad·T[k] + Bd·P[k]` with
-//! `Ad = exp(A·dt)` and advances each tick with one cached mat-vec, while
-//! [`ForwardEuler`] keeps the historical sub-stepping integrator as the
-//! bit-exact reference. Discretizations are shared through a
-//! [`TransitionCache`] so campaign sweeps factor each network exactly
-//! once.
+//! [`RcNetwork`] integrates with [`ExactLti`], which discretizes the
+//! network once per `(dynamics, dt)` as `T[k+1] = Ad·T[k] + Bd·P[k]` with
+//! `Ad = exp(A·dt)` and advances each tick with one cached mat-vec.
+//! Discretizations are shared through a [`TransitionCache`] so campaign
+//! sweeps factor each network exactly once. Forward Euler survives only
+//! as a test oracle the exact solver is checked against.
 //!
 //! The same discretization also steps whole device *fleets*: a
 //! [`FleetState`] holds node-major per-device temperature/power planes
@@ -74,9 +72,7 @@ pub use error::ThermalError;
 pub use fleet::FleetState;
 pub use lumped::{FixedPoints, LumpedModel, Stability};
 pub use network::RcNetwork;
-pub use solver::{
-    Discretization, ExactLti, ForwardEuler, SolverKind, StepStats, ThermalSolver, TransitionCache,
-};
+pub use solver::{Discretization, ExactLti, StepStats, ThermalSolver, TransitionCache};
 
 /// Result alias for thermal operations.
 pub type Result<T> = std::result::Result<T, ThermalError>;

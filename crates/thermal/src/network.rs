@@ -7,7 +7,7 @@ use mpt_units::{Celsius, Kelvin, Seconds, Watts};
 
 use mpt_soc::{ThermalLti, ThermalSpec};
 
-use crate::solver::{SolverKind, StepStats, ThermalSolver, TransitionCache};
+use crate::solver::{ExactLti, StepStats, ThermalSolver, TransitionCache};
 use crate::{linalg, LumpedModel, Result, ThermalError};
 
 /// A simulatable RC thermal network.
@@ -19,10 +19,7 @@ use crate::{linalg, LumpedModel, Result, ThermalError};
 /// C_i · dT_i/dt = P_i − Σ_j G_ij (T_i − T_j) − G_a,i (T_i − T_amb)
 /// ```
 ///
-/// Integration is delegated to a pluggable
-/// [`ThermalSolver`](crate::ThermalSolver): by default the exact LTI
-/// discretization ([`SolverKind::ExactLti`]), with the historical
-/// forward-Euler sub-stepping available as [`SolverKind::ForwardEuler`].
+/// Integration uses the exact LTI discretization ([`ExactLti`]).
 /// Power is injected per node each step; the caller is responsible for
 /// including leakage in the injected power (the simulation loop computes
 /// leakage from the previous step's temperatures, closing the
@@ -55,34 +52,28 @@ pub struct RcNetwork {
     names: Vec<String>,
     lti: ThermalLti,
     temperatures: Vec<Kelvin>,
-    solver: Box<dyn ThermalSolver>,
+    solver: ExactLti,
 }
 
 impl RcNetwork {
     /// Builds a network from a platform spec, with all nodes initially at
-    /// ambient temperature and the default solver
-    /// ([`SolverKind::ExactLti`] with a private transition cache).
+    /// ambient temperature and a private transition cache.
     ///
     /// # Errors
     ///
     /// [`ThermalError::InvalidSpec`] if the spec fails validation.
     pub fn from_spec(spec: &ThermalSpec) -> Result<Self> {
-        Self::with_solver(spec, SolverKind::default(), None)
+        Self::with_cache(spec, None)
     }
 
-    /// Builds a network with an explicit solver, optionally drawing
-    /// exact-LTI discretizations from a shared [`TransitionCache`] (the
-    /// campaign runner passes one cache to every cell so a sweep factors
-    /// each `(platform, dt)` exactly once).
+    /// Builds a network, optionally drawing discretizations from a shared
+    /// [`TransitionCache`] (the campaign runner passes one cache to every
+    /// cell so a sweep factors each `(platform, dt)` exactly once).
     ///
     /// # Errors
     ///
     /// [`ThermalError::InvalidSpec`] if the spec fails validation.
-    pub fn with_solver(
-        spec: &ThermalSpec,
-        kind: SolverKind,
-        cache: Option<Arc<TransitionCache>>,
-    ) -> Result<Self> {
+    pub fn with_cache(spec: &ThermalSpec, cache: Option<Arc<TransitionCache>>) -> Result<Self> {
         let lti = spec.lti()?;
         let ambient = lti.ambient;
         let n = lti.len();
@@ -90,7 +81,7 @@ impl RcNetwork {
             names: spec.nodes.iter().map(|n| n.name.clone()).collect(),
             lti,
             temperatures: vec![ambient; n],
-            solver: kind.build(cache),
+            solver: cache.map_or_else(ExactLti::new, ExactLti::with_cache),
         })
     }
 
@@ -99,12 +90,6 @@ impl RcNetwork {
     #[must_use]
     pub fn lti(&self) -> &ThermalLti {
         &self.lti
-    }
-
-    /// The stable name of the configured solver.
-    #[must_use]
-    pub fn solver_name(&self) -> &'static str {
-        self.solver.name()
     }
 
     /// Number of nodes.
@@ -189,13 +174,12 @@ impl RcNetwork {
         self.temperatures.iter_mut().for_each(|x| *x = t);
     }
 
-    /// Advances the network by `dt` with per-node injected power, using
-    /// the configured solver. Any `dt > 0` is safe: the exact solver is
-    /// unconditionally stable and the Euler solver sub-steps to stay
-    /// within its stability bound.
+    /// Advances the network by `dt` with per-node injected power. Any
+    /// `dt > 0` is safe: the exact discretization is unconditionally
+    /// stable.
     ///
-    /// Returns the step's [`StepStats`] (substeps, cache traffic) for
-    /// observability counters.
+    /// Returns the step's [`StepStats`] (avoided substeps, cache traffic)
+    /// for observability counters.
     ///
     /// # Errors
     ///
@@ -219,10 +203,10 @@ impl RcNetwork {
     /// Evaluates the trajectory `x(t) = Ad(dt)·x0 + ∫Bd·u` at `dt` ahead
     /// of the current state *without* advancing the network — the probe
     /// the event-driven engine bisects on to predict trip-point
-    /// crossings. Uses the configured solver (and so the shared
-    /// [`TransitionCache`](crate::TransitionCache) for exact-LTI, keyed
-    /// by the probed `dt`); only the solver's internal memo mutates,
-    /// which is why `&mut self` is required.
+    /// crossings. Uses the network's solver (and so the shared
+    /// [`TransitionCache`](crate::TransitionCache), keyed by the probed
+    /// `dt`); only the solver's internal memo mutates, which is why
+    /// `&mut self` is required.
     ///
     /// # Errors
     ///
@@ -385,18 +369,8 @@ mod tests {
         RcNetwork::from_spec(platforms::exynos_5422().thermal_spec()).unwrap()
     }
 
-    fn odroid_euler() -> RcNetwork {
-        RcNetwork::with_solver(
-            platforms::exynos_5422().thermal_spec(),
-            SolverKind::ForwardEuler,
-            None,
-        )
-        .unwrap()
-    }
-
-    /// Verbatim copy of the pre-solver-layer `RcNetwork::step` loop — the
-    /// golden reference that `"solver": "forward_euler"` must reproduce
-    /// bit-for-bit.
+    /// Verbatim copy of the pre-solver-layer `RcNetwork::step` loop: the
+    /// forward-Euler oracle the exact solver is checked against.
     fn prerefactor_euler_step(net: &RcNetwork, temps: &mut [Kelvin], dt: f64, powers: &[Watts]) {
         let substeps = (dt / net.lti.euler_max_step).ceil().max(1.0) as usize;
         let h = dt / substeps as f64;
@@ -422,34 +396,9 @@ mod tests {
     }
 
     #[test]
-    fn default_solver_is_exact_lti() {
-        assert_eq!(odroid_network().solver_name(), "exact_lti");
-        assert_eq!(odroid_euler().solver_name(), "forward_euler");
-    }
-
-    #[test]
-    fn forward_euler_reproduces_prerefactor_trajectory_exactly() {
-        // The refactor's compatibility contract: the ForwardEuler solver
-        // is the pre-solver-layer integrator, bit for bit, including
-        // through a varying-power trajectory with mixed step sizes.
-        let mut net = odroid_euler();
-        let mut reference = net.temperatures().to_vec();
-        let mut powers = vec![Watts::ZERO; net.len()];
-        for k in 0..500 {
-            powers[1] = Watts::new(2.0 + f64::from(k % 7) * 0.3);
-            powers[2] = Watts::new(f64::from(k % 3) * 0.8);
-            let dt = [0.01, 0.1, 1.0, 7.3][k as usize % 4];
-            prerefactor_euler_step(&net, &mut reference, dt, &powers);
-            let stats = net.step(Seconds::new(dt), &powers).unwrap();
-            assert!(stats.substeps >= 1 && !stats.cache_hit && !stats.cache_build);
-            assert_eq!(net.temperatures(), &reference[..], "step {k}");
-        }
-    }
-
-    #[test]
     fn exact_and_euler_agree_on_long_odroid_run() {
         let mut exact = odroid_network();
-        let mut euler = odroid_euler();
+        let mut euler = exact.temperatures().to_vec();
         let big = exact.node_index("big").unwrap();
         let mut powers = vec![Watts::ZERO; exact.len()];
         powers[big] = Watts::new(2.5);
@@ -457,10 +406,10 @@ mod tests {
             exact.step(Seconds::from_millis(100.0), &powers).unwrap();
         }
         for _ in 0..60_000 {
-            euler.step(Seconds::from_millis(1.0), &powers).unwrap();
+            prerefactor_euler_step(&exact, &mut euler, 0.001, &powers);
         }
         for i in 0..exact.len() {
-            let gap = (exact.temperature(i).value() - euler.temperature(i).value()).abs();
+            let gap = (exact.temperature(i).value() - euler[i].value()).abs();
             assert!(gap < 0.1, "node {i}: gap {gap} K");
         }
     }
@@ -473,7 +422,6 @@ mod tests {
         assert!(first.cache_build && !first.cache_hit);
         let second = net.step(Seconds::from_millis(100.0), &powers).unwrap();
         assert!(!second.cache_build && !second.cache_hit);
-        assert_eq!(second.substeps, 1);
     }
 
     #[test]
@@ -483,9 +431,7 @@ mod tests {
         let cache = std::sync::Arc::new(TransitionCache::new());
         let powers = vec![Watts::ZERO; spec.nodes.len()];
         for expect_build in [true, false, false] {
-            let mut net =
-                RcNetwork::with_solver(spec, SolverKind::ExactLti, Some(Arc::clone(&cache)))
-                    .unwrap();
+            let mut net = RcNetwork::with_cache(spec, Some(Arc::clone(&cache))).unwrap();
             let stats = net.step(Seconds::from_millis(100.0), &powers).unwrap();
             assert_eq!(stats.cache_build, expect_build);
             assert_eq!(stats.cache_hit, !expect_build);
@@ -743,8 +689,7 @@ mod tests {
             };
             let spec = platform.thermal_spec();
             let mut exact = RcNetwork::from_spec(spec).unwrap();
-            let mut euler =
-                RcNetwork::with_solver(spec, SolverKind::ForwardEuler, None).unwrap();
+            let mut euler = exact.temperatures().to_vec();
             let mut powers = vec![Watts::ZERO; exact.len()];
             powers[1] = Watts::new(p1);
             powers[2] = Watts::new(p2);
@@ -754,13 +699,11 @@ mod tests {
                 exact.step(Seconds::new(step), &powers).unwrap();
                 t += step;
             }
-            let fine = Seconds::from_millis(1.0);
             for _ in 0..60_000 {
-                euler.step(fine, &powers).unwrap();
+                prerefactor_euler_step(&exact, &mut euler, 0.001, &powers);
             }
             for i in 0..exact.len() {
-                let gap =
-                    (exact.temperature(i).value() - euler.temperature(i).value()).abs();
+                let gap = (exact.temperature(i).value() - euler[i].value()).abs();
                 prop_assert!(gap < 0.1, "node {i}: gap {gap} K");
             }
         }

@@ -1,26 +1,17 @@
-//! Pluggable thermal-step solvers.
+//! The exact LTI thermal-step solver.
 //!
 //! The RC network's heat equation is linear time-invariant, so a step of
-//! fixed `dt` is an affine map of the state. Two interchangeable
-//! [`ThermalSolver`]s exploit that to different degrees:
-//!
-//! - [`ForwardEuler`] — the historical explicit integrator, sub-stepping
-//!   to stay inside the stability bound. Kept verbatim as the reference:
-//!   its arithmetic is bit-identical to the pre-solver-layer
-//!   `RcNetwork::step`.
-//! - [`ExactLti`] — discretizes the system once per `(dynamics, dt)` as
-//!   `x[k+1] = Ad·x[k] + Bd·P[k]` with `Ad = exp(A·dt)` and
-//!   `Bd = A⁻¹(Ad − I)B`, then advances every tick with a single cached
-//!   mat-vec, exact for piecewise-constant power regardless of stiffness
-//!   or step size.
+//! fixed `dt` is an affine map of the state. [`ExactLti`] discretizes the
+//! system once per `(dynamics, dt)` as `x[k+1] = Ad·x[k] + Bd·P[k]` with
+//! `Ad = exp(A·dt)` and `Bd = A⁻¹(Ad − I)B`, then advances every tick
+//! with a single cached mat-vec, exact for piecewise-constant power
+//! regardless of stiffness or step size.
 //!
 //! Discretizations live in a [`TransitionCache`] keyed by the network
 //! fingerprint and the step size, so a campaign sweeping twelve cells of
 //! the same platform factors the network exactly once and shares the
 //! immutable `Ad`/`Bd` across worker threads.
 
-use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -36,10 +27,8 @@ use crate::{linalg, FleetState, Result, ThermalError};
 /// worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StepStats {
-    /// Integration substeps actually executed.
-    pub substeps: u32,
     /// Explicit-Euler substeps the step would have needed but did not
-    /// execute (0 for [`ForwardEuler`] itself).
+    /// execute (the stability bound `ThermalLti::euler_max_step` implies).
     pub substeps_avoided: u32,
     /// Whether the step found its discretization in the shared cache.
     pub cache_hit: bool,
@@ -47,15 +36,13 @@ pub struct StepStats {
     pub cache_build: bool,
 }
 
-/// A strategy for advancing an RC network by one step.
+/// Advancing an RC network by one step, one device or a whole fleet.
 ///
-/// Implementations own any per-network scratch state (memoized
-/// discretizations, work buffers); the immutable system description is
-/// passed in as a [`ThermalLti`] each call.
-pub trait ThermalSolver: fmt::Debug + Send {
-    /// The solver's stable name (matches [`SolverKind::name`]).
-    fn name(&self) -> &'static str;
-
+/// [`ExactLti`] is the only implementation; it owns its per-network
+/// scratch state (memoized discretizations, work buffers) while the
+/// immutable system description is passed in as a [`ThermalLti`] each
+/// call.
+pub trait ThermalSolver {
     /// Advances `temperatures` by `dt` under per-node injected `powers`.
     ///
     /// The caller guarantees `dt > 0` and matching slice lengths.
@@ -78,13 +65,8 @@ pub trait ThermalSolver: fmt::Debug + Send {
     /// exactly as an independent network whose [`ThermalLti`] differs
     /// from `lti` only in `ambient` (the fleet's per-device ambient) —
     /// same inputs produce the same bits as N separate [`step`] calls.
-    /// This default implementation *is* that per-device loop; solvers
-    /// with batch structure (the exact-LTI multi-RHS kernel) override it.
-    ///
     /// The returned stats describe the discretization work of the batch
-    /// step, not per-device work: `substeps` totals scalar-equivalent
-    /// substeps across devices for looping solvers and stays 1 for a
-    /// true batch pass; the cache flags are OR-ed.
+    /// pass, not per-device work.
     ///
     /// [`step`]: ThermalSolver::step
     ///
@@ -96,93 +78,7 @@ pub trait ThermalSolver: fmt::Debug + Send {
         lti: &ThermalLti,
         fleet: &mut FleetState,
         dt: Seconds,
-    ) -> Result<StepStats> {
-        let nodes = fleet.nodes();
-        debug_assert_eq!(nodes, lti.len());
-        let mut totals = StepStats::default();
-        let mut temps = Vec::with_capacity(nodes);
-        let mut powers = vec![Watts::ZERO; nodes];
-        let mut lti_d = lti.clone();
-        for d in 0..fleet.devices() {
-            fleet.device_temps_into(d, &mut temps);
-            for (node, p) in powers.iter_mut().enumerate() {
-                *p = fleet.power(node, d);
-            }
-            lti_d.ambient = fleet.ambient(d);
-            let stats = self.step(&lti_d, &mut temps, dt, &powers)?;
-            totals.substeps += stats.substeps;
-            totals.substeps_avoided = totals.substeps_avoided.max(stats.substeps_avoided);
-            totals.cache_hit |= stats.cache_hit;
-            totals.cache_build |= stats.cache_build;
-            for (node, t) in temps.iter().enumerate() {
-                fleet.set_temp(node, d, *t);
-            }
-        }
-        Ok(totals)
-    }
-
-    /// Clones the solver behind a fresh box (scratch state included).
-    fn box_clone(&self) -> Box<dyn ThermalSolver>;
-}
-
-impl Clone for Box<dyn ThermalSolver> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
-/// The reference explicit integrator with stability sub-stepping.
-///
-/// The inner loop is kept byte-for-byte equivalent to the pre-solver
-/// `RcNetwork::step`, so `"solver": "forward_euler"` reproduces historical
-/// trajectories exactly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ForwardEuler;
-
-impl ThermalSolver for ForwardEuler {
-    fn name(&self) -> &'static str {
-        SolverKind::ForwardEuler.name()
-    }
-
-    #[allow(clippy::needless_range_loop)] // indexed loops mirror the matrix math
-    fn step(
-        &mut self,
-        lti: &ThermalLti,
-        temperatures: &mut [Kelvin],
-        dt: Seconds,
-        powers: &[Watts],
-    ) -> Result<StepStats> {
-        let total = dt.value();
-        let substeps = (total / lti.euler_max_step).ceil().max(1.0) as usize;
-        let h = total / substeps as f64;
-        let n = temperatures.len();
-        for _ in 0..substeps {
-            let mut deriv = vec![0.0; n];
-            for i in 0..n {
-                let ti = temperatures[i].value();
-                let mut flow = powers[i].value();
-                for j in 0..n {
-                    let g = lti.conductance[i][j];
-                    if g > 0.0 {
-                        flow -= g * (ti - temperatures[j].value());
-                    }
-                }
-                flow -= lti.ambient_conductance[i] * (ti - lti.ambient.value());
-                deriv[i] = flow / lti.heat_capacity[i];
-            }
-            for i in 0..n {
-                temperatures[i] = Kelvin::new(temperatures[i].value() + h * deriv[i]);
-            }
-        }
-        Ok(StepStats {
-            substeps: substeps as u32,
-            ..StepStats::default()
-        })
-    }
-
-    fn box_clone(&self) -> Box<dyn ThermalSolver> {
-        Box::new(*self)
-    }
+    ) -> Result<StepStats>;
 }
 
 /// One exact discretization `T[k+1] = Ad·T[k] + Bd·P[k]` (in deviation
@@ -399,7 +295,7 @@ struct StepMemo {
 /// Holds an `Arc` to a (possibly shared) [`TransitionCache`] plus a
 /// one-entry memo so the steady per-tick path never touches the cache
 /// lock, and preallocated scratch so the hot step allocates nothing.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ExactLti {
     cache: Arc<TransitionCache>,
     /// The last step's `dt` resolution. The owning network's dynamics are
@@ -473,10 +369,6 @@ impl Default for ExactLti {
 }
 
 impl ThermalSolver for ExactLti {
-    fn name(&self) -> &'static str {
-        SolverKind::ExactLti.name()
-    }
-
     fn step(
         &mut self,
         lti: &ThermalLti,
@@ -485,10 +377,7 @@ impl ThermalSolver for ExactLti {
         powers: &[Watts],
     ) -> Result<StepStats> {
         let Self { cache, memo, x, .. } = self;
-        let mut stats = StepStats {
-            substeps: 1,
-            ..StepStats::default()
-        };
+        let mut stats = StepStats::default();
         let m = memoized_disc(cache, memo, lti, dt, &mut stats)?;
         stats.substeps_avoided = m.substeps_avoided;
         let disc = &*m.disc;
@@ -537,10 +426,7 @@ impl ThermalSolver for ExactLti {
         dt: Seconds,
     ) -> Result<StepStats> {
         let Self { cache, memo, x, y } = self;
-        let mut stats = StepStats {
-            substeps: 1,
-            ..StepStats::default()
-        };
+        let mut stats = StepStats::default();
         let m = memoized_disc(cache, memo, lti, dt, &mut stats)?;
         stats.substeps_avoided = m.substeps_avoided;
         let disc = &*m.disc;
@@ -602,76 +488,6 @@ impl ThermalSolver for ExactLti {
         }
         Ok(stats)
     }
-
-    fn box_clone(&self) -> Box<dyn ThermalSolver> {
-        Box::new(Self {
-            cache: Arc::clone(&self.cache),
-            memo: self.memo.clone(),
-            x: Vec::new(),
-            y: Vec::new(),
-        })
-    }
-}
-
-/// Which solver steps a network — the configuration surface used by the
-/// sim builder, scenario JSON (`"solver": ...`) and the `--solver` CLI
-/// flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// The reference explicit integrator.
-    ForwardEuler,
-    /// Exact discretization with cached transition matrices (default).
-    #[default]
-    ExactLti,
-}
-
-impl SolverKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [SolverKind; 2] = [SolverKind::ForwardEuler, SolverKind::ExactLti];
-
-    /// The kind's stable snake_case name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverKind::ForwardEuler => "forward_euler",
-            SolverKind::ExactLti => "exact_lti",
-        }
-    }
-
-    /// Constructs the solver, drawing exact-LTI discretizations from
-    /// `cache` when one is supplied (otherwise a private cache).
-    #[must_use]
-    pub fn build(self, cache: Option<Arc<TransitionCache>>) -> Box<dyn ThermalSolver> {
-        match self {
-            SolverKind::ForwardEuler => Box::new(ForwardEuler),
-            SolverKind::ExactLti => Box::new(match cache {
-                Some(cache) => ExactLti::with_cache(cache),
-                None => ExactLti::new(),
-            }),
-        }
-    }
-}
-
-impl fmt::Display for SolverKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for SolverKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        SolverKind::ALL
-            .into_iter()
-            .find(|k| k.name() == s)
-            .ok_or_else(|| {
-                format!(
-                    "unknown solver {s:?} (valid: {})",
-                    SolverKind::ALL.map(SolverKind::name).join(", ")
-                )
-            })
-    }
 }
 
 #[cfg(test)]
@@ -681,17 +497,6 @@ mod tests {
 
     fn odroid_lti() -> ThermalLti {
         platforms::exynos_5422().thermal_spec().lti().unwrap()
-    }
-
-    #[test]
-    fn solver_kind_round_trips_names() {
-        for kind in SolverKind::ALL {
-            assert_eq!(kind.name().parse::<SolverKind>().unwrap(), kind);
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        let err = "rk4".parse::<SolverKind>().unwrap_err();
-        assert!(err.contains("forward_euler") && err.contains("exact_lti"));
-        assert_eq!(SolverKind::default(), SolverKind::ExactLti);
     }
 
     #[test]
@@ -818,7 +623,6 @@ mod tests {
         let stats = solver
             .step(&lti, &mut temps, Seconds::new(10.0), &powers)
             .unwrap();
-        assert_eq!(stats.substeps, 1);
         assert_eq!(
             stats.substeps_avoided as usize,
             lti.euler_substeps(10.0) - 1
@@ -831,7 +635,7 @@ mod tests {
         let lti = odroid_lti();
         let mut powers = vec![Watts::ZERO; lti.len()];
         powers[1] = Watts::new(3.0);
-        let mut original: Box<dyn ThermalSolver> = Box::new(ExactLti::new());
+        let mut original = Box::new(ExactLti::new());
         let mut temps_a = vec![lti.ambient; lti.len()];
         original
             .step(&lti, &mut temps_a, Seconds::new(0.1), &powers)
@@ -845,6 +649,5 @@ mod tests {
             .step(&lti, &mut temps_b, Seconds::new(0.1), &powers)
             .unwrap();
         assert_eq!(temps_a, temps_b);
-        assert_eq!(original.name(), "exact_lti");
     }
 }

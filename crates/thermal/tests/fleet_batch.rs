@@ -185,57 +185,3 @@ fn n1_batch_is_the_scalar_path() {
         }
     }
 }
-
-/// A solver that delegates scalar steps to `ExactLti` but keeps the
-/// trait's *default* `step_batch` (the per-device loop) — so the default
-/// implementation itself gets covered against the multi-RHS override.
-#[derive(Debug)]
-struct NoBatchKernel(ExactLti);
-
-impl ThermalSolver for NoBatchKernel {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn step(
-        &mut self,
-        lti: &ThermalLti,
-        temperatures: &mut [Kelvin],
-        dt: Seconds,
-        powers: &[Watts],
-    ) -> mpt_thermal::Result<mpt_thermal::StepStats> {
-        self.0.step(lti, temperatures, dt, powers)
-    }
-
-    fn box_clone(&self) -> Box<dyn ThermalSolver> {
-        unimplemented!("test-only solver is never cloned")
-    }
-}
-
-/// The generic per-device fallback (used by solvers without a batch
-/// kernel) agrees bit-for-bit with the exact-LTI override — same
-/// semantics, two implementations.
-#[test]
-fn default_fallback_matches_exact_override() {
-    let lti = lti_for(0);
-    let n = lti.len();
-    let devices = 5;
-    let cache = Arc::new(TransitionCache::new());
-    let mut kernel = ExactLti::with_cache(Arc::clone(&cache));
-    let mut fallback = NoBatchKernel(ExactLti::with_cache(Arc::clone(&cache)));
-    let mut fleet_a = FleetState::new(n, devices, lti.ambient, lti.ambient);
-    for d in 0..devices {
-        fleet_a.set_ambient(d, Kelvin::new(lti.ambient.value() + d as f64));
-        fleet_a.set_power(1, d, Watts::new(0.5 * d as f64));
-    }
-    let mut fleet_b = fleet_a.clone();
-    for _ in 0..4 {
-        kernel
-            .step_batch(&lti, &mut fleet_a, Seconds::new(0.5))
-            .unwrap();
-        fallback
-            .step_batch(&lti, &mut fleet_b, Seconds::new(0.5))
-            .unwrap();
-    }
-    assert_eq!(fleet_a, fleet_b);
-}

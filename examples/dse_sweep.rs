@@ -75,7 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             app_aware: None,
             alerts: Vec::new(),
             queries: Vec::new(),
-            solver: Default::default(),
             engine: Default::default(),
             control_sensor: None,
             workloads: base_workloads(),
@@ -130,7 +129,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }),
         alerts: Vec::new(),
         queries: Vec::new(),
-        solver: Default::default(),
         engine: Default::default(),
         control_sensor: None,
         workloads: base_workloads(),

@@ -5,6 +5,7 @@
 use mobile_thermal::kernel::{paths, ProcessClass};
 use mobile_thermal::sim::SimBuilder;
 use mobile_thermal::soc::{platforms, ComponentId};
+use mobile_thermal::sysfs::SysFsError;
 use mobile_thermal::units::{Hertz, Seconds};
 use mobile_thermal::workloads::apps;
 use mobile_thermal::workloads::benchmarks::BasicMathLarge;
@@ -109,14 +110,19 @@ fn odroid_exposes_ina231_rails_in_microwatts() {
 
 #[test]
 fn invalid_writes_are_rejected_not_applied() {
-    let sim = game_sim();
+    let mut sim = game_sim();
+    let max = paths::max_freq(ComponentId::Gpu);
+    let before = sim.sysfs().read(&max).expect("readable");
+    // Like Linux answering EINVAL: the garbage cap is refused, the old
+    // cap stays, and the simulator keeps running.
     let err = sim
         .sysfs()
-        .write(&paths::cur_freq(ComponentId::Gpu), "not-a-number");
-    // cur_freq accepts writes (it is a mirror value), but garbage into
-    // max_freq would poison the cap parser — the simulator reads it back
-    // with read_parsed, so verify the error path on a read-only file.
-    assert!(err.is_ok() || err.is_err());
+        .write(&max, "fast please")
+        .expect_err("a non-numeric cap must be rejected");
+    assert!(matches!(err, SysFsError::InvalidValue { .. }), "{err}");
+    assert_eq!(sim.sysfs().read(&max).expect("readable"), before);
+    sim.run_for(Seconds::new(1.0))
+        .expect("a rejected write leaves the run healthy");
     let ro = sim
         .sysfs()
         .write(&paths::available_frequencies(ComponentId::Gpu), "1");
