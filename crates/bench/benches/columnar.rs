@@ -1,8 +1,7 @@
 //! Criterion benchmarks of the columnar telemetry store: appending a
-//! 60 s session into a [`mpt_daq::ColumnFrame`], exporting it as CSV
-//! through the frame versus the pre-columnar row-oriented walk, and
-//! running typed queries over session and campaign-shaped frames. The
-//! numbers behind `BENCH_columnar.json`.
+//! 60 s session into a [`mpt_daq::ColumnFrame`], exporting it as CSV,
+//! and running typed queries over session and campaign-shaped frames.
+//! The numbers behind `BENCH_columnar.json`.
 
 use std::collections::BTreeMap;
 
@@ -74,12 +73,11 @@ fn bench_columnar(c: &mut Criterion) {
     // numbers comparable run to run.
     group.sample_size(100);
 
-    // The full dual-write append path (series + frame) for 60 s.
+    // The full append path (residency, energy and frame rows) for 60 s.
     group.bench_function("append_60s_session", |b| b.iter(session_60s));
 
     let session = session_60s();
     group.bench_function("export_csv_columnar_60s", |b| b.iter(|| session.to_csv()));
-    group.bench_function("export_csv_rows_60s", |b| b.iter(|| session.to_csv_rows()));
 
     let frame = session.frame();
     let p95 = Query::parse("p95(max_temp_c)").expect("parses");

@@ -158,12 +158,10 @@ pub fn nexus_run(app: NexusApp, throttled: bool, seed: u64, duration: Seconds) -
         package_temp: sim
             .telemetry()
             .temperature("package")
-            .cloned()
             .unwrap_or_else(|| TimeSeries::new("temp_package_c")),
         skin_temp: sim
             .telemetry()
             .temperature("skin")
-            .cloned()
             .unwrap_or_else(|| TimeSeries::new("temp_skin_c")),
         gpu_residency,
         big_residency,

@@ -147,7 +147,7 @@ fn finish(
         .and_then(|pid| sim.workload_as::<ThreeDMark>(pid));
     OdroidRun {
         scenario,
-        max_temp: sim.telemetry().max_temperature().clone(),
+        max_temp: sim.telemetry().max_temperature(),
         shares: sim.telemetry().power_shares(),
         total_power: sim.telemetry().average_total_power(),
         gt1: threedmark.and_then(ThreeDMark::gt1_fps),

@@ -286,6 +286,20 @@ impl ColumnFrame {
         }
     }
 
+    /// The named `f64` channel as a [`TimeSeries`](crate::TimeSeries) of
+    /// the same name, skipping its `NaN` "no sample" rows, or `None` if
+    /// the channel is absent or not `f64`.
+    #[must_use]
+    pub fn series(&self, name: &str) -> Option<crate::TimeSeries> {
+        let mut series = crate::TimeSeries::new(name);
+        for (&t, &v) in self.times().iter().zip(self.f64_column(name)?) {
+            if !v.is_nan() {
+                series.push(mpt_units::Seconds::new(t), v);
+            }
+        }
+        Some(series)
+    }
+
     /// The named `u32` column's values, or `None` if absent or not `u32`.
     #[must_use]
     pub fn u32_column(&self, name: &str) -> Option<&[u32]> {
@@ -701,6 +715,18 @@ mod tests {
             f.end_row();
         }
         f
+    }
+
+    #[test]
+    fn series_skips_no_sample_rows() {
+        let f = sample_frame();
+        let late = f.series("temp_late_c").unwrap();
+        assert_eq!(late.name(), "temp_late_c");
+        assert_eq!(late.times(), &[1.0, 1.5]);
+        assert_eq!(late.values(), &[55.0, 55.0]);
+        assert_eq!(f.series("temp_big_c").unwrap().len(), 4);
+        assert!(f.series("events").is_none());
+        assert!(f.series("missing").is_none());
     }
 
     #[test]

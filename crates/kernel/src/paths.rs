@@ -31,13 +31,13 @@ pub fn max_freq(id: ComponentId) -> String {
     format!("{}/scaling_max_freq", cpufreq_dir(id))
 }
 
-/// `scaling_min_freq` attribute (kHz, writable).
+/// `scaling_min_freq` attribute (kHz, read-only: the lowest OPP).
 #[must_use]
 pub fn min_freq(id: ComponentId) -> String {
     format!("{}/scaling_min_freq", cpufreq_dir(id))
 }
 
-/// `scaling_governor` attribute.
+/// `scaling_governor` attribute (read-only: the policy's governor name).
 #[must_use]
 pub fn governor(id: ComponentId) -> String {
     format!("{}/scaling_governor", cpufreq_dir(id))

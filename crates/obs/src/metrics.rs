@@ -28,8 +28,8 @@ pub enum Counter {
     TripCrossings,
     /// cpufreq governor frequency changes (any component, any direction).
     GovernorFreqChanges,
-    /// Writes performed against the sysfs control plane by the simulator
-    /// core (caps, state mirroring).
+    /// Control writes the simulator core makes to the sysfs control plane
+    /// (the thermal governor's frequency caps).
     SysfsWrites,
     /// `cap_changed` events (includes cap-level moves while throttled).
     CapChanges,

@@ -15,7 +15,7 @@ use mpt_workloads::Workload;
 
 use crate::analysis::RunAnalysis;
 use crate::clock::SimClock;
-use crate::engine::{Attached, SimCore, SteppingMode};
+use crate::engine::{Attached, LiveSysfs, SimCore, SteppingMode};
 use crate::queue::EventQueue;
 use crate::stages::default_pipeline;
 use crate::{EventLog, Result, SimError, Simulator, SystemPolicy, Telemetry};
@@ -313,6 +313,7 @@ impl SimBuilder {
         let component_ids: Vec<ComponentId> =
             self.platform.components().iter().map(|c| c.id()).collect();
         analysis.register_tracks(&recorder, &component_ids);
+        let live = Arc::new(LiveSysfs::new(&self.platform, attached.len()));
         let mut core = SimCore {
             platform: self.platform,
             network,
@@ -325,7 +326,7 @@ impl SimBuilder {
             sysfs: SysFs::new(),
             last_powers: BTreeMap::new(),
             pending_migrations: Arc::new(Mutex::new(Vec::new())),
-            cluster_mirror: Arc::new(Mutex::new(BTreeMap::new())),
+            live,
             events: EventLog::new(),
             recorder,
             analysis,
@@ -333,7 +334,7 @@ impl SimBuilder {
             power_trace: None,
         };
         core.register_sysfs()?;
-        core.sync_sysfs()?;
+        core.publish_sysfs();
         let stages = default_pipeline(
             self.thermal_governor,
             self.thermal_period,

@@ -1,6 +1,7 @@
 //! The simulation engine: shared core state plus the staged pipeline.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpt_kernel::{CpuFreqPolicy, Pid, Scheduler, ThermalAction};
@@ -111,8 +112,8 @@ pub struct SimCore {
     /// Cluster moves requested through the cpuset control plane, applied
     /// at the start of the next tick.
     pub(crate) pending_migrations: Arc<Mutex<Vec<(Pid, ComponentId)>>>,
-    /// Live mirror of each process's cluster, read by the cpuset files.
-    pub(crate) cluster_mirror: Arc<Mutex<BTreeMap<u32, &'static str>>>,
+    /// The numbers behind the live sysfs files.
+    pub(crate) live: Arc<LiveSysfs>,
     pub(crate) events: EventLog,
     /// The run's observability recorder (shared with the campaign layer
     /// when several simulators feed one trace).
@@ -125,6 +126,53 @@ pub struct SimCore {
     /// Per-tick node-power capture for fleet canonical runs (`None` when
     /// tracing is off — the thermal stage then pays one branch per tick).
     pub(crate) power_trace: Option<mpt_workloads::PowerTrace>,
+}
+
+/// The raw numbers behind the simulator's live sysfs files, shared with
+/// their handlers. The pipeline stores them once per pass
+/// ([`SimCore::publish_sysfs`]); a file formats its number in its unit
+/// only when someone reads it. `scaling_max_freq` writes land here too.
+/// Each slot is a self-contained number that publishes no other data,
+/// so every access is `Relaxed`.
+#[derive(Debug)]
+pub(crate) struct LiveSysfs {
+    /// `scaling_cur_freq` in kHz, indexed by `ComponentId as usize`.
+    cur_khz: [AtomicU64; 4],
+    /// `scaling_max_freq` in kHz, indexed by `ComponentId as usize`.
+    max_khz: [AtomicU64; 4],
+    /// Thermal-zone temperatures in °C as `f64` bits, by zone.
+    zone_c: Vec<AtomicU64>,
+    /// Power-rail readings in W as `f64` bits, by rail.
+    rail_w: Vec<AtomicU64>,
+    /// Each attached process's cluster as a `ComponentId as u8` code,
+    /// in attach order.
+    cluster: Vec<AtomicU8>,
+}
+
+impl LiveSysfs {
+    pub(crate) fn new(platform: &Platform, processes: usize) -> Self {
+        let slots = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
+        Self {
+            cur_khz: Default::default(),
+            max_khz: Default::default(),
+            zone_c: slots(platform.temperature_sensors().len()),
+            rail_w: slots(platform.power_rails().len()),
+            cluster: (0..processes).map(|_| AtomicU8::new(0)).collect(),
+        }
+    }
+}
+
+/// A sysfs read handler over the shared [`LiveSysfs`].
+fn live_read(
+    live: &Arc<LiveSysfs>,
+    read: impl Fn(&LiveSysfs) -> String + Send + Sync + 'static,
+) -> impl Fn() -> String + Send + Sync + 'static {
+    let live = Arc::clone(live);
+    move || read(&live)
+}
+
+fn load_f64(slot: &AtomicU64) -> f64 {
+    f64::from_bits(slot.load(Ordering::Relaxed))
 }
 
 /// Per-run event-engine queue totals, mirrored into the recorder's
@@ -254,14 +302,14 @@ impl SimCore {
             }
         }
         // Caps take effect immediately within the same poll.
-        self.apply_sysfs_caps()
+        self.apply_sysfs_caps();
+        Ok(())
     }
 
     pub(crate) fn register_sysfs(&mut self) -> Result<()> {
         for component in self.platform.components() {
             let id = component.id();
             let top = component.opps().highest().frequency();
-            let bottom = component.opps().lowest().frequency();
             let freq_list = component
                 .opps()
                 .frequencies()
@@ -274,26 +322,38 @@ impl SimCore {
             )?;
             self.sysfs.register(
                 &mpt_kernel::paths::cur_freq(id),
-                Attribute::value(bottom.as_khz().to_string()),
+                Attribute::read_only(live_read(&self.live, move |l| {
+                    l.cur_khz[id as usize].load(Ordering::Relaxed).to_string()
+                })),
             )?;
-            // The cap is parsed back every pass, so garbage is refused
-            // at write time (EINVAL) rather than poisoning later runs.
+            // A cap must be a kHz value whose Hz fit in a u64, or the
+            // write is refused (EINVAL) and the old cap stays.
+            self.live.max_khz[id as usize].store(top.as_khz(), Ordering::Relaxed);
+            let live = Arc::clone(&self.live);
             self.sysfs.register(
                 &mpt_kernel::paths::max_freq(id),
-                Attribute::validated(top.as_khz().to_string(), |v| {
-                    v.trim()
-                        .parse::<u64>()
-                        .map(drop)
-                        .map_err(|_| "does not parse as a kHz frequency".to_owned())
-                }),
+                Attribute::with_handlers(
+                    live_read(&self.live, move |l| {
+                        l.max_khz[id as usize].load(Ordering::Relaxed).to_string()
+                    }),
+                    move |v| {
+                        let khz = (v.trim().parse::<u64>().ok())
+                            .filter(|&k| k <= u64::MAX / 1_000)
+                            .ok_or("not a kHz frequency")?;
+                        live.max_khz[id as usize].store(khz, Ordering::Relaxed);
+                        Ok(())
+                    },
+                ),
             )?;
+            // Nothing applies a floor or a governor change written here,
+            // so both files refuse writes rather than accept and ignore.
             self.sysfs.register(
                 &mpt_kernel::paths::min_freq(id),
-                Attribute::value(bottom.as_khz().to_string()),
+                Attribute::constant(component.opps().lowest().frequency().as_khz().to_string()),
             )?;
             self.sysfs.register(
                 &mpt_kernel::paths::governor(id),
-                Attribute::value(self.policies[&id].governor_name()),
+                Attribute::constant(self.policies[&id].governor_name()),
             )?;
         }
         for (zone, sensor) in self.platform.temperature_sensors().iter().enumerate() {
@@ -301,47 +361,36 @@ impl SimCore {
                 &mpt_kernel::paths::thermal_zone_type(zone),
                 Attribute::constant(sensor.name()),
             )?;
+            // Millidegrees, as in real thermal zones.
             self.sysfs.register(
                 &mpt_kernel::paths::thermal_zone_temp(zone),
-                Attribute::value("0"),
+                Attribute::read_only(live_read(&self.live, move |l| {
+                    ((load_f64(&l.zone_c[zone]) * 1000.0).round() as i64).to_string()
+                })),
             )?;
         }
-        for rail in self.platform.power_rails() {
+        for (i, rail) in self.platform.power_rails().iter().enumerate() {
             self.sysfs.register(
                 &mpt_kernel::paths::power_rail_uw(rail.name()),
-                Attribute::value("0"),
+                Attribute::read_only(live_read(&self.live, move |l| {
+                    ((load_f64(&l.rail_w[i]) * 1e6).round() as i64).to_string()
+                })),
             )?;
         }
         // cpuset placement files: one per attached process. Reads show
         // the live cluster; writes queue a migration for the next tick —
         // the cgroup path Android thermal daemons use for big.LITTLE
         // task placement.
-        let pids: Vec<Pid> = self.workloads.iter().map(|a| a.pid).collect();
-        for pid in pids {
-            let cluster = self
-                .scheduler
-                .process(pid)
-                .expect("attached workloads have processes")
-                .cluster();
-            self.cluster_mirror
-                .lock()
-                .expect("mirror mutex is never poisoned")
-                .insert(pid.value(), cluster.key());
-            let mirror = Arc::clone(&self.cluster_mirror);
+        for (i, a) in self.workloads.iter().enumerate() {
             let queue = Arc::clone(&self.pending_migrations);
-            let raw = pid.value();
+            let raw = a.pid.value();
             self.sysfs.register(
                 &mpt_kernel::paths::cpuset_cluster(raw),
                 Attribute::with_handlers(
-                    move || {
-                        mirror
-                            .lock()
-                            .expect("mirror mutex is never poisoned")
-                            .get(&raw)
-                            .copied()
-                            .unwrap_or("?")
-                            .to_owned()
-                    },
+                    live_read(&self.live, move |l| {
+                        let code = l.cluster[i].load(Ordering::Relaxed);
+                        ComponentId::ALL[usize::from(code)].key().to_owned()
+                    }),
                     move |value| {
                         let cluster = match value.trim() {
                             "little" => ComponentId::LittleCluster,
@@ -364,44 +413,31 @@ impl SimCore {
         Ok(())
     }
 
-    pub(crate) fn sync_sysfs(&self) -> Result<()> {
+    /// Stores this pass's frequencies, zone temperatures, rail powers
+    /// and process placements for the live sysfs files to format on
+    /// read.
+    pub(crate) fn publish_sysfs(&self) {
+        let live = &self.live;
         for (&id, policy) in &self.policies {
-            self.sysfs_write(
-                &mpt_kernel::paths::cur_freq(id),
-                &policy.current().as_khz().to_string(),
-            )?;
+            live.cur_khz[id as usize].store(policy.current().as_khz(), Ordering::Relaxed);
         }
-        for (zone, sensor) in self.platform.temperature_sensors().iter().enumerate() {
+        for (slot, sensor) in live.zone_c.iter().zip(self.platform.temperature_sensors()) {
             if let Ok(c) = self.network.celsius_of(sensor.thermal_node()) {
-                // Millidegrees, as in real thermal zones.
-                self.sysfs_write(
-                    &mpt_kernel::paths::thermal_zone_temp(zone),
-                    &format!("{}", (c.value() * 1000.0).round() as i64),
-                )?;
+                slot.store(c.value().to_bits(), Ordering::Relaxed);
             }
         }
-        for rail in self.platform.power_rails() {
+        for (slot, rail) in live.rail_w.iter().zip(self.platform.power_rails()) {
             let power = self
                 .last_powers
                 .get(&rail.component())
                 .map_or(0.0, |b| b.total().value());
-            self.sysfs_write(
-                &mpt_kernel::paths::power_rail_uw(rail.name()),
-                &format!("{}", (power * 1e6).round() as i64),
-            )?;
+            slot.store(power.to_bits(), Ordering::Relaxed);
         }
-        {
-            let mut mirror = self
-                .cluster_mirror
-                .lock()
-                .expect("mirror mutex is never poisoned");
-            for a in &self.workloads {
-                if let Some(p) = self.scheduler.process(a.pid) {
-                    mirror.insert(a.pid.value(), p.cluster().key());
-                }
+        for (slot, a) in live.cluster.iter().zip(&self.workloads) {
+            if let Some(p) = self.scheduler.process(a.pid) {
+                slot.store(p.cluster() as u8, Ordering::Relaxed);
             }
         }
-        Ok(())
     }
 
     pub(crate) fn apply_pending_migrations(&mut self) -> Result<()> {
@@ -417,11 +453,10 @@ impl SimCore {
         Ok(())
     }
 
-    pub(crate) fn apply_sysfs_caps(&mut self) -> Result<()> {
+    pub(crate) fn apply_sysfs_caps(&mut self) {
         for component in self.platform.components() {
             let id = component.id();
-            let khz: u64 = self.sysfs.read_parsed(&mpt_kernel::paths::max_freq(id))?;
-            let cap = Hertz::from_khz(khz);
+            let cap = Hertz::from_khz(self.live.max_khz[id as usize].load(Ordering::Relaxed));
             let top = component.opps().highest().frequency();
             let policy = self
                 .policies
@@ -449,7 +484,6 @@ impl SimCore {
                 );
             }
         }
-        Ok(())
     }
 }
 

@@ -25,7 +25,7 @@ impl SimStage for SysfsControlStage {
     }
 
     fn run(&mut self, core: &mut SimCore, _ctx: &mut StepContext) -> Result<()> {
-        core.apply_sysfs_caps()?;
+        core.apply_sysfs_caps();
         core.apply_pending_migrations()
     }
 

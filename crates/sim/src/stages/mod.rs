@@ -15,8 +15,8 @@
 //! 6. [`observe::TelemetryStage`] — time-series/residency recording.
 //! 7. [`govern::GovernStage`] — cpufreq governors, the periodic thermal
 //!    governor, and the optional [`SystemPolicy`](crate::SystemPolicy).
-//! 8. [`observe::EventStage`] — discrete-event detection and the sysfs
-//!    state mirror.
+//! 8. [`observe::EventStage`] — discrete-event detection, then the
+//!    pass's values published to the live sysfs files.
 //! 9. [`analyze::AnalyzeStage`] — derived observables, alert rules, and
 //!    the domain counter tracks (temperature/power/frequency/FPS).
 //!

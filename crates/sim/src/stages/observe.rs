@@ -1,4 +1,4 @@
-//! Observation: telemetry recording, discrete events, sysfs mirroring.
+//! Observation: telemetry recording, discrete events, live sysfs values.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -11,7 +11,7 @@ use crate::queue::WakeKind;
 use crate::stages::{SimStage, StepContext, Wake};
 use crate::{Event, EventKind, Result};
 
-/// Records the tick into the run telemetry (time series, residency,
+/// Records the tick into the run telemetry (frame rows, residency,
 /// energy) and latches this tick's powers as
 /// [`Simulator::last_powers`](crate::Simulator::last_powers).
 #[derive(Debug, Default)]
@@ -51,8 +51,8 @@ impl SimStage for TelemetryStage {
 }
 
 /// Detects discrete events (cluster migrations, workload completions)
-/// against its previous-tick snapshot, then mirrors live state back into
-/// the sysfs control plane.
+/// against its previous-tick snapshot, then publishes the pass's values
+/// to the live sysfs files.
 #[derive(Debug, Default)]
 pub struct EventStage {
     prev_clusters: BTreeMap<Pid, ComponentId>,
@@ -102,6 +102,7 @@ impl SimStage for EventStage {
                 );
             }
         }
-        core.sync_sysfs()
+        core.publish_sysfs();
+        Ok(())
     }
 }

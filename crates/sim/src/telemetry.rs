@@ -13,20 +13,16 @@ use mpt_units::{Celsius, Hertz, Seconds, Watts};
 /// Time series are decimated to `sample_period` to bound memory;
 /// residency and energy are integrated every tick at full resolution.
 ///
-/// Sampled rows are stored twice: per-channel [`TimeSeries`] (the
-/// figure-plotting surface) and one column-major [`ColumnFrame`] with
-/// channels `time_s`, `temp_<sensor>_c`, `max_temp_c`, `power_<rail>_w`
-/// and `total_power_w` — the export and query surface.
+/// Sampled rows live in one column-major [`ColumnFrame`] with channels
+/// `time_s`, `temp_<sensor>_c`, `max_temp_c`, `power_<rail>_w` and
+/// `total_power_w` — the export and query surface. The [`TimeSeries`]
+/// accessors read their channel out of it.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     sample_period: f64,
     next_sample: f64,
     elapsed: f64,
-    temps: BTreeMap<String, TimeSeries>,
-    max_temp: TimeSeries,
     residency: BTreeMap<ComponentId, Residency>,
-    power: BTreeMap<ComponentId, TimeSeries>,
-    total_power: TimeSeries,
     energy: BTreeMap<ComponentId, f64>,
     total_energy: f64,
     frame: ColumnFrame,
@@ -48,11 +44,7 @@ impl Telemetry {
             sample_period: sample_period.value(),
             next_sample: 0.0,
             elapsed: 0.0,
-            temps: BTreeMap::new(),
-            max_temp: TimeSeries::new("max_temp_c"),
             residency: BTreeMap::new(),
-            power: BTreeMap::new(),
-            total_power: TimeSeries::new("total_power_w"),
             energy: BTreeMap::new(),
             total_energy: 0.0,
             frame: ColumnFrame::new(),
@@ -81,32 +73,22 @@ impl Telemetry {
             total += p;
         }
         self.total_energy += total * dt.value();
-        // Series decimate; the columnar frame appends the same rows.
+        // The sampled channels decimate into the frame.
         if t + 1e-12 >= self.next_sample {
             self.next_sample = t + self.sample_period;
             self.frame.begin_row(t);
             let mut max_c = f64::NEG_INFINITY;
             for (name, c) in sensor_temps {
-                self.temps
-                    .entry(name.clone())
-                    .or_insert_with(|| TimeSeries::new(format!("temp_{name}_c")))
-                    .push(now, c.value());
                 self.frame.set_f64(&format!("temp_{name}_c"), c.value());
                 max_c = max_c.max(c.value());
             }
             if max_c.is_finite() {
-                self.max_temp.push(now, max_c);
                 self.frame.set_f64("max_temp_c", max_c);
             }
             for (&id, b) in powers {
-                self.power
-                    .entry(id)
-                    .or_insert_with(|| TimeSeries::new(format!("power_{id}_w")))
-                    .push(now, b.total().value());
                 self.frame
                     .set_f64(&format!("power_{id}_w"), b.total().value());
             }
-            self.total_power.push(now, total);
             self.frame.set_f64("total_power_w", total);
             self.frame.end_row();
         }
@@ -133,35 +115,26 @@ impl Telemetry {
         Seconds::new(self.sample_period)
     }
 
-    /// The temperature trace of a named sensor.
+    /// The temperature trace of a named sensor, read out of the frame:
+    /// only the rows where the sensor reported.
     #[must_use]
-    pub fn temperature(&self, sensor: &str) -> Option<&TimeSeries> {
-        self.temps.get(sensor)
+    pub fn temperature(&self, sensor: &str) -> Option<TimeSeries> {
+        self.frame.series(&format!("temp_{sensor}_c"))
     }
 
     /// The maximum-over-sensors temperature trace (the paper's Figure 8
-    /// y-axis is "Max. Temperature").
+    /// y-axis is "Max. Temperature"), read out of the frame.
     #[must_use]
-    pub fn max_temperature(&self) -> &TimeSeries {
-        &self.max_temp
+    pub fn max_temperature(&self) -> TimeSeries {
+        self.frame
+            .series("max_temp_c")
+            .unwrap_or_else(|| TimeSeries::new("max_temp_c"))
     }
 
     /// Frequency residency of a component.
     #[must_use]
     pub fn residency(&self, id: ComponentId) -> Option<&Residency> {
         self.residency.get(&id)
-    }
-
-    /// Rail power trace of a component.
-    #[must_use]
-    pub fn power_series(&self, id: ComponentId) -> Option<&TimeSeries> {
-        self.power.get(&id)
-    }
-
-    /// Total power trace.
-    #[must_use]
-    pub fn total_power(&self) -> &TimeSeries {
-        &self.total_power
     }
 
     /// Energy consumed by a component so far (joules).
@@ -243,42 +216,6 @@ impl Telemetry {
     #[must_use]
     pub fn to_csv(&self) -> String {
         self.frame.to_csv()
-    }
-
-    /// The pre-columnar row-oriented CSV export: walks every
-    /// `TimeSeries` per row with a per-cell time lookup. Kept only as
-    /// the baseline for `benches/columnar.rs`; use
-    /// [`to_csv`](Self::to_csv).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn to_csv_rows(&self) -> String {
-        let mut columns: Vec<(String, &TimeSeries)> = Vec::new();
-        for (name, ts) in &self.temps {
-            columns.push((format!("temp_{name}_c"), ts));
-        }
-        for (id, ts) in &self.power {
-            columns.push((format!("power_{id}_w"), ts));
-        }
-        columns.push(("total_power_w".to_owned(), &self.total_power));
-        let mut out = String::from("time_s");
-        for (name, _) in &columns {
-            out.push(',');
-            out.push_str(name);
-        }
-        out.push('\n');
-        let times = self.total_power.times();
-        for &t in times {
-            out.push_str(&format!("{t:?}"));
-            for (_, ts) in &columns {
-                let field = ts
-                    .at(mpt_units::Seconds::new(t))
-                    .map_or_else(String::new, |v| format!("{v:?}"));
-                out.push(',');
-                out.push_str(&field);
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -457,21 +394,36 @@ mod tests {
     fn frame_matches_series_content() {
         let mut t = Telemetry::new(Seconds::new(0.1));
         for i in 0..20 {
+            // The "late" sensor comes online at t = 1.0 s.
+            let mut temps = vec![("big".to_owned(), Celsius::new(40.0 + i as f64))];
+            if i >= 10 {
+                temps.push(("late".to_owned(), Celsius::new(60.0 + i as f64)));
+            }
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &[("big".to_owned(), Celsius::new(40.0 + i as f64))],
+                &temps,
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
             );
         }
         let frame = t.frame();
-        assert_eq!(frame.rows(), t.total_power().len());
-        assert_eq!(
-            frame.f64_column("temp_big_c").unwrap(),
-            t.temperature("big").unwrap().values()
-        );
-        assert_eq!(frame.times(), t.total_power().times());
+        let big = t.temperature("big").unwrap();
+        assert_eq!(big.name(), "temp_big_c");
+        assert_eq!(frame.rows(), big.len());
+        assert_eq!(frame.f64_column("temp_big_c").unwrap(), big.values());
+        assert_eq!(frame.times(), big.times());
+        // The late sensor's trace holds only its real samples, not the
+        // frame's back-filled "no sample" rows.
+        let late = t.temperature("late").unwrap();
+        assert_eq!(late.times(), &frame.times()[10..]);
+        let want: Vec<f64> = (10..20).map(|i| 60.0 + f64::from(i)).collect();
+        assert_eq!(late.values(), want.as_slice());
+        let max: Vec<f64> = (0..20)
+            .map(|i| f64::from(i) + if i < 10 { 40.0 } else { 60.0 })
+            .collect();
+        assert_eq!(t.max_temperature().values(), max.as_slice());
+        assert!(t.temperature("absent").is_none());
         assert_eq!(
             Telemetry::channel_names_for(&["big".to_owned()], &["big"]),
             vec![

@@ -40,24 +40,11 @@ impl Attribute {
     /// A read-write attribute storing a plain string value.
     #[must_use]
     pub fn value(initial: impl Into<String>) -> Self {
-        Self::validated(initial, |_| Ok(()))
-    }
-
-    /// A read-write attribute storing a plain string value that `check`
-    /// must accept first. A rejected write returns `Err(reason)` and
-    /// leaves the stored value unchanged, the way a kernel attribute
-    /// answers `EINVAL`.
-    #[must_use]
-    pub fn validated(
-        initial: impl Into<String>,
-        check: impl Fn(&str) -> std::result::Result<(), String> + Send + Sync + 'static,
-    ) -> Self {
         let cell = Arc::new(Mutex::new(initial.into()));
         let read_cell = Arc::clone(&cell);
         Self {
             read: Some(Arc::new(move || read_cell.lock().clone())),
             write: Some(Arc::new(move |v| {
-                check(v)?;
                 *cell.lock() = v.to_owned();
                 Ok(())
             })),
@@ -156,17 +143,6 @@ mod tests {
         assert_eq!(a.read().unwrap(), "hello");
         a.write("world").unwrap().unwrap();
         assert_eq!(a.read().unwrap(), "world");
-    }
-
-    #[test]
-    fn validated_attribute_keeps_its_value_on_rejection() {
-        let a = Attribute::validated("600000", |v| {
-            v.trim().parse::<u64>().map(drop).map_err(|e| e.to_string())
-        });
-        a.write("305000\n").unwrap().unwrap();
-        assert_eq!(a.read().unwrap(), "305000\n");
-        assert!(a.write("fast please").unwrap().is_err());
-        assert_eq!(a.read().unwrap(), "305000\n");
     }
 
     #[test]
