@@ -1,7 +1,7 @@
 //! One Criterion bench per paper artifact, measuring the cost of
 //! regenerating it. The runs here are time-scaled (seconds of simulated
 //! time instead of the full 140 s / 250 s) so Criterion can sample them;
-//! the `repro_*` binaries perform the full-length regenerations.
+//! the `repro` binary performs the full-length regenerations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -5,12 +5,12 @@
 //!
 //! Two kinds of targets live in this crate:
 //!
-//! - **`repro_*` binaries** (`src/bin/`) — print the same rows/series the
-//!   paper reports, one per artifact (`repro_table1`, `repro_fig7`, …)
-//!   plus `repro_all`:
+//! - **The `repro` binary** (`src/bin/repro.rs`) — prints the same
+//!   rows/series the paper reports, one artifact per call (`repro table1`,
+//!   `repro fig7`, …) or all of them with `repro all`:
 //!
 //!   ```sh
-//!   cargo run --release -p mpt-bench --bin repro_all
+//!   cargo run --release -p mpt-bench --bin repro -- all
 //!   ```
 //!
 //! - **Criterion benches** (`benches/`) — measure the computational cost
@@ -26,7 +26,7 @@
 //! observability HTTP server ([`obs_serve`]) that `run_scenario
 //! --serve-obs` mounts next to a running campaign.
 
-use mpt_core::experiments::{NexusRun, Table1Row, Table2};
+use mpt_core::experiments::{Table1Row, Table2};
 
 pub mod obs_serve;
 
@@ -95,40 +95,6 @@ pub fn format_residency(title: &str, r: &mpt_daq::Residency) -> String {
         .map(|(f, p)| (format!("{:>4} MHz", f.as_mhz()), p))
         .collect();
     out.push_str(&mpt_daq::chart::bar_chart(&labels, 40));
-    out
-}
-
-/// One Nexus figure (temperature profile + residency) as printable text.
-#[must_use]
-pub fn format_nexus_figure(without: &NexusRun, with: &NexusRun, gpu: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&mpt_daq::chart::line_chart(
-        &[&without.package_temp, &with.package_temp],
-        70,
-        14,
-    ));
-    out.push_str("          (* = without throttling, + = with throttling)\n\n");
-    if gpu {
-        out.push_str(&format_residency(
-            "GPU residency, no throttling:",
-            &without.gpu_residency,
-        ));
-        out.push('\n');
-        out.push_str(&format_residency(
-            "GPU residency, throttling:",
-            &with.gpu_residency,
-        ));
-    } else {
-        out.push_str(&format_residency(
-            "big-core residency, no throttling:",
-            &without.big_residency,
-        ));
-        out.push('\n');
-        out.push_str(&format_residency(
-            "big-core residency, throttling:",
-            &with.big_residency,
-        ));
-    }
     out
 }
 

@@ -151,18 +151,7 @@ mod tests {
         // Paper.io exceeds the 41 C trip at full complexity (that is why
         // Table I shows it throttled); the advisor must find a scale
         // strictly below 1 that fits.
-        let spec = AppSpec {
-            name: "Paper.io",
-            cpu_per_frame: 25.0e6,
-            gpu_per_frame: 15.5e6,
-            target_fps: 60.0,
-            cpu_threads: 2.0,
-            phase_amplitude: 0.18,
-            phase_period: 9.0,
-            jitter: 0.10,
-            interaction_period: 1.0,
-        };
-        let report = sustainable_complexity(&spec, Celsius::new(41.0), 42).unwrap();
+        let report = sustainable_complexity(&apps::PAPER_IO, Celsius::new(41.0), 42).unwrap();
         assert!(
             report.sustainable_scale < 1.0,
             "scale {}",
@@ -174,7 +163,6 @@ mod tests {
             "steady {}",
             report.steady_temp
         );
-        let _ = apps::paper_io(1);
     }
 
     #[test]

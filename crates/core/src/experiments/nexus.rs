@@ -191,32 +191,21 @@ impl Table1Row {
 /// Regenerates the paper's Table I: each app run for 140 s (the span of
 /// Figures 1–5) with and without the stock thermal governor.
 ///
-/// The ten runs execute on one worker per CPU; see [`table1_jobs`] to
-/// pick the worker count.
+/// The ten (app × throttled) runs execute on one worker per CPU through
+/// the campaign layer's [`run_parallel`](crate::campaign::run_parallel);
+/// each cell's seed is fixed up front, so the rows do not depend on the
+/// worker count.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
 pub fn table1(seed: u64) -> Result<Vec<Table1Row>> {
-    table1_jobs(seed, 0)
-}
-
-/// [`table1`] with an explicit worker-thread count (`0` = one per CPU).
-///
-/// The grid of (app × throttled) runs goes through the campaign layer's
-/// [`run_parallel`](crate::campaign::run_parallel); each cell's seed is
-/// fixed up front, so results are identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn table1_jobs(seed: u64, jobs: usize) -> Result<Vec<Table1Row>> {
     let duration = Seconds::new(140.0);
     let grid: Vec<(NexusApp, bool)> = NexusApp::ALL
         .iter()
         .flat_map(|&app| [(app, false), (app, true)])
         .collect();
-    let runs = crate::campaign::run_parallel(grid.len(), jobs, |i| {
+    let runs = crate::campaign::run_parallel(grid.len(), 0, |i| {
         let (app, throttled) = grid[i];
         nexus_run(app, throttled, seed, duration)
     });

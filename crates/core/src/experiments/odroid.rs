@@ -167,7 +167,7 @@ fn finish(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn threedmark_run(scenario: OdroidScenario, _seed: u64) -> Result<OdroidRun> {
+pub fn threedmark_run(scenario: OdroidScenario) -> Result<OdroidRun> {
     let soc = platforms::exynos_5422();
     let (builder, stats) = scenario_builder(scenario, &soc);
     let builder = builder.attach_realtime(
@@ -190,7 +190,7 @@ pub fn threedmark_run(scenario: OdroidScenario, _seed: u64) -> Result<OdroidRun>
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn nenamark_run(scenario: OdroidScenario, _seed: u64) -> Result<f64> {
+pub fn nenamark_run(scenario: OdroidScenario) -> Result<f64> {
     let soc = platforms::exynos_5422();
     let (builder, _stats) = scenario_builder(scenario, &soc);
     let builder = builder.attach_realtime(
@@ -234,36 +234,23 @@ pub struct Table2 {
 /// Regenerates the paper's Table II.
 ///
 /// The six runs (3DMark and Nenamark under each of the three scenarios)
-/// execute on one worker per CPU; see [`table2_jobs`] to pick the worker
-/// count.
+/// execute on one worker per CPU through the campaign layer's
+/// [`run_parallel`](crate::campaign::run_parallel).
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn table2(seed: u64) -> Result<Table2> {
-    table2_jobs(seed, 0)
-}
-
-/// [`table2`] with an explicit worker-thread count (`0` = one per CPU).
-///
-/// The grid goes through the campaign layer's
-/// [`run_parallel`](crate::campaign::run_parallel); results are
-/// identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn table2_jobs(seed: u64, jobs: usize) -> Result<Table2> {
+pub fn table2() -> Result<Table2> {
     enum Cell {
         ThreeDMark(OdroidRun),
         Nenamark(f64),
     }
-    let runs = crate::campaign::run_parallel(6, jobs, |i| {
+    let runs = crate::campaign::run_parallel(6, 0, |i| {
         let scenario = OdroidScenario::ALL[i % 3];
         if i < 3 {
-            threedmark_run(scenario, seed).map(Cell::ThreeDMark)
+            threedmark_run(scenario).map(Cell::ThreeDMark)
         } else {
-            nenamark_run(scenario, seed).map(Cell::Nenamark)
+            nenamark_run(scenario).map(Cell::Nenamark)
         }
     });
     let mut gt1 = [0.0; 3];
@@ -287,7 +274,7 @@ mod tests {
 
     #[test]
     fn alone_run_is_gpu_dominant_like_figure9a() {
-        let run = threedmark_run(OdroidScenario::Alone, 1).unwrap();
+        let run = threedmark_run(OdroidScenario::Alone).unwrap();
         let gpu = run.shares.iter().find(|(k, _)| *k == "gpu").unwrap().1;
         let big = run.shares.iter().find(|(k, _)| *k == "big").unwrap().1;
         assert!(
@@ -299,8 +286,8 @@ mod tests {
 
     #[test]
     fn bml_raises_power_and_big_share_like_figure9b() {
-        let alone = threedmark_run(OdroidScenario::Alone, 1).unwrap();
-        let with = threedmark_run(OdroidScenario::WithBml, 1).unwrap();
+        let alone = threedmark_run(OdroidScenario::Alone).unwrap();
+        let with = threedmark_run(OdroidScenario::WithBml).unwrap();
         assert!(
             with.total_power > alone.total_power,
             "BML must raise total power: {} vs {}",
@@ -321,8 +308,8 @@ mod tests {
 
     #[test]
     fn proposed_control_migrates_and_shifts_power_to_little() {
-        let with = threedmark_run(OdroidScenario::WithBml, 1).unwrap();
-        let proposed = threedmark_run(OdroidScenario::WithBmlProposed, 1).unwrap();
+        let with = threedmark_run(OdroidScenario::WithBml).unwrap();
+        let proposed = threedmark_run(OdroidScenario::WithBmlProposed).unwrap();
         assert!(
             proposed.migrations >= 1,
             "proposed governor must migrate BML"
@@ -346,7 +333,7 @@ mod tests {
 
     #[test]
     fn table2_shape_matches_the_paper() {
-        let t = table2(1).unwrap();
+        let t = table2().unwrap();
         // Who wins: alone >= proposed >= default, for both tests.
         assert!(
             t.gt1[0] > t.gt1[1],

@@ -155,6 +155,19 @@ impl Workload for AppModel {
     }
 }
 
+/// The [`paper_io`] spec, which the app-developer advisor also takes.
+pub const PAPER_IO: AppSpec = AppSpec {
+    name: "Paper.io",
+    cpu_per_frame: 25.0e6,
+    gpu_per_frame: 15.5e6,
+    target_fps: 60.0,
+    cpu_threads: 2.0,
+    phase_amplitude: 0.18,
+    phase_period: 9.0,
+    jitter: 0.10,
+    interaction_period: 1.0,
+};
+
 /// Paper.io — "one of the top five games": GPU-heavy arena rendering.
 ///
 /// Calibrated so the unthrottled Nexus 6P achieves ~35 FPS (Adreno 430
@@ -162,40 +175,27 @@ impl Workload for AppModel {
 /// (Table I row 1).
 #[must_use]
 pub fn paper_io(seed: u64) -> AppModel {
-    AppModel::new(
-        &AppSpec {
-            name: "Paper.io",
-            cpu_per_frame: 25.0e6,
-            gpu_per_frame: 15.5e6,
-            target_fps: 60.0,
-            cpu_threads: 2.0,
-            phase_amplitude: 0.18,
-            phase_period: 9.0,
-            jitter: 0.10,
-            interaction_period: 1.0,
-        },
-        seed,
-    )
+    AppModel::new(&PAPER_IO, seed)
 }
+
+/// The [`stickman_hook`] spec, which the app-developer advisor also takes.
+pub const STICKMAN_HOOK: AppSpec = AppSpec {
+    name: "Stickman Hook",
+    cpu_per_frame: 20.0e6,
+    gpu_per_frame: 9.3e6,
+    target_fps: 60.0,
+    cpu_threads: 1.0,
+    phase_amplitude: 0.25,
+    phase_period: 6.0,
+    jitter: 0.12,
+    interaction_period: 0.8,
+};
 
 /// Stickman Hook — a lighter physics game: near-vsync when unthrottled
 /// (59 FPS), ~40 FPS under throttling (Table I row 2).
 #[must_use]
 pub fn stickman_hook(seed: u64) -> AppModel {
-    AppModel::new(
-        &AppSpec {
-            name: "Stickman Hook",
-            cpu_per_frame: 20.0e6,
-            gpu_per_frame: 9.3e6,
-            target_fps: 60.0,
-            cpu_threads: 1.0,
-            phase_amplitude: 0.25,
-            phase_period: 6.0,
-            jitter: 0.12,
-            interaction_period: 0.8,
-        },
-        seed,
-    )
+    AppModel::new(&STICKMAN_HOOK, seed)
 }
 
 /// Amazon shopping — "in contrast to the gaming apps, it primarily uses

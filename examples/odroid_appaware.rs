@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nrunning the three 250 s scenarios (this takes a moment)...");
     let runs: Vec<_> = OdroidScenario::ALL
         .iter()
-        .map(|&s| threedmark_run(s, 1))
+        .map(|&s| threedmark_run(s))
         .collect::<Result<_, _>>()?;
 
     println!("\nMaximum temperature (paper Figure 8):");

@@ -1,7 +1,7 @@
 //! End-to-end assertions of the paper's headline claims, spanning every
 //! crate in the workspace. Durations are moderately scaled so the suite
 //! stays fast in debug builds; the full-length regenerations live in the
-//! `repro_*` binaries.
+//! `repro` binary (`repro <artifact>|all`).
 
 use mobile_thermal::core::experiments::{
     fig7_curves, nexus_run, threedmark_run, NexusApp, OdroidScenario,
@@ -96,9 +96,9 @@ fn fixed_point_panels_match_the_paper() {
 /// the background app (the foreground benchmark is unaffected).
 #[test]
 fn proposed_governor_protects_the_foreground_app() {
-    let alone = threedmark_run(OdroidScenario::Alone, 7).expect("run");
-    let with_bml = threedmark_run(OdroidScenario::WithBml, 7).expect("run");
-    let proposed = threedmark_run(OdroidScenario::WithBmlProposed, 7).expect("run");
+    let alone = threedmark_run(OdroidScenario::Alone).expect("run");
+    let with_bml = threedmark_run(OdroidScenario::WithBml).expect("run");
+    let proposed = threedmark_run(OdroidScenario::WithBmlProposed).expect("run");
 
     // BML raises total power (paper: 3.65 W) and the peak temperature.
     assert!(with_bml.total_power > alone.total_power);
@@ -138,9 +138,9 @@ fn proposed_governor_protects_the_foreground_app() {
 /// cluster's share; migration moves that share to the little cluster.
 #[test]
 fn power_distribution_shifts_match_figure9() {
-    let alone = threedmark_run(OdroidScenario::Alone, 9).expect("run");
-    let with_bml = threedmark_run(OdroidScenario::WithBml, 9).expect("run");
-    let proposed = threedmark_run(OdroidScenario::WithBmlProposed, 9).expect("run");
+    let alone = threedmark_run(OdroidScenario::Alone).expect("run");
+    let with_bml = threedmark_run(OdroidScenario::WithBml).expect("run");
+    let proposed = threedmark_run(OdroidScenario::WithBmlProposed).expect("run");
     let share = |run: &mobile_thermal::core::experiments::OdroidRun, key: &str| {
         let total: f64 = run.shares.iter().map(|(_, v)| v).sum();
         run.shares.iter().find(|(k, _)| *k == key).expect("rail").1 / total * 100.0
