@@ -27,8 +27,9 @@ fn tick_powers(t: f64) -> BTreeMap<ComponentId, PowerBreakdown> {
 }
 
 /// Records a 60 s session at the default 0.1 s sampling period: 600
-/// frame rows across 10 channels (time, three sensors, max, four rails,
-/// total), the shape `run_scenario --columnar-out` exports.
+/// frame rows across 12 channels (time, three sensors, max, four rails,
+/// total, one frequency domain, FPS), the shape `run_scenario
+/// --columnar-out` exports.
 fn session_60s() -> Telemetry {
     let mut telemetry = Telemetry::new(Seconds::new(0.1));
     let dt = Seconds::new(0.1);
@@ -45,7 +46,7 @@ fn session_60s() -> Telemetry {
             })
             .collect();
         let freqs = [(ComponentId::BigCluster, Hertz::from_mhz(1800))];
-        telemetry.record(Seconds::new(t), dt, &temps, &freqs, &tick_powers(t));
+        telemetry.record(Seconds::new(t), dt, &temps, &freqs, &tick_powers(t), None);
     }
     telemetry
 }

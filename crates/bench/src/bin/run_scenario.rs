@@ -21,13 +21,14 @@ use mpt_bench::obs_serve::ObsServer;
 use mpt_core::campaign::run_campaign_framed;
 use mpt_core::report::SessionReport;
 use mpt_core::scenario::{run_scenario_framed_cached, AlertRuleSpec, CampaignSpec, ScenarioSpec};
+use mpt_daq::columnar::ColumnData;
 use mpt_daq::{ColumnFrame, Query, QueryError};
-use mpt_obs::{clock, trace::chrome_trace_json_full, Counter, Recorder};
+use mpt_obs::{clock, trace::chrome_trace_json, Counter, CounterTrack, Recorder};
 use mpt_sim::SteppingMode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: run_scenario [SCENARIO.json]\n       run_scenario --campaign CAMPAIGN.json [--jobs N]\n\noptions:\n  --jobs N           worker threads for campaigns; 0 (default) = one per CPU\n  --trace-out FILE   write a Chrome trace-event JSON with spans and counter\n                     tracks (load in Perfetto/about:tracing)\n  --metrics-out FILE write counters + latency quantiles; .json extension\n                     selects a JSON snapshot, anything else Prometheus text\n  --report-out FILE  write the session report JSON: outcome, derived\n                     observables, fired alerts and frequency residency\n                     (campaigns: the full campaign report with the\n                     per-cell alert/derived rollup)\n  --fleet-out FILE   write the per-cell fleet population rollups as JSON\n                     (campaigns with a \"fleet\" block only): throttle-onset\n                     CDF, time-above-trip quantiles, peak-temp histogram\n  --alerts FILE      merge extra alert rules (a JSON array of rule\n                     objects, e.g. scenarios/alerts/*.json) into the\n                     scenario or campaign base before running\n  --engine NAME      override the stepping engine (fixed | event) for the\n                     scenario, or every cell of a campaign\n  --query EXPR       run a telemetry query (repeatable). Grammar:\n                     agg(channel) [by axis,...] [where axis=value ...]\n                     with agg one of min|max|mean|median|sum|count|p<N>.\n                     Scenarios query the session frame; campaigns query\n                     the per-cell metrics frame, falling back to the\n                     assembled per-cell telemetry for time channels.\n                     Spec-embedded `queries` run first, then these\n  --query-out FMT    query result format: csv (default) or json\n  --columnar-out F   write the columnar telemetry frame (scenario: the\n                     session frame; campaign: the per-cell metrics\n                     frame). Extension picks the format: .json, .arrow\n                     (needs --features arrow-ipc), anything else CSV\n  --progress         render live progress on stderr: per-cell bar, tick\n                     throughput and ETA (campaigns), tick throughput\n                     (scenarios); stdout stays machine-readable\n  --serve-obs ADDR   serve live observability over HTTP while running:\n                     GET /metrics (Prometheus), /progress (JSON snapshot)\n                     and /events?cursor=N (long-poll NDJSON journal).\n                     ADDR is host:port; port 0 picks one (printed to\n                     stderr)\n  --journal-out FILE write the full event journal as NDJSON after the run\n                     (one meta line, then one event per line)\n  --verify           run the MPT6xx static reachability certifier before\n                     tick 0: an interval envelope over every trajectory\n                     the spec (and any fleet jitter) can realize. The\n                     verdict lands in the session/campaign report; a\n                     guaranteed trip (MPT603) refuses to simulate\n\nWith no file, a scenario is read from stdin."
+        "usage: run_scenario [SCENARIO.json]\n       run_scenario --campaign CAMPAIGN.json [--jobs N]\n\noptions:\n  --jobs N           worker threads for campaigns; 0 (default) = one per CPU\n  --trace-out FILE   write a Chrome trace-event JSON with spans and one\n                     counter track per telemetry channel (campaigns: per\n                     cell, named after its label); load in\n                     Perfetto/about:tracing\n  --metrics-out FILE write counters + latency quantiles; .json extension\n                     selects a JSON snapshot, anything else Prometheus text\n  --report-out FILE  write the session report JSON: outcome, derived\n                     observables, fired alerts and frequency residency\n                     (campaigns: the full campaign report with the\n                     per-cell alert/derived rollup)\n  --fleet-out FILE   write the per-cell fleet population rollups as JSON\n                     (campaigns with a \"fleet\" block only): throttle-onset\n                     CDF, time-above-trip quantiles, peak-temp histogram\n  --alerts FILE      merge extra alert rules (a JSON array of rule\n                     objects, e.g. scenarios/alerts/*.json) into the\n                     scenario or campaign base before running\n  --engine NAME      override the stepping engine (fixed | event) for the\n                     scenario, or every cell of a campaign\n  --query EXPR       run a telemetry query (repeatable). Grammar:\n                     agg(channel) [by axis,...] [where axis=value ...]\n                     with agg one of min|max|mean|median|sum|count|p<N>.\n                     Scenarios query the session frame; campaigns query\n                     the per-cell metrics frame, falling back to the\n                     assembled per-cell telemetry for time channels.\n                     Spec-embedded `queries` run first, then these\n  --query-out FMT    query result format: csv (default) or json\n  --columnar-out F   write the columnar telemetry frame (scenario: the\n                     session frame; campaign: the per-cell metrics\n                     frame). Extension picks the format: .json, .arrow\n                     (needs --features arrow-ipc), anything else CSV\n  --progress         render live progress on stderr: per-cell bar, tick\n                     throughput and ETA (campaigns), tick throughput\n                     (scenarios); stdout stays machine-readable\n  --serve-obs ADDR   serve live observability over HTTP while running:\n                     GET /metrics (Prometheus), /progress (JSON snapshot)\n                     and /events?cursor=N (long-poll NDJSON journal).\n                     ADDR is host:port; port 0 picks one (printed to\n                     stderr)\n  --journal-out FILE write the full event journal as NDJSON after the run\n                     (one meta line, then one event per line)\n  --verify           run the MPT6xx static reachability certifier before\n                     tick 0: an interval envelope over every trajectory\n                     the spec (and any fleet jitter) can realize. The\n                     verdict lands in the session/campaign report; a\n                     guaranteed trip (MPT603) refuses to simulate\n\nWith no file, a scenario is read from stdin."
     );
     std::process::exit(2);
 }
@@ -159,15 +160,46 @@ fn read_input(path: Option<&str>) -> std::io::Result<String> {
     }
 }
 
+/// One counter track per `f64` channel of a telemetry frame, named
+/// `<prefix><channel>` and timestamped in simulation-time µs. `NaN`
+/// ("no sample") rows are skipped, and a channel with no sample at all
+/// gives no track.
+fn frame_tracks(frame: &ColumnFrame, prefix: &str) -> Vec<CounterTrack> {
+    frame
+        .columns()
+        .iter()
+        .filter_map(|column| match column.data() {
+            ColumnData::F64(values) => Some(CounterTrack {
+                name: format!("{prefix}{}", column.name()),
+                samples: frame
+                    .times()
+                    .iter()
+                    .zip(values)
+                    .filter(|(_, v)| !v.is_nan())
+                    .map(|(&t, &v)| ((t * 1e6).round().max(0.0) as u64, v))
+                    .collect(),
+            }),
+            _ => None,
+        })
+        .filter(|track| !track.samples.is_empty())
+        .collect()
+}
+
 /// Writes the trace and/or metrics files requested on the command line.
-fn export_observability(recorder: &Recorder, args: &Args) -> std::io::Result<()> {
+/// The trace's counter tracks render `frames`, each `(track-name prefix,
+/// telemetry frame)`, only when a trace is requested.
+fn export_observability(
+    recorder: &Recorder,
+    args: &Args,
+    frames: &[(String, &ColumnFrame)],
+) -> std::io::Result<()> {
     let input = args.path.as_deref().unwrap_or("stdin");
     if let Some(path) = &args.trace_out {
-        let tracks = recorder.tracks();
-        std::fs::write(
-            path,
-            chrome_trace_json_full(&recorder.spans(), &tracks, input),
-        )?;
+        let tracks: Vec<CounterTrack> = frames
+            .iter()
+            .flat_map(|(prefix, frame)| frame_tracks(frame, prefix))
+            .collect();
+        std::fs::write(path, chrome_trace_json(&recorder.spans(), &tracks, input))?;
         eprintln!(
             "trace written to {path} ({} spans, {} counter tracks)",
             recorder.spans().len(),
@@ -593,7 +625,7 @@ fn run_scenario_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
         std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
         eprintln!("session report written to {path}");
     }
-    export_observability(&recorder, args)?;
+    export_observability(&recorder, args, &[(String::new(), &frame)])?;
     if let Some(server) = server {
         server.stop();
     }
@@ -770,9 +802,54 @@ fn run_campaign_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
             report.fleet[0].devices
         );
     }
-    export_observability(&recorder, args)?;
+    // Each cell renders its own track set, named after its label.
+    let cell_frames: Vec<(String, &ColumnFrame)> = frames
+        .cells
+        .iter()
+        .map(|cell| (format!("{}: ", cell.label), &cell.frame))
+        .collect();
+    export_observability(&recorder, args, &cell_frames)?;
     if let Some(server) = server {
         server.stop();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Three rows at 0, 0.1 and 0.25 s: `max_temp_c` misses the middle
+    /// row, `fps` has no sample at all and `cell` is not a float.
+    fn frame() -> ColumnFrame {
+        let mut frame = ColumnFrame::new();
+        for (t, temp) in [(0.0, 40.0), (0.1, f64::NAN), (0.25, 41.5)] {
+            frame.begin_row(t);
+            frame.set_f64("max_temp_c", temp);
+            frame.set_f64("fps", f64::NAN);
+            frame.set_u32("cell", 0);
+            frame.end_row();
+        }
+        frame
+    }
+
+    #[test]
+    fn frame_tracks_skip_nan_rows_and_sampleless_channels() {
+        let tracks = frame_tracks(&frame(), "");
+        assert_eq!(tracks.len(), 1, "only max_temp_c has samples: {tracks:?}");
+        assert_eq!(tracks[0].name, "max_temp_c");
+        assert_eq!(tracks[0].samples.len(), 2);
+    }
+
+    #[test]
+    fn frame_tracks_stamp_simulation_time_in_microseconds() {
+        let tracks = frame_tracks(&frame(), "");
+        assert_eq!(tracks[0].samples, vec![(0, 40.0), (250_000, 41.5)]);
+    }
+
+    #[test]
+    fn frame_tracks_carry_the_cell_label_prefix() {
+        let tracks = frame_tracks(&frame(), "ambient=35C: ");
+        assert_eq!(tracks[0].name, "ambient=35C: max_temp_c");
+    }
 }

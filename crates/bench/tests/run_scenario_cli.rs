@@ -328,3 +328,66 @@ fn journal_out_writes_the_full_ndjson_journal() {
         "every line must be a standalone JSON object"
     );
 }
+
+/// A field of a JSON object, if present.
+fn get<'a>(value: &'a serde::Value, key: &str) -> Option<&'a serde::Value> {
+    value
+        .as_object()?
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+}
+
+#[test]
+fn campaign_trace_has_one_track_set_per_cell() {
+    let dir = std::env::temp_dir().join("mpt_trace_cli_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("trace.json");
+    let (code, _, stderr) = run(
+        &["--campaign", "--trace-out", path.to_str().expect("utf-8")],
+        TINY_CAMPAIGN,
+    );
+    assert_eq!(code, 0, "trace export failed: {stderr}");
+    let text = std::fs::read_to_string(&path).expect("trace file exists");
+    let trace = serde_json::value_from_str(&text).expect("trace is valid JSON");
+    let events = get(&trace, "traceEvents")
+        .and_then(serde::Value::as_array)
+        .expect("traceEvents array");
+    // Counter events grouped by track name, in trace order.
+    let mut tracks: Vec<(&str, Vec<f64>)> = Vec::new();
+    for event in events {
+        if get(event, "ph").and_then(serde::Value::as_str) != Some("C") {
+            continue;
+        }
+        let name = get(event, "name")
+            .and_then(serde::Value::as_str)
+            .expect("name");
+        let ts = get(event, "ts").and_then(serde::Value::as_f64).expect("ts");
+        match tracks.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, times)) => times.push(ts),
+            None => tracks.push((name, vec![ts])),
+        }
+    }
+    for (name, times) in &tracks {
+        assert!(
+            times.windows(2).all(|w| w[0] < w[1]),
+            "{name}: timestamps must ascend"
+        );
+    }
+    // The two cells (labelled by their swept start temperature) each
+    // get the same set of tracks, and no track belongs to neither.
+    let set = |label: &str| -> Vec<&str> {
+        let prefix = format!("{label}: ");
+        tracks
+            .iter()
+            .filter_map(|(n, _)| n.strip_prefix(prefix.as_str()))
+            .collect()
+    };
+    let (cold, hot) = (set("ambient=40C"), set("ambient=50C"));
+    assert!(
+        cold.contains(&"max_temp_c") && cold.contains(&"freq_big_mhz"),
+        "{cold:?}"
+    );
+    assert_eq!(cold, hot);
+    assert_eq!(tracks.len(), cold.len() + hot.len(), "{tracks:?}");
+}

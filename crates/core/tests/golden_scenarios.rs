@@ -166,7 +166,6 @@ fn metric_names_and_histogram_registry_are_stable() {
         "mpt_cells_completed_total",
         "mpt_spans_dropped_total",
         "mpt_alerts_fired_total",
-        "mpt_track_samples_dropped_total",
         "mpt_solver_cache_hits_total",
         "mpt_solver_cache_builds_total",
         "mpt_solver_substeps_avoided_total",

@@ -349,8 +349,8 @@ pub fn platform_channels(platform: &PlatformSpec) -> Vec<String> {
         .iter()
         .map(|s| s.name().to_owned())
         .collect();
-    let rails: Vec<&str> = platform.components().iter().map(|c| c.id().key()).collect();
-    mpt_sim::Telemetry::channel_names_for(&sensors, &rails)
+    let components: Vec<&str> = platform.components().iter().map(|c| c.id().key()).collect();
+    mpt_sim::Telemetry::channel_names_for(&sensors, &components)
 }
 
 /// Checks telemetry query expressions against a static schema: MPT401

@@ -322,7 +322,8 @@ impl Code {
             }
             Code::QueryUnknownChannel => {
                 "use `agg(channel) [by axes] [where axis=value]` over the channels the \
-                 platform records (time_s, temp_*_c, max_temp_c, power_*_w, total_power_w)"
+                 platform records (time_s, temp_*_c, max_temp_c, power_*_w, total_power_w, \
+                 freq_*_mhz, fps)"
             }
             Code::QueryNonAxisKey => {
                 "group or filter only on the campaign's swept axes (platform, thermal, \

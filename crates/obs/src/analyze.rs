@@ -69,36 +69,8 @@ impl SlopeAcc {
     }
 }
 
-/// Columnar kernel: total time spent above `trip_c`, from parallel
-/// `dt` / `temperature` columns.
-///
-/// This is the query-layer read path for the observable: a sequential
-/// scan over two dense columns, summing in row order — the same
-/// additions in the same order as the old per-tick accumulator, so the
-/// result is bit-identical to online accumulation.
-///
-/// # Panics
-///
-/// Panics if the columns disagree in length.
-#[must_use]
-pub fn time_above_trip(dts: &[f64], temps: &[f64], trip_c: f64) -> f64 {
-    assert_eq!(dts.len(), temps.len(), "dt/temp columns must be parallel");
-    let mut total = 0.0;
-    for (&dt, &temp) in dts.iter().zip(temps) {
-        if temp > trip_c {
-            total += dt;
-        }
-    }
-    total
-}
-
-/// Tracker for the derived per-run observables.
-///
-/// Mostly online accumulators; time-above-trip instead buffers `dt` and
-/// temperature as plain columns and computes the observable with the
-/// columnar [`time_above_trip`] kernel at summary time — the
-/// representative migration from "re-walk rows per question" to "scan
-/// the column you need".
+/// Tracker for the derived per-run observables: online accumulators of
+/// constant size, whatever the run length.
 #[derive(Debug, Clone, Default)]
 pub struct DerivedTracker {
     /// Trip reference, °C: the lowest thermal-governor trip (step-wise)
@@ -107,11 +79,9 @@ pub struct DerivedTracker {
     trip_c: Option<f64>,
     elapsed_s: f64,
     peak_temp_c: Option<f64>,
-    /// Per-tick `dt` column, buffered for [`time_above_trip`] (only
-    /// when a trip reference exists; empty otherwise).
-    dt_col: Vec<f64>,
-    /// Per-tick control-temperature column, parallel to `dt_col`.
-    temp_col: Vec<f64>,
+    /// Sum of `dt` over the ticks whose control temperature was strictly
+    /// above the trip reference (zero without one).
+    time_above_trip_s: f64,
     time_throttled_s: f64,
     throttle_events: u64,
     // FPS-seconds and seconds, split by throttle state. Weighting by dt
@@ -153,9 +123,8 @@ impl DerivedTracker {
             Some(p) if p >= s.temp_c => p,
             _ => s.temp_c,
         });
-        if self.trip_c.is_some() {
-            self.dt_col.push(s.dt_s);
-            self.temp_col.push(s.temp_c);
+        if self.trip_c.is_some_and(|trip| s.temp_c > trip) {
+            self.time_above_trip_s += s.dt_s;
         }
         if s.throttled {
             self.time_throttled_s += s.dt_s;
@@ -203,9 +172,7 @@ impl DerivedTracker {
             elapsed_s: self.elapsed_s,
             peak_temp_c: self.peak_temp_c,
             trip_c: self.trip_c,
-            time_above_trip_s: self.trip_c.map_or(0.0, |trip| {
-                time_above_trip(&self.dt_col, &self.temp_col, trip)
-            }),
+            time_above_trip_s: self.time_above_trip_s,
             thermal_headroom_c: match (self.trip_c, self.peak_temp_c) {
                 (Some(trip), Some(peak)) => Some(trip - peak),
                 _ => None,
@@ -710,7 +677,13 @@ mod tests {
         let mut tracker = DerivedTracker::with_trip(40.0);
         let mut online = 0.0;
         for i in 0..500 {
-            let temp_c = 35.0 + 10.0 * ((i as f64) * 0.11).sin();
+            // Every 50th tick sits exactly on the trip, which is not
+            // "above" it.
+            let temp_c = if i % 50 == 0 {
+                40.0
+            } else {
+                35.0 + 10.0 * ((i as f64) * 0.11).sin()
+            };
             let dt_s = 0.001 + (i as f64) * 1e-6;
             if temp_c > 40.0 {
                 online += dt_s;
@@ -725,7 +698,7 @@ mod tests {
                 throttle_events: 0,
             });
         }
-        // Bit-identical, not approximately equal: the kernel performs
+        // Bit-identical, not approximately equal: the tracker performs
         // the same additions in the same order.
         assert_eq!(
             tracker.summary().time_above_trip_s.to_bits(),
@@ -735,11 +708,21 @@ mod tests {
 
     #[test]
     fn time_above_trip_kernel_basics() {
-        assert_eq!(time_above_trip(&[], &[], 40.0), 0.0);
-        assert_eq!(
-            time_above_trip(&[1.0, 2.0, 4.0], &[39.0, 41.0, 40.0], 40.0),
-            2.0
-        );
+        let above = |ticks: &[(f64, f64)]| {
+            let mut tracker = DerivedTracker::with_trip(40.0);
+            for &(dt_s, temp_c) in ticks {
+                let mut s = tick(0.0, temp_c);
+                s.dt_s = dt_s;
+                tracker.observe(&s);
+            }
+            tracker.summary().time_above_trip_s
+        };
+        assert_eq!(above(&[]), 0.0);
+        assert_eq!(above(&[(1.0, 39.0), (2.0, 41.0), (4.0, 40.0)]), 2.0);
+        // Without a trip reference nothing counts as above it.
+        let mut untripped = DerivedTracker::new();
+        untripped.observe(&tick(0.0, 99.0));
+        assert_eq!(untripped.summary().time_above_trip_s, 0.0);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!   only span *durations* vary between runs;
 //! * **histograms** — log-scale latency histograms with p50/p95/p99,
 //!   registered once by name and recorded by id on the hot path;
-//! * **counter tracks** — per-tick domain series (temperature, power,
-//!   frequency, FPS) in *simulation time*, exported as Chrome `"ph":"C"`
-//!   counter events so the paper's Figure 1/3/5-style curves render as
-//!   Perfetto tracks next to the stage spans;
+//! * **counter tracks** ([`CounterTrack`]) — domain series (temperature,
+//!   power, frequency, FPS) in *simulation time*, which the caller builds
+//!   from the run's telemetry at export and [`trace`] writes as Chrome
+//!   `"ph":"C"` counter events, so the paper's Figure 1/3/5-style curves
+//!   render as Perfetto tracks next to the stage spans;
 //! * **derived observables + alerts** ([`analyze`]) — online computation
 //!   of the paper's headline metrics (time-above-trip, throttle-attributed
 //!   FPS loss, thermal headroom, stability-margin drift) and a
@@ -70,4 +71,4 @@ pub use journal::{Delta, Journal, JournalEvent, JournalKind, Snapshot};
 pub use metrics::Counter;
 pub use recorder::Recorder;
 pub use span::{SpanGuard, SpanRecord};
-pub use trace::{CounterTrack, TrackId};
+pub use trace::CounterTrack;

@@ -43,8 +43,6 @@ pub enum Counter {
     SpansDropped,
     /// `alert` events — alert rules fired by the analyze stage.
     AlertsFired,
-    /// Counter-track samples dropped because a track hit its cap.
-    TrackSamplesDropped,
     /// Thermal-solver transition-matrix cache hits (a simulator reused a
     /// discretization another cell already built).
     SolverCacheHits,
@@ -77,7 +75,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in slot order.
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 21] = [
         Counter::Ticks,
         Counter::StageRuns,
         Counter::ThrottleEvents,
@@ -90,7 +88,6 @@ impl Counter {
         Counter::CellsCompleted,
         Counter::SpansDropped,
         Counter::AlertsFired,
-        Counter::TrackSamplesDropped,
         Counter::SolverCacheHits,
         Counter::SolverCacheBuilds,
         Counter::SolverSubstepsAvoided,
@@ -127,7 +124,6 @@ impl Counter {
             Counter::CellsCompleted => "mpt_cells_completed_total",
             Counter::SpansDropped => "mpt_spans_dropped_total",
             Counter::AlertsFired => "mpt_alerts_fired_total",
-            Counter::TrackSamplesDropped => "mpt_track_samples_dropped_total",
             Counter::SolverCacheHits => "mpt_solver_cache_hits_total",
             Counter::SolverCacheBuilds => "mpt_solver_cache_builds_total",
             Counter::SolverSubstepsAvoided => "mpt_solver_substeps_avoided_total",
@@ -160,7 +156,6 @@ impl Counter {
             Counter::CellsCompleted => "Campaign cells completed.",
             Counter::SpansDropped => "Spans dropped at the span-buffer cap.",
             Counter::AlertsFired => "Alert-rule firings recorded by the analyze stage.",
-            Counter::TrackSamplesDropped => "Counter-track samples dropped at the track cap.",
             Counter::SolverCacheHits => "Thermal-solver transition-matrix cache hits.",
             Counter::SolverCacheBuilds => "Thermal-solver transition-matrix cache builds.",
             Counter::SolverSubstepsAvoided => {

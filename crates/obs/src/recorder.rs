@@ -10,7 +10,6 @@ use crate::hist::{HistId, Histogram};
 use crate::journal::Journal;
 use crate::metrics::Counter;
 use crate::span::{current_lane, SpanGuard, SpanRecord};
-use crate::trace::{CounterTrack, TrackId};
 
 /// Maximum number of registrable histograms.
 pub const MAX_HISTOGRAMS: usize = 32;
@@ -19,17 +18,7 @@ pub const MAX_HISTOGRAMS: usize = 32;
 /// under [`Counter::SpansDropped`]).
 pub const SPAN_CAP: usize = 1 << 17;
 
-/// Maximum samples retained per counter track; further samples are
-/// dropped (and counted under [`Counter::TrackSamplesDropped`]).
-pub const TRACK_SAMPLE_CAP: usize = 1 << 16;
-
 const SPAN_SHARDS: usize = 16;
-
-struct TrackSlot {
-    name: String,
-    unit: &'static str,
-    samples: Vec<(u64, f64)>,
-}
 
 /// Collects spans, counters and histograms for one run (or one whole
 /// campaign — a single recorder is safely shared across worker threads
@@ -48,7 +37,6 @@ pub struct Recorder {
     hist_names: Mutex<Vec<String>>,
     spans: [Mutex<Vec<SpanRecord>>; SPAN_SHARDS],
     span_count: AtomicUsize,
-    tracks: Mutex<Vec<TrackSlot>>,
     journal: Journal,
 }
 
@@ -69,7 +57,6 @@ impl Recorder {
             hist_names: Mutex::new(Vec::new()),
             spans: std::array::from_fn(|_| Mutex::new(Vec::new())),
             span_count: AtomicUsize::new(0),
-            tracks: Mutex::new(Vec::new()),
             journal: Journal::new(enabled, epoch, journal_capacity),
         }
     }
@@ -155,64 +142,6 @@ impl Recorder {
             .lock()
             .expect("hist mutex never poisoned")
             .clone()
-    }
-
-    /// Registers (or looks up) a counter track by name and returns its
-    /// id. Like histograms, registration is idempotent: the same name
-    /// always yields the same id on a given recorder, so campaign workers
-    /// sharing one recorder resolve the same ids.
-    pub fn register_track(&self, name: &str, unit: &'static str) -> TrackId {
-        let mut tracks = self.tracks.lock().expect("track mutex never poisoned");
-        if let Some(i) = tracks.iter().position(|t| t.name == name) {
-            return TrackId(i);
-        }
-        tracks.push(TrackSlot {
-            name: name.to_owned(),
-            unit,
-            samples: Vec::new(),
-        });
-        TrackId(tracks.len() - 1)
-    }
-
-    /// Appends one `(simulation-time µs, value)` sample to a registered
-    /// track. Non-finite values are silently skipped (JSON cannot carry
-    /// them); samples past [`TRACK_SAMPLE_CAP`] are dropped and counted
-    /// under [`Counter::TrackSamplesDropped`].
-    pub fn sample_track(&self, id: TrackId, ts_us: u64, value: f64) {
-        if !self.enabled || !value.is_finite() {
-            return;
-        }
-        let mut tracks = self.tracks.lock().expect("track mutex never poisoned");
-        let Some(slot) = tracks.get_mut(id.index()) else {
-            return;
-        };
-        if slot.samples.len() >= TRACK_SAMPLE_CAP {
-            drop(tracks);
-            self.incr(Counter::TrackSamplesDropped);
-            return;
-        }
-        slot.samples.push((ts_us, value));
-    }
-
-    /// All registered counter tracks with their samples sorted by
-    /// timestamp. Intended for export after the run — not a hot-path
-    /// call.
-    #[must_use]
-    pub fn tracks(&self) -> Vec<CounterTrack> {
-        self.tracks
-            .lock()
-            .expect("track mutex never poisoned")
-            .iter()
-            .map(|t| {
-                let mut samples = t.samples.clone();
-                samples.sort_by_key(|s| s.0);
-                CounterTrack {
-                    name: t.name.clone(),
-                    unit: t.unit,
-                    samples,
-                }
-            })
-            .collect()
     }
 
     /// Records a duration into a registered histogram.
@@ -363,42 +292,10 @@ mod tests {
         {
             let _s = rec.span("cat", "name");
         }
-        let t = rec.register_track("temp_max_c", "C");
-        rec.sample_track(t, 0, 40.0);
         assert_eq!(rec.counter(Counter::Ticks), 0);
         assert_eq!(rec.histogram(h).count(), 0);
         assert!(rec.spans().is_empty());
-        assert!(rec.tracks()[0].samples.is_empty());
         assert!(!rec.is_enabled());
-    }
-
-    #[test]
-    fn track_registration_is_idempotent_and_samples_sort() {
-        let rec = Recorder::new();
-        let a = rec.register_track("temp_max_c", "C");
-        let b = rec.register_track("power_total_w", "W");
-        assert_eq!(rec.register_track("temp_max_c", "C"), a);
-        assert_ne!(a, b);
-        rec.sample_track(a, 200, 41.0);
-        rec.sample_track(a, 100, 40.0);
-        rec.sample_track(a, 300, f64::NAN); // skipped
-        let tracks = rec.tracks();
-        assert_eq!(tracks.len(), 2);
-        assert_eq!(tracks[0].name, "temp_max_c");
-        assert_eq!(tracks[0].unit, "C");
-        assert_eq!(tracks[0].samples, vec![(100, 40.0), (200, 41.0)]);
-        assert!(tracks[1].samples.is_empty());
-    }
-
-    #[test]
-    fn track_cap_drops_and_counts() {
-        let rec = Recorder::new();
-        let t = rec.register_track("x", "");
-        for i in 0..(TRACK_SAMPLE_CAP as u64 + 5) {
-            rec.sample_track(t, i, 1.0);
-        }
-        assert_eq!(rec.tracks()[0].samples.len(), TRACK_SAMPLE_CAP);
-        assert_eq!(rec.counter(Counter::TrackSamplesDropped), 5);
     }
 
     #[test]

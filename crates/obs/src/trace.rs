@@ -4,7 +4,7 @@
 //! JSON object consumed by `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev): one complete (`"ph": "X"`) event
 //! per finished span, one thread row per recorder lane, and one counter
-//! track (`"ph": "C"`) per registered [`CounterTrack`] — the paper's
+//! track (`"ph": "C"`) per [`CounterTrack`] — the paper's
 //! temperature/power/frequency/FPS curves rendered as Perfetto tracks
 //! next to the pipeline spans.
 //!
@@ -21,28 +21,13 @@ pub const WALL_PID: u32 = 1;
 /// The `pid` of the simulation-time process row (counter tracks).
 pub const SIM_PID: u32 = 2;
 
-/// Identifier of a registered counter track, returned by
-/// [`Recorder::register_track`](crate::Recorder::register_track).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrackId(pub(crate) usize);
-
-impl TrackId {
-    /// The track's slot index.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// One exported counter track: a named, unit-annotated series of
+/// One exported counter track: a named series of
 /// `(simulation-time µs, value)` samples that renders as a counter row in
 /// Perfetto (the shape of the paper's Figure 1/3/5 curves).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterTrack {
-    /// Track name, e.g. `"temp_max_c"`.
+    /// Track name, e.g. `"max_temp_c"`.
     pub name: String,
-    /// Unit suffix for display, e.g. `"C"`, `"W"`, `"MHz"`, `"fps"`.
-    pub unit: &'static str,
     /// `(simulation time in µs, value)` samples in ascending time order.
     pub samples: Vec<(u64, f64)>,
 }
@@ -78,22 +63,16 @@ fn json_number(v: f64) -> String {
     }
 }
 
-/// Renders spans as a Chrome trace-event JSON object.
+/// Renders spans and counter tracks as a Chrome trace-event JSON object.
 ///
-/// `process_name` labels the single process row (e.g. the scenario or
-/// campaign file name). Lanes become thread rows named `lane N`;
-/// timestamps are microseconds since the recorder's epoch, as the format
-/// requires.
+/// `process_name` labels the wall-clock process row (e.g. the scenario
+/// or campaign file name). Spans render under it, one thread row
+/// `lane N` per lane, timestamped in microseconds since the recorder's
+/// epoch. Each [`CounterTrack`] becomes a `"ph":"C"` counter series
+/// under the simulation-time process row; non-finite samples are
+/// skipped.
 #[must_use]
-pub fn chrome_trace_json(spans: &[SpanRecord], process_name: &str) -> String {
-    chrome_trace_json_full(spans, &[], process_name)
-}
-
-/// [`chrome_trace_json`] plus counter tracks: spans render under the
-/// wall-clock process row, each [`CounterTrack`] becomes a `"ph":"C"`
-/// counter series under the simulation-time process row.
-#[must_use]
-pub fn chrome_trace_json_full(
+pub fn chrome_trace_json(
     spans: &[SpanRecord],
     tracks: &[CounterTrack],
     process_name: &str,
@@ -132,11 +111,7 @@ pub fn chrome_trace_json_full(
         ));
     }
     for track in tracks {
-        let name = if track.unit.is_empty() {
-            escape_json(&track.name)
-        } else {
-            format!("{} [{}]", escape_json(&track.name), escape_json(track.unit))
-        };
+        let name = escape_json(&track.name);
         for &(ts, value) in &track.samples {
             if !value.is_finite() {
                 continue;
@@ -170,7 +145,7 @@ mod tests {
     #[test]
     fn trace_is_loadable_shape() {
         let spans = vec![span("power", 0, 10, 5), span("thermal", 1, 15, 3)];
-        let json = chrome_trace_json(&spans, "demo.json");
+        let json = chrome_trace_json(&spans, &[], "demo.json");
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"power\""));
@@ -183,21 +158,19 @@ mod tests {
     fn counter_tracks_render_as_counter_events() {
         let tracks = vec![
             CounterTrack {
-                name: "temp_max_c".into(),
-                unit: "C",
+                name: "max_temp_c".into(),
                 samples: vec![(0, 35.0), (100_000, 41.5)],
             },
             CounterTrack {
                 name: "fps".into(),
-                unit: "fps",
                 samples: vec![(100_000, 58.0)],
             },
         ];
-        let json = chrome_trace_json_full(&[span("tick", 0, 0, 7)], &tracks, "game.json");
+        let json = chrome_trace_json(&[span("tick", 0, 0, 7)], &tracks, "game.json");
         assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"name\":\"temp_max_c [C]\""));
+        assert!(json.contains("\"name\":\"max_temp_c\""));
         assert!(json.contains("\"args\":{\"value\":41.5}"));
-        assert!(json.contains("\"name\":\"fps [fps]\""));
+        assert!(json.contains("\"name\":\"fps\""));
         // Counter events live under the simulation-time process row.
         assert!(json.contains(&format!("\"pid\":{SIM_PID},\"args\":{{\"value\":58}}")));
         assert!(json.contains("[sim time]"));
@@ -209,11 +182,10 @@ mod tests {
 
     #[test]
     fn empty_tracks_add_no_sim_process_row() {
-        let json = chrome_trace_json_full(
+        let json = chrome_trace_json(
             &[],
             &[CounterTrack {
                 name: "t".into(),
-                unit: "",
                 samples: vec![],
             }],
             "x",
@@ -226,10 +198,9 @@ mod tests {
     fn non_finite_samples_are_skipped() {
         let tracks = vec![CounterTrack {
             name: "t".into(),
-            unit: "C",
             samples: vec![(0, f64::NAN), (1, f64::INFINITY), (2, 40.0)],
         }];
-        let json = chrome_trace_json_full(&[], &tracks, "x");
+        let json = chrome_trace_json(&[], &tracks, "x");
         assert!(!json.contains("NaN"));
         assert!(!json.contains("inf"));
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 1);
@@ -238,7 +209,7 @@ mod tests {
     #[test]
     fn escaping() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        let json = chrome_trace_json(&[], "we \"quote\"");
+        let json = chrome_trace_json(&[], &[], "we \"quote\"");
         assert!(json.contains("we \\\"quote\\\""));
     }
 

@@ -2,8 +2,8 @@
 //! exported Chrome trace with a minimal JSON checker and validate the
 //! event structure — metadata rows, spans, and counter tracks.
 
-use mpt_obs::trace::{chrome_trace_json_full, SIM_PID, WALL_PID};
-use mpt_obs::{Recorder, SpanRecord};
+use mpt_obs::trace::{chrome_trace_json, SIM_PID, WALL_PID};
+use mpt_obs::{CounterTrack, Recorder, SpanRecord};
 
 /// A minimal JSON value for structural checks — not a general parser,
 /// just enough grammar (and exactly the grammar) the exporters emit.
@@ -251,13 +251,15 @@ fn sample_trace() -> String {
         let _tick = rec.span("tick", "tick");
         let _stage = rec.span("stage", "power");
     }
-    let temp = rec.register_track("temp_max_c", "C");
-    let fps = rec.register_track("fps", "fps");
-    for i in 0..50u64 {
-        rec.sample_track(temp, i * 100_000, 35.0 + i as f64 * 0.1);
-        rec.sample_track(fps, i * 100_000, 60.0 - i as f64 * 0.2);
-    }
-    chrome_trace_json_full(&rec.spans(), &rec.tracks(), "wellformed \"test\"\n")
+    let track = |name: &str, value: fn(f64) -> f64| CounterTrack {
+        name: name.to_owned(),
+        samples: (0..50u64).map(|i| (i * 100_000, value(i as f64))).collect(),
+    };
+    let tracks = [
+        track("max_temp_c", |i| 35.0 + i * 0.1),
+        track("fps", |i| 60.0 - i * 0.2),
+    ];
+    chrome_trace_json(&rec.spans(), &tracks, "wellformed \"test\"\n")
 }
 
 #[test]
@@ -329,8 +331,10 @@ fn counter_track_names_carry_units() {
         .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
         .filter_map(|e| e.get("name").and_then(Json::as_str))
         .collect();
-    assert!(track_names.contains(&"temp_max_c [C]"));
-    assert!(track_names.contains(&"fps [fps]"));
+    // Names pass through verbatim; a frame channel's unit is its
+    // suffix (`_c`).
+    assert!(track_names.contains(&"max_temp_c"));
+    assert!(track_names.contains(&"fps"));
 }
 
 #[test]
@@ -372,7 +376,7 @@ fn metrics_json_snapshot_is_wellformed_too() {
 #[test]
 fn spans_only_trace_parses() {
     let spans: Vec<SpanRecord> = Recorder::new().spans();
-    let json = parse(&chrome_trace_json_full(&spans, &[], "empty"));
+    let json = parse(&chrome_trace_json(&spans, &[], "empty"));
     let events = json.get("traceEvents").and_then(Json::as_arr).unwrap();
     assert_eq!(events.len(), 1); // just the process_name metadata row
 }

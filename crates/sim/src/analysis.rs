@@ -1,36 +1,23 @@
-//! Per-run online analysis: derived observables, alert rules and the
-//! domain counter tracks.
+//! Per-run online analysis: derived observables and alert rules.
 //!
 //! [`RunAnalysis`] is the simulator-side owner of the `mpt-obs` analyze
 //! machinery: it folds every tick into a
-//! [`DerivedTracker`](mpt_obs::DerivedTracker), evaluates the configured
-//! [`AlertRule`](mpt_obs::AlertRule)s (firing [`EventKind::Alert`] events
-//! into the run's event log), and streams decimated
-//! temperature/power/frequency/FPS samples into the recorder's counter
-//! tracks so `--trace-out` renders the paper's figure-style curves in
-//! Perfetto.
+//! [`DerivedTracker`](mpt_obs::DerivedTracker) and evaluates the
+//! configured [`AlertRule`](mpt_obs::AlertRule)s, firing
+//! [`EventKind::Alert`] events into the run's event log. The figure-style
+//! temperature/power/frequency/FPS curves live in the telemetry frame,
+//! which `--trace-out` renders as counter tracks.
 //!
 //! Everything here is driven by simulation time only, so derived
 //! summaries and fired alerts are bit-identical across worker counts.
 
-use std::collections::BTreeMap;
-
-use mpt_obs::TrackId;
 use mpt_obs::{
     Alert, AlertEngine, AlertRule, DerivedSummary, DerivedTracker, Recorder, TickSample,
 };
-use mpt_soc::ComponentId;
 use mpt_units::Seconds;
 
 use crate::engine::log_event;
 use crate::{Event, EventKind, EventLog};
-
-struct TrackIds {
-    temp: TrackId,
-    power: TrackId,
-    fps: TrackId,
-    freqs: BTreeMap<ComponentId, TrackId>,
-}
 
 /// The per-run analysis state held by the simulator core and advanced by
 /// the `analyze` pipeline stage.
@@ -38,9 +25,6 @@ pub struct RunAnalysis {
     tracker: DerivedTracker,
     engine: AlertEngine,
     alerts: Vec<Alert>,
-    sample_period_s: f64,
-    next_sample_s: f64,
-    tracks: Option<TrackIds>,
     /// Watermark into the event log: events at or past this index have
     /// not yet been scanned for throttle activity.
     pub(crate) events_seen: usize,
@@ -58,11 +42,9 @@ impl std::fmt::Debug for RunAnalysis {
 impl RunAnalysis {
     /// Creates the analysis state. `trip_c` is the thermal governor's
     /// reference (lowest trip or IPA control temperature) — `None` when
-    /// throttling is disabled; `rules` is the declarative alert set;
-    /// `sample_period` decimates the counter-track stream (typically the
-    /// telemetry period).
+    /// throttling is disabled; `rules` is the declarative alert set.
     #[must_use]
-    pub(crate) fn new(trip_c: Option<f64>, rules: Vec<AlertRule>, sample_period: Seconds) -> Self {
+    pub(crate) fn new(trip_c: Option<f64>, rules: Vec<AlertRule>) -> Self {
         Self {
             tracker: match trip_c {
                 Some(t) => DerivedTracker::with_trip(t),
@@ -70,41 +52,17 @@ impl RunAnalysis {
             },
             engine: AlertEngine::new(rules),
             alerts: Vec::new(),
-            sample_period_s: sample_period.value().max(0.0),
-            next_sample_s: 0.0,
-            tracks: None,
             events_seen: 0,
         }
     }
 
-    /// Registers the domain counter tracks on `recorder` (idempotent by
-    /// name, so campaign workers sharing one recorder resolve the same
-    /// tracks and their samples overlay in the exported trace).
-    pub(crate) fn register_tracks(&mut self, recorder: &Recorder, components: &[ComponentId]) {
-        let freqs = components
-            .iter()
-            .map(|&id| {
-                let name = format!("freq_{}_mhz", id.key());
-                (id, recorder.register_track(&name, "MHz"))
-            })
-            .collect();
-        self.tracks = Some(TrackIds {
-            temp: recorder.register_track("temp_c", "C"),
-            power: recorder.register_track("power_w", "W"),
-            fps: recorder.register_track("fps", "fps"),
-            freqs,
-        });
-    }
-
-    /// Folds one tick: updates the derived tracker, evaluates alert
-    /// rules (logging firings as [`EventKind::Alert`]), and streams the
-    /// decimated counter-track samples.
+    /// Folds one tick: updates the derived tracker and evaluates alert
+    /// rules, logging firings as [`EventKind::Alert`].
     pub(crate) fn observe_tick(
         &mut self,
         recorder: &Recorder,
         events: &mut EventLog,
         sample: &TickSample,
-        freqs_mhz: &[(ComponentId, f64)],
     ) {
         self.tracker.observe(sample);
         for alert in self.engine.observe(sample) {
@@ -131,29 +89,6 @@ impl RunAnalysis {
             self.alerts.push(alert);
         }
         self.events_seen = events.len();
-        if sample.t_s + 1e-12 >= self.next_sample_s {
-            // Advance past the current time so a long stall never emits
-            // a burst of catch-up samples.
-            self.next_sample_s = if self.sample_period_s > 0.0 {
-                sample.t_s + self.sample_period_s
-            } else {
-                sample.t_s
-            };
-            if let Some(tracks) = &self.tracks {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let ts_us = (sample.t_s * 1e6).round().max(0.0) as u64;
-                recorder.sample_track(tracks.temp, ts_us, sample.temp_c);
-                recorder.sample_track(tracks.power, ts_us, sample.power_w);
-                if let Some(fps) = sample.fps {
-                    recorder.sample_track(tracks.fps, ts_us, fps);
-                }
-                for &(id, mhz) in freqs_mhz {
-                    if let Some(&track) = tracks.freqs.get(&id) {
-                        recorder.sample_track(track, ts_us, mhz);
-                    }
-                }
-            }
-        }
     }
 
     /// The derived summary over the run so far.
@@ -173,14 +108,6 @@ impl RunAnalysis {
     #[must_use]
     pub fn trip_c(&self) -> Option<f64> {
         self.tracker.trip_c()
-    }
-
-    /// The next counter-track sample point: the first pass *ending* at
-    /// or after this time emits track samples. An event-engine wake
-    /// target.
-    #[must_use]
-    pub fn next_track_sample_s(&self) -> f64 {
-        self.next_sample_s
     }
 
     /// Remaining seconds until the earliest armed alert sustain deadline

@@ -305,14 +305,7 @@ impl SimBuilder {
             attached.push(Attached { pid, workload });
         }
         let recorder = self.recorder.unwrap_or_else(|| Arc::new(Recorder::new()));
-        let mut analysis = RunAnalysis::new(
-            self.trip_reference.map(Celsius::value),
-            self.alert_rules,
-            self.telemetry_period,
-        );
-        let component_ids: Vec<ComponentId> =
-            self.platform.components().iter().map(|c| c.id()).collect();
-        analysis.register_tracks(&recorder, &component_ids);
+        let analysis = RunAnalysis::new(self.trip_reference.map(Celsius::value), self.alert_rules);
         let live = Arc::new(LiveSysfs::new(&self.platform, attached.len()));
         let mut core = SimCore {
             platform: self.platform,

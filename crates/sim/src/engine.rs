@@ -118,8 +118,8 @@ pub struct SimCore {
     /// The run's observability recorder (shared with the campaign layer
     /// when several simulators feed one trace).
     pub(crate) recorder: Arc<Recorder>,
-    /// Online derived observables, alert rules and counter tracks,
-    /// advanced by the `analyze` stage.
+    /// Online derived observables and alert rules, advanced by the
+    /// `analyze` stage.
     pub(crate) analysis: RunAnalysis,
     /// Event-engine queue totals for this run (all zero under fixed-dt).
     pub(crate) macro_stats: MacroStats,
@@ -207,6 +207,18 @@ impl SimCore {
                     .map(|c| (s.name().to_owned(), c))
             })
             .collect()
+    }
+
+    /// The worst frame rate across the attached workloads' pipelines, or
+    /// `None` when none renders: a dropped foreground frame must not be
+    /// masked by a fast background renderer.
+    pub(crate) fn worst_fps(&self) -> Option<f64> {
+        self.workloads
+            .iter()
+            .filter_map(|a| a.workload.current_fps())
+            .fold(None, |acc: Option<f64>, f| {
+                Some(acc.map_or(f, |a| a.min(f)))
+            })
     }
 
     pub(crate) fn control_temperature(&self) -> Celsius {
@@ -640,8 +652,9 @@ impl Simulator {
 
     /// The run's observability recorder: spans per stage/tick, counters
     /// for throttle/trip/governor/migration/sysfs activity, and latency
-    /// histograms. Export with [`mpt_obs::trace::chrome_trace_json`] and
-    /// [`mpt_obs::MetricsSnapshot`].
+    /// histograms. Export with [`mpt_obs::trace::chrome_trace_json`]
+    /// (its counter tracks come from the [`telemetry`](Self::telemetry)
+    /// frame) and [`mpt_obs::MetricsSnapshot`].
     #[must_use]
     pub fn recorder(&self) -> &Arc<Recorder> {
         &self.core.recorder

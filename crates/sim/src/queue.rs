@@ -22,7 +22,7 @@ pub enum WakeKind {
     PhaseChange,
     /// An armed alert-rule sustain window is about to expire.
     AlertDeadline,
-    /// A telemetry series or derived-track sample point.
+    /// A telemetry sample point.
     SamplePoint,
     /// A predicted trip-point / alert-threshold temperature crossing.
     TripCrossing,

@@ -12,13 +12,13 @@
 //! 4. [`power::PowerStage`] — the power model plus per-process power
 //!    attribution.
 //! 5. [`thermal::ThermalStage`] — heat-equation integration.
-//! 6. [`observe::TelemetryStage`] — time-series/residency recording.
+//! 6. [`observe::TelemetryStage`] — telemetry frame rows (the traced
+//!    temperature/power/frequency/FPS signals), residency and energy.
 //! 7. [`govern::GovernStage`] — cpufreq governors, the periodic thermal
 //!    governor, and the optional [`SystemPolicy`](crate::SystemPolicy).
 //! 8. [`observe::EventStage`] — discrete-event detection, then the
 //!    pass's values published to the live sysfs files.
-//! 9. [`analyze::AnalyzeStage`] — derived observables, alert rules, and
-//!    the domain counter tracks (temperature/power/frequency/FPS).
+//! 9. [`analyze::AnalyzeStage`] — derived observables and alert rules.
 //!
 //! Stage-local state (governor phase accumulators, previous-cluster
 //! maps) lives inside the stage structs; everything shared lives in

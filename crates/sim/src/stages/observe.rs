@@ -29,8 +29,9 @@ impl SimStage for TelemetryStage {
             .map(|(&id, p)| (id, p.current()))
             .collect();
         let sensor_temps = core.sensor_temps();
+        let fps = core.worst_fps();
         core.telemetry
-            .record(ctx.now, ctx.dt, &sensor_temps, &freqs, &ctx.powers);
+            .record(ctx.now, ctx.dt, &sensor_temps, &freqs, &ctx.powers, fps);
         core.last_powers = std::mem::take(&mut ctx.powers);
         Ok(())
     }
@@ -40,9 +41,10 @@ impl SimStage for TelemetryStage {
         // sample point, so the previous pass must end there.
         let next = core.telemetry.next_sample_time();
         let target = if next.value() <= now.value() + 1e-12 {
-            // The pass about to start records regardless of its length;
-            // the boundary to protect is one period on from its start.
-            now + core.telemetry.sample_period()
+            // The pass about to start records a row stamped with its
+            // start time but holding the temperatures at its end: keep
+            // it one base tick long, as under fixed-dt stepping.
+            now + core.clock.base_dt()
         } else {
             next
         };

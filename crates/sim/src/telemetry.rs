@@ -14,9 +14,10 @@ use mpt_units::{Celsius, Hertz, Seconds, Watts};
 /// residency and energy are integrated every tick at full resolution.
 ///
 /// Sampled rows live in one column-major [`ColumnFrame`] with channels
-/// `time_s`, `temp_<sensor>_c`, `max_temp_c`, `power_<rail>_w` and
-/// `total_power_w` — the export and query surface. The [`TimeSeries`]
-/// accessors read their channel out of it.
+/// `time_s`, `temp_<sensor>_c`, `max_temp_c`, `power_<rail>_w`,
+/// `total_power_w`, `freq_<domain>_mhz` and `fps` — the export, query
+/// and trace surface. The [`TimeSeries`] accessors read their channel
+/// out of it.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     sample_period: f64,
@@ -26,6 +27,34 @@ pub struct Telemetry {
     energy: BTreeMap<ComponentId, f64>,
     total_energy: f64,
     frame: ColumnFrame,
+    /// `(sensor, temp_<sensor>_c)` for every sensor seen so far: channel
+    /// names are formatted once per run, not once per row.
+    temp_names: Vec<(String, String)>,
+    /// `power_<c>_w` per component, indexed by `ComponentId as usize`.
+    power_names: [String; 4],
+    /// `freq_<c>_mhz` per component, indexed by `ComponentId as usize`.
+    freq_names: [String; 4],
+}
+
+/// The frame's keyed channel families: one channel per sensor, power
+/// rail or frequency domain.
+#[derive(Debug, Clone, Copy)]
+enum Keyed {
+    Temp,
+    Power,
+    Freq,
+}
+
+impl Keyed {
+    /// The channel of `key` in this family — the one naming rule behind
+    /// both [`Telemetry::record`] and [`Telemetry::channel_names_for`].
+    fn channel(self, key: &str) -> String {
+        match self {
+            Keyed::Temp => format!("temp_{key}_c"),
+            Keyed::Power => format!("power_{key}_w"),
+            Keyed::Freq => format!("freq_{key}_mhz"),
+        }
+    }
 }
 
 impl Telemetry {
@@ -48,10 +77,14 @@ impl Telemetry {
             energy: BTreeMap::new(),
             total_energy: 0.0,
             frame: ColumnFrame::new(),
+            temp_names: Vec::new(),
+            power_names: ComponentId::ALL.map(|id| Keyed::Power.channel(id.key())),
+            freq_names: ComponentId::ALL.map(|id| Keyed::Freq.channel(id.key())),
         }
     }
 
-    /// Records one tick.
+    /// Records one tick. `fps` is the worst frame pipeline's rate, `None`
+    /// when no workload renders (an `fps` of `NaN` in the frame).
     pub fn record(
         &mut self,
         now: Seconds,
@@ -59,6 +92,7 @@ impl Telemetry {
         sensor_temps: &[(String, Celsius)],
         freqs: &[(ComponentId, Hertz)],
         powers: &BTreeMap<ComponentId, PowerBreakdown>,
+        fps: Option<f64>,
     ) {
         let t = now.value();
         self.elapsed = t + dt.value();
@@ -79,7 +113,15 @@ impl Telemetry {
             self.frame.begin_row(t);
             let mut max_c = f64::NEG_INFINITY;
             for (name, c) in sensor_temps {
-                self.frame.set_f64(&format!("temp_{name}_c"), c.value());
+                let i = match self.temp_names.iter().position(|(s, _)| s == name) {
+                    Some(i) => i,
+                    None => {
+                        let channel = Keyed::Temp.channel(name);
+                        self.temp_names.push((name.clone(), channel));
+                        self.temp_names.len() - 1
+                    }
+                };
+                self.frame.set_f64(&self.temp_names[i].1, c.value());
                 max_c = max_c.max(c.value());
             }
             if max_c.is_finite() {
@@ -87,9 +129,14 @@ impl Telemetry {
             }
             for (&id, b) in powers {
                 self.frame
-                    .set_f64(&format!("power_{id}_w"), b.total().value());
+                    .set_f64(&self.power_names[id as usize], b.total().value());
             }
             self.frame.set_f64("total_power_w", total);
+            for &(id, f) in freqs {
+                self.frame
+                    .set_f64(&self.freq_names[id as usize], f.as_khz() as f64 / 1000.0);
+            }
+            self.frame.set_f64("fps", fps.unwrap_or(f64::NAN));
             self.frame.end_row();
         }
     }
@@ -109,17 +156,11 @@ impl Telemetry {
         Seconds::new(self.next_sample)
     }
 
-    /// The configured time-series sampling period.
-    #[must_use]
-    pub fn sample_period(&self) -> Seconds {
-        Seconds::new(self.sample_period)
-    }
-
     /// The temperature trace of a named sensor, read out of the frame:
     /// only the rows where the sensor reported.
     #[must_use]
     pub fn temperature(&self, sensor: &str) -> Option<TimeSeries> {
-        self.frame.series(&format!("temp_{sensor}_c"))
+        self.frame.series(&Keyed::Temp.channel(sensor))
     }
 
     /// The maximum-over-sensors temperature trace (the paper's Figure 8
@@ -182,31 +223,34 @@ impl Telemetry {
 
     /// The column-major view of the sampled telemetry: channels
     /// `time_s`, `temp_<sensor>_c`, `max_temp_c`, `power_<rail>_w`,
-    /// `total_power_w`, one row per sample point. Exports and queries
-    /// run over this.
+    /// `total_power_w`, `freq_<domain>_mhz`, `fps`, one row per sample
+    /// point. Exports, queries and trace counter tracks run over this.
     #[must_use]
     pub fn frame(&self) -> &ColumnFrame {
         &self.frame
     }
 
-    /// The channel names a run over the given sensors and rails will
+    /// The channel names, in column order, a run over the given sensors
+    /// and components (each a power rail and a frequency domain) will
     /// produce — the static schema the MPT401 lint validates query
     /// expressions against before anything runs.
     #[must_use]
-    pub fn channel_names_for(sensors: &[String], rails: &[&str]) -> Vec<String> {
+    pub fn channel_names_for(sensors: &[String], components: &[&str]) -> Vec<String> {
         let mut names = vec!["time_s".to_owned()];
-        names.extend(sensors.iter().map(|s| format!("temp_{s}_c")));
+        names.extend(sensors.iter().map(|s| Keyed::Temp.channel(s)));
         names.push("max_temp_c".to_owned());
-        names.extend(rails.iter().map(|r| format!("power_{r}_w")));
+        names.extend(components.iter().map(|c| Keyed::Power.channel(c)));
         names.push("total_power_w".to_owned());
+        names.extend(components.iter().map(|c| Keyed::Freq.channel(c)));
+        names.push("fps".to_owned());
         names
     }
 
     /// Exports every recorded time series as one wide CSV (columns:
     /// `time_s`, each sensor temperature, the max-over-sensors
-    /// temperature, each rail power, the total power), resampled onto
-    /// the telemetry sampling grid. Intended for plotting the paper
-    /// figures with external tools.
+    /// temperature, each rail power, the total power, each domain
+    /// frequency, the FPS), resampled onto the telemetry sampling grid.
+    /// Intended for plotting the paper figures with external tools.
     ///
     /// Streams straight out of the columnar [`frame`](Self::frame):
     /// floats are formatted with the shortest representation that parses
@@ -243,6 +287,7 @@ mod tests {
                 &[("big".to_owned(), Celsius::new(40.0))],
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
+                None,
             );
         }
         // 1 s at 10 Hz sampling: ~10 points, not 100.
@@ -265,6 +310,7 @@ mod tests {
                 &[],
                 &[(ComponentId::BigCluster, Hertz::from_mhz(f))],
                 &BTreeMap::new(),
+                None,
             );
         }
         let r = t.residency(ComponentId::BigCluster).unwrap();
@@ -285,6 +331,7 @@ mod tests {
             ],
             &[],
             &BTreeMap::new(),
+            None,
         );
         assert_eq!(t.max_temperature().last(), Some(72.0));
     }
@@ -316,6 +363,7 @@ mod tests {
                 &[("big".to_owned(), Celsius::new(40.0 + i as f64))],
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
+                None,
             );
         }
         let csv = t.to_csv();
@@ -348,6 +396,7 @@ mod tests {
                 &temps,
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
+                None,
             );
         }
         let csv = t.to_csv();
@@ -382,6 +431,7 @@ mod tests {
                 &temps,
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0 + (i as f64) * 0.01),
+                None,
             );
         }
         let csv = t.to_csv();
@@ -405,6 +455,7 @@ mod tests {
                 &temps,
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
+                None,
             );
         }
         let frame = t.frame();
@@ -431,7 +482,9 @@ mod tests {
                 "temp_big_c",
                 "max_temp_c",
                 "power_big_w",
-                "total_power_w"
+                "total_power_w",
+                "freq_big_mhz",
+                "fps"
             ]
         );
     }

@@ -357,12 +357,21 @@ fn analysis_tracks_alerts_and_derived_observables() {
         alerts.len() as u64
     );
 
-    // Counter tracks carry the figure curves: temperature, total power,
-    // big-cluster + GPU frequency, and FPS all have samples.
-    let tracks = sim.recorder().tracks();
-    for name in ["temp_c", "power_w", "freq_big_mhz", "freq_gpu_mhz", "fps"] {
-        let track = tracks.iter().find(|t| t.name == name).expect(name);
-        assert!(!track.samples.is_empty(), "{name} has no samples");
+    // The telemetry frame carries the figure curves the trace renders:
+    // temperature, total power, big-cluster + GPU frequency, and FPS.
+    let frame = sim.telemetry().frame();
+    for name in [
+        "max_temp_c",
+        "total_power_w",
+        "freq_big_mhz",
+        "freq_gpu_mhz",
+        "fps",
+    ] {
+        let values = frame.f64_column(name).expect(name);
+        assert!(
+            values.iter().any(|v| v.is_finite()),
+            "{name} has no samples"
+        );
     }
 }
 
@@ -494,6 +503,63 @@ fn event_stepping_preserves_alert_firings_across_trip_crossings() {
             "{rule_f} fired at {t_f} s fixed vs {t_e} s event"
         );
     }
+}
+
+/// An event-engine telemetry row is stamped with its pass's start time
+/// but holds the temperatures at the pass's end, so the recording pass
+/// must stay one base tick long: then every row the two engines share
+/// holds the same temperature, even though the event engine macro-steps
+/// between sample points.
+#[test]
+fn event_stepping_rows_keep_their_timestamps() {
+    let run = |mode| {
+        let mut sim = SimBuilder::new(platforms::snapdragon_810())
+            .stepping(mode)
+            .governor(
+                ComponentId::BigCluster,
+                mpt_kernel::GovernorKind::Performance,
+            )
+            .governor(
+                ComponentId::LittleCluster,
+                mpt_kernel::GovernorKind::Performance,
+            )
+            .telemetry_period(Seconds::new(1.0))
+            .attach(
+                Box::new(SteadyCompute::new("load", 2.0e9, 2.0)),
+                ProcessClass::Background,
+                ComponentId::BigCluster,
+            )
+            .initial_temperature(Celsius::new(35.0))
+            .build()
+            .unwrap();
+        sim.run_for(Seconds::new(60.0)).unwrap();
+        let frame = sim.telemetry().frame();
+        let rows: Vec<(f64, f64)> = frame
+            .times()
+            .iter()
+            .copied()
+            .zip(frame.f64_column("max_temp_c").unwrap().iter().copied())
+            .collect();
+        (rows, sim.recorder().counter(mpt_obs::Counter::Ticks))
+    };
+    let (fixed, fixed_passes) = run(SteppingMode::FixedDt);
+    let (event, event_passes) = run(SteppingMode::EventDriven);
+    assert!(
+        event_passes * 10 < fixed_passes,
+        "the event engine must macro-step: {event_passes} vs {fixed_passes} passes"
+    );
+    let mut shared = 0;
+    for &(t, temp) in &event {
+        let Some(&(_, fixed_temp)) = fixed.iter().find(|(ft, _)| (ft - t).abs() < 1e-9) else {
+            continue;
+        };
+        shared += 1;
+        assert!(
+            (temp - fixed_temp).abs() < 1e-3,
+            "row at {t} s: event {temp} C vs fixed {fixed_temp} C"
+        );
+    }
+    assert!(shared >= 55, "only {shared} rows at shared times");
 }
 
 #[test]
