@@ -818,7 +818,20 @@ mod tests {
         assert_eq!(recorder.counter(Counter::CellsCompleted), 4);
         assert!(recorder.histogram_names().iter().any(|n| n == "cell"));
         assert!(recorder.spans().iter().any(|s| s.cat == "cell"));
-        assert!(recorder.spans().iter().any(|s| s.cat == "stage"));
+        // Stage timing lands in histograms, not spans: every pass of
+        // every cell records each of the nine stages once.
+        let ticks = recorder.counter(Counter::Ticks);
+        assert!(ticks > 0);
+        let snap = recorder.snapshot();
+        let stages: Vec<_> = snap
+            .histograms
+            .iter()
+            .filter(|h| h.name.starts_with("stage:"))
+            .collect();
+        assert_eq!(stages.len(), 9);
+        for h in stages {
+            assert_eq!(h.count, ticks, "{}", h.name);
+        }
     }
 
     #[test]

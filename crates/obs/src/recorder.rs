@@ -157,13 +157,24 @@ impl Recorder {
         &self.hists[id.index()]
     }
 
+    /// Starts timing back-to-back laps into histograms, reading the
+    /// clock once now and once per [`Laps::lap`]. A disabled recorder
+    /// hands out inert laps that never read the clock.
+    pub fn laps(&self) -> Laps<'_> {
+        let marks = self.enabled.then(|| {
+            let now = crate::clock::now();
+            (now, now)
+        });
+        Laps { rec: self, marks }
+    }
+
     /// Opens a span; it records itself when the returned guard drops.
     pub fn span(&self, cat: &'static str, name: impl Into<Cow<'static, str>>) -> SpanGuard<'_> {
         self.span_inner(cat, name.into(), None)
     }
 
     /// Opens a span that additionally records its duration into a
-    /// histogram — the usual shape for pipeline stages.
+    /// histogram — the shape of a campaign cell.
     pub fn span_with_hist(
         &self,
         cat: &'static str,
@@ -261,6 +272,39 @@ impl Recorder {
     }
 }
 
+/// Consecutive laps timed into histograms with one clock read per lap
+/// boundary and no span record: how the simulator times its pipeline
+/// stages and whole pass. Obtained from [`Recorder::laps`].
+#[must_use = "laps record only through `lap` and `finish`"]
+#[derive(Debug)]
+pub struct Laps<'a> {
+    rec: &'a Recorder,
+    /// When the first lap started and the last one ended; `None` on a
+    /// disabled recorder.
+    marks: Option<(Instant, Instant)>,
+}
+
+impl Laps<'_> {
+    /// Ends the current lap, recording its duration into `hist`.
+    pub fn lap(&mut self, hist: HistId) {
+        if let Some((_, last)) = &mut self.marks {
+            let now = crate::clock::now();
+            self.rec
+                .record_duration(hist, now.saturating_duration_since(*last));
+            *last = now;
+        }
+    }
+
+    /// Records the time from the first lap's start to the last lap's end
+    /// into `hist`.
+    pub fn finish(self, hist: HistId) {
+        if let Some((start, last)) = self.marks {
+            self.rec
+                .record_duration(hist, last.saturating_duration_since(start));
+        }
+    }
+}
+
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
@@ -296,6 +340,36 @@ mod tests {
         assert_eq!(rec.histogram(h).count(), 0);
         assert!(rec.spans().is_empty());
         assert!(!rec.is_enabled());
+    }
+
+    #[test]
+    fn laps_record_each_lap_and_the_whole() {
+        let rec = Recorder::new();
+        let (a, b, whole) = (
+            rec.register_histogram("stage:a"),
+            rec.register_histogram("stage:b"),
+            rec.register_histogram("tick"),
+        );
+        for _ in 0..3 {
+            let mut laps = rec.laps();
+            laps.lap(a);
+            laps.lap(b);
+            laps.finish(whole);
+        }
+        for h in [a, b, whole] {
+            assert_eq!(rec.histogram(h).count(), 3);
+        }
+        // The laps partition the whole: one clock read per boundary.
+        let laps_ns = rec.histogram(a).sum_ns() + rec.histogram(b).sum_ns();
+        assert_eq!(rec.histogram(whole).sum_ns(), laps_ns);
+        assert!(rec.spans().is_empty(), "laps leave no span records");
+
+        let null = Recorder::null();
+        let h = null.register_histogram("tick");
+        let mut laps = null.laps();
+        laps.lap(h);
+        laps.finish(h);
+        assert_eq!(null.histogram(h).count(), 0);
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! in a per-lane shard of the recorder's span buffer. Lanes are stable
 //! per OS thread (campaign workers each get their own lane), and become
 //! the `tid` rows of the exported Chrome trace.
+//!
+//! Spans are for coarse, once-per-unit work (a campaign cell, a lint
+//! phase). The simulator's per-pass stage timing goes straight into
+//! histograms through [`Laps`](crate::recorder::Laps) instead, leaving
+//! no span record behind.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -16,9 +21,9 @@ use crate::recorder::Recorder;
 /// One finished span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Span name (a stage name, `"tick"`, or a campaign-cell label).
+    /// Span name (a campaign-cell label or a lint phase).
     pub name: Cow<'static, str>,
-    /// Category, e.g. `"stage"`, `"tick"`, `"cell"`.
+    /// Category, e.g. `"cell"` or `"lint"`.
     pub cat: &'static str,
     /// The lane (per-thread row) the span ran on.
     pub lane: u32,
@@ -42,16 +47,16 @@ pub fn current_lane() -> u32 {
 }
 
 /// An open span; records itself into the recorder on drop. Obtained from
-/// [`Recorder::span`](crate::Recorder::span); inert (a no-op on drop)
-/// when the recorder is disabled.
+/// [`Recorder::span`](crate::Recorder::span); inert (no clock read, a
+/// no-op on drop) when the recorder is disabled.
 #[must_use = "a span measures the scope it is held for"]
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
-    rec: Option<&'a Recorder>,
+    /// The recorder and the span's start; `None` when disabled.
+    open: Option<(&'a Recorder, Instant)>,
     name: Option<Cow<'static, str>>,
     cat: &'static str,
     hist: Option<HistId>,
-    start: Instant,
 }
 
 impl<'a> SpanGuard<'a> {
@@ -62,19 +67,20 @@ impl<'a> SpanGuard<'a> {
         hist: Option<HistId>,
     ) -> Self {
         Self {
-            rec,
+            open: rec.map(|rec| (rec, crate::clock::now())),
             name: Some(name),
             cat,
             hist,
-            start: crate::clock::now(),
         }
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let Some(rec) = self.rec else { return };
-        let elapsed = crate::clock::elapsed(self.start);
+        let Some((rec, start)) = self.open else {
+            return;
+        };
+        let elapsed = crate::clock::elapsed(start);
         if let Some(hist) = self.hist {
             rec.record_duration(hist, elapsed);
         }
@@ -83,7 +89,7 @@ impl Drop for SpanGuard<'_> {
             name,
             cat: self.cat,
             lane: current_lane(),
-            start_us: rec.micros_since_epoch(self.start),
+            start_us: rec.micros_since_epoch(start),
             dur_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
         });
     }

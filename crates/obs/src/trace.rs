@@ -6,7 +6,7 @@
 //! per finished span, one thread row per recorder lane, and one counter
 //! track (`"ph": "C"`) per [`CounterTrack`] — the paper's
 //! temperature/power/frequency/FPS curves rendered as Perfetto tracks
-//! next to the pipeline spans.
+//! next to the cell and lint spans.
 //!
 //! Spans are timestamped in wall-clock microseconds since the recorder's
 //! epoch; counter tracks carry *simulation-time* microseconds and are

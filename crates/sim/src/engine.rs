@@ -650,9 +650,11 @@ impl Simulator {
         &self.core.events
     }
 
-    /// The run's observability recorder: spans per stage/tick, counters
-    /// for throttle/trip/governor/migration/sysfs activity, and latency
-    /// histograms. Export with [`mpt_obs::trace::chrome_trace_json`]
+    /// The run's observability recorder: counters for
+    /// throttle/trip/governor/migration/sysfs activity and latency
+    /// histograms (`tick` per pass, `stage:<name>` per pipeline stage;
+    /// passes leave no span records). Export with
+    /// [`mpt_obs::trace::chrome_trace_json`]
     /// (its counter tracks come from the [`telemetry`](Self::telemetry)
     /// frame) and [`mpt_obs::MetricsSnapshot`].
     #[must_use]
@@ -718,16 +720,19 @@ impl Simulator {
     /// Runs one pipeline pass of length `dt` (any whole multiple of the
     /// base tick) and advances the clock; returns whether any workload
     /// reported a touch interaction during the pass.
+    ///
+    /// Each stage's wall time goes into its `stage:<name>` histogram and
+    /// the whole pass into `tick`, with one clock read per stage boundary
+    /// and none at all under [`Recorder::null`]; a pass leaves no span.
     fn pass(&mut self, dt: Seconds) -> Result<bool> {
         let recorder = Arc::clone(&self.core.recorder);
         let mut ctx = StepContext::new(self.core.clock.now(), dt);
-        {
-            let _tick = recorder.span_with_hist("tick", "tick", self.tick_hist);
-            for (stage, &hist) in self.stages.iter_mut().zip(&self.stage_hists) {
-                let _stage = recorder.span_with_hist("stage", stage.name(), hist);
-                stage.run(&mut self.core, &mut ctx)?;
-            }
+        let mut laps = recorder.laps();
+        for (stage, &hist) in self.stages.iter_mut().zip(&self.stage_hists) {
+            stage.run(&mut self.core, &mut ctx)?;
+            laps.lap(hist);
         }
+        laps.finish(self.tick_hist);
         recorder.incr(Counter::Ticks);
         recorder.add(Counter::StageRuns, self.stages.len() as u64);
         self.core.clock.advance(dt);

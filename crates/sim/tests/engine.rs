@@ -1,11 +1,27 @@
 //! End-to-end engine behavior through the public API.
 
+use std::sync::Arc;
+
 use mpt_kernel::{ProcessClass, StepWiseGovernor, ThermalGovernor, TripPoint};
+use mpt_obs::{Counter, Recorder};
 use mpt_sim::{SimBuilder, SimError, Simulator, SteppingMode};
 use mpt_soc::{platforms, ComponentId, Platform};
 use mpt_units::{Celsius, Hertz, Seconds};
 use mpt_workloads::apps;
 use mpt_workloads::benchmarks::{BasicMathLarge, SteadyCompute};
+
+/// The pipeline stages, in tick order.
+const STAGES: [&str; 9] = [
+    "sysfs-control",
+    "demand",
+    "schedule",
+    "power",
+    "thermal",
+    "telemetry",
+    "govern",
+    "events",
+    "analyze",
+];
 
 fn game_sim() -> Simulator {
     SimBuilder::new(platforms::snapdragon_810())
@@ -28,20 +44,7 @@ fn time_advances_by_ticks() {
 #[test]
 fn pipeline_has_the_expected_stages() {
     let sim = game_sim();
-    assert_eq!(
-        sim.stage_names(),
-        vec![
-            "sysfs-control",
-            "demand",
-            "schedule",
-            "power",
-            "thermal",
-            "telemetry",
-            "govern",
-            "events",
-            "analyze"
-        ]
-    );
+    assert_eq!(sim.stage_names(), STAGES);
 }
 
 #[test]
@@ -580,4 +583,52 @@ fn unthrottled_run_reports_absent_trip_metrics() {
     assert_eq!(d.time_above_trip_s, 0.0);
     assert_eq!(d.time_throttled_s, 0.0);
     assert!(sim.analysis().alerts().is_empty());
+}
+
+/// Per-pass timing is exact-count: every pass records the `tick`
+/// histogram and each stage histogram once and pushes no span, and a
+/// null recorder records nothing. Counts, not durations, so this gates
+/// without a wall clock.
+#[test]
+fn passes_time_stages_into_histograms_without_spans() {
+    let run = |recorder: Arc<Recorder>| {
+        let mut sim = SimBuilder::new(platforms::snapdragon_810())
+            .recorder(recorder)
+            .attach(
+                Box::new(apps::paper_io(42)),
+                ProcessClass::Foreground,
+                ComponentId::BigCluster,
+            )
+            .build()
+            .unwrap();
+        sim.run_for(Seconds::new(5.0)).unwrap();
+        sim
+    };
+    let hist_counts = |recorder: &Recorder| {
+        let snap = recorder.snapshot();
+        let count = |name: &str| {
+            snap.histograms
+                .iter()
+                .find(|h| h.name == name)
+                .map_or_else(|| panic!("no {name} histogram"), |h| h.count)
+        };
+        let names: Vec<String> = std::iter::once("tick".to_owned())
+            .chain(STAGES.iter().map(|s| format!("stage:{s}")))
+            .collect();
+        names.iter().map(|n| count(n)).collect::<Vec<u64>>()
+    };
+
+    let sim = run(Arc::new(Recorder::new()));
+    let recorder = sim.recorder();
+    let ticks = recorder.counter(Counter::Ticks);
+    assert!(ticks >= 500, "5 s at the 10 ms base tick: {ticks} passes");
+    assert_eq!(sim.stage_names(), STAGES);
+    assert!(recorder.spans().is_empty(), "passes push no spans");
+    assert_eq!(hist_counts(recorder), vec![ticks; 1 + STAGES.len()]);
+
+    let sim = run(Arc::new(Recorder::null()));
+    let recorder = sim.recorder();
+    assert_eq!(recorder.counter(Counter::Ticks), 0);
+    assert!(recorder.spans().is_empty());
+    assert_eq!(hist_counts(recorder), vec![0; 1 + STAGES.len()]);
 }

@@ -72,6 +72,29 @@ impl Stability {
     }
 }
 
+/// Bisects `[lo, hi]` for up to 200 halvings, moving `lo` up to the
+/// midpoint where `right_of(mid)` holds and `hi` down to it elsewhere,
+/// and returns the final midpoint.
+///
+/// Returns as soon as the midpoint equals `lo` or `hi`: the bracket is
+/// then two adjacent floats (or one), every later halving computes the
+/// same midpoint and at most collapses the bracket onto it, so the
+/// remaining iterations cannot change the result.
+fn bisect(mut lo: f64, mut hi: f64, right_of: impl Fn(f64) -> bool) -> f64 {
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            return mid;
+        }
+        if right_of(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 /// A lumped power–temperature model with leakage feedback.
 ///
 /// # Examples
@@ -266,31 +289,17 @@ impl LumpedModel {
                 break;
             }
         }
-        let mut lo = 1e-12;
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.fixed_point_derivative(mid, p_dyn) > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        bisect(1e-12, hi, |mid| {
+            self.fixed_point_derivative(mid, p_dyn) > 0.0
+        })
     }
 
-    fn bisect_root(&self, mut lo: f64, mut hi: f64, p_dyn: Watts) -> f64 {
+    fn bisect_root(&self, lo: f64, hi: f64, p_dyn: Watts) -> f64 {
         // Invariant: F(lo) and F(hi) have opposite signs.
         let f_lo = self.fixed_point_function(lo, p_dyn);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            let f_mid = self.fixed_point_function(mid, p_dyn);
-            if (f_mid > 0.0) == (f_lo > 0.0) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        bisect(lo, hi, |mid| {
+            (self.fixed_point_function(mid, p_dyn) > 0.0) == (f_lo > 0.0)
+        })
     }
 
     /// Classifies the power–temperature dynamics at dynamic power
@@ -334,21 +343,12 @@ impl LumpedModel {
             return None;
         }
         // Solve θ/(θ+2)·e^θ = d; the left side is strictly increasing.
-        let mut lo = 1e-9;
         let mut hi = 1.0;
         let h = |theta: f64| theta / (theta + 2.0) * theta.exp();
         while h(hi) < d && hi < 1e3 {
             hi *= 2.0;
         }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if h(mid) < d {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let theta = 0.5 * (lo + hi);
+        let theta = bisect(1e-9, hi, |mid| h(mid) < d);
         let c = (theta + 1.0) / (theta * (theta + 2.0));
         let p = Watts::new(((c * self.beta - self.t_ambient.value()) / self.r_th).max(0.0));
         Some((p, self.temperature_from_aux(theta)))
@@ -744,6 +744,165 @@ mod tests {
         // An absurdly high limit is capped at the critical power.
         let huge = m.power_budget_for_limit(Kelvin::new(500.0));
         assert!((huge.value() - m.critical_power().value()).abs() < 1e-9);
+    }
+
+    /// The bisections as they were before the early exit, every loop
+    /// running all 200 halvings: the oracle for `stability` and
+    /// `critical_power`.
+    mod reference {
+        use super::*;
+
+        fn argmax_theta(m: &LumpedModel, p_dyn: Watts) -> f64 {
+            let (c, _) = m.coeffs(p_dyn);
+            let mut hi = (1.0 / c).max(4.0);
+            while m.fixed_point_derivative(hi, p_dyn) > 0.0 {
+                hi *= 2.0;
+                if hi > 1e9 {
+                    break;
+                }
+            }
+            let mut lo = 1e-12;
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if m.fixed_point_derivative(mid, p_dyn) > 0.0 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        }
+
+        fn bisect_root(m: &LumpedModel, mut lo: f64, mut hi: f64, p_dyn: Watts) -> f64 {
+            let f_lo = m.fixed_point_function(lo, p_dyn);
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                let f_mid = m.fixed_point_function(mid, p_dyn);
+                if (f_mid > 0.0) == (f_lo > 0.0) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        }
+
+        pub(super) fn stability(m: &LumpedModel, p_dyn: Watts) -> Stability {
+            let peak_theta = argmax_theta(m, p_dyn);
+            let peak = m.fixed_point_function(peak_theta, p_dyn);
+            if peak < -1e-9 {
+                return Stability::Runaway;
+            }
+            if peak < 1e-9 {
+                return Stability::CriticallyStable {
+                    point: m.temperature_from_aux(peak_theta),
+                };
+            }
+            let mut hi = peak_theta + 1.0;
+            while m.fixed_point_function(hi, p_dyn) > 0.0 {
+                hi = peak_theta + (hi - peak_theta) * 2.0;
+            }
+            let unstable_aux = bisect_root(m, 1e-12, peak_theta, p_dyn);
+            let stable_aux = bisect_root(m, peak_theta, hi, p_dyn);
+            Stability::Stable(FixedPoints {
+                stable: m.temperature_from_aux(stable_aux),
+                unstable: m.temperature_from_aux(unstable_aux),
+                stable_aux,
+                unstable_aux,
+            })
+        }
+
+        pub(super) fn critical_power(m: &LumpedModel) -> Watts {
+            let d = m.r_th * m.leak_gain * m.beta;
+            if d <= 0.0 {
+                return Watts::new(f64::INFINITY);
+            }
+            let mut lo = 1e-9;
+            let mut hi = 1.0;
+            let h = |theta: f64| theta / (theta + 2.0) * theta.exp();
+            while h(hi) < d && hi < 1e3 {
+                hi *= 2.0;
+            }
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if h(mid) < d {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let theta = 0.5 * (lo + hi);
+            let c = (theta + 1.0) / (theta * (theta + 2.0));
+            Watts::new(((c * m.beta - m.t_ambient.value()) / m.r_th).max(0.0))
+        }
+    }
+
+    /// A classification as bits: variant tag, then every float it holds.
+    fn stability_bits(s: Stability) -> Vec<u64> {
+        match s {
+            Stability::Stable(fp) => vec![
+                0,
+                fp.stable.value().to_bits(),
+                fp.unstable.value().to_bits(),
+                fp.stable_aux.to_bits(),
+                fp.unstable_aux.to_bits(),
+            ],
+            Stability::CriticallyStable { point } => vec![1, point.value().to_bits()],
+            Stability::Runaway => vec![2],
+        }
+    }
+
+    #[test]
+    fn early_exit_matches_full_bisection_on_the_odroid_preset() {
+        let m = odroid();
+        assert_eq!(
+            m.critical_power().value().to_bits(),
+            reference::critical_power(&m).value().to_bits()
+        );
+        for p in [0.0, 2.0, 3.0, 5.45, 5.5, 5.55, 8.0] {
+            let p = Watts::new(p);
+            assert_eq!(
+                stability_bits(m.stability(p)),
+                stability_bits(reference::stability(&m, p)),
+                "p_dyn = {p}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn prop_early_exit_bisection_is_bit_identical(
+            t_a in 250.0_f64..330.0,
+            r in 0.5_f64..60.0,
+            beta in 2000.0_f64..16000.0,
+            p_crit in 0.2_f64..20.0,
+            g_scale in -1.5_f64..1.5,
+            p_share in 0.0_f64..2.0,
+        ) {
+            // A leak gain within ~30x of the one that puts the critical
+            // power at `p_crit` (or a leak-free model when `p_crit` is
+            // unreachable), and a dynamic power around that critical
+            // power: stable, runaway and leak-free cases all occur.
+            let calibrated = LumpedModel::calibrate_leak_gain(
+                Kelvin::new(t_a),
+                r,
+                beta,
+                Watts::new(p_crit),
+            );
+            let g = calibrated.map_or(0.0, |g| g * 10f64.powf(g_scale));
+            let m = LumpedModel::new(Kelvin::new(t_a), r, beta, g, Seconds::new(100.0)).unwrap();
+            let p = Watts::new(p_share * p_crit);
+            prop_assert_eq!(
+                stability_bits(m.stability(p)),
+                stability_bits(reference::stability(&m, p))
+            );
+            prop_assert_eq!(
+                m.critical_power().value().to_bits(),
+                reference::critical_power(&m).value().to_bits()
+            );
+        }
     }
 
     proptest! {

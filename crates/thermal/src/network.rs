@@ -1,7 +1,7 @@
 //! Multi-node RC thermal network.
 #![allow(clippy::needless_range_loop)] // indexed loops mirror the matrix math
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mpt_units::{Celsius, Kelvin, Seconds, Watts};
 
@@ -28,7 +28,12 @@ use crate::{linalg, LumpedModel, Result, ThermalError};
 /// The network's LTI state-space form is assembled exactly once (by
 /// [`ThermalSpec::lti`]) and exposed via [`lti`](RcNetwork::lti) — the
 /// steady-state, time-constant and lumped-model analyses below all
-/// consume the same matrices the solver integrates.
+/// consume the same matrices the solver integrates. The constants those
+/// analyses derive from it — the steady-state gain table and the
+/// dominant time constant — depend on the network alone, so each is
+/// computed on first use and then read back: a network that is never
+/// analysed never pays for them, and [`reduce`](RcNetwork::reduce) is
+/// `O(n)`.
 ///
 /// # Examples
 ///
@@ -53,6 +58,12 @@ pub struct RcNetwork {
     lti: ThermalLti,
     temperatures: Vec<Kelvin>,
     solver: ExactLti,
+    /// `gains[i * n + j]` = [`gain`](Self::gain)`(i, j)`; `None` if the
+    /// network is singular.
+    gains: OnceLock<Option<Box<[f64]>>>,
+    /// [`dominant_time_constant`](Self::dominant_time_constant); `None`
+    /// if the network is singular.
+    tau: OnceLock<Option<Seconds>>,
 }
 
 impl RcNetwork {
@@ -82,6 +93,8 @@ impl RcNetwork {
             lti,
             temperatures: vec![ambient; n],
             solver: cache.map_or_else(ExactLti::new, ExactLti::with_cache),
+            gains: OnceLock::new(),
+            tau: OnceLock::new(),
         })
     }
 
@@ -252,27 +265,59 @@ impl RcNetwork {
     }
 
     /// The steady-state thermal gain `dT_i/dP_j` in K/W: how much node `i`
-    /// heats per watt injected at node `j`.
+    /// heats per watt injected at node `j`. Read from the network's gain
+    /// table, which the first call fills.
     ///
     /// # Errors
     ///
     /// [`ThermalError::SingularNetwork`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `injected_at` is out of range.
     pub fn gain(&self, node: usize, injected_at: usize) -> Result<f64> {
-        let mut powers = vec![Watts::ZERO; self.len()];
-        powers[injected_at] = Watts::new(1.0);
-        let with = self.steady_state(&powers)?;
-        let without = self.steady_state(&vec![Watts::ZERO; self.len()])?;
-        Ok(with[node].value() - without[node].value())
+        let n = self.len();
+        assert!(
+            node < n && injected_at < n,
+            "gain({node}, {injected_at}) on a {n}-node network"
+        );
+        let gains = self.gains.get_or_init(|| self.gain_table());
+        let gains = gains.as_deref().ok_or(ThermalError::SingularNetwork)?;
+        Ok(gains[node * n + injected_at])
+    }
+
+    /// Every gain at once, with one zero-power solve and one
+    /// unit-injection solve per node; `None` if the network is singular.
+    fn gain_table(&self) -> Option<Box<[f64]>> {
+        let n = self.len();
+        let without = self.steady_state(&vec![Watts::ZERO; n]).ok()?;
+        let mut gains = vec![0.0; n * n];
+        let mut powers = vec![Watts::ZERO; n];
+        for j in 0..n {
+            powers[j] = Watts::new(1.0);
+            let with = self.steady_state(&powers).ok()?;
+            powers[j] = Watts::ZERO;
+            for i in 0..n {
+                gains[i * n + j] = with[i].value() - without[i].value();
+            }
+        }
+        Some(gains.into_boxed_slice())
     }
 
     /// The slowest natural time constant of the network, in seconds:
-    /// `1/λ_min` of `C⁻¹G`, computed by power iteration on `G⁻¹C`. This
-    /// is the mode that dominates long package/board temperature ramps.
+    /// `1/λ_min` of `C⁻¹G`, computed (on the first call) by power
+    /// iteration on `G⁻¹C`. This is the mode that dominates long
+    /// package/board temperature ramps.
     ///
     /// # Errors
     ///
     /// [`ThermalError::SingularNetwork`].
     pub fn dominant_time_constant(&self) -> Result<Seconds> {
+        let tau = self.tau.get_or_init(|| self.power_iterate_tau());
+        tau.ok_or(ThermalError::SingularNetwork)
+    }
+
+    fn power_iterate_tau(&self) -> Option<Seconds> {
         let n = self.len();
         // Power iteration on G⁻¹C (the LTI form's assembled conductance
         // matrix): dominant eigenvalue = slowest τ.
@@ -281,17 +326,17 @@ impl RcNetwork {
         let mut tau = 0.0;
         for _ in 0..200 {
             let cx: Vec<f64> = (0..n).map(|i| self.lti.heat_capacity[i] * x[i]).collect();
-            let y = linalg::solve(g.clone(), cx).ok_or(ThermalError::SingularNetwork)?;
+            let y = linalg::solve(g.clone(), cx)?;
             let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
             if norm < 1e-300 {
-                return Err(ThermalError::SingularNetwork);
+                return None;
             }
             tau = norm;
             for i in 0..n {
                 x[i] = y[i] / norm;
             }
         }
-        Ok(Seconds::new(tau))
+        Some(Seconds::new(tau))
     }
 
     /// Reduces the network to a [`LumpedModel`] as seen from the hottest
@@ -641,6 +686,97 @@ mod tests {
         // All power at the big node: R_eq equals the big self-gain.
         let g = net.gain(big, big).unwrap();
         assert!((lumped.r_th() - g).abs() < 1e-9);
+    }
+
+    /// The per-call gain arithmetic the table replaced: two steady-state
+    /// solves per gain. The oracle for the table.
+    fn reference_gain(net: &RcNetwork, node: usize, injected_at: usize) -> f64 {
+        let mut powers = vec![Watts::ZERO; net.len()];
+        powers[injected_at] = Watts::new(1.0);
+        let with = net.steady_state(&powers).unwrap();
+        let without = net.steady_state(&vec![Watts::ZERO; net.len()]).unwrap();
+        with[node].value() - without[node].value()
+    }
+
+    /// The per-call power iteration the cached τ replaced.
+    fn reference_tau(net: &RcNetwork) -> f64 {
+        let n = net.len();
+        let g = linalg::Mat::from_rows(&net.lti.g_full);
+        let mut x = vec![1.0; n];
+        let mut tau = 0.0;
+        for _ in 0..200 {
+            let cx: Vec<f64> = (0..n).map(|i| net.lti.heat_capacity[i] * x[i]).collect();
+            let y = linalg::solve(g.clone(), cx).unwrap();
+            let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
+            tau = norm;
+            for i in 0..n {
+                x[i] = y[i] / norm;
+            }
+        }
+        tau
+    }
+
+    /// `reduce`'s lumped resistance from per-call gains.
+    fn reference_r_eq(net: &RcNetwork, powers: &[Watts], hot_node: usize) -> f64 {
+        let total: f64 = powers.iter().map(|p| p.value()).sum();
+        if total <= 1e-9 {
+            return reference_gain(net, hot_node, hot_node);
+        }
+        let mut r_eq = 0.0;
+        for (j, p) in powers.iter().enumerate() {
+            if p.value() > 0.0 {
+                r_eq += reference_gain(net, hot_node, j) * (p.value() / total);
+            }
+        }
+        r_eq
+    }
+
+    #[test]
+    fn cached_constants_are_bit_identical_to_per_call_arithmetic() {
+        for platform in [platforms::exynos_5422(), platforms::snapdragon_810()] {
+            let net = RcNetwork::from_spec(platform.thermal_spec()).unwrap();
+            let n = net.len();
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(
+                        net.gain(i, j).unwrap().to_bits(),
+                        reference_gain(&net, i, j).to_bits(),
+                        "{}: gain({i}, {j})",
+                        platform.name()
+                    );
+                }
+            }
+            let tau = net.dominant_time_constant().unwrap().value();
+            assert_eq!(tau.to_bits(), reference_tau(&net).to_bits());
+
+            let split: Vec<Watts> = (0..n).map(|i| Watts::new(0.4 * i as f64)).collect();
+            // A spread power split, and the no-power self-gain fallback.
+            for powers in [split, vec![Watts::ZERO; n]] {
+                let lumped = net.reduce(&powers, 1, 1700.0, 8000.0).unwrap();
+                assert_eq!(
+                    lumped.r_th().to_bits(),
+                    reference_r_eq(&net, &powers, 1).to_bits()
+                );
+                assert_eq!(lumped.tau().value().to_bits(), tau.to_bits());
+                assert_eq!(lumped.t_ambient(), net.ambient());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gain(0, 5) on a 5-node network")]
+    fn gain_past_the_last_injection_node_panics() {
+        // In a flat 5×5 table, index (0, 5) is where (1, 0) lives.
+        let net = odroid_network();
+        assert_eq!(net.len(), 5);
+        let _ = net.gain(0, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "gain(5, 0) on a 5-node network")]
+    fn gain_past_the_last_node_panics() {
+        let net = odroid_network();
+        let _ = net.gain(5, 0);
     }
 
     proptest! {

@@ -1,29 +1,41 @@
-//! Allocation discipline of `linalg::expm`.
+//! Allocation discipline of the thermal layer, pinned by exact counts.
 //!
-//! The scaling-and-squaring build allocates exactly four matrices up
-//! front (scaled input, result, Taylor term, scratch) and ping-pongs
-//! between them: the Taylor loop and the squaring loop themselves must
-//! not allocate, however many squarings the input norm demands. A
-//! counting global allocator pins that — this file holds only this test
-//! so no sibling test thread can perturb the counter.
+//! - `linalg::expm`: the scaling-and-squaring build allocates exactly
+//!   four matrices up front (scaled input, result, Taylor term, scratch)
+//!   and ping-pongs between them, so the Taylor loop and the squaring
+//!   loop must not allocate, however many squarings the input norm
+//!   demands.
+//! - The app-aware governor's per-poll prediction: once a network has
+//!   computed its constants, `reduce` + `stability` + `time_to_reach`
+//!   allocate nothing.
+//!
+//! A counting global allocator pins both. Its counter is per thread, so
+//! each test counts only its own allocations, not those of sibling
+//! tests running beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
+use mpt_soc::platforms;
 use mpt_thermal::linalg::{expm, Mat};
+use mpt_thermal::RcNetwork;
+use mpt_units::{Kelvin, Seconds, Watts};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
 // SAFETY: pure pass-through to the `System` allocator — same layout
 // contract, no bookkeeping that could alias or retain the pointers; the
-// counter is a relaxed atomic with no effect on allocation itself. This
-// file is the workspace's only sanctioned `unsafe` outside the lint
-// allowlist (see ci.yml's unsafe gate).
+// counter is a const-initialised thread-local `Cell` (no allocation, no
+// destructor) with no effect on allocation itself. This file and the
+// mpt-obs journal are the workspace's two sanctioned `unsafe` sites (see
+// ci.yml's unsafe gate).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; we
         // forward the same layout unchanged.
         unsafe { System.alloc(layout) }
@@ -39,14 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations performed while computing `expm(a)` (result dropped after
-/// counting, so its own buffer is included in the count).
-fn allocs_during_expm(a: &Mat) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let result = expm(a);
-    let after = ALLOCS.load(Ordering::Relaxed);
-    drop(result);
-    after - before
+/// Allocations the calling thread performs while running `f`, with its
+/// result (dropped by the caller after counting).
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
 }
 
 /// A stable (diagonally dominant, negative-diagonal) test matrix whose
@@ -75,11 +85,36 @@ fn expm_allocates_no_intermediates() {
     // must be exactly the four up-front buffers.
     let calm = stable_matrix(6, 0.2);
     let hot = stable_matrix(6, 64.0);
-    let calm_allocs = allocs_during_expm(&calm);
-    let hot_allocs = allocs_during_expm(&hot);
+    let (calm_allocs, _) = allocs_during(|| expm(&calm));
+    let (hot_allocs, _) = allocs_during(|| expm(&hot));
     assert_eq!(
         calm_allocs, hot_allocs,
         "squaring loop must reuse its ping-pong buffers, not reallocate"
     );
     assert_eq!(calm_allocs, 4, "scaled + result + term + scratch only");
+}
+
+#[test]
+fn lumped_prediction_allocates_nothing_after_warm_up() {
+    // One app-aware poll on the Odroid network: reduce to the lumped
+    // model seen from the big cluster, classify, and time the climb to
+    // an 85 °C limit over the governor's 60 s horizon.
+    let net = RcNetwork::from_spec(platforms::exynos_5422().thermal_spec()).unwrap();
+    let big = net.node_index("big").unwrap();
+    let mut powers = vec![Watts::ZERO; net.len()];
+    powers[big] = Watts::new(2.2);
+    powers[net.node_index("gpu").unwrap()] = Watts::new(0.9);
+    let p_dyn = Watts::new(3.1);
+    let poll = || {
+        let lumped = net.reduce(&powers, big, 1700.0, 8000.0).unwrap();
+        let stability = lumped.stability(p_dyn);
+        let from = Kelvin::new(320.0);
+        let limit = Kelvin::new(358.15);
+        let eta = lumped.time_to_reach(from, limit, p_dyn, Seconds::new(60.0));
+        (stability, eta)
+    };
+    let (_, warm) = allocs_during(poll);
+    let (allocs, steady) = allocs_during(poll);
+    assert_eq!(steady, warm, "constants read back, not recomputed");
+    assert_eq!(allocs, 0, "a poll after the first must not allocate");
 }
