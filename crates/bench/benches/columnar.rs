@@ -3,8 +3,6 @@
 //! and running typed queries over session and campaign-shaped frames.
 //! The numbers behind `BENCH_columnar.json`.
 
-use std::collections::BTreeMap;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mpt_daq::{CampaignFrame, ColumnFrame, Query};
@@ -14,16 +12,11 @@ use mpt_units::{Celsius, Hertz, Seconds, Watts};
 
 const SENSORS: [&str; 3] = ["big", "gpu", "board"];
 
-fn tick_powers(t: f64) -> BTreeMap<ComponentId, PowerBreakdown> {
-    let mut powers = BTreeMap::new();
-    for (i, &id) in ComponentId::ALL.iter().enumerate() {
+fn tick_powers(t: f64) -> [Option<PowerBreakdown>; 4] {
+    std::array::from_fn(|i| {
         let w = 0.5 + 0.1 * i as f64 + 0.05 * (t * 0.7).sin();
-        powers.insert(
-            id,
-            PowerBreakdown::new(Watts::new(w), Watts::ZERO, Watts::ZERO),
-        );
-    }
-    powers
+        Some(PowerBreakdown::new(Watts::new(w), Watts::ZERO, Watts::ZERO))
+    })
 }
 
 /// Records a 60 s session at the default 0.1 s sampling period: 600
@@ -35,18 +28,13 @@ fn session_60s() -> Telemetry {
     let dt = Seconds::new(0.1);
     for i in 0..600 {
         let t = i as f64 * 0.1;
-        let temps: Vec<(String, Celsius)> = SENSORS
+        let temps = SENSORS
             .iter()
             .enumerate()
-            .map(|(s, name)| {
-                (
-                    (*name).to_owned(),
-                    Celsius::new(40.0 + 10.0 * (t * 0.1 + s as f64).sin()),
-                )
-            })
-            .collect();
-        let freqs = [(ComponentId::BigCluster, Hertz::from_mhz(1800))];
-        telemetry.record(Seconds::new(t), dt, &temps, &freqs, &tick_powers(t), None);
+            .map(|(s, &name)| (name, Celsius::new(40.0 + 10.0 * (t * 0.1 + s as f64).sin())));
+        let mut freqs = [None; 4];
+        freqs[ComponentId::BigCluster as usize] = Some(Hertz::from_mhz(1800));
+        telemetry.record(Seconds::new(t), dt, temps, &freqs, &tick_powers(t), None);
     }
     telemetry
 }

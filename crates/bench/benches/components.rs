@@ -98,8 +98,12 @@ fn bench_scheduler(c: &mut Criterion) {
     let demands: Vec<(Pid, f64)> = (0..32)
         .map(|i| (Pid::new(i + 1), f64::from(i) * 1e6))
         .collect();
+    let (mut order, mut out) = (Vec::new(), Vec::new());
     group.bench_function("allocate_max_min_32", |b| {
-        b.iter(|| allocate_max_min(std::hint::black_box(&demands), 100e6))
+        b.iter(|| {
+            allocate_max_min(std::hint::black_box(&demands), 100e6, &mut order, &mut out);
+            std::hint::black_box(&out);
+        })
     });
     group.finish();
 }

@@ -51,23 +51,20 @@ fn probe(soc: &Platform, spec: &AppSpec, scale: f64, seed: u64) -> Result<(Optio
         .build()?;
     sim.run_for(Seconds::new(20.0))?;
     // Reduce the live network around the measured power distribution.
-    let powers = sim.last_powers();
-    let p_dyn: Watts = powers.values().map(|b| b.dynamic + b.static_floor).sum();
-    let mut node_powers = vec![Watts::ZERO; sim.network().len()];
+    let p_dyn: Watts = (sim.last_powers().iter().flatten())
+        .map(|b| b.dynamic + b.static_floor)
+        .sum();
     let mut leak_gain = 0.0;
     let mut beta = 8000.0;
     for component in soc.components() {
-        if let Some(node) = soc.thermal_spec().node_for_component(component.id()) {
-            if let Some(b) = powers.get(&component.id()) {
-                node_powers[node] += b.total();
-            }
-        }
         let leak = component.power_params().leakage();
         beta = leak.beta();
         leak_gain += leak.alpha() * component.opps().highest().voltage().value();
     }
     let (hot, _) = sim.network().hottest();
-    let lumped = sim.network().reduce(&node_powers, hot, leak_gain, beta)?;
+    let lumped = sim
+        .network()
+        .reduce(sim.node_powers(), hot, leak_gain, beta)?;
     let pid = sim.pid_of(spec.name).expect("app attached");
     Ok((
         lumped.steady_state_temperature(p_dyn),

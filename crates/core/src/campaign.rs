@@ -645,39 +645,6 @@ pub fn run_cells_framed(
     ))
 }
 
-/// Parses a JSON campaign and runs it.
-///
-/// # Errors
-///
-/// [`SimError::InvalidConfig`](mpt_sim::SimError::InvalidConfig) if the
-/// JSON does not parse; otherwise as [`run_campaign`].
-pub fn run_campaign_json(json: &str, jobs: usize) -> Result<CampaignReport> {
-    let spec: CampaignSpec =
-        serde_json::from_str(json).map_err(|e| mpt_sim::SimError::InvalidConfig {
-            reason: format!("bad campaign json: {e}"),
-        })?;
-    run_campaign(&spec, jobs)
-}
-
-/// [`run_campaign_json`] with a shared recorder and optional progress
-/// callback, as [`run_campaign_observed`].
-///
-/// # Errors
-///
-/// As [`run_campaign_json`].
-pub fn run_campaign_json_observed(
-    json: &str,
-    jobs: usize,
-    recorder: &Arc<Recorder>,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Result<CampaignReport> {
-    let spec: CampaignSpec =
-        serde_json::from_str(json).map_err(|e| mpt_sim::SimError::InvalidConfig {
-            reason: format!("bad campaign json: {e}"),
-        })?;
-    run_campaign_observed(&spec, jobs, recorder, progress)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

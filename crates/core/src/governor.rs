@@ -255,9 +255,7 @@ impl SystemPolicy for AppAwareGovernor {
 
         // Dynamic + static power drives the fixed-point function; leakage
         // enters through the lumped model itself.
-        let p_dyn: Watts = view
-            .powers
-            .values()
+        let p_dyn: Watts = (view.powers.iter().flatten())
             .map(|b| b.dynamic + b.static_floor)
             .sum();
         let (leak_gain, beta) = Self::leakage_parameters(&view);
@@ -265,13 +263,10 @@ impl SystemPolicy for AppAwareGovernor {
         // Reduce the live network to the lumped model seen from the
         // hottest node.
         let (hot_node, hot_temp) = view.network.hottest();
-        let mut node_powers = vec![Watts::ZERO; view.network.len()];
-        for (&id, b) in view.powers {
-            if let Some(node) = view.platform.thermal_spec().node_for_component(id) {
-                node_powers[node] += b.total();
-            }
-        }
-        let Ok(lumped) = view.network.reduce(&node_powers, hot_node, leak_gain, beta) else {
+        let Ok(lumped) = view
+            .network
+            .reduce(view.node_powers, hot_node, leak_gain, beta)
+        else {
             return;
         };
 

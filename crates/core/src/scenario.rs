@@ -800,25 +800,13 @@ fn invalid(reason: String) -> SimError {
 pub fn build_scenario(
     spec: &ScenarioSpec,
 ) -> Result<(Simulator, Option<std::sync::Arc<GovernorStats>>)> {
-    build_scenario_with(spec, None)
+    build_scenario_cached(spec, None, None)
 }
 
-/// [`build_scenario`] with an explicit observability recorder — the
-/// campaign runner passes one shared recorder so every cell's spans and
-/// counters land in a single trace/metrics set.
-///
-/// # Errors
-///
-/// As [`build_scenario`].
-pub fn build_scenario_with(
-    spec: &ScenarioSpec,
-    recorder: Option<std::sync::Arc<mpt_obs::Recorder>>,
-) -> Result<(Simulator, Option<std::sync::Arc<GovernorStats>>)> {
-    build_scenario_cached(spec, recorder, None)
-}
-
-/// [`build_scenario_with`] sharing a transition-matrix cache — the
-/// campaign runner passes one cache so cells sweeping the same platform
+/// [`build_scenario`] with an explicit observability recorder and a
+/// shared transition-matrix cache — the campaign runner passes one
+/// recorder so every cell's spans and counters land in a single
+/// trace/metrics set, and one cache so cells sweeping the same platform
 /// and tick factor each discretization exactly once.
 ///
 /// # Errors
@@ -957,23 +945,11 @@ pub fn build_scenario_cached(
 /// [`SimError::InvalidConfig`] for malformed specs; simulator errors
 /// otherwise.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome> {
-    run_scenario_with(spec, None)
+    run_scenario_analyzed(spec, None).map(|(outcome, _)| outcome)
 }
 
 /// [`run_scenario`] recording into an explicit (usually shared)
-/// observability recorder.
-///
-/// # Errors
-///
-/// As [`run_scenario`].
-pub fn run_scenario_with(
-    spec: &ScenarioSpec,
-    recorder: Option<std::sync::Arc<mpt_obs::Recorder>>,
-) -> Result<ScenarioOutcome> {
-    run_scenario_analyzed(spec, recorder).map(|(outcome, _)| outcome)
-}
-
-/// [`run_scenario_with`] returning the session analysis — derived
+/// observability recorder and returning the session analysis — derived
 /// observables, fired alerts and frequency residency — alongside the
 /// outcome. Both halves depend only on simulated time, so they are
 /// bit-identical across repeats and worker counts.
@@ -985,29 +961,16 @@ pub fn run_scenario_analyzed(
     spec: &ScenarioSpec,
     recorder: Option<std::sync::Arc<mpt_obs::Recorder>>,
 ) -> Result<(ScenarioOutcome, crate::report::SessionAnalysis)> {
-    run_scenario_analyzed_cached(spec, recorder, None)
-}
-
-/// [`run_scenario_analyzed`] sharing a transition-matrix cache across
-/// runs (see [`build_scenario_cached`]).
-///
-/// # Errors
-///
-/// As [`run_scenario`].
-pub fn run_scenario_analyzed_cached(
-    spec: &ScenarioSpec,
-    recorder: Option<std::sync::Arc<mpt_obs::Recorder>>,
-    solver_cache: Option<std::sync::Arc<TransitionCache>>,
-) -> Result<(ScenarioOutcome, crate::report::SessionAnalysis)> {
-    run_scenario_framed_cached(spec, recorder, solver_cache)
+    run_scenario_framed_cached(spec, recorder, None)
         .map(|(outcome, analysis, _)| (outcome, analysis))
 }
 
-/// [`run_scenario_analyzed_cached`] additionally returning the session's
-/// columnar telemetry frame — the surface `--columnar-out`, `--query`
-/// and campaign-level aggregation read. Frame contents are a pure
-/// function of simulated time, so they share the bit-identical-across-
-/// workers guarantee of the outcome and analysis.
+/// [`run_scenario_analyzed`] sharing a transition-matrix cache across
+/// runs (see [`build_scenario_cached`]) and additionally returning the
+/// session's columnar telemetry frame — the surface `--columnar-out`,
+/// `--query` and campaign-level aggregation read. Frame contents are a
+/// pure function of simulated time, so they share the
+/// bit-identical-across-workers guarantee of the outcome and analysis.
 ///
 /// # Errors
 ///
@@ -1112,22 +1075,9 @@ pub(crate) fn run_scenario_framed_traced(
 /// [`SimError::InvalidConfig`] if the JSON does not parse; otherwise as
 /// [`run_scenario`].
 pub fn run_scenario_json(json: &str) -> Result<ScenarioOutcome> {
-    run_scenario_json_with(json, None)
-}
-
-/// [`run_scenario_json`] recording into an explicit observability
-/// recorder — what `run_scenario --trace-out`/`--metrics-out` uses.
-///
-/// # Errors
-///
-/// As [`run_scenario_json`].
-pub fn run_scenario_json_with(
-    json: &str,
-    recorder: Option<std::sync::Arc<mpt_obs::Recorder>>,
-) -> Result<ScenarioOutcome> {
     let spec: ScenarioSpec =
         serde_json::from_str(json).map_err(|e| invalid(format!("bad scenario json: {e}")))?;
-    run_scenario_with(&spec, recorder)
+    run_scenario(&spec)
 }
 
 #[cfg(test)]

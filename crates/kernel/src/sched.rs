@@ -22,11 +22,16 @@ pub struct Allocation {
     pub demanded: f64,
 }
 
-/// Max–min fair allocation of `capacity` cycles among competing demands.
+/// Max–min fair allocation of `capacity` cycles among competing demands,
+/// written into `out`: one [`Allocation`] per demand, in demand order.
 ///
 /// Small demands are fully served first; the remaining capacity is split
 /// evenly among the still-hungry processes (water-filling). This is the
 /// fairness model of the Linux CFS scheduler at equal weights.
+///
+/// `order` receives the sort's index permutation. Both buffers are
+/// cleared on entry and keep their capacity, so a caller that reuses
+/// them stops allocating once they have grown to its largest demand set.
 ///
 /// # Examples
 ///
@@ -34,36 +39,43 @@ pub struct Allocation {
 /// use mpt_kernel::{allocate_max_min, Pid};
 ///
 /// let demands = [(Pid::new(1), 10.0), (Pid::new(2), 100.0), (Pid::new(3), 100.0)];
-/// let out = allocate_max_min(&demands, 110.0);
+/// let (mut order, mut out) = (Vec::new(), Vec::new());
+/// allocate_max_min(&demands, 110.0, &mut order, &mut out);
 /// assert_eq!(out[0].delivered, 10.0); // small demand fully served
 /// assert_eq!(out[1].delivered, 50.0); // remainder split evenly
 /// assert_eq!(out[2].delivered, 50.0);
 /// ```
-#[must_use]
-pub fn allocate_max_min(demands: &[(Pid, f64)], capacity: f64) -> Vec<Allocation> {
-    let mut order: Vec<usize> = (0..demands.len()).collect();
+pub fn allocate_max_min(
+    demands: &[(Pid, f64)],
+    capacity: f64,
+    order: &mut Vec<usize>,
+    out: &mut Vec<Allocation>,
+) {
+    order.clear();
+    order.extend(0..demands.len());
     order.sort_by(|&i, &j| {
         demands[i]
             .1
             .partial_cmp(&demands[j].1)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut result = vec![
+    out.clear();
+    out.resize(
+        demands.len(),
         Allocation {
             pid: Pid::new(0),
             delivered: 0.0,
-            demanded: 0.0
-        };
-        demands.len()
-    ];
+            demanded: 0.0,
+        },
+    );
     let mut remaining = capacity.max(0.0);
     let mut left = demands.len();
-    for &idx in &order {
+    for &idx in order.iter() {
         let (pid, demand) = demands[idx];
         let demand = demand.max(0.0);
         let fair_share = remaining / left as f64;
         let granted = demand.min(fair_share);
-        result[idx] = Allocation {
+        out[idx] = Allocation {
             pid,
             delivered: granted,
             demanded: demand,
@@ -71,7 +83,6 @@ pub fn allocate_max_min(demands: &[(Pid, f64)], capacity: f64) -> Vec<Allocation
         remaining -= granted;
         left -= 1;
     }
-    result
 }
 
 /// The process table: spawn, kill, migrate, and per-tick accounting.
@@ -358,7 +369,8 @@ mod tests {
     #[test]
     fn allocation_under_capacity_serves_everyone() {
         let demands = [(Pid::new(1), 30.0), (Pid::new(2), 20.0)];
-        let out = allocate_max_min(&demands, 100.0);
+        let (mut order, mut out) = (Vec::new(), Vec::new());
+        allocate_max_min(&demands, 100.0, &mut order, &mut out);
         assert_eq!(out[0].delivered, 30.0);
         assert_eq!(out[1].delivered, 20.0);
     }
@@ -370,7 +382,8 @@ mod tests {
             (Pid::new(2), 100.0),
             (Pid::new(3), 100.0),
         ];
-        let out = allocate_max_min(&demands, 110.0);
+        let (mut order, mut out) = (Vec::new(), Vec::new());
+        allocate_max_min(&demands, 110.0, &mut order, &mut out);
         assert!((out[0].delivered - 10.0).abs() < 1e-9);
         assert!((out[1].delivered - 50.0).abs() < 1e-9);
         assert!((out[2].delivered - 50.0).abs() < 1e-9);
@@ -378,12 +391,15 @@ mod tests {
 
     #[test]
     fn allocation_of_empty_demands() {
-        assert!(allocate_max_min(&[], 100.0).is_empty());
+        let (mut order, mut out) = (Vec::new(), Vec::new());
+        allocate_max_min(&[], 100.0, &mut order, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn allocation_clamps_negative_inputs() {
-        let out = allocate_max_min(&[(Pid::new(1), -5.0)], -10.0);
+        let (mut order, mut out) = (Vec::new(), Vec::new());
+        allocate_max_min(&[(Pid::new(1), -5.0)], -10.0, &mut order, &mut out);
         assert_eq!(out[0].delivered, 0.0);
     }
 
@@ -398,7 +414,8 @@ mod tests {
                 .enumerate()
                 .map(|(i, d)| (Pid::new(i as u32 + 1), d))
                 .collect();
-            let out = allocate_max_min(&demands, capacity);
+            let (mut order, mut out) = (Vec::new(), Vec::new());
+            allocate_max_min(&demands, capacity, &mut order, &mut out);
             let total: f64 = out.iter().map(|a| a.delivered).sum();
             let demand_total: f64 = demands.iter().map(|(_, d)| d).sum();
             prop_assert!(total <= capacity + 1e-9);
@@ -419,9 +436,12 @@ mod tests {
             capacity in 1.0_f64..60.0,
         ) {
             // Equal demands get equal shares.
-            let out = allocate_max_min(
+            let (mut order, mut out) = (Vec::new(), Vec::new());
+            allocate_max_min(
                 &[(Pid::new(1), d1), (Pid::new(2), d1), (Pid::new(3), d2)],
                 capacity,
+                &mut order,
+                &mut out,
             );
             prop_assert!((out[0].delivered - out[1].delivered).abs() < 1e-9);
         }

@@ -23,6 +23,7 @@ use mpt_core::scenario::{
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 use crate::model::MAX_SANE_TEMP_C;
+use crate::verify::BASE_DT_S;
 
 /// Engine names accepted by scenario JSON, mirroring `EngineSpec`.
 pub const KNOWN_ENGINES: [&str; 2] = ["fixed", "event"];
@@ -495,11 +496,16 @@ fn check_policy(policy: &ThermalPolicySpec, ambient_c: f64, path: &str, r: &mut 
                 ));
             }
             check_trips(trips_c, ambient_c, path, r);
-            if !period_s.is_finite() || *period_s <= 0.0 {
+            // The simulator polls the governor on its base tick, so it
+            // refuses a period shorter than one tick.
+            if !period_s.is_finite() || *period_s < BASE_DT_S {
                 r.diagnostics.push(Diagnostic::new(
                     Code::ParameterOutOfRange,
                     path,
-                    format!("step_wise period_s = {period_s} must be finite and > 0"),
+                    format!(
+                        "step_wise period_s = {period_s} must be finite and at least the \
+                         {BASE_DT_S} s base tick"
+                    ),
                 ));
             }
         }
@@ -878,6 +884,41 @@ mod tests {
             .diagnostics
             .iter()
             .all(|d| d.code == Code::ParameterOutOfRange));
+    }
+
+    #[test]
+    fn step_wise_period_below_the_base_tick_fires_mpt105() {
+        let period = |period_s: f64| {
+            let mut spec = minimal();
+            spec.thermal = ThermalPolicySpec::StepWise {
+                trips_c: vec![60.0],
+                period_s,
+            };
+            check_scenario(&spec, "s")
+        };
+        let sub_tick = period(0.005);
+        assert_eq!(sub_tick.errors(), 1, "{}", sub_tick.render_text());
+        assert_eq!(sub_tick.diagnostics[0].code, Code::ParameterOutOfRange);
+        // One tick is the shortest period the simulator accepts.
+        let one_tick = period(BASE_DT_S);
+        assert_eq!(one_tick.errors(), 0, "{}", one_tick.render_text());
+        // A campaign sweep entry goes through the same check.
+        let campaign = CampaignSpec {
+            base: minimal(),
+            sweep: SweepAxes {
+                thermal: vec![ThermalPolicySpec::StepWise {
+                    trips_c: vec![60.0],
+                    period_s: 0.005,
+                }],
+                ..SweepAxes::default()
+            },
+            seed: 0,
+            queries: Vec::new(),
+            fleet: None,
+        };
+        let report = check_campaign(&campaign, "c");
+        let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(codes, vec![Code::ParameterOutOfRange]);
     }
 
     #[test]

@@ -302,7 +302,8 @@ impl Code {
             Code::InvalidWorkload => "see the workload registry for valid kinds and clusters",
             Code::DanglingControlSensor => "use one of the platform's temperature_sensors names",
             Code::ParameterOutOfRange => {
-                "temperatures must lie in (ambient, 125] C and rates/periods must be positive"
+                "temperatures must lie in (ambient, 125] C, rates must be positive and \
+                 periods at least the 10 ms base tick"
             }
             Code::RetiredSolverField => "delete the field; exact_lti is the only thermal solver",
             Code::UnreachableAlert => {

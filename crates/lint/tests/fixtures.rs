@@ -8,12 +8,13 @@ use std::process::Command;
 use mpt_lint::{check_file, diag::Code};
 
 /// `(fixture file, the one code it must fire)`.
-const EXPECTED: [(&str, Code); 10] = [
+const EXPECTED: [(&str, Code); 11] = [
     ("asymmetric_g.model.json", Code::InvalidConductance),
     ("non_monotonic_opp.model.json", Code::OppVoltageMonotonicity),
     ("dangling_sensor.json", Code::DanglingControlSensor),
     ("unknown_solver.json", Code::RetiredSolverField),
     ("unknown_engine.json", Code::InvalidEngine),
+    ("sub_tick_thermal_period.json", Code::ParameterOutOfRange),
     ("phased_nonmonotonic.json", Code::NonMonotonicPhases),
     (
         "query_unknown_channel.campaign.json",

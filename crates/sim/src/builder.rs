@@ -10,14 +10,16 @@ use mpt_obs::{AlertRule, Recorder};
 use mpt_soc::{ComponentId, Platform};
 use mpt_sysfs::SysFs;
 use mpt_thermal::{RcNetwork, TransitionCache};
-use mpt_units::{Celsius, Seconds};
+use mpt_units::{Celsius, Seconds, Watts};
 use mpt_workloads::Workload;
 
 use crate::analysis::RunAnalysis;
 use crate::clock::SimClock;
 use crate::engine::{Attached, LiveSysfs, SimCore, SteppingMode};
 use crate::queue::EventQueue;
-use crate::stages::default_pipeline;
+use crate::stages::govern::Governors;
+use crate::stages::observe::Seen;
+use crate::stages::{StepContext, STAGES};
 use crate::{EventLog, Result, SimError, Simulator, SystemPolicy, Telemetry};
 
 /// Builder for [`Simulator`] (C-BUILDER).
@@ -231,7 +233,7 @@ impl SimBuilder {
     }
 
     /// Finalizes the simulator: builds the shared [`SimCore`] and the
-    /// standard stage pipeline.
+    /// pipeline's governors, context and snapshot.
     ///
     /// # Errors
     ///
@@ -249,19 +251,26 @@ impl SimBuilder {
                 reason: "thermal period must be at least one tick".into(),
             });
         }
-        if let Some(sensor) = &self.control_sensor {
-            if !self
-                .platform
-                .temperature_sensors()
-                .iter()
-                .any(|s| s.name() == sensor.as_str())
-            {
-                return Err(SimError::InvalidConfig {
-                    reason: format!("control sensor {sensor:?} does not exist"),
-                });
-            }
-        }
+        let sensors = self.platform.temperature_sensors();
+        let control_zone = (self.control_sensor.as_ref())
+            .map(|sensor| {
+                sensors
+                    .iter()
+                    .position(|s| s.name() == sensor.as_str())
+                    .ok_or_else(|| SimError::InvalidConfig {
+                        reason: format!("control sensor {sensor:?} does not exist"),
+                    })
+            })
+            .transpose()?;
         let mut network = RcNetwork::with_cache(self.platform.thermal_spec(), self.solver_cache)?;
+        let sensor_nodes = sensors
+            .iter()
+            .map(|s| {
+                network
+                    .node_index(s.thermal_node())
+                    .expect("the platform validates every sensor's node")
+            })
+            .collect();
         if let Some(t0) = self.initial_temperature {
             network.set_uniform_temperature(t0.to_kelvin());
         }
@@ -309,15 +318,17 @@ impl SimBuilder {
         let live = Arc::new(LiveSysfs::new(&self.platform, attached.len()));
         let mut core = SimCore {
             platform: self.platform,
+            node_powers: vec![Watts::ZERO; network.len()],
             network,
             scheduler,
             policies,
-            control_sensor: self.control_sensor,
+            sensor_nodes,
+            control_zone,
             workloads: attached,
             clock: SimClock::new(self.dt),
             telemetry: Telemetry::new(self.telemetry_period),
             sysfs: SysFs::new(),
-            last_powers: BTreeMap::new(),
+            last_powers: [None; 4],
             pending_migrations: Arc::new(Mutex::new(Vec::new())),
             live,
             events: EventLog::new(),
@@ -327,27 +338,25 @@ impl SimBuilder {
             power_trace: None,
         };
         core.register_sysfs()?;
+        core.publish_zones();
         core.publish_sysfs();
-        let stages = default_pipeline(
-            self.thermal_governor,
-            self.thermal_period,
-            self.system_policy,
-        );
         // Pre-register the latency histograms so the per-tick hot path
         // records by id, never by name. Registration is idempotent on a
         // shared recorder, so every simulator in a campaign resolves the
         // same ids.
         let tick_hist = core.recorder.register_histogram("tick");
-        let stage_hists = stages
-            .iter()
-            .map(|s| {
-                core.recorder
-                    .register_histogram(&format!("stage:{}", s.name()))
-            })
-            .collect();
+        let stage_hists =
+            STAGES.map(|name| core.recorder.register_histogram(&format!("stage:{name}")));
+        let processes = core.workloads.len();
         Ok(Simulator {
             core,
-            stages,
+            ctx: StepContext::default(),
+            governors: Governors::new(
+                self.thermal_governor,
+                self.thermal_period,
+                self.system_policy,
+            ),
+            seen: Seen::new(processes),
             tick_hist,
             stage_hists,
             stepping: self.stepping,

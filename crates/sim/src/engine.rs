@@ -15,7 +15,9 @@ use mpt_workloads::Workload;
 use crate::analysis::RunAnalysis;
 use crate::clock::SimClock;
 use crate::queue::{EventQueue, WakeKind};
-use crate::stages::{SimStage, StepContext, Wake};
+use crate::stages::govern::{self, Governors};
+use crate::stages::observe::{self, Seen};
+use crate::stages::{analyze, demand, power, schedule, thermal, StepContext, Wake, STAGES};
 use crate::{Event, EventKind, EventLog, Result, Telemetry};
 
 /// How the simulator advances time.
@@ -89,26 +91,36 @@ impl std::fmt::Debug for Attached {
     }
 }
 
-/// The shared simulation state every [`SimStage`] operates on: the
+/// The shared simulation state every pipeline stage operates on: the
 /// platform, the live thermal network, the process table, per-component
 /// cpufreq policies, attached workloads, telemetry, the event log, and
 /// the sysfs control plane.
 ///
-/// Per-tick scratch state lives in [`StepContext`]; per-pipeline state
-/// (governor accumulators, previous-tick snapshots) lives inside the
-/// stages themselves.
+/// Per-pass values live in the simulator's one reused step context;
+/// the governors and the events stage's previous-pass snapshot live
+/// beside the core in the [`Simulator`].
 #[derive(Debug)]
 pub struct SimCore {
     pub(crate) platform: Platform,
     pub(crate) network: RcNetwork,
     pub(crate) scheduler: Scheduler,
     pub(crate) policies: BTreeMap<ComponentId, CpuFreqPolicy>,
-    pub(crate) control_sensor: Option<String>,
+    /// Each sensor's thermal node, by zone, resolved at build.
+    pub(crate) sensor_nodes: Vec<usize>,
+    /// The control sensor's zone; `None` controls on the hottest zone.
+    pub(crate) control_zone: Option<usize>,
     pub(crate) workloads: Vec<Attached>,
     pub(crate) clock: SimClock,
     pub(crate) telemetry: Telemetry,
     pub(crate) sysfs: SysFs,
-    pub(crate) last_powers: BTreeMap<ComponentId, PowerBreakdown>,
+    /// Per-component power of the latest power stage, by
+    /// `ComponentId as usize` (`None` for a component the platform
+    /// lacks).
+    pub(crate) last_powers: [Option<PowerBreakdown>; 4],
+    /// The same powers mapped onto thermal nodes: what the thermal stage
+    /// steps under, what the event engine holds constant across a gap,
+    /// and what the system policy's lumped prediction reduces.
+    pub(crate) node_powers: Vec<Watts>,
     /// Cluster moves requested through the cpuset control plane, applied
     /// at the start of the next tick.
     pub(crate) pending_migrations: Arc<Mutex<Vec<(Pid, ComponentId)>>>,
@@ -140,7 +152,8 @@ pub(crate) struct LiveSysfs {
     cur_khz: [AtomicU64; 4],
     /// `scaling_max_freq` in kHz, indexed by `ComponentId as usize`.
     max_khz: [AtomicU64; 4],
-    /// Thermal-zone temperatures in °C as `f64` bits, by zone.
+    /// Thermal-zone temperatures in °C as `f64` bits, by zone: the one
+    /// copy of the sensor readings, stored by the thermal stage.
     zone_c: Vec<AtomicU64>,
     /// Power-rail readings in W as `f64` bits, by rail.
     rail_w: Vec<AtomicU64>,
@@ -159,6 +172,11 @@ impl LiveSysfs {
             rail_w: slots(platform.power_rails().len()),
             cluster: (0..processes).map(|_| AtomicU8::new(0)).collect(),
         }
+    }
+
+    /// A zone's temperature as last stored.
+    pub(crate) fn zone(&self, zone: usize) -> Celsius {
+        Celsius::new(load_f64(&self.zone_c[zone]))
     }
 }
 
@@ -196,19 +214,6 @@ impl SimCore {
             .expect("policies only exist for platform components")
     }
 
-    pub(crate) fn sensor_temps(&self) -> Vec<(String, Celsius)> {
-        self.platform
-            .temperature_sensors()
-            .iter()
-            .filter_map(|s| {
-                self.network
-                    .celsius_of(s.thermal_node())
-                    .ok()
-                    .map(|c| (s.name().to_owned(), c))
-            })
-            .collect()
-    }
-
     /// The worst frame rate across the attached workloads' pipelines, or
     /// `None` when none renders: a dropped foreground frame must not be
     /// masked by a fast background renderer.
@@ -221,49 +226,31 @@ impl SimCore {
             })
     }
 
-    pub(crate) fn control_temperature(&self) -> Celsius {
-        let temps = self.sensor_temps();
-        if let Some(sensor) = &self.control_sensor {
-            if let Some((_, c)) = temps.iter().find(|(n, _)| n == sensor) {
-                return *c;
-            }
+    /// The control temperature over per-zone readings: the control
+    /// sensor's zone, or the hottest zone when none is named — the one
+    /// rule behind the live reading and the event engine's peek.
+    fn control_of(&self, zone_c: impl Fn(usize) -> Celsius) -> Celsius {
+        match self.control_zone {
+            Some(zone) => zone_c(zone),
+            None => (0..self.sensor_nodes.len())
+                .map(zone_c)
+                .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max),
         }
-        temps
-            .iter()
-            .map(|(_, c)| *c)
-            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
+    }
+
+    /// The thermal governor's input, from the zone temperatures the
+    /// thermal stage stored.
+    pub(crate) fn control_temperature(&self) -> Celsius {
+        self.control_of(|zone| self.live.zone(zone))
     }
 
     /// Evaluates the control temperature `dt` ahead of the current state
-    /// under constant `node_powers`, without advancing the network — the
-    /// probe the event engine bisects on for trip-crossing prediction.
-    pub(crate) fn peek_control_temperature(
-        &mut self,
-        dt: Seconds,
-        node_powers: &[Watts],
-    ) -> Result<Celsius> {
-        let temps = self.network.peek(dt, node_powers)?;
-        let temp_of = |node: &str| -> Option<Celsius> {
-            self.network.node_index(node).map(|i| temps[i].to_celsius())
-        };
-        if let Some(sensor_name) = &self.control_sensor {
-            if let Some(sensor) = self
-                .platform
-                .temperature_sensors()
-                .iter()
-                .find(|s| s.name() == sensor_name.as_str())
-            {
-                if let Some(c) = temp_of(sensor.thermal_node()) {
-                    return Ok(c);
-                }
-            }
-        }
-        Ok(self
-            .platform
-            .temperature_sensors()
-            .iter()
-            .filter_map(|s| temp_of(s.thermal_node()))
-            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max))
+    /// with the last pass's [`node_powers`](Self::node_powers) held
+    /// constant, without advancing the network — the probe the event
+    /// engine bisects on for trip-crossing prediction.
+    pub(crate) fn peek_control_temperature(&mut self, dt: Seconds) -> Result<Celsius> {
+        let temps = self.network.peek(dt, &self.node_powers)?;
+        Ok(self.control_of(|zone| temps[self.sensor_nodes[zone]].to_celsius()))
     }
 
     /// Hash of the control state the macro-stepper must not jump across
@@ -425,24 +412,27 @@ impl SimCore {
         Ok(())
     }
 
-    /// Stores this pass's frequencies, zone temperatures, rail powers
-    /// and process placements for the live sysfs files to format on
-    /// read.
+    /// Stores each zone's current temperature: the one copy telemetry,
+    /// analyze, the thermal poll, the event engine and the
+    /// `thermal_zone*/temp` files read. Only the thermal stage changes a
+    /// temperature, so it stores them right after its step.
+    pub(crate) fn publish_zones(&self) {
+        for (slot, &node) in self.live.zone_c.iter().zip(&self.sensor_nodes) {
+            let c = self.network.temperature(node).to_celsius();
+            slot.store(c.value().to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    /// Stores this pass's frequencies, rail powers and process
+    /// placements for the live sysfs files to format on read.
     pub(crate) fn publish_sysfs(&self) {
         let live = &self.live;
         for (&id, policy) in &self.policies {
             live.cur_khz[id as usize].store(policy.current().as_khz(), Ordering::Relaxed);
         }
-        for (slot, sensor) in live.zone_c.iter().zip(self.platform.temperature_sensors()) {
-            if let Ok(c) = self.network.celsius_of(sensor.thermal_node()) {
-                slot.store(c.value().to_bits(), Ordering::Relaxed);
-            }
-        }
         for (slot, rail) in live.rail_w.iter().zip(self.platform.power_rails()) {
-            let power = self
-                .last_powers
-                .get(&rail.component())
-                .map_or(0.0, |b| b.total().value());
+            let power =
+                self.last_powers[rail.component() as usize].map_or(0.0, |b| b.total().value());
             slot.store(power.to_bits(), Ordering::Relaxed);
         }
         for (slot, a) in live.cluster.iter().zip(&self.workloads) {
@@ -504,11 +494,17 @@ impl SimCore {
 #[derive(Debug)]
 pub struct Simulator {
     pub(crate) core: SimCore,
-    pub(crate) stages: Vec<Box<dyn SimStage>>,
+    /// The pass's values, kept for the whole run and reset at the top of
+    /// each pass.
+    pub(crate) ctx: StepContext,
+    /// The govern stage's governors and their poll phases.
+    pub(crate) governors: Governors,
+    /// The events stage's previous-pass snapshot.
+    pub(crate) seen: Seen,
     /// Histogram id of the whole-tick latency, pre-registered at build.
     pub(crate) tick_hist: HistId,
-    /// Per-stage latency histogram ids, parallel to `stages`.
-    pub(crate) stage_hists: Vec<HistId>,
+    /// Per-stage latency histogram ids, in [`STAGES`] order.
+    pub(crate) stage_hists: [HistId; STAGES.len()],
     /// How [`run_for`](Simulator::run_for) advances time.
     pub(crate) stepping: SteppingMode,
     /// The macro-stepper's wake queue, rebuilt each pass from the
@@ -600,7 +596,7 @@ impl Simulator {
     /// The names of the pipeline stages, in tick order.
     #[must_use]
     pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
+        STAGES.to_vec()
     }
 
     /// Event-engine queue totals for this run so far (all zero under
@@ -637,10 +633,19 @@ impl Simulator {
         self.core.policies.get(&id).map(CpuFreqPolicy::current)
     }
 
-    /// Per-component power from the last tick.
+    /// Per-component power from the last tick, indexed by
+    /// `ComponentId as usize` (`None` for a component the platform
+    /// lacks).
     #[must_use]
-    pub fn last_powers(&self) -> &BTreeMap<ComponentId, PowerBreakdown> {
+    pub fn last_powers(&self) -> &[Option<PowerBreakdown>; 4] {
         &self.core.last_powers
+    }
+
+    /// The last tick's powers mapped onto the thermal network's nodes,
+    /// indexed like [`network`](Self::network)'s nodes.
+    #[must_use]
+    pub fn node_powers(&self) -> &[Watts] {
+        &self.core.node_powers
     }
 
     /// The discrete event log of the run (migrations, cap changes,
@@ -673,9 +678,7 @@ impl Simulator {
     /// Total power from the last tick.
     #[must_use]
     pub fn total_power(&self) -> Watts {
-        self.core
-            .last_powers
-            .values()
+        (self.core.last_powers.iter().flatten())
             .map(PowerBreakdown::total)
             .sum()
     }
@@ -721,21 +724,46 @@ impl Simulator {
     /// base tick) and advances the clock; returns whether any workload
     /// reported a touch interaction during the pass.
     ///
-    /// Each stage's wall time goes into its `stage:<name>` histogram and
-    /// the whole pass into `tick`, with one clock read per stage boundary
-    /// and none at all under [`Recorder::null`]; a pass leaves no span.
+    /// Calls the nine stages in [`STAGES`] order over the core and the
+    /// reused step context. Each stage's wall time goes into its
+    /// `stage:<name>` histogram and the whole pass into `tick`, with one
+    /// clock read per stage boundary and none at all under
+    /// [`Recorder::null`]; a pass leaves no span.
     fn pass(&mut self, dt: Seconds) -> Result<bool> {
         let recorder = Arc::clone(&self.core.recorder);
-        let mut ctx = StepContext::new(self.core.clock.now(), dt);
+        let Self {
+            core,
+            ctx,
+            governors,
+            seen,
+            tick_hist,
+            stage_hists: h,
+            ..
+        } = self;
+        ctx.reset(core.clock.now(), dt, core.workloads.len());
         let mut laps = recorder.laps();
-        for (stage, &hist) in self.stages.iter_mut().zip(&self.stage_hists) {
-            stage.run(&mut self.core, &mut ctx)?;
-            laps.lap(hist);
-        }
-        laps.finish(self.tick_hist);
+        govern::sysfs_control(core)?;
+        laps.lap(h[0]);
+        demand::run(core, ctx);
+        laps.lap(h[1]);
+        schedule::run(core, ctx);
+        laps.lap(h[2]);
+        power::run(core, ctx);
+        laps.lap(h[3]);
+        thermal::run(core, ctx)?;
+        laps.lap(h[4]);
+        observe::telemetry(core, ctx);
+        laps.lap(h[5]);
+        governors.run(core, ctx)?;
+        laps.lap(h[6]);
+        seen.run(core, ctx);
+        laps.lap(h[7]);
+        analyze::run(core, ctx);
+        laps.lap(h[8]);
+        laps.finish(*tick_hist);
         recorder.incr(Counter::Ticks);
-        recorder.add(Counter::StageRuns, self.stages.len() as u64);
-        self.core.clock.advance(dt);
+        recorder.add(Counter::StageRuns, STAGES.len() as u64);
+        core.clock.advance(dt);
         Ok(ctx.interaction)
     }
 
@@ -752,9 +780,11 @@ impl Simulator {
         Ok(())
     }
 
-    /// One event-driven macro step toward `end`: polls every stage for
-    /// its next wake, schedules the wakes (plus the run end) on the
-    /// event queue, pops the earliest, quantizes the gap up to the
+    /// One event-driven macro step toward `end`: collects the next wake
+    /// of each stage that declares one (sysfs-control, demand,
+    /// telemetry, govern, analyze — in that order, since queue ties pop
+    /// in insertion order), schedules the wakes (plus the run end) on
+    /// the event queue, pops the earliest, quantizes the gap up to the
     /// base-tick grid, lets the thermal stage shorten it to a predicted
     /// trip crossing, then runs a single pipeline pass covering the
     /// whole gap.
@@ -769,8 +799,15 @@ impl Simulator {
         let base = self.core.clock.base_dt();
         self.queue.clear();
         let mut every_tick = false;
-        for stage in &mut self.stages {
-            match stage.next_wake(&mut self.core, now) {
+        let wakes = [
+            govern::sysfs_control_wake(&self.core),
+            demand::next_wake(&self.core),
+            observe::telemetry_wake(&self.core, now),
+            self.governors.next_wake(&self.core, now),
+            analyze::next_wake(&self.core, now),
+        ];
+        for wake in wakes {
+            match wake {
                 Wake::Never => {}
                 Wake::EveryTick => every_tick = true,
                 Wake::At { time, kind } => {
@@ -795,13 +832,9 @@ impl Simulator {
             }
             if steps > 1 {
                 let target = now + Seconds::new(steps as f64 * base.value());
-                let mut refined = steps;
-                for stage in &mut self.stages {
-                    if let Some(t) = stage.refine_wake(&mut self.core, now, target) {
-                        refined = refined.min(grid_steps(now, t, base));
-                    }
+                if let Some(t) = thermal::refine_wake(&mut self.core, now, target) {
+                    steps = steps.min(grid_steps(now, t, base)).max(1);
                 }
-                steps = refined.max(1);
             }
             // Whatever still sits in the queue inside the chosen pass is
             // absorbed by it rather than waking the engine separately.

@@ -5,7 +5,7 @@
 //!
 //! The [`Simulator`] closes the loop between every substrate in the
 //! workspace, mirroring the paper's experimental stack. Each tick
-//! (default 10 ms) runs a fixed pipeline of [`stages`] over the shared
+//! (default 10 ms) runs a fixed sequence of stages over the shared
 //! [`SimCore`]:
 //!
 //! 1. **Workloads** express demand (CPU cycles + parallelism, GPU cycles,
@@ -28,6 +28,11 @@
 //!    like the Linux thermal core; an optional [`SystemPolicy`] (the
 //!    paper's application-aware governor from `mpt-core`) runs at its own
 //!    period with migration authority.
+//!
+//! A pass calls its nine stages ([`Simulator::stage_names`]) directly,
+//! over one step context the simulator keeps for the whole run, so each
+//! per-pass value is produced once and a steady-state pass allocates
+//! nothing of its own.
 //!
 //! # Examples
 //!
@@ -54,7 +59,7 @@ mod error;
 pub mod events;
 mod policy;
 pub mod queue;
-pub mod stages;
+mod stages;
 mod telemetry;
 
 pub use analysis::RunAnalysis;
@@ -65,7 +70,7 @@ pub use error::SimError;
 pub use events::{Event, EventKind, EventLog};
 pub use policy::{SystemPolicy, SystemView};
 pub use queue::{EventId, EventQueue, ScheduledEvent, WakeKind};
-pub use stages::{SimStage, StepContext, Wake};
+pub use stages::Wake;
 pub use telemetry::Telemetry;
 
 /// Result alias for simulator operations.

@@ -15,7 +15,7 @@ use mpt_kernel::{CpuFreqPolicy, Scheduler};
 use mpt_soc::{ComponentId, Platform, PowerBreakdown};
 use mpt_sysfs::SysFs;
 use mpt_thermal::RcNetwork;
-use mpt_units::Seconds;
+use mpt_units::{Seconds, Watts};
 
 /// A mutable view of the whole system handed to a [`SystemPolicy`] each
 /// period.
@@ -28,8 +28,13 @@ pub struct SystemView<'a> {
     pub network: &'a RcNetwork,
     /// The process table, with migration authority.
     pub scheduler: &'a mut Scheduler,
-    /// Per-component power breakdown from the last tick.
-    pub powers: &'a BTreeMap<ComponentId, PowerBreakdown>,
+    /// Per-component power breakdown from the last tick, indexed by
+    /// `ComponentId as usize` (`None` for a component the platform
+    /// lacks).
+    pub powers: &'a [Option<PowerBreakdown>; 4],
+    /// The same powers mapped onto the thermal network's nodes, indexed
+    /// like [`network`](Self::network)'s nodes.
+    pub node_powers: &'a [Watts],
     /// The cpufreq policies (read the current frequencies and caps
     /// here; *write* caps through [`sysfs`](Self::sysfs), the control
     /// plane of record — caps set directly on a policy are overwritten

@@ -5,54 +5,41 @@ use mpt_kernel::cpufreq::ClusterLoad;
 use mpt_kernel::thermal_gov::ActorState;
 use mpt_kernel::ThermalGovernor;
 use mpt_soc::ComponentId;
-use mpt_units::{Ratio, Seconds};
+use mpt_units::{Ratio, Seconds, Watts};
 
 use crate::engine::SimCore;
 use crate::queue::WakeKind;
-use crate::stages::{SimStage, StepContext, Wake};
+use crate::stages::{StepContext, Wake};
 use crate::{Result, SystemPolicy, SystemView};
 
 /// Applies external writes to the sysfs control plane — frequency caps
 /// and queued cpuset migrations — at the start of the tick, so a daemon
 /// (or test) writing between ticks sees its change take effect exactly
 /// one tick later, as on real hardware.
-#[derive(Debug, Default)]
-pub struct SysfsControlStage;
+pub(crate) fn sysfs_control(core: &mut SimCore) -> Result<()> {
+    core.apply_sysfs_caps();
+    core.apply_pending_migrations()
+}
 
-impl SimStage for SysfsControlStage {
-    fn name(&self) -> &'static str {
-        "sysfs-control"
-    }
-
-    fn run(&mut self, core: &mut SimCore, _ctx: &mut StepContext) -> Result<()> {
-        core.apply_sysfs_caps();
-        core.apply_pending_migrations()
-    }
-
-    fn next_wake(&mut self, core: &mut SimCore, _now: Seconds) -> Wake {
-        // A queued cpuset migration must take effect one tick later,
-        // exactly as in fixed mode — don't jump across it.
-        let pending = !core
-            .pending_migrations
-            .lock()
-            .expect("queue mutex is never poisoned")
-            .is_empty();
-        if pending {
-            Wake::EveryTick
-        } else {
-            Wake::Never
-        }
+/// A queued cpuset migration must take effect one tick later, exactly as
+/// in fixed mode — don't jump across it.
+pub(crate) fn sysfs_control_wake(core: &SimCore) -> Wake {
+    let pending = !core
+        .pending_migrations
+        .lock()
+        .expect("queue mutex is never poisoned")
+        .is_empty();
+    if pending {
+        Wake::EveryTick
+    } else {
+        Wake::Never
     }
 }
 
-/// Runs the cpufreq governors every tick, the thermal governor at its
-/// polling period, and the optional full-authority
-/// [`SystemPolicy`] at its own period.
-///
-/// Owns the governor state and the phase accumulators; they are
-/// per-pipeline, not part of the shared core.
+/// The govern stage's state: the thermal governor and the optional
+/// full-authority [`SystemPolicy`], each with its poll phase.
 #[derive(Debug)]
-pub struct GovernStage {
+pub(crate) struct Governors {
     thermal_governor: Box<dyn ThermalGovernor>,
     thermal_period: Seconds,
     since_thermal: Seconds,
@@ -60,11 +47,9 @@ pub struct GovernStage {
     since_policy: Seconds,
 }
 
-impl GovernStage {
-    /// A governance stage polling `thermal_governor` every
-    /// `thermal_period`.
-    #[must_use]
-    pub fn new(
+impl Governors {
+    /// Governors polling `thermal_governor` every `thermal_period`.
+    pub(crate) fn new(
         thermal_governor: Box<dyn ThermalGovernor>,
         thermal_period: Seconds,
         system_policy: Option<Box<dyn SystemPolicy>>,
@@ -77,21 +62,17 @@ impl GovernStage {
             since_policy: Seconds::ZERO,
         }
     }
-}
 
-impl SimStage for GovernStage {
-    fn name(&self) -> &'static str {
-        "govern"
-    }
-
-    fn run(&mut self, core: &mut SimCore, ctx: &mut StepContext) -> Result<()> {
+    /// Runs the cpufreq governors every tick, the thermal governor at its
+    /// polling period, and the system policy at its own period.
+    pub(crate) fn run(&mut self, core: &mut SimCore, ctx: &StepContext) -> Result<()> {
         let dt = ctx.dt;
 
         // cpufreq governors.
         for (&id, policy) in &mut core.policies {
             let utilization = match id {
                 ComponentId::LittleCluster | ComponentId::BigCluster => {
-                    ctx.cluster_util.get(&id).copied().unwrap_or(0.0)
+                    ctx.cluster_util[id as usize]
                 }
                 ComponentId::Gpu => ctx.gpu_util,
                 ComponentId::Memory => 1.0,
@@ -113,34 +94,34 @@ impl SimStage for GovernStage {
         self.since_thermal += dt;
         if self.since_thermal >= self.thermal_period {
             self.since_thermal = Seconds::ZERO;
-            let little_busy = ctx
-                .cluster_busy_cores
-                .get(&ComponentId::LittleCluster)
-                .copied()
-                .unwrap_or(0.0);
-            let big_busy = ctx
-                .cluster_busy_cores
-                .get(&ComponentId::BigCluster)
-                .copied()
-                .unwrap_or(0.0);
-            let control = core.control_temperature();
-            let actors: Vec<ActorState> = core
-                .last_powers
-                .iter()
-                .map(|(&id, b)| ActorState {
+            // The present components' actors in `ComponentId` order, on
+            // the stack so that a poll allocates nothing of its own.
+            let mut actors = [ActorState {
+                id: ComponentId::Memory,
+                power: Watts::ZERO,
+                utilization: 0.0,
+            }; 4];
+            let mut n = 0;
+            for (id, power) in ComponentId::ALL.into_iter().zip(&core.last_powers) {
+                let Some(power) = power else { continue };
+                actors[n] = ActorState {
                     id,
-                    power: b.total(),
+                    power: power.total(),
                     utilization: match id {
-                        ComponentId::LittleCluster => little_busy,
-                        ComponentId::BigCluster => big_busy,
+                        ComponentId::LittleCluster | ComponentId::BigCluster => {
+                            ctx.busy_cores[id as usize]
+                        }
                         ComponentId::Gpu => ctx.gpu_util,
                         ComponentId::Memory => 1.0,
                     },
-                })
-                .collect();
-            let actions = self
-                .thermal_governor
-                .update(control, &actors, self.thermal_period);
+                };
+                n += 1;
+            }
+            let actions = self.thermal_governor.update(
+                core.control_temperature(),
+                &actors[..n],
+                self.thermal_period,
+            );
             core.apply_thermal_actions(&actions)?;
         }
 
@@ -155,6 +136,7 @@ impl SimStage for GovernStage {
                     network: &core.network,
                     scheduler: &mut core.scheduler,
                     powers: &core.last_powers,
+                    node_powers: &core.node_powers,
                     policies: &mut core.policies,
                     sysfs: &core.sysfs,
                 });
@@ -163,7 +145,9 @@ impl SimStage for GovernStage {
         Ok(())
     }
 
-    fn next_wake(&mut self, core: &mut SimCore, now: Seconds) -> Wake {
+    /// The earliest governor poll boundary, or a cpufreq governor's
+    /// pending internal decision.
+    pub(crate) fn next_wake(&self, core: &SimCore, now: Seconds) -> Wake {
         let mut wake = Wake::Never;
         // The thermal governor's next poll boundary — only a real wake
         // when the governor can act at all.

@@ -1,48 +1,61 @@
-//! The staged step pipeline.
+//! The step pipeline.
 //!
-//! Each simulator tick runs a fixed sequence of [`SimStage`]s over the
-//! shared [`SimCore`](crate::SimCore) state, passing a per-tick
-//! [`StepContext`] from stage to stage:
+//! Each simulator pass calls nine stages in a fixed order over the shared
+//! [`SimCore`](crate::SimCore) and one [`StepContext`] the simulator keeps
+//! for the whole run:
 //!
-//! 1. [`govern::SysfsControlStage`] — external sysfs writes (frequency
-//!    caps, cpuset moves) take effect.
-//! 2. [`demand::DemandStage`] — workloads express demand.
-//! 3. [`schedule::ScheduleStage`] — per-cluster max–min allocation and
-//!    delivery back to the workloads.
-//! 4. [`power::PowerStage`] — the power model plus per-process power
-//!    attribution.
-//! 5. [`thermal::ThermalStage`] — heat-equation integration.
-//! 6. [`observe::TelemetryStage`] — telemetry frame rows (the traced
-//!    temperature/power/frequency/FPS signals), residency and energy.
-//! 7. [`govern::GovernStage`] — cpufreq governors, the periodic thermal
-//!    governor, and the optional [`SystemPolicy`](crate::SystemPolicy).
-//! 8. [`observe::EventStage`] — discrete-event detection, then the
-//!    pass's values published to the live sysfs files.
-//! 9. [`analyze::AnalyzeStage`] — derived observables and alert rules.
+//! 1. `sysfs-control` ([`govern::sysfs_control`]) — external sysfs
+//!    writes (frequency caps, cpuset moves) take effect.
+//! 2. `demand` ([`demand::run`]) — workloads express demand.
+//! 3. `schedule` ([`schedule::run`]) — per-cluster max–min allocation
+//!    and delivery back to the workloads.
+//! 4. `power` ([`power::run`]) — the power model, the per-node power
+//!    vector and per-process power attribution.
+//! 5. `thermal` ([`thermal::run`]) — heat-equation integration; each
+//!    zone's temperature is stored once, in its live sysfs slot.
+//! 6. `telemetry` ([`observe::telemetry`]) — telemetry frame rows (the
+//!    traced temperature/power/frequency/FPS signals), residency and
+//!    energy.
+//! 7. `govern` ([`govern::Governors::run`]) — cpufreq governors, the
+//!    periodic thermal governor, and the optional
+//!    [`SystemPolicy`](crate::SystemPolicy).
+//! 8. `events` ([`observe::Seen::run`]) — discrete-event detection,
+//!    then the pass's values published to the live sysfs files.
+//! 9. `analyze` ([`analyze::run`]) — derived observables and alert rules.
 //!
-//! Stage-local state (governor phase accumulators, previous-cluster
-//! maps) lives inside the stage structs; everything shared lives in
-//! `SimCore`; everything produced and consumed within one tick lives in
-//! `StepContext`.
+//! State that outlives a pass lives in two simulator fields beside the
+//! core: the governors with their poll phases, and the events stage's
+//! previous-pass snapshot. Everything shared lives in `SimCore`;
+//! everything produced and consumed within one pass lives in
+//! `StepContext`, each value written once and read from there.
 
-pub mod analyze;
-pub mod demand;
-pub mod govern;
-pub mod observe;
-pub mod power;
-pub mod schedule;
-pub mod thermal;
+pub(crate) mod analyze;
+pub(crate) mod demand;
+pub(crate) mod govern;
+pub(crate) mod observe;
+pub(crate) mod power;
+pub(crate) mod schedule;
+pub(crate) mod thermal;
 
-use std::collections::BTreeMap;
-
-use mpt_kernel::{Pid, ThermalGovernor};
-use mpt_soc::{ComponentId, PowerBreakdown};
+use mpt_kernel::{Allocation, Pid};
 use mpt_units::Seconds;
 use mpt_workloads::Demand;
 
-use crate::engine::SimCore;
 use crate::queue::WakeKind;
-use crate::{Result, SystemPolicy};
+
+/// The stage names, in pass order; each stage's latency histogram is
+/// `stage:<name>`.
+pub(crate) const STAGES: [&str; 9] = [
+    "sysfs-control",
+    "demand",
+    "schedule",
+    "power",
+    "thermal",
+    "telemetry",
+    "govern",
+    "events",
+    "analyze",
+];
 
 /// A stage's answer to "when must the pipeline run again?", used by the
 /// event-driven stepping mode to size macro steps.
@@ -85,112 +98,62 @@ impl Wake {
     }
 }
 
-/// Per-tick scratch state carried through the pipeline.
+/// One pass's values, carried from stage to stage.
 ///
-/// A fresh context is created at the top of every
-/// [`Simulator::step`](crate::Simulator::step); earlier stages fill the
-/// maps that later stages consume.
+/// The simulator keeps one context for the whole run and
+/// [`reset`](Self::reset)s it at the top of each pass; every buffer
+/// keeps its capacity. Per-process values are indexed by attach slot,
+/// per-component values by `ComponentId as usize`.
 #[derive(Debug, Default)]
-pub struct StepContext {
-    /// Simulation time at the start of the tick.
-    pub now: Seconds,
-    /// The tick length.
-    pub dt: Seconds,
-    /// Whether any workload reported a touch interaction this tick.
-    pub interaction: bool,
-    /// Each process's demand for the tick.
-    pub demands: Vec<(Pid, Demand)>,
+pub(crate) struct StepContext {
+    /// Simulation time at the start of the pass.
+    pub(crate) now: Seconds,
+    /// The pass length.
+    pub(crate) dt: Seconds,
+    /// Whether any workload reported a touch interaction this pass.
+    pub(crate) interaction: bool,
+    /// Each process's demand.
+    pub(crate) demands: Vec<Demand>,
     /// CPU cycles actually delivered to each process.
-    pub delivered_cpu: BTreeMap<Pid, f64>,
+    pub(crate) delivered_cpu: Vec<f64>,
     /// GPU cycles actually delivered to each process.
-    pub delivered_gpu: BTreeMap<Pid, f64>,
-    /// Busy-core equivalents per CPU cluster (0..=core count).
-    pub cluster_busy_cores: BTreeMap<ComponentId, f64>,
+    pub(crate) delivered_gpu: Vec<f64>,
+    /// Busy-core equivalents per CPU cluster (0..=core count; 0 for the
+    /// GPU and memory).
+    pub(crate) busy_cores: [f64; 4],
     /// Governor-visible utilization per CPU cluster (busiest-thread
     /// corrected, 0..=1).
-    pub cluster_util: BTreeMap<ComponentId, f64>,
-    /// Per-cluster delivered cycles, by process.
-    pub cluster_delivered: BTreeMap<ComponentId, Vec<(Pid, f64)>>,
+    pub(crate) cluster_util: [f64; 4],
     /// GPU utilization (0..=1).
-    pub gpu_util: f64,
-    /// Per-component power of this tick.
-    pub powers: BTreeMap<ComponentId, PowerBreakdown>,
+    pub(crate) gpu_util: f64,
+    /// The worst frame rate after delivery
+    /// ([`SimCore::worst_fps`](crate::SimCore)), read by telemetry and
+    /// analyze.
+    pub(crate) fps: Option<f64>,
+    /// The schedule stage's working buffers: one cluster's requests, the
+    /// attach slot of each, and [`mpt_kernel::allocate_max_min`]'s
+    /// buffers.
+    pub(crate) requests: Vec<(Pid, f64)>,
+    pub(crate) request_slots: Vec<usize>,
+    pub(crate) order: Vec<usize>,
+    pub(crate) allocations: Vec<Allocation>,
 }
 
 impl StepContext {
-    /// A fresh context for the tick starting at `now`.
-    #[must_use]
-    pub fn new(now: Seconds, dt: Seconds) -> Self {
-        Self {
-            now,
-            dt,
-            ..Self::default()
-        }
+    /// Clears the context for the pass of length `dt` starting at `now`
+    /// over `processes` attached processes.
+    pub(crate) fn reset(&mut self, now: Seconds, dt: Seconds, processes: usize) {
+        self.now = now;
+        self.dt = dt;
+        self.interaction = false;
+        self.demands.clear();
+        self.delivered_cpu.clear();
+        self.delivered_cpu.resize(processes, 0.0);
+        self.delivered_gpu.clear();
+        self.delivered_gpu.resize(processes, 0.0);
+        self.busy_cores = [0.0; 4];
+        self.cluster_util = [0.0; 4];
+        self.gpu_util = 0.0;
+        self.fps = None;
     }
-}
-
-/// One phase of the simulator tick.
-///
-/// Stages mutate the shared [`SimCore`] and communicate with later
-/// stages through the [`StepContext`]. Implementations that need
-/// per-run state (periods, previous-tick snapshots) keep it in their own
-/// fields.
-pub trait SimStage: std::fmt::Debug {
-    /// Short stage name, for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Runs the stage for one tick.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors; the pipeline aborts on the first
-    /// failing stage.
-    fn run(&mut self, core: &mut SimCore, ctx: &mut StepContext) -> Result<()>;
-
-    /// Declares when this stage next needs the pipeline to run, as seen
-    /// from `now` (the end of the pass that just completed). Every stage
-    /// still runs on *every* pass — this only bounds how far the
-    /// event-driven engine may jump. The default imposes no wake.
-    fn next_wake(&mut self, core: &mut SimCore, now: Seconds) -> Wake {
-        let _ = (core, now);
-        Wake::Never
-    }
-
-    /// Given the tentatively chosen pass end `target`, returns an
-    /// earlier time the pass must stop at instead, if this stage can
-    /// predict one — the hook the thermal stage uses to report a
-    /// trip-point crossing bisected out of the LTI trajectory. The
-    /// default predicts nothing.
-    fn refine_wake(
-        &mut self,
-        core: &mut SimCore,
-        now: Seconds,
-        target: Seconds,
-    ) -> Option<Seconds> {
-        let _ = (core, now, target);
-        None
-    }
-}
-
-/// The standard pipeline, in tick order.
-pub(crate) fn default_pipeline(
-    thermal_governor: Box<dyn ThermalGovernor>,
-    thermal_period: Seconds,
-    system_policy: Option<Box<dyn SystemPolicy>>,
-) -> Vec<Box<dyn SimStage>> {
-    vec![
-        Box::new(govern::SysfsControlStage),
-        Box::new(demand::DemandStage),
-        Box::new(schedule::ScheduleStage),
-        Box::new(power::PowerStage),
-        Box::new(thermal::ThermalStage),
-        Box::new(observe::TelemetryStage),
-        Box::new(govern::GovernStage::new(
-            thermal_governor,
-            thermal_period,
-            system_policy,
-        )),
-        Box::new(observe::EventStage::default()),
-        Box::new(analyze::AnalyzeStage),
-    ]
 }

@@ -1,104 +1,91 @@
 //! The power model and per-process power accounting.
 
-use std::collections::BTreeMap;
-
-use mpt_kernel::Pid;
 use mpt_soc::ComponentId;
 use mpt_units::Watts;
 
 use crate::engine::SimCore;
-use crate::stages::{SimStage, StepContext};
-use crate::Result;
+use crate::stages::StepContext;
 
 /// Converts delivered utilization into per-component power (dynamic plus
 /// temperature-dependent leakage from the *previous* tick's temperatures
-/// — the positive feedback loop), then attributes cluster dynamic power
-/// to processes and records their utilization/power windows.
-#[derive(Debug, Default)]
-pub struct PowerStage;
+/// — the positive feedback loop) and maps it onto the thermal nodes,
+/// then attributes cluster dynamic power to processes and records their
+/// utilization/power windows.
+pub(crate) fn run(core: &mut SimCore, ctx: &StepContext) {
+    let dt = ctx.dt;
+    let little_busy = ctx.busy_cores[ComponentId::LittleCluster as usize];
+    let big_busy = ctx.busy_cores[ComponentId::BigCluster as usize];
 
-impl SimStage for PowerStage {
-    fn name(&self) -> &'static str {
-        "power"
+    // Per-component power (leakage from the previous tick's
+    // temperatures), and the node-power vector the thermal stage steps
+    // under.
+    core.node_powers.fill(Watts::ZERO);
+    for component in core.platform.components() {
+        let id = component.id();
+        let freq = core.policies[&id].current();
+        let opp = component.opps().at_or_below(freq);
+        let util = match id {
+            ComponentId::LittleCluster => little_busy,
+            ComponentId::BigCluster => big_busy,
+            ComponentId::Gpu => ctx.gpu_util,
+            ComponentId::Memory => {
+                (0.04 * little_busy + 0.08 * big_busy + 0.5 * ctx.gpu_util).min(1.0)
+            }
+        };
+        let node = core
+            .platform
+            .thermal_spec()
+            .node_for_component(id)
+            .expect("validated at platform build");
+        let power = component.power_params().power(
+            opp.voltage(),
+            opp.frequency(),
+            util,
+            core.network.temperature(node),
+        );
+        core.node_powers[node] += power.total();
+        core.last_powers[id as usize] = Some(power);
     }
 
-    fn run(&mut self, core: &mut SimCore, ctx: &mut StepContext) -> Result<()> {
-        let dt = ctx.dt;
-        let little_busy = ctx
-            .cluster_busy_cores
-            .get(&ComponentId::LittleCluster)
-            .copied()
-            .unwrap_or(0.0);
-        let big_busy = ctx
-            .cluster_busy_cores
-            .get(&ComponentId::BigCluster)
-            .copied()
-            .unwrap_or(0.0);
-
-        // Per-component power (leakage from the previous tick's
-        // temperatures).
-        for component in core.platform.components() {
-            let id = component.id();
-            let freq = core.policies[&id].current();
-            let opp = component.opps().at_or_below(freq);
-            let util = match id {
-                ComponentId::LittleCluster => little_busy,
-                ComponentId::BigCluster => big_busy,
-                ComponentId::Gpu => ctx.gpu_util,
-                ComponentId::Memory => {
-                    (0.04 * little_busy + 0.08 * big_busy + 0.5 * ctx.gpu_util).min(1.0)
-                }
-            };
-            let node = core
-                .platform
-                .thermal_spec()
-                .node_for_component(id)
-                .expect("validated at platform build");
-            let temp = core.network.temperature(node);
-            ctx.powers.insert(
-                id,
-                component
-                    .power_params()
-                    .power(opp.voltage(), opp.frequency(), util, temp),
-            );
+    // Attribute power to processes and record their windows. The
+    // paper's governor ranks processes "by monitoring the average
+    // utilization of each active process", i.e. by their *CPU*
+    // activity — GPU power is a property of the display pipeline, not
+    // of a schedulable process, so it is not attributed. A cluster's
+    // dynamic power splits by each process's share of the cycles the
+    // cluster delivered, summed in attach order as the schedule stage
+    // delivered them.
+    let mut delivered = [0.0_f64; 4];
+    for (a, &cycles) in core.workloads.iter().zip(&ctx.delivered_cpu) {
+        if let Some(p) = core.scheduler.process(a.pid) {
+            delivered[p.cluster() as usize] += cycles;
         }
-
-        // Attribute power to processes and record their windows. The
-        // paper's governor ranks processes "by monitoring the average
-        // utilization of each active process", i.e. by their *CPU*
-        // activity — GPU power is a property of the display pipeline, not
-        // of a schedulable process, so it is not attributed.
-        let mut attributed: BTreeMap<Pid, f64> = BTreeMap::new();
-        for (cluster, per_pid) in &ctx.cluster_delivered {
-            let total: f64 = per_pid.iter().map(|(_, c)| c).sum();
-            if total <= 0.0 {
-                continue;
-            }
-            let dyn_power = ctx.powers[cluster].dynamic.value();
-            for (pid, c) in per_pid {
-                *attributed.entry(*pid).or_insert(0.0) += dyn_power * c / total;
-            }
+    }
+    for (a, &cycles) in core.workloads.iter().zip(&ctx.delivered_cpu) {
+        let cluster = core
+            .scheduler
+            .process(a.pid)
+            .expect("attached workloads have processes")
+            .cluster();
+        let component = core.component(cluster);
+        let freq = core.policies[&cluster].current();
+        let per_core = component.effective_rate(freq) * dt.value();
+        let util = if per_core > 0.0 {
+            cycles / per_core
+        } else {
+            0.0
+        };
+        let total = delivered[cluster as usize];
+        let power = if total > 0.0 {
+            let dynamic = core.last_powers[cluster as usize]
+                .expect("every platform component has a power")
+                .dynamic;
+            dynamic.value() * cycles / total
+        } else {
+            0.0
+        };
+        if let Some(p) = core.scheduler.process_mut(a.pid) {
+            p.record_tick(util, Watts::new(power), dt);
         }
-        let pids: Vec<Pid> = core.workloads.iter().map(|a| a.pid).collect();
-        for pid in pids {
-            let cluster = core
-                .scheduler
-                .process(pid)
-                .expect("attached workloads have processes")
-                .cluster();
-            let component = core.component(cluster);
-            let freq = core.policies[&cluster].current();
-            let per_core = component.effective_rate(freq) * dt.value();
-            let util = if per_core > 0.0 {
-                ctx.delivered_cpu.get(&pid).copied().unwrap_or(0.0) / per_core
-            } else {
-                0.0
-            };
-            let power = Watts::new(attributed.get(&pid).copied().unwrap_or(0.0));
-            if let Some(p) = core.scheduler.process_mut(pid) {
-                p.record_tick(util, power, dt);
-            }
-        }
-        Ok(())
     }
 }

@@ -1,113 +1,112 @@
 //! Cycle allocation and delivery: the scheduler stage.
 
-use mpt_kernel::{allocate_max_min, Pid};
+use mpt_kernel::allocate_max_min;
 use mpt_soc::ComponentId;
 
 use crate::engine::SimCore;
-use crate::stages::{SimStage, StepContext};
-use crate::Result;
+use crate::stages::StepContext;
 
 /// Allocates each CPU cluster's cycle capacity max–min fairly among its
 /// processes (respecting per-process parallelism), allocates the GPU the
 /// same way, and delivers the granted cycles back to the workloads.
 ///
-/// Produces the delivered-cycle maps and the utilization figures every
+/// Produces the delivered cycles and the utilization figures every
 /// later stage consumes.
-#[derive(Debug, Default)]
-pub struct ScheduleStage;
+pub(crate) fn run(core: &mut SimCore, ctx: &mut StepContext) {
+    let dt = ctx.dt;
 
-impl SimStage for ScheduleStage {
-    fn name(&self) -> &'static str {
-        "schedule"
+    // CPU clusters.
+    for cluster in [ComponentId::LittleCluster, ComponentId::BigCluster] {
+        let Ok(component) = core.platform.component(cluster) else {
+            continue;
+        };
+        let freq = core.policies[&cluster].current();
+        let per_core = component.effective_rate(freq) * dt.value();
+        let cores = f64::from(component.core_count());
+        let capacity = per_core * cores;
+        ctx.requests.clear();
+        ctx.request_slots.clear();
+        for (slot, (a, d)) in core.workloads.iter().zip(&ctx.demands).enumerate() {
+            if core
+                .scheduler
+                .process(a.pid)
+                .is_some_and(|p| p.cluster() == cluster)
+            {
+                ctx.requests
+                    .push((a.pid, d.cpu_cycles.min(d.cpu_threads * per_core)));
+                ctx.request_slots.push(slot);
+            }
+        }
+        allocate_max_min(
+            &ctx.requests,
+            capacity,
+            &mut ctx.order,
+            &mut ctx.allocations,
+        );
+        let mut total = 0.0;
+        // Governors see the *busiest CPU's* load, as the Linux
+        // cpufreq core does (a single saturated thread must drive the
+        // cluster to high frequency even though the cluster-average
+        // utilization is only 1/cores).
+        let mut busiest_thread = 0.0_f64;
+        for (alloc, &slot) in ctx.allocations.iter().zip(&ctx.request_slots) {
+            ctx.delivered_cpu[slot] = alloc.delivered;
+            total += alloc.delivered;
+            let threads = ctx.demands[slot].cpu_threads.clamp(1.0, cores);
+            if per_core > 0.0 {
+                busiest_thread = busiest_thread.max(alloc.delivered / (threads * per_core));
+            }
+        }
+        ctx.busy_cores[cluster as usize] = if per_core > 0.0 {
+            total / per_core
+        } else {
+            0.0
+        };
+        let avg = if capacity > 0.0 {
+            total / capacity
+        } else {
+            0.0
+        };
+        ctx.cluster_util[cluster as usize] = avg.max(busiest_thread);
     }
 
-    fn run(&mut self, core: &mut SimCore, ctx: &mut StepContext) -> Result<()> {
-        let dt = ctx.dt;
-
-        // CPU clusters.
-        for cluster in [ComponentId::LittleCluster, ComponentId::BigCluster] {
-            let Ok(component) = core.platform.component(cluster) else {
-                continue;
-            };
-            let freq = core.policies[&cluster].current();
-            let per_core = component.effective_rate(freq) * dt.value();
-            let cores = f64::from(component.core_count());
-            let capacity = per_core * cores;
-            let requests: Vec<(Pid, f64)> = ctx
-                .demands
-                .iter()
-                .filter(|(pid, _)| {
-                    core.scheduler
-                        .process(*pid)
-                        .is_some_and(|p| p.cluster() == cluster)
-                })
-                .map(|(pid, d)| (*pid, d.cpu_cycles.min(d.cpu_threads * per_core)))
-                .collect();
-            let allocations = allocate_max_min(&requests, capacity);
-            let mut total = 0.0;
-            let mut per_pid = Vec::new();
-            // Governors see the *busiest CPU's* load, as the Linux
-            // cpufreq core does (a single saturated thread must drive the
-            // cluster to high frequency even though the cluster-average
-            // utilization is only 1/cores).
-            let mut busiest_thread = 0.0_f64;
-            for alloc in &allocations {
-                ctx.delivered_cpu.insert(alloc.pid, alloc.delivered);
-                total += alloc.delivered;
-                per_pid.push((alloc.pid, alloc.delivered));
-                let threads = ctx
-                    .demands
-                    .iter()
-                    .find(|(pid, _)| *pid == alloc.pid)
-                    .map_or(1.0, |(_, d)| d.cpu_threads.clamp(1.0, cores));
-                if per_core > 0.0 {
-                    busiest_thread = busiest_thread.max(alloc.delivered / (threads * per_core));
-                }
+    // GPU.
+    if core.platform.component(ComponentId::Gpu).is_ok() {
+        let freq = core.policies[&ComponentId::Gpu].current();
+        let capacity = freq.as_f64() * dt.value();
+        ctx.requests.clear();
+        ctx.request_slots.clear();
+        for (slot, (a, d)) in core.workloads.iter().zip(&ctx.demands).enumerate() {
+            if d.gpu_cycles > 0.0 {
+                ctx.requests.push((a.pid, d.gpu_cycles));
+                ctx.request_slots.push(slot);
             }
-            ctx.cluster_delivered.insert(cluster, per_pid);
-            let busy = if per_core > 0.0 {
-                total / per_core
-            } else {
-                0.0
-            };
-            ctx.cluster_busy_cores.insert(cluster, busy);
-            let avg = if capacity > 0.0 {
-                total / capacity
-            } else {
-                0.0
-            };
-            ctx.cluster_util.insert(cluster, avg.max(busiest_thread));
         }
+        allocate_max_min(
+            &ctx.requests,
+            capacity,
+            &mut ctx.order,
+            &mut ctx.allocations,
+        );
+        let mut total = 0.0;
+        for (alloc, &slot) in ctx.allocations.iter().zip(&ctx.request_slots) {
+            ctx.delivered_gpu[slot] = alloc.delivered;
+            total += alloc.delivered;
+        }
+        ctx.gpu_util = if capacity > 0.0 {
+            total / capacity
+        } else {
+            0.0
+        };
+    }
 
-        // GPU.
-        if core.platform.component(ComponentId::Gpu).is_ok() {
-            let freq = core.policies[&ComponentId::Gpu].current();
-            let capacity = freq.as_f64() * dt.value();
-            let requests: Vec<(Pid, f64)> = ctx
-                .demands
-                .iter()
-                .filter(|(_, d)| d.gpu_cycles > 0.0)
-                .map(|(pid, d)| (*pid, d.gpu_cycles))
-                .collect();
-            let allocations = allocate_max_min(&requests, capacity);
-            let mut total = 0.0;
-            for alloc in &allocations {
-                ctx.delivered_gpu.insert(alloc.pid, alloc.delivered);
-                total += alloc.delivered;
-            }
-            ctx.gpu_util = if capacity > 0.0 {
-                total / capacity
-            } else {
-                0.0
-            };
-        }
-
-        // Deliver to workloads.
-        for a in &mut core.workloads {
-            let cpu = ctx.delivered_cpu.get(&a.pid).copied().unwrap_or(0.0);
-            let gpu = ctx.delivered_gpu.get(&a.pid).copied().unwrap_or(0.0);
-            a.workload.deliver(cpu, gpu, ctx.now, dt);
-        }
-        Ok(())
+    // Deliver to workloads.
+    for (slot, a) in core.workloads.iter_mut().enumerate() {
+        a.workload.deliver(
+            ctx.delivered_cpu[slot],
+            ctx.delivered_gpu[slot],
+            ctx.now,
+            dt,
+        );
     }
 }

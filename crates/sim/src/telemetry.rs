@@ -57,6 +57,12 @@ impl Keyed {
     }
 }
 
+/// The `(component, value)` pairs of a per-component array indexed by
+/// `ComponentId as usize`, in that order, skipping absent components.
+fn present<T: Copy>(values: &[Option<T>; 4]) -> impl Iterator<Item = (ComponentId, T)> + '_ {
+    (ComponentId::ALL.into_iter().zip(values)).filter_map(|(id, v)| Some((id, (*v)?)))
+}
+
 impl Telemetry {
     /// Creates an empty recorder with the given series sampling period.
     ///
@@ -83,25 +89,28 @@ impl Telemetry {
         }
     }
 
-    /// Records one tick. `fps` is the worst frame pipeline's rate, `None`
-    /// when no workload renders (an `fps` of `NaN` in the frame).
-    pub fn record(
+    /// Records one tick: `(sensor, temperature)` per sensor, and each
+    /// component's frequency and power indexed by `ComponentId as usize`
+    /// (`None` for a component the platform lacks). `fps` is the worst
+    /// frame pipeline's rate, `None` when no workload renders (an `fps`
+    /// of `NaN` in the frame).
+    pub fn record<'a>(
         &mut self,
         now: Seconds,
         dt: Seconds,
-        sensor_temps: &[(String, Celsius)],
-        freqs: &[(ComponentId, Hertz)],
-        powers: &BTreeMap<ComponentId, PowerBreakdown>,
+        sensor_temps: impl IntoIterator<Item = (&'a str, Celsius)>,
+        freqs: &[Option<Hertz>; 4],
+        powers: &[Option<PowerBreakdown>; 4],
         fps: Option<f64>,
     ) {
         let t = now.value();
         self.elapsed = t + dt.value();
         // Residency and energy integrate at full rate.
-        for &(id, f) in freqs {
+        for (id, f) in present(freqs) {
             self.residency.entry(id).or_default().record(f, dt);
         }
         let mut total = 0.0;
-        for (&id, b) in powers {
+        for (id, b) in present(powers) {
             let p = b.total().value();
             *self.energy.entry(id).or_insert(0.0) += p * dt.value();
             total += p;
@@ -117,7 +126,7 @@ impl Telemetry {
                     Some(i) => i,
                     None => {
                         let channel = Keyed::Temp.channel(name);
-                        self.temp_names.push((name.clone(), channel));
+                        self.temp_names.push((name.to_owned(), channel));
                         self.temp_names.len() - 1
                     }
                 };
@@ -127,12 +136,12 @@ impl Telemetry {
             if max_c.is_finite() {
                 self.frame.set_f64("max_temp_c", max_c);
             }
-            for (&id, b) in powers {
+            for (id, b) in present(powers) {
                 self.frame
                     .set_f64(&self.power_names[id as usize], b.total().value());
             }
             self.frame.set_f64("total_power_w", total);
-            for &(id, f) in freqs {
+            for (id, f) in present(freqs) {
                 self.frame
                     .set_f64(&self.freq_names[id as usize], f.as_khz() as f64 / 1000.0);
             }
@@ -267,13 +276,17 @@ impl Telemetry {
 mod tests {
     use super::*;
 
-    fn powers(w: f64) -> BTreeMap<ComponentId, PowerBreakdown> {
-        let mut m = BTreeMap::new();
-        m.insert(
-            ComponentId::BigCluster,
-            PowerBreakdown::new(Watts::new(w), Watts::ZERO, Watts::ZERO),
-        );
+    fn powers(w: f64) -> [Option<PowerBreakdown>; 4] {
+        let mut m = [None; 4];
+        m[ComponentId::BigCluster as usize] =
+            Some(PowerBreakdown::new(Watts::new(w), Watts::ZERO, Watts::ZERO));
         m
+    }
+
+    fn big_at(mhz: u64) -> [Option<Hertz>; 4] {
+        let mut f = [None; 4];
+        f[ComponentId::BigCluster as usize] = Some(Hertz::from_mhz(mhz));
+        f
     }
 
     #[test]
@@ -284,8 +297,8 @@ mod tests {
             t.record(
                 Seconds::new(i as f64 * 0.01),
                 dt,
-                &[("big".to_owned(), Celsius::new(40.0))],
-                &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
+                [("big", Celsius::new(40.0))],
+                &big_at(2000),
                 &powers(2.0),
                 None,
             );
@@ -307,9 +320,9 @@ mod tests {
             t.record(
                 Seconds::new(i as f64 * 0.01),
                 dt,
-                &[],
-                &[(ComponentId::BigCluster, Hertz::from_mhz(f))],
-                &BTreeMap::new(),
+                [],
+                &big_at(f),
+                &[None; 4],
                 None,
             );
         }
@@ -325,12 +338,9 @@ mod tests {
         t.record(
             Seconds::ZERO,
             Seconds::new(0.01),
-            &[
-                ("big".to_owned(), Celsius::new(60.0)),
-                ("gpu".to_owned(), Celsius::new(72.0)),
-            ],
-            &[],
-            &BTreeMap::new(),
+            [("big", Celsius::new(60.0)), ("gpu", Celsius::new(72.0))],
+            &[None; 4],
+            &[None; 4],
             None,
         );
         assert_eq!(t.max_temperature().last(), Some(72.0));
@@ -360,8 +370,8 @@ mod tests {
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &[("big".to_owned(), Celsius::new(40.0 + i as f64))],
-                &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
+                [("big", Celsius::new(40.0 + i as f64))],
+                &big_at(2000),
                 &powers(2.0),
                 None,
             );
@@ -386,15 +396,15 @@ mod tests {
         for i in 0..20 {
             // The "late" sensor only reports from t = 1.0 s on, so its
             // column has no samples for the first half of the run.
-            let mut temps = vec![("big".to_owned(), Celsius::new(40.0))];
+            let mut temps = vec![("big", Celsius::new(40.0))];
             if i >= 10 {
-                temps.push(("late".to_owned(), Celsius::new(55.0)));
+                temps.push(("late", Celsius::new(55.0)));
             }
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &temps,
-                &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
+                temps,
+                &big_at(2000),
                 &powers(2.0),
                 None,
             );
@@ -421,15 +431,15 @@ mod tests {
         for i in 0..20 {
             // Irrational-ish temperatures exercise shortest-repr
             // formatting; the late sensor exercises NaN back-fill.
-            let mut temps = vec![("big".to_owned(), Celsius::new(40.0 + (i as f64) / 3.0))];
+            let mut temps = vec![("big", Celsius::new(40.0 + (i as f64) / 3.0))];
             if i >= 10 {
-                temps.push(("late".to_owned(), Celsius::new(55.5)));
+                temps.push(("late", Celsius::new(55.5)));
             }
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &temps,
-                &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
+                temps,
+                &big_at(2000),
                 &powers(2.0 + (i as f64) * 0.01),
                 None,
             );
@@ -445,15 +455,15 @@ mod tests {
         let mut t = Telemetry::new(Seconds::new(0.1));
         for i in 0..20 {
             // The "late" sensor comes online at t = 1.0 s.
-            let mut temps = vec![("big".to_owned(), Celsius::new(40.0 + i as f64))];
+            let mut temps = vec![("big", Celsius::new(40.0 + i as f64))];
             if i >= 10 {
-                temps.push(("late".to_owned(), Celsius::new(60.0 + i as f64)));
+                temps.push(("late", Celsius::new(60.0 + i as f64)));
             }
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &temps,
-                &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
+                temps,
+                &big_at(2000),
                 &powers(2.0),
                 None,
             );

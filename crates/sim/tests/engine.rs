@@ -204,7 +204,9 @@ fn migration_moves_load_to_little_cluster() {
         .build()
         .unwrap();
     sim.run_for(Seconds::new(5.0)).unwrap();
-    let big_power = sim.last_powers()[&ComponentId::BigCluster].total();
+    let big_power = sim.last_powers()[ComponentId::BigCluster as usize]
+        .unwrap()
+        .total();
     let pid = sim.pid_of("basicmath_large").unwrap();
     // Simulate the governor's decision through the cpuset control plane,
     // as a thermal daemon would.
@@ -212,8 +214,12 @@ fn migration_moves_load_to_little_cluster() {
         .write(&mpt_kernel::paths::cpuset_cluster(pid.value()), "little")
         .unwrap();
     sim.run_for(Seconds::new(5.0)).unwrap();
-    let big_after = sim.last_powers()[&ComponentId::BigCluster].total();
-    let little_after = sim.last_powers()[&ComponentId::LittleCluster].total();
+    let big_after = sim.last_powers()[ComponentId::BigCluster as usize]
+        .unwrap()
+        .total();
+    let little_after = sim.last_powers()[ComponentId::LittleCluster as usize]
+        .unwrap()
+        .total();
     assert!(
         big_after < big_power * 0.5,
         "big {big_power} -> {big_after}"

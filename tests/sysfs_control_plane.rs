@@ -148,7 +148,10 @@ fn odroid_exposes_ina231_rails_in_microwatts() {
         );
         // ...and exactly the simulator's own last-pass rail power.
         for rail in sim.platform().power_rails() {
-            let w = sim.last_powers()[&rail.component()].total().value();
+            let w = sim.last_powers()[rail.component() as usize]
+                .unwrap()
+                .total()
+                .value();
             let uw: i64 = sim
                 .sysfs()
                 .read_parsed(&paths::power_rail_uw(rail.name()))
