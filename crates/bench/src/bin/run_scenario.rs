@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpt_bench::obs_serve::ObsServer;
-use mpt_core::campaign::run_campaign_framed;
+use mpt_core::campaign::run_cells_framed;
 use mpt_core::report::SessionReport;
 use mpt_core::scenario::{run_scenario_framed_cached, AlertRuleSpec, CampaignSpec, ScenarioSpec};
 use mpt_daq::columnar::ColumnData;
@@ -652,7 +652,7 @@ fn run_campaign_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
     let renderer = args
         .progress
         .then(|| ProgressRenderer::start(Arc::clone(&recorder)));
-    let (mut report, frames) = run_campaign_framed(&spec, args.jobs, &recorder, None)?;
+    let (mut report, frames) = run_cells_framed(&spec.expand()?, args.jobs, &recorder, None)?;
     report.verification = verification;
     if let Some(renderer) = renderer {
         renderer.finish();

@@ -14,8 +14,9 @@
 //!   event past the cursor, so a follower loop needs no sleep of its own.
 //!
 //! Connections are handled one thread each with `Connection: close`
-//! semantics — scrape traffic, not a web server. The emit path stays
-//! lock-free: the server only ever *reads* the journal.
+//! semantics — scrape traffic, not a web server. The server only ever
+//! *reads* the journal: a poll or snapshot holds the journal's lock just
+//! long enough to copy what it returns.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -415,79 +415,27 @@ impl CampaignReport {
 /// [`SimError::InvalidConfig`](mpt_sim::SimError::InvalidConfig) for a
 /// malformed campaign or cell; the first failing cell's error otherwise.
 pub fn run_campaign(spec: &CampaignSpec, jobs: usize) -> Result<CampaignReport> {
-    run_cells(&spec.expand()?, jobs)
+    run_cells_framed(&spec.expand()?, jobs, &Arc::new(Recorder::new()), None)
+        .map(|(report, _frames)| report)
 }
 
-/// [`run_campaign`] with a shared observability recorder and an optional
-/// progress callback — the entry point behind `run_scenario`'s
-/// `--trace-out`/`--metrics-out`/`--progress` flags.
+/// Runs pre-expanded campaign cells against a caller-supplied recorder
+/// and returns the per-cell telemetry frames alongside the report — the
+/// primary runner, behind [`run_campaign`] and `run_scenario`'s campaign
+/// mode, for callers that build or filter the grid themselves.
 ///
-/// # Errors
+/// Every simulator in the campaign shares the recorder (histogram
+/// registration is idempotent, counter adds commute, and each worker's
+/// spans land on its own lane), each cell gets a `cell` span plus `cell`
+/// latency histogram sample, and `progress(done, total)` fires after
+/// every completed cell. Counter totals on the recorder depend only on
+/// the simulated events, so they are bit-identical whatever `jobs` is;
+/// spans and histograms carry the actual wall-clock timing.
 ///
-/// As [`run_campaign`].
-pub fn run_campaign_observed(
-    spec: &CampaignSpec,
-    jobs: usize,
-    recorder: &Arc<Recorder>,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Result<CampaignReport> {
-    run_cells_observed(&spec.expand()?, jobs, recorder, progress)
-}
-
-/// Runs pre-expanded campaign cells — the entry point for callers that
-/// build or filter the grid themselves.
-///
-/// # Errors
-///
-/// The first failing cell's error, by expansion order.
-pub fn run_cells(cells: &[CampaignCell], jobs: usize) -> Result<CampaignReport> {
-    run_cells_observed(cells, jobs, &Arc::new(Recorder::new()), None)
-}
-
-/// [`run_cells`] against a caller-supplied recorder: every simulator in
-/// the campaign shares it (histogram registration is idempotent, counter
-/// adds commute, and each worker's spans land on its own lane), each
-/// cell gets a `cell` span plus `cell` latency histogram sample, and
-/// `progress(done, total)` fires after every completed cell.
-///
-/// Counter totals on the recorder depend only on the simulated events,
-/// so they are bit-identical whatever `jobs` is; spans and histograms
-/// carry the actual wall-clock timing.
-///
-/// # Errors
-///
-/// The first failing cell's error, by expansion order.
-pub fn run_cells_observed(
-    cells: &[CampaignCell],
-    jobs: usize,
-    recorder: &Arc<Recorder>,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Result<CampaignReport> {
-    run_cells_framed(cells, jobs, recorder, progress).map(|(report, _frames)| report)
-}
-
-/// [`run_campaign_observed`] returning the per-cell telemetry frames
-/// alongside the report — the entry point behind `run_scenario`'s
-/// `--query`/`--columnar-out` flags on campaigns.
-///
-/// # Errors
-///
-/// As [`run_campaign`].
-pub fn run_campaign_framed(
-    spec: &CampaignSpec,
-    jobs: usize,
-    recorder: &Arc<Recorder>,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Result<(CampaignReport, CampaignFrames)> {
-    run_cells_framed(&spec.expand()?, jobs, recorder, progress)
-}
-
-/// [`run_cells_observed`] returning the per-cell telemetry frames
-/// alongside the report. This is the primary runner — the frame-less
-/// entry points delegate here and drop the frames (they are decimated,
-/// so holding them transiently costs kilobytes per cell). Frames land
-/// in expansion order, so columnar campaign queries are bit-identical
-/// whatever the worker count.
+/// Frames land in expansion order, so columnar campaign queries are
+/// bit-identical whatever the worker count. They are decimated, so a
+/// caller that only wants the report holds kilobytes per cell
+/// transiently.
 ///
 /// # Errors
 ///
@@ -773,7 +721,8 @@ mod tests {
             assert_eq!(total, 4);
             calls.fetch_add(1, Ordering::Relaxed);
         };
-        let report = run_campaign_observed(&spec, 2, &recorder, Some(&progress)).unwrap();
+        let (report, _) =
+            run_cells_framed(&spec.expand().unwrap(), 2, &recorder, Some(&progress)).unwrap();
         assert_eq!(report.workers, 2);
         assert_eq!(report.timings.len(), report.cells.len());
         assert!(report.timings.iter().all(|t| t.worker < report.workers));
@@ -806,8 +755,8 @@ mod tests {
         let spec = small_campaign();
         let serial = Arc::new(Recorder::new());
         let parallel = Arc::new(Recorder::new());
-        run_campaign_observed(&spec, 1, &serial, None).unwrap();
-        run_campaign_observed(&spec, 4, &parallel, None).unwrap();
+        run_cells_framed(&spec.expand().unwrap(), 1, &serial, None).unwrap();
+        run_cells_framed(&spec.expand().unwrap(), 4, &parallel, None).unwrap();
         assert_eq!(
             serial.snapshot().deterministic_counters(),
             parallel.snapshot().deterministic_counters()
@@ -823,7 +772,7 @@ mod tests {
         let spec = small_campaign();
         for jobs in [1, 4] {
             let recorder = Arc::new(Recorder::new());
-            run_campaign_observed(&spec, jobs, &recorder, None).unwrap();
+            run_cells_framed(&spec.expand().unwrap(), jobs, &recorder, None).unwrap();
             assert_eq!(
                 recorder.counter(Counter::SolverCacheBuilds),
                 2,
@@ -837,7 +786,8 @@ mod tests {
     fn framed_run_exposes_queryable_frames() {
         let spec = small_campaign();
         let recorder = Arc::new(Recorder::new());
-        let (report, frames) = run_campaign_framed(&spec, 2, &recorder, None).unwrap();
+        let (report, frames) =
+            run_cells_framed(&spec.expand().unwrap(), 2, &recorder, None).unwrap();
         assert_eq!(frames.cells.len(), 4);
         assert!(frames.cells.iter().all(|c| !c.frame.is_empty()));
         assert!(frames.cells[0].axes.iter().any(|(k, _)| k == "platform"));
@@ -865,8 +815,10 @@ mod tests {
     #[test]
     fn framed_queries_are_identical_across_worker_counts() {
         let spec = small_campaign();
-        let (r1, f1) = run_campaign_framed(&spec, 1, &Arc::new(Recorder::new()), None).unwrap();
-        let (r8, f8) = run_campaign_framed(&spec, 8, &Arc::new(Recorder::new()), None).unwrap();
+        let (r1, f1) =
+            run_cells_framed(&spec.expand().unwrap(), 1, &Arc::new(Recorder::new()), None).unwrap();
+        let (r8, f8) =
+            run_cells_framed(&spec.expand().unwrap(), 8, &Arc::new(Recorder::new()), None).unwrap();
         assert_eq!(f1, f8);
         assert_eq!(r1.cells_frame(), r8.cells_frame());
         let q = mpt_daq::Query::parse("p95(max_temp_c) by ambient").unwrap();
@@ -908,7 +860,8 @@ mod tests {
     fn fleet_campaign_reports_population_rollups() {
         let spec = fleet_campaign();
         let recorder = Arc::new(Recorder::new());
-        let (report, frames) = run_campaign_framed(&spec, 2, &recorder, None).unwrap();
+        let (report, frames) =
+            run_cells_framed(&spec.expand().unwrap(), 2, &recorder, None).unwrap();
         assert_eq!(report.cells.len(), 2);
         assert_eq!(report.fleet.len(), 2, "one rollup per cell");
         for cell in &report.fleet {
@@ -942,8 +895,10 @@ mod tests {
     #[test]
     fn fleet_campaign_is_identical_across_worker_counts() {
         let spec = fleet_campaign();
-        let (r1, f1) = run_campaign_framed(&spec, 1, &Arc::new(Recorder::new()), None).unwrap();
-        let (r8, f8) = run_campaign_framed(&spec, 8, &Arc::new(Recorder::new()), None).unwrap();
+        let (r1, f1) =
+            run_cells_framed(&spec.expand().unwrap(), 1, &Arc::new(Recorder::new()), None).unwrap();
+        let (r8, f8) =
+            run_cells_framed(&spec.expand().unwrap(), 8, &Arc::new(Recorder::new()), None).unwrap();
         assert_eq!(r1.fleet, r8.fleet);
         assert_eq!(r1.cells, r8.cells);
         assert_eq!(f1.fleet_cells, f8.fleet_cells);
@@ -965,7 +920,7 @@ mod tests {
             mpt_soc::ParamJitter::fixed(0.25),
             "axis value pins the jitter"
         );
-        let report = run_cells(&cells, 2).unwrap();
+        let (report, _) = run_cells_framed(&cells, 2, &Arc::new(Recorder::new()), None).unwrap();
         assert_eq!(report.fleet.len(), 4);
         // Heavier mix never cools the population: compare same-ambient
         // pairs (cells 0/1 are ambient 35, mix 0.25/1.5).

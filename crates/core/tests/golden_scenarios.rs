@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mpt_core::campaign::{run_cells, run_cells_observed};
+use mpt_core::campaign::run_cells_framed;
 use mpt_core::report::SessionReport;
 use mpt_core::scenario::{
     run_scenario, run_scenario_analyzed, CampaignSpec, EngineSpec, PlatformSpec, ScenarioSpec,
@@ -52,7 +52,8 @@ fn every_shipped_scenario_parses_and_runs_one_second() {
             for cell in &mut cells {
                 cell.scenario.duration_s = 1.0;
             }
-            let report = run_cells(&cells, 2).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let (report, _) = run_cells_framed(&cells, 2, &Arc::new(Recorder::new()), None)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(report.cells.len(), cells.len(), "{name}");
         } else {
             let mut spec: ScenarioSpec =
@@ -120,8 +121,9 @@ fn campaign_cells_are_identical_between_one_and_eight_workers() {
     for cell in &mut cells {
         cell.scenario.duration_s = 1.0;
     }
-    let serial = run_cells(&cells, 1).expect("runs");
-    let parallel = run_cells(&cells, 8).expect("runs");
+    let (serial, _) = run_cells_framed(&cells, 1, &Arc::new(Recorder::new()), None).expect("runs");
+    let (parallel, _) =
+        run_cells_framed(&cells, 8, &Arc::new(Recorder::new()), None).expect("runs");
     assert_eq!(serial.cells, parallel.cells);
     assert_eq!(serial.analysis, parallel.analysis);
 }
@@ -186,7 +188,7 @@ fn metric_names_and_histogram_registry_are_stable() {
     cells.truncate(1);
     cells[0].scenario.duration_s = 0.5;
     let recorder = Arc::new(Recorder::new());
-    run_cells_observed(&cells, 1, &recorder, None).expect("runs");
+    run_cells_framed(&cells, 1, &recorder, None).expect("runs");
     assert_eq!(
         recorder.histogram_names(),
         vec![
@@ -238,8 +240,8 @@ fn campaign_counter_totals_are_identical_between_one_and_eight_workers() {
     }
     let serial = Arc::new(Recorder::new());
     let parallel = Arc::new(Recorder::new());
-    run_cells_observed(&cells, 1, &serial, None).expect("runs");
-    run_cells_observed(&cells, 8, &parallel, None).expect("runs");
+    run_cells_framed(&cells, 1, &serial, None).expect("runs");
+    run_cells_framed(&cells, 8, &parallel, None).expect("runs");
     let serial = serial.snapshot().deterministic_counters();
     let parallel = parallel.snapshot().deterministic_counters();
     assert_eq!(serial, parallel);
@@ -267,7 +269,7 @@ fn campaign_journal_replay_is_identical_between_one_and_eight_workers() {
     }
     let replay = |jobs: usize| {
         let recorder = Arc::new(Recorder::new());
-        run_cells_observed(&cells, jobs, &recorder, None).expect("runs");
+        run_cells_framed(&cells, jobs, &recorder, None).expect("runs");
         let delta = recorder.journal().poll(0);
         assert_eq!(delta.dropped, 0, "ring must not lap during a 12-cell run");
         mpt_obs::journal::normalized_replay(&delta.events)

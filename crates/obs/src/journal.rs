@@ -1,38 +1,29 @@
-//! Live event journal: a bounded lock-free ring of sequence-numbered
-//! events with a snapshot+delta subscriber protocol.
+//! Live event journal: a bounded deque of sequence-numbered events with
+//! a snapshot+delta subscriber protocol.
 //!
 //! The batch exporters ([`crate::trace`], [`crate::export`]) only speak
 //! after a run finishes; the journal is the *live* plane. Emitters (the
 //! campaign runner, both stepping engines, the alert engine) push
-//! [`JournalEvent`]s into a fixed-capacity ring of atomic word slots;
-//! subscribers (the `--progress` renderer, the `--serve-obs` HTTP
-//! endpoint, eventually `mpt-serve`) follow along with a cursor:
+//! [`JournalEvent`]s into it; subscribers (the `--progress` renderer, the
+//! `--serve-obs` HTTP endpoint, eventually `mpt-serve`) follow along with
+//! a cursor:
 //!
 //! 1. take a [`Snapshot`] — a consistent aggregate view (counters,
 //!    histogram summaries, per-cell progress, device-ticks/sec throughput
 //!    with an ETA) stamped with the journal cursor at capture time;
 //! 2. repeatedly [`Journal::poll`] from that cursor — each poll returns
 //!    the events after the cursor plus an explicit `dropped` count for
-//!    anything the ring overwrote before the subscriber got to it.
+//!    anything the journal evicted before the subscriber got to it.
 //!
-//! # Lock-free ring
+//! # One lock
 //!
-//! Each slot is a seqlock over plain `AtomicU64` payload words: a
-//! writer claims a global sequence number with one
-//! `fetch_add`, marks the slot busy for that generation via `fetch_max`
-//! (abandoning the write if a newer generation already owns the slot),
-//! stores the payload words — generation echo first — and publishes with
-//! a `compare_exchange` to the stable state. A reader accepts a slot only
-//! if the state word reads *stable for the expected generation* before
-//! the payload loads, and both the embedded generation echo and the state
-//! word still match afterwards; anything else is reported as `dropped`,
-//! never returned torn. Strings (cell labels, alert rules/messages) live
-//! in an append-only interner so the ring itself stays plain words.
-//!
-//! The protocol itself needs no `unsafe`. The one `unsafe` block is the
-//! ring's allocation: the slots are requested zero-filled from the
-//! allocator instead of being initialised one by one, because all-zero
-//! is a slot's never-written state.
+//! One mutex guards the retained events (the last `capacity`, oldest
+//! evicted first), the next sequence number and the progress aggregates
+//! (cells total and done, the cells in flight, the last counter sample).
+//! Events come per run and per cell, never per pass — a 12-cell campaign
+//! emits about a hundred — so the lock is never on the simulator's hot
+//! path. Each event owns its strings, and the deque grows only as events
+//! arrive, so a session that emits a handful pays for a handful.
 //!
 //! # Determinism
 //!
@@ -45,46 +36,16 @@
 //! sequence numbers and wall-clock fields zeroed, grouped by cell — to a
 //! form that is bit-identical across `--jobs 1` and `--jobs 8`.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::Mutex;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::metrics::Counter;
 use crate::recorder::Recorder;
 use crate::trace::escape_json;
 
-/// Default ring capacity (events) for a [`Recorder`]'s journal.
+/// Default capacity (events) for a [`Recorder`]'s journal.
 pub const DEFAULT_CAPACITY: usize = 1 << 13;
-
-const PAYLOAD_WORDS: usize = 8;
-const W_GEN: usize = 0;
-const W_KIND: usize = 1;
-const W_TS: usize = 2;
-const W_SIM: usize = 3;
-const W_CELL: usize = 4;
-const W_A: usize = 5;
-const W_B: usize = 6;
-const W_C: usize = 7;
-const NONE: u64 = u64::MAX;
-
-/// One ring slot: a seqlock state word plus plain payload words. Only
-/// `AtomicU64`s, so the all-zero bit pattern is a valid, never-written
-/// slot (see [`zeroed_slots`]).
-struct Slot {
-    /// `0` = never written; `2g+1` = busy writing generation `g`;
-    /// `2g+2` = stable, holds generation `g`. Strictly monotonic.
-    state: AtomicU64,
-    words: [AtomicU64; PAYLOAD_WORDS],
-}
-
-fn busy(seq: u64) -> u64 {
-    2 * seq + 1
-}
-
-fn stable(seq: u64) -> u64 {
-    2 * seq + 2
-}
 
 /// What one journal event reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,12 +264,12 @@ impl JournalEvent {
 }
 
 /// The result of one [`Journal::poll`]: events after the cursor, how many
-/// were lost to ring overwrites, and where to resume.
+/// were evicted before the reader saw them, and where to resume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delta {
     /// Events in sequence order, all with `seq >= ` the polled cursor.
     pub events: Vec<JournalEvent>,
-    /// Events between the cursor and `next_cursor` the ring overwrote
+    /// Events between the cursor and `next_cursor` the journal evicted
     /// before this reader observed them (a lapped slow reader).
     pub dropped: u64,
     /// Cursor to pass to the next poll.
@@ -324,310 +285,138 @@ pub struct CellInFlight {
     pub label: String,
 }
 
-enum SlotRead {
-    Event(JournalEvent),
-    NotYet,
-    Gone,
-}
-
 /// The bounded live event journal. One lives inside every [`Recorder`];
 /// a disabled recorder carries a zero-capacity journal whose every
 /// operation is a cheap early return.
 pub struct Journal {
-    enabled: bool,
     epoch: Instant,
-    mask: u64,
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-    strings: Mutex<Vec<String>>,
-    cells_total: AtomicU64,
-    cells_done: AtomicU64,
-    in_flight: Mutex<BTreeMap<u32, String>>,
-    last_sample: Mutex<[u64; Counter::COUNT]>,
+    /// Events retained; `0` exactly when the journal is disabled.
+    capacity: usize,
+    state: Mutex<State>,
 }
 
-/// `capacity` never-written slots in one zero-filled allocation. When
-/// the allocator hands out fresh pages, as it does for a process's
-/// first ring, the slots cost nothing until an event lands in them, and
-/// a session emits only a handful: the first `Recorder::new` of a
-/// `run_scenario` process takes ~15 µs instead of ~300 µs. A recycled
-/// heap block is zeroed by the allocator, at the cost of writing the
-/// slots one by one.
-fn zeroed_slots(capacity: usize) -> Box<[Slot]> {
-    let slots = Box::<[Slot]>::new_zeroed_slice(capacity);
-    // SAFETY: a `Slot` is nothing but `AtomicU64`s, which have the same
-    // in-memory representation as `u64` and accept every bit pattern;
-    // all-zero is `state == 0` (never written) with zero payload words,
-    // exactly what `AtomicU64::new(0)` would build.
-    unsafe { slots.assume_init() }
+/// Everything the journal's one lock guards.
+#[derive(Default)]
+struct State {
+    /// The retained events, oldest first, with contiguous sequence
+    /// numbers ending at `next_seq - 1`.
+    events: VecDeque<JournalEvent>,
+    next_seq: u64,
+    cells_total: u64,
+    cells_done: u64,
+    in_flight: BTreeMap<u32, String>,
+    last_sample: [u64; Counter::COUNT],
+}
+
+impl State {
+    fn track_progress(&mut self, cell: Option<u32>, kind: &JournalKind) {
+        match kind {
+            JournalKind::CampaignStarted { cells } => self.cells_total = *cells,
+            JournalKind::CellStarted { label } => {
+                if let Some(c) = cell {
+                    self.in_flight.insert(c, label.clone());
+                }
+            }
+            JournalKind::CellFinished { .. } => {
+                self.cells_done += 1;
+                if let Some(c) = cell {
+                    self.in_flight.remove(&c);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 impl Journal {
-    /// A journal with `capacity` ring slots (must be a power of two when
-    /// enabled; a disabled journal allocates nothing).
+    /// A journal retaining the last `capacity` events (at least one when
+    /// enabled; a disabled journal retains nothing).
     pub(crate) fn new(enabled: bool, epoch: Instant, capacity: usize) -> Self {
         let capacity = if enabled { capacity } else { 0 };
         assert!(
-            !enabled || capacity.is_power_of_two(),
-            "journal capacity must be a power of two, got {capacity}"
+            !enabled || capacity >= 1,
+            "journal capacity must be at least 1, got {capacity}"
         );
         Self {
-            enabled,
             epoch,
-            mask: capacity.wrapping_sub(1) as u64,
-            head: AtomicU64::new(0),
-            slots: zeroed_slots(capacity),
-            strings: Mutex::new(Vec::new()),
-            cells_total: AtomicU64::new(0),
-            cells_done: AtomicU64::new(0),
-            in_flight: Mutex::new(BTreeMap::new()),
-            last_sample: Mutex::new([0; Counter::COUNT]),
+            capacity,
+            state: Mutex::new(State::default()),
         }
     }
 
     /// Whether this journal records anything.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.capacity > 0
     }
 
-    /// Ring capacity in events.
+    /// How many events the journal retains.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// The current cursor: the sequence number the *next* event will get.
     /// Polling from here returns only events emitted after this call.
     #[must_use]
     pub fn cursor(&self) -> u64 {
-        self.head.load(SeqCst)
+        self.state().next_seq
     }
 
-    fn intern(&self, s: &str) -> u64 {
-        let mut strings = self.strings.lock().expect("interner never poisoned");
-        if let Some(i) = strings.iter().position(|x| x == s) {
-            return i as u64;
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("journal mutex never poisoned")
+    }
+
+    /// Appends one event stamped with the wall clock and the calling
+    /// thread's [`cell_scope`], evicting the oldest at capacity.
+    fn push(&self, state: &mut State, sim_us: Option<u64>, kind: JournalKind) -> u64 {
+        let cell = current_cell();
+        state.track_progress(cell, &kind);
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        if state.events.len() == self.capacity {
+            state.events.pop_front();
         }
-        strings.push(s.to_owned());
-        (strings.len() - 1) as u64
-    }
-
-    fn resolve(&self, id: u64) -> String {
-        self.strings
-            .lock()
-            .expect("interner never poisoned")
-            .get(usize::try_from(id).unwrap_or(usize::MAX))
-            .cloned()
-            .unwrap_or_default()
+        state.events.push_back(JournalEvent {
+            seq,
+            ts_us: u64::try_from(crate::clock::elapsed(self.epoch).as_micros()).unwrap_or(u64::MAX),
+            sim_us,
+            cell,
+            kind,
+        });
+        seq
     }
 
     /// Emits one event, stamped with the current wall clock and the
     /// calling thread's [`cell_scope`]. Returns the event's sequence
     /// number, or `None` on a disabled journal.
     pub fn emit(&self, sim_us: Option<u64>, kind: JournalKind) -> Option<u64> {
-        if !self.enabled {
+        if !self.is_enabled() {
             return None;
         }
-        let cell = current_cell();
-        self.track_progress(cell, &kind);
-        let (code, a, b, c) = self.encode(&kind);
-        let ts_us =
-            u64::try_from(crate::clock::elapsed(self.epoch).as_micros()).unwrap_or(u64::MAX);
-        let seq = self.head.fetch_add(1, SeqCst);
-        let slot = &self.slots[(seq & self.mask) as usize];
-        // SAFETY-equivalent seqlock invariant (all-atomic, no `unsafe`):
-        // a slot's `state` is monotone non-decreasing and odd (`busy`)
-        // exactly while its payload words are torn. Claim the slot for
-        // this generation; if a newer generation got there first (the
-        // ring lapped mid-write), abandon — readers will report the
-        // sequence number as dropped.
-        if slot.state.fetch_max(busy(seq), SeqCst) > busy(seq) {
-            return Some(seq);
-        }
-        slot.words[W_GEN].store(seq, SeqCst);
-        slot.words[W_KIND].store(code, SeqCst);
-        slot.words[W_TS].store(ts_us, SeqCst);
-        slot.words[W_SIM].store(sim_us.unwrap_or(NONE), SeqCst);
-        slot.words[W_CELL].store(cell.map_or(NONE, u64::from), SeqCst);
-        slot.words[W_A].store(a, SeqCst);
-        slot.words[W_B].store(b, SeqCst);
-        slot.words[W_C].store(c, SeqCst);
-        // SAFETY-equivalent invariant: publishing `stable(seq)` asserts
-        // every payload word above is written; the CAS (not a plain
-        // store) keeps `state` monotone — failure means a newer
-        // generation overwrote us mid-write and owns the slot now.
-        let _ = slot
-            .state
-            .compare_exchange(busy(seq), stable(seq), SeqCst, SeqCst);
-        Some(seq)
-    }
-
-    fn track_progress(&self, cell: Option<u32>, kind: &JournalKind) {
-        match kind {
-            JournalKind::CampaignStarted { cells } => {
-                self.cells_total.store(*cells, SeqCst);
-            }
-            JournalKind::CellStarted { label } => {
-                if let Some(c) = cell {
-                    self.in_flight
-                        .lock()
-                        .expect("in-flight map never poisoned")
-                        .insert(c, label.clone());
-                }
-            }
-            JournalKind::CellFinished { .. } => {
-                self.cells_done.fetch_add(1, SeqCst);
-                if let Some(c) = cell {
-                    self.in_flight
-                        .lock()
-                        .expect("in-flight map never poisoned")
-                        .remove(&c);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn encode(&self, kind: &JournalKind) -> (u64, u64, u64, u64) {
-        match kind {
-            JournalKind::CampaignStarted { cells } => (0, *cells, 0, 0),
-            JournalKind::CellStarted { label } => (1, self.intern(label), 0, 0),
-            JournalKind::CellFinished { label, peak_temp_c } => {
-                (2, self.intern(label), peak_temp_c.to_bits(), 0)
-            }
-            JournalKind::AlertFired { rule, message } => {
-                (3, self.intern(rule), self.intern(message), 0)
-            }
-            JournalKind::CounterDelta {
-                counter,
-                delta,
-                total,
-            } => (4, counter.index() as u64, *delta, *total),
-            JournalKind::StageRollup {
-                passes,
-                stage_runs,
-                wall_us,
-            } => (5, *passes, *stage_runs, *wall_us),
-            JournalKind::SolverCacheSummary { hits, builds } => (6, *hits, *builds, 0),
-            JournalKind::QueueStats {
-                events_popped,
-                wakes_coalesced,
-                trip_bisection_iters,
-            } => (7, *events_popped, *wakes_coalesced, *trip_bisection_iters),
-            JournalKind::FleetProgress {
-                devices,
-                ticks_done,
-                ticks_total,
-            } => (8, *devices, *ticks_done, *ticks_total),
-        }
-    }
-
-    fn decode(&self, code: u64, a: u64, b: u64, c: u64) -> Option<JournalKind> {
-        Some(match code {
-            0 => JournalKind::CampaignStarted { cells: a },
-            1 => JournalKind::CellStarted {
-                label: self.resolve(a),
-            },
-            2 => JournalKind::CellFinished {
-                label: self.resolve(a),
-                peak_temp_c: f64::from_bits(b),
-            },
-            3 => JournalKind::AlertFired {
-                rule: self.resolve(a),
-                message: self.resolve(b),
-            },
-            4 => JournalKind::CounterDelta {
-                counter: *Counter::ALL.get(usize::try_from(a).ok()?)?,
-                delta: b,
-                total: c,
-            },
-            5 => JournalKind::StageRollup {
-                passes: a,
-                stage_runs: b,
-                wall_us: c,
-            },
-            6 => JournalKind::SolverCacheSummary { hits: a, builds: b },
-            7 => JournalKind::QueueStats {
-                events_popped: a,
-                wakes_coalesced: b,
-                trip_bisection_iters: c,
-            },
-            8 => JournalKind::FleetProgress {
-                devices: a,
-                ticks_done: b,
-                ticks_total: c,
-            },
-            _ => return None,
-        })
-    }
-
-    fn read_slot(&self, seq: u64) -> SlotRead {
-        let slot = &self.slots[(seq & self.mask) as usize];
-        let s0 = slot.state.load(SeqCst);
-        if s0 < stable(seq) {
-            return SlotRead::NotYet;
-        }
-        if s0 > stable(seq) {
-            return SlotRead::Gone;
-        }
-        let words: [u64; PAYLOAD_WORDS] = std::array::from_fn(|i| slot.words[i].load(SeqCst));
-        // SAFETY-equivalent seqlock read protocol: the payload is only
-        // trusted if `state` still equals `stable(seq)` *after* every
-        // word was loaded — any concurrent writer must first bump the
-        // state through `busy(newer)`, so an unchanged state proves the
-        // words above are an untorn generation-`seq` snapshot.
-        if words[W_GEN] != seq || slot.state.load(SeqCst) != stable(seq) {
-            return SlotRead::Gone;
-        }
-        let Some(kind) = self.decode(words[W_KIND], words[W_A], words[W_B], words[W_C]) else {
-            return SlotRead::Gone;
-        };
-        SlotRead::Event(JournalEvent {
-            seq,
-            ts_us: words[W_TS],
-            sim_us: (words[W_SIM] != NONE).then_some(words[W_SIM]),
-            cell: (words[W_CELL] != NONE).then(|| u32::try_from(words[W_CELL]).unwrap_or(u32::MAX)),
-            kind,
-        })
+        Some(self.push(&mut self.state(), sim_us, kind))
     }
 
     /// Returns every retained event with `seq >= cursor`, in sequence
-    /// order, plus the exact count of events the ring overwrote before
-    /// this reader observed them. Events still being written are left for
-    /// the next poll (`next_cursor` stops short of them).
+    /// order, plus the exact count of events the journal evicted before
+    /// this reader observed them.
     #[must_use]
     pub fn poll(&self, cursor: u64) -> Delta {
-        if !self.enabled {
+        if !self.is_enabled() {
             return Delta {
                 events: Vec::new(),
                 dropped: 0,
                 next_cursor: 0,
             };
         }
-        let head = self.head.load(SeqCst);
-        let oldest = head.saturating_sub(self.slots.len() as u64);
+        let state = self.state();
+        let oldest = state.next_seq - state.events.len() as u64;
         let start = cursor.max(oldest);
-        let mut dropped = start.saturating_sub(cursor);
-        let mut events = Vec::new();
-        let mut next_cursor = start;
-        for seq in start..head {
-            match self.read_slot(seq) {
-                SlotRead::Event(ev) => {
-                    events.push(ev);
-                    next_cursor = seq + 1;
-                }
-                SlotRead::NotYet => break,
-                SlotRead::Gone => {
-                    dropped += 1;
-                    next_cursor = seq + 1;
-                }
-            }
-        }
+        let skip = usize::try_from(start - oldest).unwrap_or(usize::MAX);
         Delta {
-            events,
-            dropped,
-            next_cursor,
+            events: state.events.iter().skip(skip).cloned().collect(),
+            dropped: start - cursor,
+            next_cursor: start.max(state.next_seq),
         }
     }
 
@@ -637,16 +426,17 @@ impl Journal {
     /// deterministic replay; subscribers reconcile on the carried
     /// `total`.
     pub fn sample_counters(&self, rec: &Recorder) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
-        let mut last = self.last_sample.lock().expect("sampler never poisoned");
+        let mut state = self.state();
         for &counter in &Counter::ALL {
             let total = rec.counter(counter);
-            let delta = total.saturating_sub(last[counter.index()]);
+            let delta = total.saturating_sub(state.last_sample[counter.index()]);
             if delta > 0 {
-                last[counter.index()] = total;
-                self.emit(
+                state.last_sample[counter.index()] = total;
+                self.push(
+                    &mut state,
                     None,
                     JournalKind::CounterDelta {
                         counter,
@@ -659,25 +449,29 @@ impl Journal {
     }
 
     /// Captures a consistent [`Snapshot`] of aggregate state. The cursor
-    /// is read *first*, so an event emitted concurrently is either after
-    /// the cursor (the subscriber sees it in its next poll) or already
-    /// folded into the aggregates — never silently lost.
+    /// and the progress aggregates are read under the journal's lock, so
+    /// every event before the cursor is folded into them and every event
+    /// after it reaches the subscriber's next poll — never silently lost.
     #[must_use]
     pub fn snapshot(&self, rec: &Recorder) -> Snapshot {
-        let cursor = self.cursor();
+        let (cursor, cells_total, cells_done, in_flight) = {
+            let state = self.state();
+            let in_flight = state
+                .in_flight
+                .iter()
+                .map(|(&cell, label)| CellInFlight {
+                    cell,
+                    label: label.clone(),
+                })
+                .collect();
+            (
+                state.next_seq,
+                state.cells_total,
+                state.cells_done,
+                in_flight,
+            )
+        };
         let elapsed_s = crate::clock::elapsed(self.epoch).as_secs_f64();
-        let cells_total = self.cells_total.load(SeqCst);
-        let cells_done = self.cells_done.load(SeqCst);
-        let in_flight = self
-            .in_flight
-            .lock()
-            .expect("in-flight map never poisoned")
-            .iter()
-            .map(|(&cell, label)| CellInFlight {
-                cell,
-                label: label.clone(),
-            })
-            .collect();
         let ticks_total = rec.counter(Counter::Ticks);
         let ticks_per_sec = if elapsed_s > 0.0 {
             #[allow(clippy::cast_precision_loss)]
@@ -718,8 +512,8 @@ impl Journal {
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
-            .field("enabled", &self.enabled)
-            .field("capacity", &self.slots.len())
+            .field("enabled", &self.is_enabled())
+            .field("capacity", &self.capacity)
             .field("cursor", &self.cursor())
             .finish()
     }

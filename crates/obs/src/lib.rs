@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Zero-dependency observability for the simulator stack.
 //!
@@ -35,8 +36,8 @@
 //!
 //! Everything is allocation-light by design: counters and histograms are
 //! fixed atomic slots addressed by pre-registered ids, spans push one
-//! small record into a sharded buffer, and no formatting happens until an
-//! exporter is invoked. The disabled path ([`Recorder::null`], the
+//! small record into one mutex-guarded buffer, and no formatting happens
+//! until an exporter is invoked. The disabled path ([`Recorder::null`], the
 //! "NullRecorder") reduces every operation to a branch on a `bool` and
 //! reads no clock.
 //!

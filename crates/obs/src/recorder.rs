@@ -1,7 +1,7 @@
 //! The recorder: the simulator's flight data recorder.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -18,25 +18,21 @@ pub const MAX_HISTOGRAMS: usize = 32;
 /// under [`Counter::SpansDropped`]).
 pub const SPAN_CAP: usize = 1 << 17;
 
-const SPAN_SHARDS: usize = 16;
-
 /// Collects spans, counters and histograms for one run (or one whole
 /// campaign — a single recorder is safely shared across worker threads
 /// behind an `Arc`).
 ///
 /// All methods take `&self`; counters and histograms are atomic slots,
-/// spans go through a sharded mutex (one shard per lane modulo
-/// [`SPAN_SHARDS`], so concurrent workers rarely contend). The disabled
-/// recorder from [`Recorder::null`] turns every operation into a cheap
-/// early return.
+/// spans go through one mutex (spans come per campaign cell and per lint
+/// phase, so workers rarely meet on it). The disabled recorder from
+/// [`Recorder::null`] turns every operation into a cheap early return.
 pub struct Recorder {
     enabled: bool,
     epoch: Instant,
     counters: [AtomicU64; Counter::COUNT],
     hists: [Histogram; MAX_HISTOGRAMS],
     hist_names: Mutex<Vec<String>>,
-    spans: [Mutex<Vec<SpanRecord>>; SPAN_SHARDS],
-    span_count: AtomicUsize,
+    spans: Mutex<Vec<SpanRecord>>,
     journal: Journal,
 }
 
@@ -55,8 +51,7 @@ impl Recorder {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| Histogram::new()),
             hist_names: Mutex::new(Vec::new()),
-            spans: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            span_count: AtomicUsize::new(0),
+            spans: Mutex::new(Vec::new()),
             journal: Journal::new(enabled, epoch, journal_capacity),
         }
     }
@@ -67,8 +62,8 @@ impl Recorder {
         Self::with_enabled(true, crate::journal::DEFAULT_CAPACITY)
     }
 
-    /// An enabled recorder whose journal ring holds `capacity` events
-    /// (power of two) — for tests and benchmarks that exercise ring laps.
+    /// An enabled recorder whose journal retains `capacity` events (at
+    /// least one) — for tests and benchmarks that exercise evictions.
     #[must_use]
     pub fn with_journal_capacity(capacity: usize) -> Self {
         Self::with_enabled(true, capacity)
@@ -202,32 +197,23 @@ impl Recorder {
     }
 
     pub(crate) fn finish_span(&self, record: SpanRecord) {
-        if self.span_count.fetch_add(1, Ordering::Relaxed) >= SPAN_CAP {
-            self.span_count.fetch_sub(1, Ordering::Relaxed);
+        let mut spans = self.spans.lock().expect("span mutex never poisoned");
+        if spans.len() < SPAN_CAP {
+            spans.push(record);
+        } else {
             self.incr(Counter::SpansDropped);
-            return;
         }
-        let shard = record.lane as usize % SPAN_SHARDS;
-        self.spans[shard]
-            .lock()
-            .expect("span mutex never poisoned")
-            .push(record);
     }
 
     /// All finished spans, ordered by start time (then lane). Intended
     /// for export after the run — not a hot-path call.
     #[must_use]
     pub fn spans(&self) -> Vec<SpanRecord> {
-        let mut all: Vec<SpanRecord> = Vec::with_capacity(self.span_count.load(Ordering::Relaxed));
-        for shard in &self.spans {
-            all.extend(
-                shard
-                    .lock()
-                    .expect("span mutex never poisoned")
-                    .iter()
-                    .cloned(),
-            );
-        }
+        let mut all = self
+            .spans
+            .lock()
+            .expect("span mutex never poisoned")
+            .clone();
         all.sort_by_key(|s| (s.start_us, s.lane));
         all
     }
@@ -309,7 +295,10 @@ impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
             .field("enabled", &self.enabled)
-            .field("spans", &self.span_count.load(Ordering::Relaxed))
+            .field(
+                "spans",
+                &self.spans.lock().expect("span mutex never poisoned").len(),
+            )
             .field("histograms", &self.histogram_names().len())
             .finish()
     }

@@ -2,7 +2,7 @@
 //!
 //! A span is opened with [`Recorder::span`](crate::Recorder::span) and
 //! closed when its [`SpanGuard`] drops; the finished [`SpanRecord`] lands
-//! in a per-lane shard of the recorder's span buffer. Lanes are stable
+//! in the recorder's span buffer, tagged with its lane. Lanes are stable
 //! per OS thread (campaign workers each get their own lane), and become
 //! the `tid` rows of the exported Chrome trace.
 //!

@@ -72,16 +72,21 @@ fn snapshot_plus_delta_replay_equals_direct_observation() {
 
 #[test]
 fn ring_lap_dropped_counts_are_exact_across_polls() {
-    let rec = Recorder::with_journal_capacity(16);
-    let journal = rec.journal();
-    for i in 0..40 {
-        journal.emit(None, JournalKind::CampaignStarted { cells: i });
+    // Any capacity of at least one, not only powers of two.
+    for cap in [1u64, 3, 10, 16] {
+        let rec = Recorder::with_journal_capacity(usize::try_from(cap).unwrap());
+        let journal = rec.journal();
+        for i in 0..40 {
+            journal.emit(None, JournalKind::CampaignStarted { cells: i });
+        }
+        // A reader starting from 0 lost exactly the evicted prefix.
+        let d = journal.poll(0);
+        assert_eq!(d.dropped, 40 - cap, "capacity {cap}");
+        assert_eq!(d.events.len() as u64, cap, "capacity {cap}");
+        let seqs: Vec<u64> = d.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (40 - cap..40).collect::<Vec<_>>(), "capacity {cap}");
+        assert_eq!(d.next_cursor, 40, "capacity {cap}");
     }
-    // A reader starting from 0 lost exactly the overwritten prefix.
-    let d = journal.poll(0);
-    assert_eq!(d.dropped, 24);
-    assert_eq!(d.events.len(), 16);
-    assert_eq!(d.next_cursor, 40);
 
     // A reader that kept pace drops nothing.
     let mut cursor = 0;
@@ -100,6 +105,12 @@ fn ring_lap_dropped_counts_are_exact_across_polls() {
     }
     assert_eq!(seen + dropped, 40);
     assert_eq!(dropped, 0, "a keeping-pace reader never gets lapped");
+}
+
+#[test]
+#[should_panic(expected = "journal capacity must be at least 1")]
+fn enabled_journal_rejects_zero_capacity() {
+    let _ = Recorder::with_journal_capacity(0);
 }
 
 #[test]

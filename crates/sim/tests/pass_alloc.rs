@@ -32,10 +32,9 @@ thread_local! {
 // SAFETY: pure pass-through to the `System` allocator — same layout
 // contract, no bookkeeping that could alias or retain the pointers; the
 // counter is a const-initialised thread-local `Cell` (no allocation, no
-// destructor) with no effect on allocation itself. This file, the
-// thermal alloc-discipline test and the mpt-obs journal are the
-// workspace's three sanctioned `unsafe` sites (see ci.yml's unsafe
-// gate).
+// destructor) with no effect on allocation itself. This file and the
+// thermal alloc-discipline test are the workspace's two sanctioned
+// `unsafe` sites (see ci.yml's unsafe gate).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));

@@ -101,6 +101,10 @@ pub struct ThermalLti {
     /// Largest stable explicit-Euler step in seconds:
     /// `min_i 0.5·C_i/(Σ_j g_ij + G_a,i)`.
     pub euler_max_step: f64,
+    /// [`fingerprint`](Self::fingerprint), taken once by
+    /// [`ThermalSpec::lti`] (the only constructor); nothing changes `a`
+    /// or `b_diag` afterwards.
+    fingerprint: Vec<u64>,
 }
 
 impl ThermalLti {
@@ -131,13 +135,8 @@ impl ThermalLti {
     /// dynamics share cached discretizations (the ambient offset does not
     /// enter `A` or `B`, so it is deliberately excluded).
     #[must_use]
-    pub fn fingerprint(&self) -> Vec<u64> {
-        let mut bits = Vec::with_capacity(self.len() * (self.len() + 1));
-        for row in &self.a {
-            bits.extend(row.iter().map(|v| v.to_bits()));
-        }
-        bits.extend(self.b_diag.iter().map(|v| v.to_bits()));
-        bits
+    pub fn fingerprint(&self) -> &[u64] {
+        &self.fingerprint
     }
 }
 
@@ -234,7 +233,7 @@ impl ThermalSpec {
             }
             g_full[i][i] += diag;
         }
-        let a = (0..n)
+        let a: Vec<Vec<f64>> = (0..n)
             .map(|i| (0..n).map(|j| -g_full[i][j] / heat_capacity[i]).collect())
             .collect();
         let b_diag: Vec<f64> = heat_capacity.iter().map(|c| 1.0 / c).collect();
@@ -246,6 +245,12 @@ impl ThermalSpec {
                 euler_max_step = euler_max_step.min(0.5 * heat_capacity[i] / g_total);
             }
         }
+        let fingerprint = a
+            .iter()
+            .flatten()
+            .chain(&b_diag)
+            .map(|v| v.to_bits())
+            .collect();
         Ok(ThermalLti {
             heat_capacity,
             conductance,
@@ -255,6 +260,7 @@ impl ThermalSpec {
             a,
             b_diag,
             euler_max_step,
+            fingerprint,
         })
     }
 }

@@ -246,7 +246,7 @@ impl TransitionCache {
         self.builds.fetch_add(1, Ordering::Relaxed);
         entries.push(CacheEntry {
             dt_bits,
-            fingerprint,
+            fingerprint: fingerprint.to_vec(),
             disc: Arc::clone(&disc),
         });
         Ok((disc, false))

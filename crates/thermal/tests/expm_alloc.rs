@@ -8,17 +8,22 @@
 //! - The app-aware governor's per-poll prediction: once a network has
 //!   computed its constants, `reduce` + `stability` + `time_to_reach`
 //!   allocate nothing.
+//! - A change of step length: once both discretizations are cached, a
+//!   network that alternates between two step lengths on a shared cache
+//!   allocates nothing, since the cache key's dynamics fingerprint is
+//!   computed once per network, not per lookup.
 //!
-//! A counting global allocator pins both. Its counter is per thread, so
-//! each test counts only its own allocations, not those of sibling
-//! tests running beside it.
+//! A counting global allocator pins all three. Its counter is per
+//! thread, so each test counts only its own allocations, not those of
+//! sibling tests running beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use mpt_soc::platforms;
 use mpt_thermal::linalg::{expm, Mat};
-use mpt_thermal::RcNetwork;
+use mpt_thermal::{RcNetwork, TransitionCache};
 use mpt_units::{Kelvin, Seconds, Watts};
 
 struct CountingAlloc;
@@ -30,9 +35,9 @@ thread_local! {
 // SAFETY: pure pass-through to the `System` allocator — same layout
 // contract, no bookkeeping that could alias or retain the pointers; the
 // counter is a const-initialised thread-local `Cell` (no allocation, no
-// destructor) with no effect on allocation itself. This file, the
-// simulator-pass alloc-discipline test and the mpt-obs journal are the
-// workspace's three sanctioned `unsafe` sites (see ci.yml's unsafe gate).
+// destructor) with no effect on allocation itself. This file and the
+// simulator-pass alloc-discipline test are the workspace's two
+// sanctioned `unsafe` sites (see ci.yml's unsafe gate).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
@@ -117,4 +122,25 @@ fn lumped_prediction_allocates_nothing_after_warm_up() {
     let (allocs, steady) = allocs_during(poll);
     assert_eq!(steady, warm, "constants read back, not recomputed");
     assert_eq!(allocs, 0, "a poll after the first must not allocate");
+}
+
+#[test]
+fn alternating_step_lengths_allocate_nothing_after_warm_up() {
+    // The event engine changes step length on every macro step and every
+    // trip-bisection probe, and each change is a shared-cache lookup.
+    let cache = Arc::new(TransitionCache::new());
+    let platform = platforms::exynos_5422();
+    let mut net = RcNetwork::with_cache(platform.thermal_spec(), Some(cache)).unwrap();
+    let mut powers = vec![Watts::ZERO; net.len()];
+    powers[net.node_index("big").unwrap()] = Watts::new(2.2);
+    let alternate = |net: &mut RcNetwork, rounds: usize| {
+        for _ in 0..rounds {
+            for dt in [0.010, 0.037] {
+                net.step(Seconds::new(dt), &powers).unwrap();
+            }
+        }
+    };
+    let (_, ()) = allocs_during(|| alternate(&mut net, 1));
+    let (allocs, ()) = allocs_during(|| alternate(&mut net, 50));
+    assert_eq!(allocs, 0, "a cache hit must not allocate");
 }
