@@ -33,6 +33,27 @@ fn bench_stability_analysis(c: &mut Criterion) {
             )
         })
     });
+    // A logged app-aware governor poll on the Odroid 3DMark run: the
+    // stable point (~368.7 K) lies past the 95 °C limit, but the climb
+    // from 331.82 K ends at ~358.78 K when the 60 s horizon runs out.
+    let poll = LumpedModel::new(
+        Kelvin::new(298.15),
+        19.350,
+        8000.0,
+        2098.5,
+        Seconds::new(42.2075),
+    )
+    .expect("valid lumped model");
+    group.bench_function("time_to_reach_short_of_limit", |b| {
+        b.iter(|| {
+            poll.time_to_reach(
+                Kelvin::new(331.82),
+                Kelvin::new(368.15),
+                std::hint::black_box(Watts::new(3.54)),
+                Seconds::new(60.0),
+            )
+        })
+    });
     group.finish();
 }
 

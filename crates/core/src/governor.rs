@@ -58,6 +58,7 @@ impl Default for AppAwareConfig {
 pub struct GovernorStats {
     evaluations: AtomicU64,
     activations: AtomicU64,
+    deferrals: AtomicU64,
     migrations: AtomicU64,
     restorations: AtomicU64,
     last_prediction_mc: Mutex<Option<i64>>,
@@ -74,6 +75,13 @@ impl GovernorStats {
     #[must_use]
     pub fn activations(&self) -> u64 {
         self.activations.load(Ordering::Relaxed)
+    }
+
+    /// How many evaluations predicted the limit would be crossed, but not
+    /// within the horizon, so the governor held back.
+    #[must_use]
+    pub fn deferrals(&self) -> u64 {
+        self.deferrals.load(Ordering::Relaxed)
     }
 
     /// How many processes were migrated to the little cluster.
@@ -289,6 +297,8 @@ impl SystemPolicy for AppAwareGovernor {
             if eta.is_some() {
                 self.stats.activations.fetch_add(1, Ordering::Relaxed);
                 self.act(&mut view);
+            } else {
+                self.stats.deferrals.fetch_add(1, Ordering::Relaxed);
             }
         } else if let Some(margin) = self.config.restore_margin {
             let calm =

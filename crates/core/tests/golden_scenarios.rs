@@ -8,9 +8,11 @@ use std::sync::Arc;
 use mpt_core::campaign::run_cells_framed;
 use mpt_core::report::SessionReport;
 use mpt_core::scenario::{
-    run_scenario, run_scenario_analyzed, CampaignSpec, EngineSpec, PlatformSpec, ScenarioSpec,
+    build_scenario, run_scenario, run_scenario_analyzed, CampaignSpec, EngineSpec, PlatformSpec,
+    ScenarioSpec,
 };
 use mpt_obs::{Counter, Recorder};
+use mpt_units::Seconds;
 
 /// The repo-level `scenarios/` directory, relative to this crate.
 fn scenarios_dir() -> PathBuf {
@@ -147,6 +149,40 @@ fn derived_observables_and_alerts_are_deterministic() {
         serde_json::to_string_pretty(&report_a).expect("serializes"),
         serde_json::to_string_pretty(&report_b).expect("serializes")
     );
+}
+
+/// The app-aware governor's decisions, pinned: the session report that
+/// `run_scenario scenarios/odroid_proposed.json --report-out FILE` writes
+/// must equal `goldens/odroid_proposed.report.json` byte for byte.
+/// Regenerate with `MPT_UPDATE_GOLDENS=1 cargo test -p mpt-core --test
+/// golden_scenarios`, only for a change meant to move simulated output.
+#[test]
+fn app_aware_session_report_matches_its_golden() {
+    let name = "odroid_proposed.json";
+    let json = std::fs::read_to_string(scenarios_dir().join(name)).expect("readable file");
+    let spec: ScenarioSpec = serde_json::from_str(&json).expect("parses");
+    let (outcome, analysis) = run_scenario_analyzed(&spec, None).expect("runs");
+    let report = SessionReport::new(format!("scenarios/{name}"), outcome, analysis);
+    let rendered = serde_json::to_string_pretty(&report).expect("serializes");
+    let golden_path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/odroid_proposed.report.json");
+    if std::env::var_os("MPT_UPDATE_GOLDENS").is_some() {
+        std::fs::write(&golden_path, &rendered).expect("golden written");
+        return;
+    }
+    let golden = std::fs::read_to_string(&golden_path).expect("golden exists");
+    assert!(
+        rendered == golden,
+        "{name}: session report differs from its golden"
+    );
+
+    // The run must pin both sides of the horizon test: polls that act,
+    // and polls whose predicted violation lies beyond the horizon.
+    let (mut sim, stats) = build_scenario(&spec).expect("builds");
+    sim.run_for(Seconds::new(spec.duration_s)).expect("runs");
+    let stats = stats.expect("the scenario installs the app-aware governor");
+    assert!(stats.activations() > 0, "no poll acted");
+    assert!(stats.deferrals() > 0, "no poll deferred past the horizon");
 }
 
 /// Golden list of metric identities: the counter exposition names (in id

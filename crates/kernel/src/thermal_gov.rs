@@ -319,8 +319,9 @@ pub struct IpaGovernor {
     config: IpaConfig,
     actors: Vec<(Component, f64)>,
     integral: f64,
-    /// Last caps issued, to avoid re-emitting unchanged actions.
-    last_caps: BTreeMap<ComponentId, Option<Hertz>>,
+    /// Last cap issued per component, indexed by `ComponentId as usize`,
+    /// to avoid re-emitting unchanged actions.
+    last_caps: [Option<Hertz>; 4],
 }
 
 impl IpaGovernor {
@@ -338,60 +339,66 @@ impl IpaGovernor {
     ///
     /// # Panics
     ///
-    /// Panics if any weight is not positive.
+    /// Panics if any weight is not positive, or if two actors are the
+    /// same component.
     #[must_use]
     pub fn with_weights(config: IpaConfig, actors: Vec<(Component, f64)>) -> Self {
         assert!(
             actors.iter().all(|(_, w)| *w > 0.0 && w.is_finite()),
             "actor weights must be positive"
         );
-        let last_caps = actors.iter().map(|(c, _)| (c.id(), None)).collect();
+        assert!(
+            (1..actors.len()).all(|i| actors[..i].iter().all(|(c, _)| c.id() != actors[i].0.id())),
+            "actors must be distinct components"
+        );
         Self {
             config,
             actors,
             integral: 0.0,
-            last_caps,
+            last_caps: [None; 4],
         }
     }
 
     /// Divides `budget` among weighted requests by water-filling: every
     /// actor is granted at most its request; surplus from satisfied
     /// actors is re-divided among the rest in weight proportion (ARM's
-    /// `divvy_up_power`).
-    fn divvy(budget: f64, requests: &[(ComponentId, f64, f64)]) -> BTreeMap<ComponentId, f64> {
-        let mut granted: BTreeMap<ComponentId, f64> = BTreeMap::new();
+    /// `divvy_up_power`). `requests` holds `(component, request, weight)`
+    /// for at most four distinct components; the grants come back indexed
+    /// by `ComponentId as usize`, zero for a component that got nothing.
+    fn divvy(budget: f64, requests: &[(ComponentId, f64, f64)]) -> [f64; 4] {
+        let mut granted = [0.0; 4];
         let mut remaining = budget.max(0.0);
-        let mut active: Vec<(ComponentId, f64, f64)> = requests.to_vec();
-        while !active.is_empty() && remaining > 1e-12 {
-            let wsum: f64 = active.iter().map(|(_, _, w)| w).sum();
+        // Which requests, by position, still wait for a grant.
+        let mut active = [false; 4];
+        active[..requests.len()].fill(true);
+        let waiting =
+            |active: [bool; 4]| requests.iter().enumerate().filter(move |(i, _)| active[*i]);
+        while active.contains(&true) && remaining > 1e-12 {
+            let wsum: f64 = waiting(active).map(|(_, (_, _, w))| w).sum();
             if wsum <= 0.0 {
                 break;
             }
-            let mut next = Vec::new();
+            let mut next = active;
             let mut consumed = 0.0;
             let mut satisfied_any = false;
-            for &(id, req, w) in &active {
+            for (i, &(id, req, w)) in waiting(active) {
                 let share = remaining * w / wsum;
                 if req <= share {
-                    granted.insert(id, req);
+                    granted[id as usize] = req;
                     consumed += req;
                     satisfied_any = true;
-                } else {
-                    next.push((id, req, w));
+                    next[i] = false;
                 }
             }
             if !satisfied_any {
                 // Everyone is hungrier than their share: final split.
-                for &(id, _, w) in &active {
-                    granted.insert(id, remaining * w / wsum);
+                for (_, &(id, _, w)) in waiting(active) {
+                    granted[id as usize] = remaining * w / wsum;
                 }
                 return granted;
             }
             remaining -= consumed;
             active = next;
-        }
-        for (id, _, _) in active {
-            granted.entry(id).or_insert(0.0);
         }
         granted
     }
@@ -450,11 +457,9 @@ impl ThermalGovernor for IpaGovernor {
         self.integral = self.integral.clamp(-cap, cap);
 
         let mut actions = Vec::new();
-        let mut emit = |caps: &mut BTreeMap<ComponentId, Option<Hertz>>,
-                        id: ComponentId,
-                        new: Option<Hertz>| {
-            if caps.get(&id).copied().flatten() != new {
-                caps.insert(id, new);
+        let mut emit = |caps: &mut [Option<Hertz>; 4], id: ComponentId, new: Option<Hertz>| {
+            if caps[id as usize] != new {
+                caps[id as usize] = new;
                 actions.push(match new {
                     Some(freq) => ThermalAction::SetMaxFreq {
                         component: id,
@@ -467,46 +472,40 @@ impl ThermalGovernor for IpaGovernor {
 
         if err > 0.5 {
             // Comfortable headroom: release all caps.
-            let ids: Vec<ComponentId> = self.actors.iter().map(|(c, _)| c.id()).collect();
-            for id in ids {
-                emit(&mut self.last_caps, id, None);
+            for (c, _) in &self.actors {
+                emit(&mut self.last_caps, c.id(), None);
             }
             return actions;
         }
 
         let budget = self.power_budget(control_temp);
-        let utils: BTreeMap<ComponentId, f64> =
-            actors.iter().map(|a| (a.id, a.utilization)).collect();
+        // Observed utilization by `ComponentId as usize`; a later report
+        // for the same component wins.
+        let mut utils = [None; 4];
+        for a in actors {
+            utils[a.id as usize] = Some(a.utilization);
+        }
         // Each actor requests the power it would draw *unconstrained*:
         // its observed utilization at its maximum OPP. (Using the
         // currently measured power instead creates a starvation feedback:
         // a throttled actor measures low, gets allocated even less, and
         // never recovers — ARM's implementation likewise budgets against
-        // requested, not delivered, power.)
-        let requests: Vec<(ComponentId, f64, f64)> = self
-            .actors
-            .iter()
-            .map(|(c, weight)| {
-                let util = utils.get(&c.id()).copied().unwrap_or(1.0).max(0.5);
-                let top = c.opps().highest();
-                let p = c
-                    .power_params()
-                    .dynamic_power(top.voltage(), top.frequency(), util)
-                    + c.power_params().static_floor();
-                (c.id(), p.value(), *weight)
-            })
-            .collect();
-        let granted = Self::divvy(budget.value(), &requests);
-        let governed: Vec<(ComponentId, Hertz)> = self
-            .actors
-            .iter()
-            .map(|(comp, _)| {
-                let allocated = Watts::new(granted.get(&comp.id()).copied().unwrap_or(0.0));
-                let util = utils.get(&comp.id()).copied().unwrap_or(1.0);
-                (comp.id(), Self::freq_for_budget(comp, util, allocated))
-            })
-            .collect();
-        for (id, freq) in governed {
+        // requested, not delivered, power.) Requests stay in actor order.
+        let mut requests = [(ComponentId::LittleCluster, 0.0, 0.0); 4];
+        for (slot, (c, weight)) in requests.iter_mut().zip(&self.actors) {
+            let util = utils[c.id() as usize].unwrap_or(1.0).max(0.5);
+            let top = c.opps().highest();
+            let p = c
+                .power_params()
+                .dynamic_power(top.voltage(), top.frequency(), util)
+                + c.power_params().static_floor();
+            *slot = (c.id(), p.value(), *weight);
+        }
+        let granted = Self::divvy(budget.value(), &requests[..self.actors.len()]);
+        for (comp, _) in &self.actors {
+            let id = comp.id();
+            let util = utils[id as usize].unwrap_or(1.0);
+            let freq = Self::freq_for_budget(comp, util, Watts::new(granted[id as usize]));
             emit(&mut self.last_caps, id, Some(freq));
         }
         actions
@@ -774,8 +773,8 @@ mod tests {
                 (ComponentId::Gpu, 2.0, 1.0),
             ],
         );
-        assert!((granted[&ComponentId::BigCluster] - 4.0).abs() < 1e-9);
-        assert!((granted[&ComponentId::Gpu] - 2.0).abs() < 1e-9);
+        assert!((granted[ComponentId::BigCluster as usize] - 4.0).abs() < 1e-9);
+        assert!((granted[ComponentId::Gpu as usize] - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -787,8 +786,8 @@ mod tests {
                 (ComponentId::Gpu, 10.0, 2.0),
             ],
         );
-        assert!((granted[&ComponentId::BigCluster] - 1.0).abs() < 1e-9);
-        assert!((granted[&ComponentId::Gpu] - 2.0).abs() < 1e-9);
+        assert!((granted[ComponentId::BigCluster as usize] - 1.0).abs() < 1e-9);
+        assert!((granted[ComponentId::Gpu as usize] - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -802,8 +801,8 @@ mod tests {
                 (ComponentId::Gpu, 1.0, 1.0),
             ],
         );
-        assert!((granted[&ComponentId::Gpu] - 1.0).abs() < 1e-9);
-        assert!((granted[&ComponentId::BigCluster] - 3.0).abs() < 1e-9);
+        assert!((granted[ComponentId::Gpu as usize] - 1.0).abs() < 1e-9);
+        assert!((granted[ComponentId::BigCluster as usize] - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -815,7 +814,7 @@ mod tests {
         ];
         for budget in [0.0, 1.0, 2.0, 4.0, 10.0] {
             let granted = IpaGovernor::divvy(budget, &reqs);
-            let total: f64 = granted.values().sum();
+            let total: f64 = granted.iter().sum();
             let demand: f64 = reqs.iter().map(|(_, r, _)| r).sum();
             assert!(total <= budget + 1e-9, "budget {budget}: granted {total}");
             assert!(total <= demand + 1e-9);
@@ -827,13 +826,19 @@ mod tests {
     #[test]
     fn divvy_handles_zero_budget_and_empty_requests() {
         let granted = IpaGovernor::divvy(0.0, &[(ComponentId::Gpu, 1.0, 1.0)]);
-        assert_eq!(granted[&ComponentId::Gpu], 0.0);
-        assert!(IpaGovernor::divvy(5.0, &[]).is_empty());
+        assert_eq!(granted[ComponentId::Gpu as usize], 0.0);
+        assert_eq!(IpaGovernor::divvy(5.0, &[]), [0.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "weights must be positive")]
     fn nonpositive_weight_is_a_bug() {
         let _ = IpaGovernor::with_weights(IpaConfig::default(), vec![(big(), 0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct components")]
+    fn duplicate_actor_is_a_bug() {
+        let _ = IpaGovernor::new(IpaConfig::default(), vec![big(), big()]);
     }
 }

@@ -95,6 +95,29 @@ fn bisect(mut lo: f64, mut hi: f64, right_of: impl Fn(f64) -> bool) -> f64 {
     0.5 * (lo + hi)
 }
 
+/// How far below its target a climb must provably stay for
+/// [`LumpedModel::time_to_reach`] to stop early, and how far apart the two
+/// fixed points must be for the stable one to bound the climb, in kelvin.
+const REACH_MARGIN_K: f64 = 1e-6;
+
+/// How far above the bisected stable fixed point the climb's ceiling
+/// sits, in kelvin.
+const CEILING_NUDGE_K: f64 = 1e-9;
+
+/// Whether an RK4 climb of step `dt`, now at `y` and heating at `k1`,
+/// provably stays below `target − REACH_MARGIN_K` for `steps_left` more
+/// steps, by the chord bound toward `ceiling` that
+/// [`LumpedModel::time_to_reach`] documents. False where that bound does
+/// not apply: `k1 ≤ 0`, `y ≥ ceiling` or `a·dt ≥ 1`.
+fn stays_short(ceiling: f64, y: f64, k1: f64, dt: f64, steps_left: f64, target: f64) -> bool {
+    let gap = ceiling - y;
+    if !(k1 > 0.0 && gap > 0.0) {
+        return false;
+    }
+    let a_dt = k1 / gap * dt;
+    a_dt < 1.0 && ceiling - gap * (1.0 - a_dt).powf(steps_left) < target - REACH_MARGIN_K
+}
+
 /// A lumped power–temperature model with leakage feedback.
 ///
 /// # Examples
@@ -409,6 +432,32 @@ impl LumpedModel {
         (self.t_ambient.value() - t.value() + self.r_th * p_total.value()) / self.tau.value()
     }
 
+    /// The RK4 step [`time_to_reach`](Self::time_to_reach) integrates
+    /// with: τ/400, at most a sixteenth of the horizon, at least 1 ms.
+    fn rk4_step(&self, horizon: Seconds) -> f64 {
+        (self.tau.value() / 400.0)
+            .min(horizon.value() / 16.0)
+            .max(1e-3)
+    }
+
+    /// The temperature no climb at `p_dyn` can pass from below: the stable
+    /// fixed point plus [`CEILING_NUDGE_K`]. `None` unless `p_dyn` has two
+    /// fixed points more than [`REACH_MARGIN_K`] apart, where a bisected
+    /// root is accurate far within the margin. Also `None` when
+    /// `T_a + R·P_dyn ≤ 0` (`c ≤ 0`), where the classification's root
+    /// bracket never closes.
+    fn reach_ceiling(&self, p_dyn: Watts) -> Option<f64> {
+        if self.coeffs(p_dyn).0 <= 0.0 {
+            return None;
+        }
+        match self.stability(p_dyn) {
+            Stability::Stable(fp) if fp.unstable.value() - fp.stable.value() > REACH_MARGIN_K => {
+                Some(fp.stable.value() + CEILING_NUDGE_K)
+            }
+            _ => None,
+        }
+    }
+
     /// Estimates the time for the temperature to rise from `from` to
     /// `target` at constant dynamic power, by integrating the lumped ODE
     /// (RK4). Returns `None` if `target` is not reached within `horizon`
@@ -418,6 +467,26 @@ impl LumpedModel {
     /// This is the "time to reach the fixed point" estimate the paper's
     /// governor compares against a user-defined limit to decide whether a
     /// thermal violation is imminent.
+    ///
+    /// # Early `None`
+    ///
+    /// When `p_dyn` has two fixed points more than 1e-6 K apart, the
+    /// integration stops with `None` before any step from a temperature
+    /// `y` below the stable point `T_s` once a chord bound proves the
+    /// climb cannot reach `target − 1e-6 K` in the steps the horizon has
+    /// left. The answer is the one the full RK4 gives: the leakage
+    /// `g·T²·e^(−β/T)` is convex for `T > 0`, so on `[y, T_s]` the heating
+    /// rate is non-negative and lies under the chord from `(y, k1)` to
+    /// `(T_s, 0)`, where `k1` is the rate at `y`. With `a = k1/(T_s − y)`
+    /// and `a·dt < 1`, every RK4 stage stays in `[y, T_s)`, each step
+    /// shrinks the distance to `T_s` by at most the factor `1 − a·dt`, and
+    /// `a` can only fall as the climb goes on, so after `m` more steps the
+    /// temperature is at most `T_s − (T_s − y)·(1 − a·dt)^m`. `T_s` is
+    /// taken 1e-9 K above the bisected root, and the 1e-6 K margin sits
+    /// orders of magnitude above the loop's accumulated rounding. Runaway
+    /// and critically stable powers, starts at or above `T_s`, and every
+    /// climb that reaches its target run the same RK4 steps to the same
+    /// result.
     #[must_use]
     pub fn time_to_reach(
         &self,
@@ -429,14 +498,23 @@ impl LumpedModel {
         if from >= target {
             return Some(Seconds::ZERO);
         }
-        let dt = (self.tau.value() / 400.0)
-            .min(horizon.value() / 16.0)
-            .max(1e-3);
+        let dt = self.rk4_step(horizon);
+        let ceiling = self.reach_ceiling(p_dyn);
+        // An upper bound on the steps the loop below can take: summing
+        // `dt` may round `elapsed` short of the horizon once.
+        let steps = (horizon.value() / dt).ceil() + 1.0;
+        let mut taken = 0.0;
         let mut t = from.value();
         let mut elapsed = 0.0;
         let deriv = |temp: f64| self.heating_rate(Kelvin::new(temp), p_dyn);
         while elapsed < horizon.value() {
             let k1 = deriv(t);
+            if ceiling.is_some_and(|ceiling| {
+                stays_short(ceiling, t, k1, dt, steps - taken, target.value())
+            }) {
+                return None;
+            }
+            taken += 1.0;
             let k2 = deriv(t + 0.5 * dt * k1);
             let k3 = deriv(t + 0.5 * dt * k2);
             let k4 = deriv(t + dt * k3);
@@ -835,6 +913,70 @@ mod tests {
             let c = (theta + 1.0) / (theta * (theta + 2.0));
             Watts::new(((c * m.beta - m.t_ambient.value()) / m.r_th).max(0.0))
         }
+
+        /// `time_to_reach` as it was before the early `None`: a climb
+        /// that misses its target runs every RK4 step to the horizon.
+        pub(super) fn time_to_reach(
+            m: &LumpedModel,
+            from: Kelvin,
+            target: Kelvin,
+            p_dyn: Watts,
+            horizon: Seconds,
+        ) -> Option<Seconds> {
+            if from >= target {
+                return Some(Seconds::ZERO);
+            }
+            let dt = (m.tau.value() / 400.0)
+                .min(horizon.value() / 16.0)
+                .max(1e-3);
+            let mut t = from.value();
+            let mut elapsed = 0.0;
+            let deriv = |temp: f64| m.heating_rate(Kelvin::new(temp), p_dyn);
+            while elapsed < horizon.value() {
+                let k1 = deriv(t);
+                let k2 = deriv(t + 0.5 * dt * k1);
+                let k3 = deriv(t + 0.5 * dt * k2);
+                let k4 = deriv(t + dt * k3);
+                let step = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+                if step.abs() < 1e-12 {
+                    // Equilibrium short of the target.
+                    return None;
+                }
+                t += step;
+                elapsed += dt;
+                if t >= target.value() {
+                    return Some(Seconds::new(elapsed));
+                }
+            }
+            None
+        }
+
+        /// Where the reference climb stands when it stops with no target
+        /// to reach: at the horizon, or at its equilibrium test.
+        pub(super) fn end_temperature(
+            m: &LumpedModel,
+            from: Kelvin,
+            p_dyn: Watts,
+            horizon: Seconds,
+        ) -> f64 {
+            let dt = m.rk4_step(horizon);
+            let mut t = from.value();
+            let mut elapsed = 0.0;
+            let deriv = |temp: f64| m.heating_rate(Kelvin::new(temp), p_dyn);
+            while elapsed < horizon.value() {
+                let k1 = deriv(t);
+                let k2 = deriv(t + 0.5 * dt * k1);
+                let k3 = deriv(t + 0.5 * dt * k2);
+                let k4 = deriv(t + dt * k3);
+                let step = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+                if step.abs() < 1e-12 {
+                    break;
+                }
+                t += step;
+                elapsed += dt;
+            }
+            t
+        }
     }
 
     /// A classification as bits: variant tag, then every float it holds.
@@ -901,6 +1043,135 @@ mod tests {
             prop_assert_eq!(
                 m.critical_power().value().to_bits(),
                 reference::critical_power(&m).value().to_bits()
+            );
+        }
+    }
+
+    /// One poll of the app-aware governor on the Odroid 3DMark run: the
+    /// reduced model's stable point (~368.74 K) is above the 95 °C limit,
+    /// so the governor asks for the time to reach it, but the RK4 climb
+    /// ends at ~358.78 K after the 60 s horizon.
+    fn logged_governor_poll() -> (LumpedModel, Kelvin, Kelvin, Watts, Seconds) {
+        let m = LumpedModel::new(
+            Kelvin::new(298.15),
+            19.350,
+            8000.0,
+            2098.5,
+            Seconds::new(42.2075),
+        )
+        .unwrap();
+        let limit = Kelvin::new(368.15);
+        (
+            m,
+            Kelvin::new(331.82),
+            limit,
+            Watts::new(3.54),
+            Seconds::new(60.0),
+        )
+    }
+
+    #[test]
+    fn chord_bound_decides_a_logged_poll_before_the_first_step() {
+        let (m, from, target, p, horizon) = logged_governor_poll();
+        let end = reference::end_temperature(&m, from, p, horizon);
+        assert!(
+            (end - 358.78).abs() < 0.01,
+            "reference climb ends at {end} K"
+        );
+        let ceiling = m.reach_ceiling(p).expect("two fixed points");
+        assert!((ceiling - 368.737).abs() < 0.01, "ceiling {ceiling} K");
+        let dt = m.rk4_step(horizon);
+        let steps = (horizon.value() / dt).ceil() + 1.0;
+        let k1 = m.heating_rate(from, p);
+        assert!(stays_short(
+            ceiling,
+            from.value(),
+            k1,
+            dt,
+            steps,
+            target.value()
+        ));
+        assert_eq!(m.time_to_reach(from, target, p, horizon), None);
+        assert_eq!(reference::time_to_reach(&m, from, target, p, horizon), None);
+        // Just short of where the climb ends, the bound lets it run.
+        let reachable = Kelvin::new(end - 1e-9);
+        let reached = m.time_to_reach(from, reachable, p, horizon);
+        assert!(reached.is_some());
+        assert_eq!(
+            reached,
+            reference::time_to_reach(&m, from, reachable, p, horizon)
+        );
+    }
+
+    #[test]
+    fn time_to_reach_runs_the_rk4_where_stability_would_not_return() {
+        // T_a + R·P < 0: no classification is attempted, the RK4 runs.
+        let m = odroid();
+        let p = Watts::new(-20.0);
+        let (from, target, horizon) = (Kelvin::new(300.0), Kelvin::new(310.0), Seconds::new(5.0));
+        assert_eq!(
+            m.time_to_reach(from, target, p, horizon),
+            reference::time_to_reach(&m, from, target, p, horizon)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn prop_early_none_is_bit_identical(
+            t_a in 250.0_f64..330.0,
+            r in 0.5_f64..60.0,
+            beta in 2000.0_f64..16000.0,
+            p_crit in 0.2_f64..20.0,
+            g_scale in -1.5_f64..1.5,
+            kind in 0u8..8,
+            p_share in 0.0_f64..1.3,
+            tau in 1.0_f64..500.0,
+            horizon in 1.0_f64..600.0,
+            start in 0.0_f64..3.0,
+            offset_exp in -9.0_f64..1.0,
+            above in any::<bool>(),
+        ) {
+            // Kind 0 is leak-free, kind 1 runs at exactly the critical
+            // power, every other kind at 0-1.3x of it (of `p_crit` when
+            // leak-free): stable, critical and runaway cases all occur.
+            let calibrated = LumpedModel::calibrate_leak_gain(
+                Kelvin::new(t_a),
+                r,
+                beta,
+                Watts::new(p_crit),
+            );
+            let g = match (kind, calibrated) {
+                (0, _) | (_, Err(_)) => 0.0,
+                (_, Ok(g)) => g * 10f64.powf(g_scale),
+            };
+            let m = LumpedModel::new(Kelvin::new(t_a), r, beta, g, Seconds::new(tau)).unwrap();
+            let critical = m.critical_power().value();
+            let scale = if critical.is_finite() { critical } else { p_crit };
+            let p = Watts::new(if kind == 1 { scale } else { p_share * scale });
+            // Start below the stable point, between the fixed points, or
+            // past the unstable one.
+            let (low, high) = match m.stability(p) {
+                Stability::Stable(fp) => (fp.stable.value(), fp.unstable.value()),
+                Stability::CriticallyStable { point } => (point.value(), point.value()),
+                Stability::Runaway => (t_a + 50.0, t_a + 100.0),
+            };
+            let cold = t_a - 20.0;
+            let from = Kelvin::new(match start {
+                s if s < 1.0 => cold + s * (low - cold),
+                s if s < 2.0 => low + (s - 1.0) * (high - low),
+                s => high + (s - 2.0) * 50.0,
+            });
+            // A target just short of or past where the reference climb
+            // ends.
+            let h = Seconds::new(horizon);
+            let end = reference::end_temperature(&m, from, p, h);
+            let offset = 10f64.powf(offset_exp);
+            let target = Kelvin::new(if above { end + offset } else { end - offset });
+            prop_assert_eq!(
+                m.time_to_reach(from, target, p, h).map(|s| s.value().to_bits()),
+                reference::time_to_reach(&m, from, target, p, h).map(|s| s.value().to_bits())
             );
         }
     }
