@@ -28,7 +28,7 @@ use mpt_sim::SteppingMode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: run_scenario [SCENARIO.json]\n       run_scenario --campaign CAMPAIGN.json [--jobs N]\n\noptions:\n  --jobs N           worker threads for campaigns; 0 (default) = one per CPU\n  --trace-out FILE   write a Chrome trace-event JSON with spans and one\n                     counter track per telemetry channel (campaigns: per\n                     cell, named after its label); load in\n                     Perfetto/about:tracing\n  --metrics-out FILE write counters + latency quantiles; .json extension\n                     selects a JSON snapshot, anything else Prometheus text\n  --report-out FILE  write the session report JSON: outcome, derived\n                     observables, fired alerts and frequency residency\n                     (campaigns: the full campaign report with the\n                     per-cell alert/derived rollup)\n  --fleet-out FILE   write the per-cell fleet population rollups as JSON\n                     (campaigns with a \"fleet\" block only): throttle-onset\n                     CDF, time-above-trip quantiles, peak-temp histogram\n  --alerts FILE      merge extra alert rules (a JSON array of rule\n                     objects, e.g. scenarios/alerts/*.json) into the\n                     scenario or campaign base before running\n  --engine NAME      override the stepping engine (fixed | event) for the\n                     scenario, or every cell of a campaign\n  --query EXPR       run a telemetry query (repeatable). Grammar:\n                     agg(channel) [by axis,...] [where axis=value ...]\n                     with agg one of min|max|mean|median|sum|count|p<N>.\n                     Scenarios query the session frame; campaigns query\n                     the per-cell metrics frame, falling back to the\n                     assembled per-cell telemetry for time channels.\n                     Spec-embedded `queries` run first, then these\n  --query-out FMT    query result format: csv (default) or json\n  --columnar-out F   write the columnar telemetry frame (scenario: the\n                     session frame; campaign: the per-cell metrics\n                     frame). Extension picks the format: .json, .arrow\n                     (needs --features arrow-ipc), anything else CSV\n  --progress         render live progress on stderr: per-cell bar, tick\n                     throughput and ETA (campaigns), tick throughput\n                     (scenarios); stdout stays machine-readable\n  --serve-obs ADDR   serve live observability over HTTP while running:\n                     GET /metrics (Prometheus), /progress (JSON snapshot)\n                     and /events?cursor=N (long-poll NDJSON journal).\n                     ADDR is host:port; port 0 picks one (printed to\n                     stderr)\n  --journal-out FILE write the full event journal as NDJSON after the run\n                     (one meta line, then one event per line)\n  --verify           run the MPT6xx static reachability certifier before\n                     tick 0: an interval envelope over every trajectory\n                     the spec (and any fleet jitter) can realize. The\n                     verdict lands in the session/campaign report; a\n                     guaranteed trip (MPT603) refuses to simulate\n\nWith no file, a scenario is read from stdin."
+        "usage: run_scenario [SCENARIO.json]\n       run_scenario --campaign CAMPAIGN.json [--jobs N]\n\noptions:\n  --jobs N           worker threads for campaigns; 0 (default) = one per CPU\n  --trace-out FILE   write a Chrome trace-event JSON with spans and one\n                     counter track per telemetry channel (campaigns: per\n                     cell, named after its label); load in\n                     Perfetto/about:tracing\n  --metrics-out FILE write counters + latency quantiles; .json extension\n                     selects a JSON snapshot, anything else Prometheus text\n  --report-out FILE  write the session report JSON: outcome, derived\n                     observables, fired alerts and frequency residency\n                     (campaigns: the full campaign report with the\n                     per-cell alert/derived rollup)\n  --fleet-out FILE   write the per-cell fleet population rollups as JSON\n                     (campaigns with a \"fleet\" block only): throttle-onset\n                     CDF, time-above-trip quantiles, peak-temp histogram\n  --alerts FILE      merge extra alert rules (a JSON array of rule\n                     objects, e.g. scenarios/alerts/*.json) into the\n                     scenario or campaign base before running\n  --engine NAME      override the stepping engine (fixed | event) for the\n                     scenario, or every cell of a campaign\n  --query EXPR       run a telemetry query (repeatable). Grammar:\n                     agg(channel) [by axis,...] [where axis=value ...]\n                     with agg one of min|max|mean|median|sum|count|p<N>.\n                     Scenarios query the session frame; campaigns query\n                     the per-cell metrics frame, falling back to the\n                     assembled per-cell telemetry for time channels.\n                     Spec-embedded `queries` run first, then these\n  --query-out FMT    query result format: csv (default) or json\n  --columnar-out F   write the columnar telemetry frame (scenario: the\n                     session frame; campaign: the per-cell metrics\n                     frame). Extension picks the format: .json for\n                     JSON, anything else CSV\n  --progress         render live progress on stderr: per-cell bar, tick\n                     throughput and ETA (campaigns), tick throughput\n                     (scenarios); stdout stays machine-readable\n  --serve-obs ADDR   serve live observability over HTTP while running:\n                     GET /metrics (Prometheus), /progress (JSON snapshot)\n                     and /events?cursor=N (long-poll NDJSON journal).\n                     ADDR is host:port; port 0 picks one (printed to\n                     stderr)\n  --journal-out FILE write the full event journal as NDJSON after the run\n                     (one meta line, then one event per line)\n  --verify           run the MPT6xx static reachability certifier before\n                     tick 0: an interval envelope over every trajectory\n                     the spec (and any fleet jitter) can realize. The\n                     verdict lands in the session/campaign report; a\n                     guaranteed trip (MPT603) refuses to simulate\n\nWith no file, a scenario is read from stdin."
     );
     std::process::exit(2);
 }
@@ -484,21 +484,10 @@ fn gate_cli_queries(queries: &[String], channels: &[String], axes: &[String]) {
 }
 
 /// Writes a columnar frame, dispatching the format on the extension:
-/// `.json`, `.arrow` (behind the `arrow-ipc` feature), else CSV.
+/// `.json`, else CSV.
 fn write_frame(path: &str, frame: &ColumnFrame) -> Result<(), Box<dyn std::error::Error>> {
     if path.ends_with(".json") {
         std::fs::write(path, frame.to_json())?;
-    } else if path.ends_with(".arrow") {
-        #[cfg(feature = "arrow-ipc")]
-        mpt_daq::arrow::write_file_to(std::path::Path::new(path), frame)?;
-        #[cfg(not(feature = "arrow-ipc"))]
-        {
-            eprintln!(
-                "run_scenario: .arrow output needs the arrow-ipc feature \
-                 (rebuild with `--features arrow-ipc`)"
-            );
-            std::process::exit(2);
-        }
     } else {
         std::fs::write(path, frame.to_csv())?;
     }

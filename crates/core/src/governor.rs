@@ -293,7 +293,7 @@ impl SystemPolicy for AppAwareGovernor {
         if violation_ahead {
             self.calm_streak = 0;
             // Imminent only if the limit is reached within the horizon.
-            let eta = lumped.time_to_reach(hot_temp, limit, p_dyn, self.config.horizon);
+            let eta = lumped.time_to_reach(hot_temp, limit, p_dyn, &stability, self.config.horizon);
             if eta.is_some() {
                 self.stats.activations.fetch_add(1, Ordering::Relaxed);
                 self.act(&mut view);

@@ -164,16 +164,6 @@ impl Column {
     pub fn data(&self) -> &ColumnData {
         &self.data
     }
-
-    /// The row `i` value rendered as the CSV field text.
-    #[must_use]
-    pub fn render(&self, i: usize) -> String {
-        match &self.data {
-            ColumnData::F64(v) => format_f64(v[i]),
-            ColumnData::U32(v) => v[i].to_string(),
-            ColumnData::Str { codes, values } => values[codes[i] as usize].clone(),
-        }
-    }
 }
 
 /// Formats an `f64` with the shortest representation that round-trips
@@ -182,8 +172,16 @@ impl Column {
 #[must_use]
 pub fn format_f64(v: f64) -> String {
     let mut out = String::new();
-    crate::fastfmt::write_f64(&mut out, v);
+    write_f64(&mut out, v);
     out
+}
+
+/// Appends [`format_f64`]'s text for `v` to `out`.
+fn write_f64(out: &mut String, v: f64) {
+    use std::fmt::Write;
+    if !v.is_nan() {
+        let _ = write!(out, "{v:?}");
+    }
 }
 
 /// A column-major telemetry frame: a monotone time column plus named,
@@ -450,11 +448,11 @@ impl ColumnFrame {
         }
         out.push('\n');
         for i in 0..self.rows {
-            crate::fastfmt::write_f64(&mut out, self.time[i]);
+            write_f64(&mut out, self.time[i]);
             for c in &self.columns {
                 out.push(',');
                 match &c.data {
-                    ColumnData::F64(v) => crate::fastfmt::write_f64(&mut out, v[i]),
+                    ColumnData::F64(v) => write_f64(&mut out, v[i]),
                     ColumnData::U32(v) => {
                         let _ = write!(out, "{}", v[i]);
                     }
@@ -782,13 +780,28 @@ mod tests {
 
     #[test]
     fn csv_round_trips_awkward_floats() {
+        // The last two are values a Grisu2 formatter prints one digit
+        // longer than `{:?}` (`60.942513431347336`, `3.1722300588172752e16`).
+        let values = [
+            0.1,
+            1.0 / 3.0,
+            1e-300,
+            6.02e23,
+            60.94251343134734,
+            3.172230058817275e16,
+        ];
         let mut f = ColumnFrame::new();
-        for (i, v) in [0.1, 1.0 / 3.0, 1e-300, 6.02e23].iter().enumerate() {
+        for (i, v) in values.iter().enumerate() {
             f.begin_row(i as f64);
             f.set_f64("x", *v);
             f.end_row();
         }
-        let back = ColumnFrame::from_csv(&f.to_csv()).expect("parses");
+        let csv = f.to_csv();
+        for (line, v) in csv.lines().skip(1).zip(values) {
+            let field = line.split(',').nth(1).expect("x field");
+            assert_eq!(field, format!("{v:?}"), "shortest round-trip text");
+        }
+        let back = ColumnFrame::from_csv(&csv).expect("parses");
         assert_eq!(f, back, "shortest-repr formatting must round-trip exactly");
     }
 

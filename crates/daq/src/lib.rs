@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! Measurement substrate: the data-acquisition side of the paper.
+//! Measurement substrate: the post-processing side of the paper.
 //!
 //! The paper's Nexus 6P has no power sensors, so the authors attached a
 //! National Instruments PXIe-4081 DAQ sampling the phone's power at 1 kHz;
@@ -9,11 +9,11 @@
 //! way, every number in the paper's figures and tables is a *product of
 //! sampled data*: frequency-residency percentages (Figs. 2/4/6),
 //! temperature traces (Figs. 1/3/5/8), power pies (Fig. 9) and median
-//! frame rates (Tables I/II). This crate implements that measurement
-//! pipeline:
+//! frame rates (Tables I/II). In this reproduction every artifact reads
+//! the simulator's exact telemetry, so there is no sensor-sampling model;
+//! this crate holds the post-processing that turns telemetry into those
+//! numbers:
 //!
-//! - [`Sampler`] — fixed-rate sampling with optional Gaussian sensor
-//!   noise (the DAQ model);
 //! - [`TimeSeries`] — timestamped traces with summary statistics;
 //! - [`Residency`] — time-in-state accounting (the kernel's
 //!   `time_in_state` file behind the paper's residency histograms);
@@ -21,27 +21,19 @@
 //! - [`chart`] — ASCII rendering so the bench harness can print the same
 //!   series the paper plots;
 //! - [`columnar`] — the column-major telemetry store ([`ColumnFrame`],
-//!   [`CampaignFrame`]) that exports and aggregate queries run over;
+//!   [`CampaignFrame`]) that exports (CSV, JSON) and aggregate queries run
+//!   over;
 //! - [`query`] — the typed query layer (`p99(max_temp_c) by platform`)
-//!   whose aggregates reuse the [`stats`] kernels;
-//! - [`fastfmt`] — Grisu2 shortest-round-trip float formatting, the
-//!   throughput behind CSV export;
-//! - `arrow` (behind the default-off `arrow-ipc` feature) — a zero-dep
-//!   Arrow-IPC file writer for frames.
+//!   whose aggregates reuse the [`stats`] kernels.
 
-#[cfg(feature = "arrow-ipc")]
-pub mod arrow;
 pub mod chart;
 pub mod columnar;
-pub mod fastfmt;
 pub mod query;
 mod residency;
-mod sampler;
 pub mod stats;
 mod trace;
 
 pub use columnar::{CampaignFrame, ColumnFrame};
 pub use query::{Query, QueryError, QueryResult};
 pub use residency::Residency;
-pub use sampler::{NoiseModel, Sampler};
 pub use trace::TimeSeries;

@@ -32,7 +32,6 @@
 //! # Ok::<(), mpt_soc::SocError>(())
 //! ```
 
-mod battery;
 mod component;
 mod error;
 mod fleet;
@@ -43,7 +42,6 @@ mod power;
 mod sensors;
 mod thermal_spec;
 
-pub use battery::Battery;
 pub use component::{Component, ComponentId};
 pub use error::SocError;
 pub use fleet::{DeviceParams, FleetSpec, ParamJitter};

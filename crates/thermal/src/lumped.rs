@@ -330,8 +330,16 @@ impl LumpedModel {
     /// decision procedure of the paper's Section IV-A ("we can determine
     /// the stability … by looking at the number of roots of the
     /// fixed-point function").
+    ///
+    /// Where `T_a + R·P_dyn ≤ 0` (`c ≤ 0`, only reachable with negative
+    /// power), `F` is strictly increasing with a single, repelling root, so
+    /// no stable fixed point exists and the answer is
+    /// [`Stability::Runaway`].
     #[must_use]
     pub fn stability(&self, p_dyn: Watts) -> Stability {
+        if self.coeffs(p_dyn).0 <= 0.0 {
+            return Stability::Runaway;
+        }
         let peak_theta = self.argmax_theta(p_dyn);
         let peak = self.fixed_point_function(peak_theta, p_dyn);
         if peak < -1e-9 {
@@ -390,7 +398,7 @@ impl LumpedModel {
     }
 
     /// The stable steady-state temperature at `p_dyn`, if the dynamics
-    /// have a fixed point.
+    /// have one: `None` for runaway, including `T_a + R·P_dyn ≤ 0`.
     #[must_use]
     pub fn steady_state_temperature(&self, p_dyn: Watts) -> Option<Kelvin> {
         self.stability(p_dyn).steady_state()
@@ -440,17 +448,12 @@ impl LumpedModel {
             .max(1e-3)
     }
 
-    /// The temperature no climb at `p_dyn` can pass from below: the stable
-    /// fixed point plus [`CEILING_NUDGE_K`]. `None` unless `p_dyn` has two
-    /// fixed points more than [`REACH_MARGIN_K`] apart, where a bisected
-    /// root is accurate far within the margin. Also `None` when
-    /// `T_a + R·P_dyn ≤ 0` (`c ≤ 0`), where the classification's root
-    /// bracket never closes.
-    fn reach_ceiling(&self, p_dyn: Watts) -> Option<f64> {
-        if self.coeffs(p_dyn).0 <= 0.0 {
-            return None;
-        }
-        match self.stability(p_dyn) {
+    /// The temperature no climb under `stability` can pass from below: the
+    /// stable fixed point plus [`CEILING_NUDGE_K`]. `None` unless there are
+    /// two fixed points more than [`REACH_MARGIN_K`] apart, where a
+    /// bisected root is accurate far within the margin.
+    fn reach_ceiling(stability: &Stability) -> Option<f64> {
+        match stability {
             Stability::Stable(fp) if fp.unstable.value() - fp.stable.value() > REACH_MARGIN_K => {
                 Some(fp.stable.value() + CEILING_NUDGE_K)
             }
@@ -467,6 +470,10 @@ impl LumpedModel {
     /// This is the "time to reach the fixed point" estimate the paper's
     /// governor compares against a user-defined limit to decide whether a
     /// thermal violation is imminent.
+    ///
+    /// `stability` must be `self.stability(p_dyn)`, which the caller has
+    /// already computed to decide whether to ask, so a prediction
+    /// classifies its power once. The early `None` below relies on it.
     ///
     /// # Early `None`
     ///
@@ -493,13 +500,14 @@ impl LumpedModel {
         from: Kelvin,
         target: Kelvin,
         p_dyn: Watts,
+        stability: &Stability,
         horizon: Seconds,
     ) -> Option<Seconds> {
         if from >= target {
             return Some(Seconds::ZERO);
         }
         let dt = self.rk4_step(horizon);
-        let ceiling = self.reach_ceiling(p_dyn);
+        let ceiling = Self::reach_ceiling(stability);
         // An upper bound on the steps the loop below can take: summing
         // `dt` may round `elapsed` short of the horizon once.
         let steps = (horizon.value() / dt).ceil() + 1.0;
@@ -697,10 +705,12 @@ mod tests {
     #[test]
     fn time_to_reach_is_zero_when_already_there() {
         let m = odroid();
+        let p = Watts::new(3.0);
         let t = m.time_to_reach(
             Kelvin::new(350.0),
             Kelvin::new(340.0),
-            Watts::new(3.0),
+            p,
+            &m.stability(p),
             Seconds::new(100.0),
         );
         assert_eq!(t, Some(Seconds::ZERO));
@@ -709,9 +719,16 @@ mod tests {
     #[test]
     fn time_to_reach_none_when_fixed_point_is_below_target() {
         let m = odroid();
-        let ss = m.steady_state_temperature(Watts::new(2.0)).unwrap();
+        let p = Watts::new(2.0);
+        let ss = m.steady_state_temperature(p).unwrap();
         let target = Kelvin::new(ss.value() + 10.0);
-        let t = m.time_to_reach(m.t_ambient(), target, Watts::new(2.0), Seconds::new(5000.0));
+        let t = m.time_to_reach(
+            m.t_ambient(),
+            target,
+            p,
+            &m.stability(p),
+            Seconds::new(5000.0),
+        );
         assert_eq!(t, None);
     }
 
@@ -722,7 +739,7 @@ mod tests {
         let from = m.t_ambient();
         let target = Kelvin::new(from.value() + 30.0);
         let t = m
-            .time_to_reach(from, target, p, Seconds::new(10_000.0))
+            .time_to_reach(from, target, p, &m.stability(p), Seconds::new(10_000.0))
             .expect("target below fixed point must be reached");
         // Cross-check with a fine Euler simulation.
         let mut temp = from.value();
@@ -743,11 +760,12 @@ mod tests {
         let p = Watts::new(4.5);
         let target = Kelvin::new(360.0);
         let horizon = Seconds::new(10_000.0);
+        let stability = m.stability(p);
         let slow = m
-            .time_to_reach(Kelvin::new(300.0), target, p, horizon)
+            .time_to_reach(Kelvin::new(300.0), target, p, &stability, horizon)
             .unwrap();
         let fast = m
-            .time_to_reach(Kelvin::new(330.0), target, p, horizon)
+            .time_to_reach(Kelvin::new(330.0), target, p, &stability, horizon)
             .unwrap();
         assert!(fast < slow);
     }
@@ -1078,7 +1096,8 @@ mod tests {
             (end - 358.78).abs() < 0.01,
             "reference climb ends at {end} K"
         );
-        let ceiling = m.reach_ceiling(p).expect("two fixed points");
+        let stability = m.stability(p);
+        let ceiling = LumpedModel::reach_ceiling(&stability).expect("two fixed points");
         assert!((ceiling - 368.737).abs() < 0.01, "ceiling {ceiling} K");
         let dt = m.rk4_step(horizon);
         let steps = (horizon.value() / dt).ceil() + 1.0;
@@ -1091,11 +1110,11 @@ mod tests {
             steps,
             target.value()
         ));
-        assert_eq!(m.time_to_reach(from, target, p, horizon), None);
+        assert_eq!(m.time_to_reach(from, target, p, &stability, horizon), None);
         assert_eq!(reference::time_to_reach(&m, from, target, p, horizon), None);
         // Just short of where the climb ends, the bound lets it run.
         let reachable = Kelvin::new(end - 1e-9);
-        let reached = m.time_to_reach(from, reachable, p, horizon);
+        let reached = m.time_to_reach(from, reachable, p, &stability, horizon);
         assert!(reached.is_some());
         assert_eq!(
             reached,
@@ -1104,13 +1123,30 @@ mod tests {
     }
 
     #[test]
+    fn stability_is_runaway_where_no_stable_point_exists() {
+        // T_a + R·P < 0: F rises through a single, repelling root, so the
+        // root bracket of the two-root search would never close.
+        let m = odroid();
+        let p = Watts::new(-20.0);
+        assert!(m.coeffs(p).0 < 0.0);
+        assert_eq!(m.stability(p), Stability::Runaway);
+        assert_eq!(m.steady_state_temperature(p), None);
+        // A small negative power still leaves two fixed points.
+        assert!(matches!(
+            m.stability(Watts::new(-10.0)),
+            Stability::Stable(_)
+        ));
+    }
+
+    #[test]
     fn time_to_reach_runs_the_rk4_where_stability_would_not_return() {
-        // T_a + R·P < 0: no classification is attempted, the RK4 runs.
+        // T_a + R·P < 0: the power is runaway, so no ceiling applies and
+        // the RK4 runs.
         let m = odroid();
         let p = Watts::new(-20.0);
         let (from, target, horizon) = (Kelvin::new(300.0), Kelvin::new(310.0), Seconds::new(5.0));
         assert_eq!(
-            m.time_to_reach(from, target, p, horizon),
+            m.time_to_reach(from, target, p, &m.stability(p), horizon),
             reference::time_to_reach(&m, from, target, p, horizon)
         );
     }
@@ -1152,7 +1188,8 @@ mod tests {
             let p = Watts::new(if kind == 1 { scale } else { p_share * scale });
             // Start below the stable point, between the fixed points, or
             // past the unstable one.
-            let (low, high) = match m.stability(p) {
+            let stability = m.stability(p);
+            let (low, high) = match stability {
                 Stability::Stable(fp) => (fp.stable.value(), fp.unstable.value()),
                 Stability::CriticallyStable { point } => (point.value(), point.value()),
                 Stability::Runaway => (t_a + 50.0, t_a + 100.0),
@@ -1170,7 +1207,7 @@ mod tests {
             let offset = 10f64.powf(offset_exp);
             let target = Kelvin::new(if above { end + offset } else { end - offset });
             prop_assert_eq!(
-                m.time_to_reach(from, target, p, h).map(|s| s.value().to_bits()),
+                m.time_to_reach(from, target, p, &stability, h).map(|s| s.value().to_bits()),
                 reference::time_to_reach(&m, from, target, p, h).map(|s| s.value().to_bits())
             );
         }

@@ -115,7 +115,7 @@ fn lumped_prediction_allocates_nothing_after_warm_up() {
         let stability = lumped.stability(p_dyn);
         let from = Kelvin::new(320.0);
         let limit = Kelvin::new(358.15);
-        let eta = lumped.time_to_reach(from, limit, p_dyn, Seconds::new(60.0));
+        let eta = lumped.time_to_reach(from, limit, p_dyn, &stability, Seconds::new(60.0));
         (stability, eta)
     };
     let (_, warm) = allocs_during(poll);

@@ -90,19 +90,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .read_parsed("/sys/class/devfreq/gpu/scaling_max_freq")?;
     println!("gpu scaling_max_freq after the run: {khz} kHz");
 
-    // 6. And every joule came out of a battery: the Nexus 6P ships
-    // 3450 mAh at 3.82 V.
-    use mobile_thermal::soc::Battery;
-    use mobile_thermal::units::Joules;
-    let mut battery = Battery::new_mah(3450.0, 3.82);
-    battery.drain(Joules::new(free.telemetry().total_energy()));
-    let tte = battery
-        .time_to_empty(free.telemetry().average_total_power())
-        .expect("nonzero draw");
-    println!(
-        "battery after 2 min of unthrottled gaming: {:.1}% ({:.1} h left at this draw)",
-        battery.remaining_fraction() * 100.0,
-        tte.value() / 3600.0
-    );
     Ok(())
 }

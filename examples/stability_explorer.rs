@@ -57,7 +57,9 @@ fn main() {
     let start = Kelvin::new(273.15 + 60.0);
     let limit = Kelvin::new(273.15 + 95.0);
     for p in [3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0] {
-        match model.time_to_reach(start, limit, Watts::new(p), Seconds::new(3600.0)) {
+        let power = Watts::new(p);
+        let stability = model.stability(power);
+        match model.time_to_reach(start, limit, power, &stability, Seconds::new(3600.0)) {
             Some(t) => println!("  {p:.1} W -> {:.0} s", t.value()),
             None => println!("  {p:.1} W -> never (fixed point below the limit)"),
         }

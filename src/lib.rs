@@ -14,7 +14,8 @@
 //! - [`kernel`] — processes, scheduling, cpufreq and thermal governors;
 //! - [`workloads`] — app and benchmark demand models (incl. a real
 //!   MiBench `basicmath` port);
-//! - [`daq`] — the measurement substrate (samplers, residency, traces);
+//! - [`daq`] — the measurement substrate over exact telemetry
+//!   (residency, traces, stats, columnar frames and queries);
 //! - [`sim`] — the discrete-time co-simulator;
 //! - [`core`] — the paper's application-aware governor and the
 //!   experiment drivers for every table and figure.

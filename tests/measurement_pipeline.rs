@@ -1,8 +1,7 @@
 //! Integration tests of the measurement substrate against the live
-//! simulator: energy bookkeeping, residency accounting and DAQ-style
-//! resampling must all agree with each other.
+//! simulator: energy bookkeeping and residency accounting must agree
+//! with the run they describe.
 
-use mobile_thermal::daq::{stats, NoiseModel, Sampler};
 use mobile_thermal::kernel::ProcessClass;
 use mobile_thermal::sim::SimBuilder;
 use mobile_thermal::soc::{platforms, ComponentId};
@@ -57,53 +56,4 @@ fn residency_covers_the_full_run_for_every_component() {
             "{id}: percentages sum to {pct_sum}"
         );
     }
-}
-
-#[test]
-fn external_daq_measures_what_telemetry_records() {
-    // Attach a 1 kHz DAQ to the simulator's total power, like the
-    // paper's NI PXIe-4081 on the phone's supply.
-    let mut sim = SimBuilder::new(platforms::snapdragon_810())
-        .attach(
-            Box::new(apps::paper_io(9)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
-        .build()
-        .expect("valid sim");
-    let mut daq = Sampler::ni_daq_1khz(0.0, 0);
-    for _ in 0..2_000 {
-        sim.step().expect("step");
-        daq.observe(sim.time(), sim.total_power().value());
-    }
-    let daq_avg = daq.average_power().value();
-    let telemetry_avg = sim.telemetry().average_total_power().value();
-    let rel = (daq_avg - telemetry_avg).abs() / telemetry_avg;
-    assert!(
-        rel < 0.02,
-        "DAQ {daq_avg:.3} W vs telemetry {telemetry_avg:.3} W"
-    );
-}
-
-#[test]
-fn noisy_daq_median_filters_to_the_truth() {
-    let mut sim = SimBuilder::new(platforms::snapdragon_810())
-        .attach(
-            Box::new(apps::google_hangouts(2)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
-        .build()
-        .expect("valid sim");
-    let mut daq = Sampler::new("noisy", Seconds::from_millis(1.0), NoiseModel::new(0.05, 7));
-    for _ in 0..1_000 {
-        sim.step().expect("step");
-        daq.observe(sim.time(), sim.total_power().value());
-    }
-    let median = stats::median(daq.series().values()).expect("samples");
-    let truth = sim.telemetry().average_total_power().value();
-    assert!(
-        (median - truth).abs() < 0.15,
-        "median {median:.3} vs truth {truth:.3}"
-    );
 }
