@@ -162,7 +162,7 @@ fn residency_figure(
 /// Table I: median FPS with and without throttling.
 fn table1() -> Result {
     println!("regenerating Table I (10 runs of 140 s)...\n");
-    let rows = experiments::table1(42)?;
+    let rows = experiments::table1()?;
     print!("{}", format_table1(&rows));
     println!(
         "\npaper reference: 35->23 (34%), 59->40 (32%), 35->28 (20%), 42->38 (10%), 35->24 (31%)"

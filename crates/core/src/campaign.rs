@@ -69,9 +69,10 @@ use crate::scenario::{self, CampaignCell, CampaignSpec, ScenarioOutcome};
 /// (and therefore any downstream aggregation) is independent of thread
 /// scheduling.
 ///
-/// This is the escape hatch the experiment drivers use for grids that
-/// need richer products than [`ScenarioOutcome`] (time series,
-/// residencies, downcast benchmark scores).
+/// This is the escape hatch for grids that need richer products than
+/// [`ScenarioOutcome`]: Table II reads its GT1, GT2 and Nenamark scores
+/// off the benchmark workloads, and the ablations read governor
+/// internals. Table I runs through [`run_campaign`].
 pub fn run_parallel<T, F>(count: usize, jobs: usize, run: F) -> Vec<T>
 where
     T: Send,
@@ -932,5 +933,50 @@ mod tests {
         let mut spec = small_campaign();
         spec.sweep.fleet_mix = vec![1.0];
         assert!(spec.expand().is_err());
+    }
+
+    #[test]
+    fn axis_values_keep_their_spaces() {
+        let steady = |name: &str| WorkloadSpec {
+            kind: WorkloadKind::Steady {
+                name: name.into(),
+                rate: 5e8,
+                threads: 1.0,
+            },
+            cluster: ClusterSpec::Big,
+            foreground: false,
+            realtime: false,
+            seed: 0,
+        };
+        let hangouts = WorkloadSpec {
+            kind: WorkloadKind::App {
+                name: "google_hangouts".into(),
+            },
+            foreground: true,
+            seed: 42,
+            ..steady("")
+        };
+        let mut spec = small_campaign();
+        spec.base.duration_s = 0.5;
+        spec.sweep = SweepAxes {
+            workloads: vec![
+                vec![steady("bg load")],
+                vec![steady("bg scan")],
+                vec![hangouts],
+            ],
+            ..SweepAxes::default()
+        };
+        let cells = spec.expand().unwrap();
+        let names = ["bg load", "bg scan", "Google Hangouts"];
+        for (cell, name) in cells.iter().zip(names) {
+            assert_eq!(cell.axes(), vec![("workloads".into(), name.into())]);
+        }
+        // Cells whose names share a first word stay separate groups.
+        let report = run_campaign(&spec, 1).unwrap();
+        let q = mpt_daq::Query::parse("count(peak_temperature_c) by workloads").unwrap();
+        let rows = q.run(&report.cells_frame()).unwrap().rows;
+        let groups: Vec<&str> = rows.iter().map(|r| r.group[0].1.as_str()).collect();
+        assert_eq!(groups, ["Google Hangouts", "bg load", "bg scan"]);
+        assert!(rows.iter().all(|r| r.count == 1));
     }
 }

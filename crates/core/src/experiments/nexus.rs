@@ -1,11 +1,16 @@
 //! The Nexus 6P case study (paper Section III): Figures 1–6 and Table I.
+//!
+//! The sessions are the ten cells of
+//! `scenarios/nexus_table1.campaign.json`, built by
+//! [`build_scenario`](crate::scenario::build_scenario).
 
 use mpt_daq::{Residency, TimeSeries};
-use mpt_kernel::{GovernorKind, ProcessClass, StepWiseGovernor, TripPoint};
-use mpt_sim::{Result, SimBuilder};
-use mpt_soc::{platforms, ComponentId};
-use mpt_units::{Celsius, Fps, Seconds};
+use mpt_sim::Result;
+use mpt_soc::ComponentId;
+use mpt_units::{Fps, Seconds};
 use mpt_workloads::apps::{self, AppModel};
+
+use crate::scenario::{build_scenario, CampaignSpec};
 
 /// The five apps of the paper's study, in Table I order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,6 +49,24 @@ impl NexusApp {
         }
     }
 
+    /// The app's name in scenario JSON (`{"kind": "app", "name": ...}`).
+    #[must_use]
+    const fn key(self) -> &'static str {
+        match self {
+            NexusApp::PaperIo => "paper_io",
+            NexusApp::StickmanHook => "stickman_hook",
+            NexusApp::Amazon => "amazon",
+            NexusApp::GoogleHangouts => "google_hangouts",
+            NexusApp::Facebook => "facebook",
+        }
+    }
+
+    /// The app whose scenario JSON name is `key`, if any.
+    #[must_use]
+    pub(crate) fn from_key(key: &str) -> Option<NexusApp> {
+        NexusApp::ALL.into_iter().find(|app| app.key() == key)
+    }
+
     /// Builds the app's workload model.
     #[must_use]
     pub fn make(self, seed: u64) -> AppModel {
@@ -77,81 +100,53 @@ pub struct NexusRun {
     pub median_fps: f64,
 }
 
-/// The stock Nexus 6P thermal policy model: step-wise trip points on the
-/// package sensor, polled at 1 s, with vendor-style cooling-device ranges
-/// (the GPU may fall to 390 MHz, the big cluster to 1440 MHz).
-fn stock_thermal(soc: &mpt_soc::Platform) -> Box<StepWiseGovernor> {
-    Box::new(StepWiseGovernor::with_state_limits(
-        vec![
-            TripPoint::new(Celsius::new(40.5), Celsius::new(1.5)),
-            TripPoint::new(Celsius::new(43.5), Celsius::new(1.5)),
-        ],
-        vec![
-            (
-                soc.component(ComponentId::Gpu)
-                    .expect("snapdragon has a gpu")
-                    .clone(),
-                3,
-            ),
-            (
-                soc.component(ComponentId::BigCluster)
-                    .expect("snapdragon has a big cluster")
-                    .clone(),
-                5,
-            ),
-        ],
+/// Table I's campaign, `scenarios/nexus_table1.campaign.json`: each app
+/// (seed 42) runs for 140 s on the Nexus 6P, pre-warmed at 35 °C (the
+/// starting point of Figures 1/3/5), with thermal management disabled or
+/// under the stock step-wise governor. The stock policy trips at 40.5 and
+/// 43.5 °C on the package sensor, polled at 1 s, and its cooling devices
+/// stop at vendor-style floors (the GPU at 390 MHz, the big cluster at
+/// 1440 MHz).
+///
+/// The ten cells expand thermal-major: the five apps in
+/// [`NexusApp::ALL`] order unthrottled, then the same five throttled.
+fn table1_campaign() -> CampaignSpec {
+    serde_json::from_str(include_str!(
+        "../../../../scenarios/nexus_table1.campaign.json"
     ))
+    .expect("the shipped Table I campaign parses")
 }
 
 /// Runs one app on the simulated Nexus 6P for `duration`, with the stock
 /// thermal governor enabled (`throttled`) or disabled — the paper's two
-/// controlled conditions. The phone starts pre-warmed at 35 °C, matching
-/// the starting points of Figures 1/3/5.
+/// controlled conditions. The session is the matching cell of
+/// [Table I's campaign](table1), with the app's seed and the run length
+/// replaced by the caller's.
 ///
 /// # Errors
 ///
 /// Propagates simulator construction/stepping errors.
 pub fn nexus_run(app: NexusApp, throttled: bool, seed: u64, duration: Seconds) -> Result<NexusRun> {
-    let soc = platforms::snapdragon_810();
-    let mut builder = SimBuilder::new(soc.clone())
-        .attach(
-            Box::new(app.make(seed)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
-        .governor(ComponentId::Gpu, GovernorKind::Ondemand)
-        .initial_temperature(Celsius::new(35.0))
-        .control_sensor("package");
-    if throttled {
-        builder = builder
-            .thermal_governor(stock_thermal(&soc))
-            .thermal_period(Seconds::new(1.0));
-    }
-    let mut sim = builder.build()?;
+    let mut cell = table1_campaign()
+        .expand()?
+        .swap_remove(usize::from(throttled) * NexusApp::ALL.len() + app as usize);
+    let spec = &mut cell.scenario;
+    spec.duration_s = duration.value();
+    spec.workloads[0].seed = seed;
+    let (mut sim, _) = build_scenario(spec)?;
     sim.run_for(duration)?;
     let pid = sim.pid_of(app.name()).expect("app attached under its name");
-    let mut gpu_residency = sim
-        .telemetry()
-        .residency(ComponentId::Gpu)
-        .cloned()
-        .unwrap_or_default();
-    gpu_residency.ensure_states(
-        soc.component(ComponentId::Gpu)
-            .expect("gpu exists")
-            .opps()
-            .frequencies(),
-    );
-    let mut big_residency = sim
-        .telemetry()
-        .residency(ComponentId::BigCluster)
-        .cloned()
-        .unwrap_or_default();
-    big_residency.ensure_states(
-        soc.component(ComponentId::BigCluster)
-            .expect("big cluster exists")
-            .opps()
-            .frequencies(),
-    );
+    let residency = |id: ComponentId| {
+        let mut residency = sim.telemetry().residency(id).cloned().unwrap_or_default();
+        residency.ensure_states(
+            sim.platform()
+                .component(id)
+                .expect("the Nexus 6P has a GPU and a big cluster")
+                .opps()
+                .frequencies(),
+        );
+        residency
+    };
     Ok(NexusRun {
         app,
         throttled,
@@ -163,8 +158,8 @@ pub fn nexus_run(app: NexusApp, throttled: bool, seed: u64, duration: Seconds) -
             .telemetry()
             .temperature("skin")
             .unwrap_or_else(|| TimeSeries::new("temp_skin_c")),
-        gpu_residency,
-        big_residency,
+        gpu_residency: residency(ComponentId::Gpu),
+        big_residency: residency(ComponentId::BigCluster),
         median_fps: sim.median_fps(pid).unwrap_or(0.0),
     })
 }
@@ -188,38 +183,31 @@ impl Table1Row {
     }
 }
 
-/// Regenerates the paper's Table I: each app run for 140 s (the span of
-/// Figures 1–5) with and without the stock thermal governor.
-///
-/// The ten (app × throttled) runs execute on one worker per CPU through
-/// the campaign layer's [`run_parallel`](crate::campaign::run_parallel);
-/// each cell's seed is fixed up front, so the rows do not depend on the
-/// worker count.
+/// Regenerates the paper's Table I: the ten cells of
+/// `scenarios/nexus_table1.campaign.json` (each app for 140 s, the span
+/// of Figures 1–5, with and without the stock thermal governor), run on
+/// one worker per CPU by [`run_campaign`](crate::campaign::run_campaign).
+/// The campaign pins every seed, so the rows do not depend on the worker
+/// count.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn table1(seed: u64) -> Result<Vec<Table1Row>> {
-    let duration = Seconds::new(140.0);
-    let grid: Vec<(NexusApp, bool)> = NexusApp::ALL
+pub fn table1() -> Result<Vec<Table1Row>> {
+    let report = crate::campaign::run_campaign(&table1_campaign(), 0)?;
+    let fps: Vec<f64> = report
+        .cells
         .iter()
-        .flat_map(|&app| [(app, false), (app, true)])
+        .map(|cell| cell.outcome.workloads[0].median_fps.unwrap_or(0.0))
         .collect();
-    let runs = crate::campaign::run_parallel(grid.len(), 0, |i| {
-        let (app, throttled) = grid[i];
-        nexus_run(app, throttled, seed, duration)
-    });
-    let mut fps = Vec::with_capacity(grid.len());
-    for run in runs {
-        fps.push(run?.median_fps);
-    }
+    let (without, with) = fps.split_at(NexusApp::ALL.len());
     Ok(NexusApp::ALL
         .iter()
-        .zip(fps.chunks_exact(2))
-        .map(|(&app, pair)| Table1Row {
+        .zip(without.iter().zip(with))
+        .map(|(&app, (&fps_without, &fps_with))| Table1Row {
             app,
-            fps_without: pair[0],
-            fps_with: pair[1],
+            fps_without,
+            fps_with,
         })
         .collect())
 }
@@ -227,6 +215,32 @@ pub fn table1(seed: u64) -> Result<Vec<Table1Row>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ThermalPolicySpec, WorkloadKind};
+
+    #[test]
+    fn table1_campaign_expands_thermal_major_in_app_order() {
+        let cells = table1_campaign().expand().unwrap();
+        assert_eq!(cells.len(), 10);
+        for (i, cell) in cells.iter().enumerate() {
+            let app = NexusApp::ALL[i % 5];
+            let spec = &cell.scenario;
+            assert_eq!(
+                matches!(spec.thermal, ThermalPolicySpec::StepWise { .. }),
+                i >= 5,
+                "{}",
+                cell.label
+            );
+            assert_eq!(spec.workloads.len(), 1, "{}", cell.label);
+            assert_eq!(
+                spec.workloads[0].kind,
+                WorkloadKind::App {
+                    name: app.key().into()
+                }
+            );
+            assert_eq!(spec.workloads[0].seed, 42, "{}", cell.label);
+            assert_eq!(spec.control_sensor.as_deref(), Some("package"));
+        }
+    }
 
     #[test]
     fn paper_io_temperatures_match_figure1_shape() {

@@ -1,15 +1,16 @@
 //! The Odroid-XU3 case study (paper Section IV-C): Figures 8–9 and
 //! Table II.
+//!
+//! Each condition's session is a file under `scenarios/`, built by
+//! [`build_scenario`].
 
 use mpt_daq::TimeSeries;
-use mpt_kernel::{IpaConfig, IpaGovernor, ProcessClass};
-use mpt_sim::{Result, SimBuilder, Simulator};
-use mpt_soc::{platforms, ComponentId, Platform};
-use mpt_units::{Celsius, Seconds, Watts};
-use mpt_workloads::benchmarks::{BasicMathLarge, Nenamark, SteadyCompute, ThreeDMark};
+use mpt_sim::Result;
+use mpt_units::{Seconds, Watts};
+use mpt_workloads::benchmarks::{Nenamark, ThreeDMark};
 use mpt_workloads::Workload;
 
-use crate::{AppAwareConfig, AppAwareGovernor};
+use crate::scenario::{build_scenario, ScenarioSpec, WorkloadKind};
 
 /// The three experimental conditions of the paper's Section IV-C.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,6 +42,21 @@ impl OdroidScenario {
             OdroidScenario::WithBmlProposed => "App. + BML with Proposed Control",
         }
     }
+
+    /// The condition's 3DMark session (see [`threedmark_run`]), parsed
+    /// from its file under `scenarios/`.
+    fn spec(self) -> ScenarioSpec {
+        let json = match self {
+            OdroidScenario::Alone => include_str!("../../../../scenarios/odroid_alone.json"),
+            OdroidScenario::WithBml => {
+                include_str!("../../../../scenarios/odroid_default_ipa.json")
+            }
+            OdroidScenario::WithBmlProposed => {
+                include_str!("../../../../scenarios/odroid_proposed.json")
+            }
+        };
+        serde_json::from_str(json).expect("the shipped Odroid scenarios parse")
+    }
 }
 
 /// The measurement products of one Odroid-XU3 run.
@@ -65,141 +81,65 @@ pub struct OdroidRun {
     pub first_migration: Option<mpt_units::Seconds>,
 }
 
-/// The stock kernel thermal policy of the paper's baseline: ARM
-/// Intelligent Power Allocation over the big cluster and GPU with a 95 °C
-/// control temperature (Linux 3.10.9 style "trip points and ARM
-/// intelligent power allocation").
-fn stock_ipa(soc: &Platform) -> Box<IpaGovernor> {
-    Box::new(IpaGovernor::with_weights(
-        IpaConfig {
-            control_temp: Celsius::new(95.0),
-            sustainable_power: Watts::new(2.6),
-            ..IpaConfig::default()
-        },
-        vec![
-            (
-                soc.component(ComponentId::BigCluster)
-                    .expect("exynos has a big cluster")
-                    .clone(),
-                1.0,
-            ),
-            // The GPU is weighted heavily, as vendor IPA device trees do
-            // for the graphics pipeline: the budget squeeze lands on the
-            // CPU first.
-            (
-                soc.component(ComponentId::Gpu)
-                    .expect("exynos has a gpu")
-                    .clone(),
-                1.2,
-            ),
-        ],
-    ))
-}
-
-fn scenario_builder(
-    scenario: OdroidScenario,
-    soc: &Platform,
-) -> (SimBuilder, Option<std::sync::Arc<crate::GovernorStats>>) {
-    let mut builder = SimBuilder::new(soc.clone())
-        // The board starts pre-warmed at 50 °C, the starting point of
-        // the paper's Figure 8.
-        .initial_temperature(Celsius::new(50.0))
-        // Resident platform services on the little cluster (Android's
-        // system_server etc.), the baseline little-rail draw visible in
-        // every Figure 9 pie.
-        .attach(
-            Box::new(SteadyCompute::new("system_server", 0.5e9, 2.0)),
-            ProcessClass::Background,
-            ComponentId::LittleCluster,
-        );
-    let mut stats = None;
-    match scenario {
-        OdroidScenario::Alone | OdroidScenario::WithBml => {
-            builder = builder.thermal_governor(stock_ipa(soc));
-        }
-        OdroidScenario::WithBmlProposed => {
-            let gov = AppAwareGovernor::new(AppAwareConfig::default());
-            stats = Some(gov.stats());
-            builder = builder.system_policy(Box::new(gov));
-        }
-    }
-    (builder, stats)
-}
-
-fn attach_background(builder: SimBuilder, scenario: OdroidScenario) -> SimBuilder {
-    match scenario {
-        OdroidScenario::Alone => builder,
-        OdroidScenario::WithBml | OdroidScenario::WithBmlProposed => builder.attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        ),
-    }
-}
-
-fn finish(
-    sim: &Simulator,
-    scenario: OdroidScenario,
-    stats: Option<&crate::GovernorStats>,
-) -> OdroidRun {
+/// Runs the 3DMark case study under the given scenario. The sessions are
+/// the files `scenarios/odroid_alone.json`, `odroid_default_ipa.json` and
+/// `odroid_proposed.json`, one per condition.
+///
+/// All three run 3DMark's two graphics tests for 125 s each (the 250 s
+/// span of Figure 8) on a board pre-warmed to Figure 8's starting 50 °C.
+/// The benchmark registers itself as a real-time process, as
+/// the paper's governor allows, so the proposed controller never migrates
+/// it. A resident `system_server` load (Android's platform services) on
+/// the little cluster draws the little-rail baseline visible in every
+/// Figure 9 pie; the BML conditions add `basicmath_large` on the big
+/// cluster.
+///
+/// The first two conditions run the stock kernel policy, ARM Intelligent
+/// Power Allocation over the big cluster and GPU with a 95 °C control
+/// temperature (Linux 3.10.9 style "trip points and ARM intelligent power
+/// allocation"). The GPU is weighted 1.2 against the big cluster's 1.0,
+/// as vendor IPA device trees do for the graphics pipeline, so the budget
+/// squeeze lands on the CPU first. The third runs the proposed governor
+/// with its default 95 °C limit and 60 s horizon instead.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn threedmark_run(scenario: OdroidScenario) -> Result<OdroidRun> {
+    let spec = scenario.spec();
+    let (mut sim, stats) = build_scenario(&spec)?;
+    sim.run_for(Seconds::new(spec.duration_s))?;
     let threedmark = sim
         .pid_of("3DMark")
         .and_then(|pid| sim.workload_as::<ThreeDMark>(pid));
-    OdroidRun {
+    Ok(OdroidRun {
         scenario,
         max_temp: sim.telemetry().max_temperature(),
         shares: sim.telemetry().power_shares(),
         total_power: sim.telemetry().average_total_power(),
         gt1: threedmark.and_then(ThreeDMark::gt1_fps),
         gt2: threedmark.and_then(ThreeDMark::gt2_fps),
-        migrations: stats.map_or(0, crate::GovernorStats::migrations),
+        migrations: stats.map_or(0, |stats| stats.migrations()),
         first_migration: sim.events().first_migration(),
-    }
-}
-
-/// Runs the 3DMark case study (GT1 for 125 s, then GT2 for 125 s — the
-/// 250 s span of the paper's Figure 8) under the given scenario.
-///
-/// The benchmark registers itself as a real-time process, exactly as the
-/// paper's governor allows, so the proposed controller never migrates the
-/// foreground benchmark.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn threedmark_run(scenario: OdroidScenario) -> Result<OdroidRun> {
-    let soc = platforms::exynos_5422();
-    let (builder, stats) = scenario_builder(scenario, &soc);
-    let builder = builder.attach_realtime(
-        Box::new(ThreeDMark::with_durations(
-            Seconds::new(125.0),
-            Seconds::new(125.0),
-        )),
-        ProcessClass::Foreground,
-        ComponentId::BigCluster,
-    );
-    let builder = attach_background(builder, scenario);
-    let mut sim = builder.build()?;
-    sim.run_for(Seconds::new(250.0))?;
-    Ok(finish(&sim, scenario, stats.as_deref()))
+    })
 }
 
 /// Runs the Nenamark case study under the given scenario and returns the
-/// score in levels (Table II row 3).
+/// score in levels (Table II row 3). The session is [`threedmark_run`]'s
+/// with Nenamark in the benchmark's place (still real-time and in the
+/// foreground), run until the benchmark finishes or 300 s pass.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
 pub fn nenamark_run(scenario: OdroidScenario) -> Result<f64> {
-    let soc = platforms::exynos_5422();
-    let (builder, _stats) = scenario_builder(scenario, &soc);
-    let builder = builder.attach_realtime(
-        Box::new(Nenamark::new()),
-        ProcessClass::Foreground,
-        ComponentId::BigCluster,
-    );
-    let builder = attach_background(builder, scenario);
-    let mut sim = builder.build()?;
+    let mut spec = scenario.spec();
+    for workload in &mut spec.workloads {
+        if matches!(workload.kind, WorkloadKind::ThreeDMark { .. }) {
+            workload.kind = WorkloadKind::Nenamark;
+        }
+    }
+    let (mut sim, _) = build_scenario(&spec)?;
     let pid = sim.pid_of("Nenamark").expect("nenamark attached");
     sim.run_until(
         |s| {
@@ -235,7 +175,10 @@ pub struct Table2 {
 ///
 /// The six runs (3DMark and Nenamark under each of the three scenarios)
 /// execute on one worker per CPU through the campaign layer's
-/// [`run_parallel`](crate::campaign::run_parallel).
+/// [`run_parallel`](crate::campaign::run_parallel), not its campaign
+/// runner: GT1, GT2 and the Nenamark score are read off the benchmark
+/// workloads inside the simulator, which a
+/// [`ScenarioOutcome`](crate::scenario::ScenarioOutcome) does not carry.
 ///
 /// # Errors
 ///

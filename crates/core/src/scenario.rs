@@ -199,14 +199,8 @@ impl WorkloadSpec {
     pub fn build(&self) -> std::result::Result<Box<dyn Workload>, String> {
         Ok(match &self.kind {
             WorkloadKind::App { name } => {
-                let app = match name.as_str() {
-                    "paper_io" => NexusApp::PaperIo,
-                    "stickman_hook" => NexusApp::StickmanHook,
-                    "amazon" => NexusApp::Amazon,
-                    "google_hangouts" => NexusApp::GoogleHangouts,
-                    "facebook" => NexusApp::Facebook,
-                    other => return Err(format!("unknown app {other:?}")),
-                };
+                let app =
+                    NexusApp::from_key(name).ok_or_else(|| format!("unknown app {name:?}"))?;
                 Box::new(app.make(self.seed))
             }
             WorkloadKind::ThreeDMark { test_duration_s } => {
@@ -260,14 +254,9 @@ impl WorkloadSpec {
 
     fn display_name(&self) -> String {
         match &self.kind {
-            WorkloadKind::App { name } => match name.as_str() {
-                "paper_io" => "Paper.io".to_owned(),
-                "stickman_hook" => "Stickman Hook".to_owned(),
-                "amazon" => "Amazon".to_owned(),
-                "google_hangouts" => "Google Hangouts".to_owned(),
-                "facebook" => "Facebook".to_owned(),
-                other => other.to_owned(),
-            },
+            WorkloadKind::App { name } => {
+                NexusApp::from_key(name).map_or_else(|| name.clone(), |app| app.name().to_owned())
+            }
             WorkloadKind::ThreeDMark { .. } => "3DMark".to_owned(),
             WorkloadKind::Nenamark => "Nenamark".to_owned(),
             WorkloadKind::BasicMath => "basicmath_large".to_owned(),
@@ -487,32 +476,36 @@ pub struct SweepAxes {
     pub fleet_mix: Vec<f64>,
 }
 
+/// Every key a cell label can carry, one per sweep axis, in the order
+/// [`CampaignSpec::expand`] writes them.
+const AXIS_KEYS: [&str; 6] = [
+    "platform",
+    "thermal",
+    "workloads",
+    "trips",
+    "ambient",
+    "mix",
+];
+
 impl SweepAxes {
     /// The axis keys cells of this sweep carry in their labels — the
     /// group-by/filter vocabulary of campaign queries, validated by the
     /// MPT402 lint.
     #[must_use]
     pub fn axis_keys(&self) -> Vec<&'static str> {
-        let mut keys = Vec::new();
-        if !self.platforms.is_empty() {
-            keys.push("platform");
-        }
-        if !self.thermal.is_empty() {
-            keys.push("thermal");
-        }
-        if !self.workloads.is_empty() {
-            keys.push("workloads");
-        }
-        if !self.trips_c.is_empty() {
-            keys.push("trips");
-        }
-        if !self.initial_temperatures_c.is_empty() {
-            keys.push("ambient");
-        }
-        if !self.fleet_mix.is_empty() {
-            keys.push("mix");
-        }
-        keys
+        let swept = [
+            !self.platforms.is_empty(),
+            !self.thermal.is_empty(),
+            !self.workloads.is_empty(),
+            !self.trips_c.is_empty(),
+            !self.initial_temperatures_c.is_empty(),
+            !self.fleet_mix.is_empty(),
+        ];
+        AXIS_KEYS
+            .into_iter()
+            .zip(swept)
+            .filter_map(|(key, swept)| swept.then_some(key))
+            .collect()
     }
 
     /// How many cells these axes expand to (product of non-empty axes).
@@ -600,15 +593,28 @@ impl CampaignCell {
 }
 
 /// Parses a cell label's `key=value` parts into axis pairs — the inverse
-/// of the label construction in [`CampaignSpec::expand`]. Labels without
-/// `=` parts (e.g. `"cell 0"`) yield no axes.
+/// of the label construction in [`CampaignSpec::expand`]. A pair starts
+/// only at a space-separated `<key>=` whose key is one of the axis keys
+/// `expand` writes, so values keep their spaces (`"workloads=Stickman Hook"` →
+/// `[("workloads", "Stickman Hook")]`). Labels without such parts (e.g.
+/// `"cell 0"`) yield no axes.
 #[must_use]
 pub fn label_axes(label: &str) -> Vec<(String, String)> {
-    label
-        .split_whitespace()
-        .filter_map(|part| part.split_once('='))
-        .map(|(k, v)| (k.to_owned(), v.to_owned()))
-        .collect()
+    let mut axes: Vec<(String, String)> = Vec::new();
+    for token in label.split(' ') {
+        match token.split_once('=') {
+            Some((key, value)) if AXIS_KEYS.contains(&key) => {
+                axes.push((key.to_owned(), value.to_owned()));
+            }
+            _ => {
+                if let Some((_, value)) = axes.last_mut() {
+                    value.push(' ');
+                    value.push_str(token);
+                }
+            }
+        }
+    }
+    axes
 }
 
 fn splitmix64(mut x: u64) -> u64 {

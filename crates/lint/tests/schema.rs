@@ -34,7 +34,7 @@ fn static_schema_equals_every_shipped_scenarios_recorded_schema() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 4, "expected the four shipped scenarios");
+    assert_eq!(checked, 5, "expected the five shipped scenarios");
 }
 
 #[test]

@@ -102,95 +102,6 @@ impl core::fmt::Display for Hertz {
     }
 }
 
-/// A frequency expressed in megahertz; a convenience wrapper for building
-/// OPP tables from vendor data sheets.
-///
-/// # Examples
-///
-/// ```
-/// use mpt_units::{MegaHertz, Hertz};
-///
-/// assert_eq!(Hertz::from(MegaHertz::new(510)), Hertz::from_mhz(510));
-/// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
-pub struct MegaHertz(u64);
-
-impl MegaHertz {
-    /// Creates a megahertz value.
-    #[must_use]
-    pub const fn new(mhz: u64) -> Self {
-        Self(mhz)
-    }
-
-    /// Raw megahertz count.
-    #[must_use]
-    pub const fn value(self) -> u64 {
-        self.0
-    }
-}
-
-impl From<MegaHertz> for Hertz {
-    fn from(m: MegaHertz) -> Self {
-        Hertz::from_mhz(m.0)
-    }
-}
-
-impl core::fmt::Display for MegaHertz {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{} MHz", self.0)
-    }
-}
-
-/// A frequency expressed in kilohertz; the native unit of Linux cpufreq.
-///
-/// # Examples
-///
-/// ```
-/// use mpt_units::{KiloHertz, Hertz};
-///
-/// assert_eq!(Hertz::from(KiloHertz::new(384_000)), Hertz::from_mhz(384));
-/// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
-pub struct KiloHertz(u64);
-
-impl KiloHertz {
-    /// Creates a kilohertz value.
-    #[must_use]
-    pub const fn new(khz: u64) -> Self {
-        Self(khz)
-    }
-
-    /// Raw kilohertz count.
-    #[must_use]
-    pub const fn value(self) -> u64 {
-        self.0
-    }
-}
-
-impl From<KiloHertz> for Hertz {
-    fn from(k: KiloHertz) -> Self {
-        Hertz::from_khz(k.0)
-    }
-}
-
-impl From<Hertz> for KiloHertz {
-    fn from(h: Hertz) -> Self {
-        KiloHertz::new(h.as_khz())
-    }
-}
-
-impl core::fmt::Display for KiloHertz {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{} kHz", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

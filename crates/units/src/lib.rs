@@ -8,23 +8,22 @@
 //! value can never be confused with a temperature or a frequency
 //! (C-NEWTYPE). The types implement the arithmetic that is physically
 //! meaningful and nothing more: you can add two [`Watts`], scale them by a
-//! dimensionless factor, multiply power by time to get [`Joules`] — but you
-//! cannot add [`Watts`] to [`Celsius`].
+//! dimensionless factor, divide two of them into a ratio — but you cannot
+//! add [`Watts`] to [`Celsius`].
 //!
 //! # Examples
 //!
 //! ```
-//! use mpt_units::{Celsius, Kelvin, Watts, Seconds, Joules};
+//! use mpt_units::{Celsius, Kelvin, Watts};
 //!
 //! let limit = Celsius::new(70.0);
 //! let ambient: Kelvin = Celsius::new(25.0).into();
 //! assert!(ambient < limit.to_kelvin());
 //!
-//! let energy: Joules = Watts::new(2.5) * Seconds::new(4.0);
-//! assert_eq!(energy, Joules::new(10.0));
+//! let total = Watts::new(1.5) + Watts::new(0.5);
+//! assert_eq!(Watts::new(0.5) / total, 0.25);
 //! ```
 
-mod energy;
 mod frequency;
 mod power;
 mod rate;
@@ -32,13 +31,12 @@ mod temperature;
 mod time;
 mod voltage;
 
-pub use energy::Joules;
-pub use frequency::{Hertz, KiloHertz, MegaHertz};
-pub use power::{MilliWatts, Watts};
+pub use frequency::Hertz;
+pub use power::Watts;
 pub use rate::{Fps, Ratio};
 pub use temperature::{Celsius, Kelvin};
-pub use time::{Millis, Seconds};
-pub use voltage::{MilliVolts, Volts};
+pub use time::Seconds;
+pub use voltage::Volts;
 
 /// Implements the standard arithmetic surface shared by all `f64`-backed
 /// quantity newtypes: same-type addition/subtraction, scalar
@@ -200,7 +198,6 @@ mod tests {
         assert_send_sync::<Hertz>();
         assert_send_sync::<Volts>();
         assert_send_sync::<Seconds>();
-        assert_send_sync::<Joules>();
         assert_send_sync::<Fps>();
         assert_send_sync::<Ratio>();
     }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{impl_f64_quantity, Joules, Seconds};
+use crate::impl_f64_quantity;
 
 /// Power in watts.
 ///
@@ -13,11 +13,11 @@ use crate::{impl_f64_quantity, Joules, Seconds};
 /// # Examples
 ///
 /// ```
-/// use mpt_units::{Watts, Seconds, Joules};
+/// use mpt_units::Watts;
 ///
 /// let total: Watts = [Watts::new(1.2), Watts::new(0.8)].into_iter().sum();
 /// assert_eq!(total, Watts::new(2.0));
-/// assert_eq!(total * Seconds::new(3.0), Joules::new(6.0));
+/// assert_eq!(total * 3.0, Watts::new(6.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
 #[serde(transparent)]
@@ -25,72 +25,10 @@ pub struct Watts(f64);
 
 impl_f64_quantity!(Watts, "W");
 
-impl Watts {
-    /// Converts to milliwatts.
-    #[must_use]
-    pub fn to_milliwatts(self) -> MilliWatts {
-        MilliWatts::new(self.0 * 1e3)
-    }
-}
-
-impl core::ops::Mul<Seconds> for Watts {
-    type Output = Joules;
-    fn mul(self, rhs: Seconds) -> Joules {
-        Joules::new(self.0 * rhs.value())
-    }
-}
-
-impl From<MilliWatts> for Watts {
-    fn from(mw: MilliWatts) -> Self {
-        mw.to_watts()
-    }
-}
-
-/// Power in milliwatts, as reported by per-rail current sensors such as the
-/// INA231 devices on the Odroid-XU3.
-///
-/// # Examples
-///
-/// ```
-/// use mpt_units::{MilliWatts, Watts};
-///
-/// assert_eq!(MilliWatts::new(1500.0).to_watts(), Watts::new(1.5));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct MilliWatts(f64);
-
-impl_f64_quantity!(MilliWatts, "mW");
-
-impl MilliWatts {
-    /// Converts to watts.
-    #[must_use]
-    pub fn to_watts(self) -> Watts {
-        Watts::new(self.0 * 1e-3)
-    }
-}
-
-impl From<Watts> for MilliWatts {
-    fn from(w: Watts) -> Self {
-        w.to_milliwatts()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn watts_milliwatts_round_trip() {
-        let w = Watts::new(3.65);
-        assert!((Watts::from(MilliWatts::from(w)).value() - 3.65).abs() < 1e-12);
-    }
-
-    #[test]
-    fn power_times_time_is_energy() {
-        assert_eq!(Watts::new(5.5) * Seconds::new(2.0), Joules::new(11.0));
-    }
 
     #[test]
     fn summing_rail_powers() {

@@ -39,12 +39,6 @@ impl Seconds {
     pub fn as_millis(self) -> f64 {
         self.0 * 1e3
     }
-
-    /// Converts to the companion integer-millisecond type.
-    #[must_use]
-    pub fn to_millis_quantity(self) -> Millis {
-        Millis::new(self.0 * 1e3)
-    }
 }
 
 impl From<Duration> for Seconds {
@@ -63,43 +57,6 @@ impl From<Seconds> for Duration {
     }
 }
 
-/// A time span in milliseconds (the paper's governor period is 100 ms and
-/// its utilization window 1000 ms, so millisecond-denominated knobs are
-/// common in configuration).
-///
-/// # Examples
-///
-/// ```
-/// use mpt_units::{Millis, Seconds};
-///
-/// assert_eq!(Millis::new(100.0).to_seconds(), Seconds::new(0.1));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct Millis(f64);
-
-impl_f64_quantity!(Millis, "ms");
-
-impl Millis {
-    /// Converts to seconds.
-    #[must_use]
-    pub fn to_seconds(self) -> Seconds {
-        Seconds::new(self.0 * 1e-3)
-    }
-}
-
-impl From<Millis> for Seconds {
-    fn from(m: Millis) -> Self {
-        m.to_seconds()
-    }
-}
-
-impl From<Seconds> for Millis {
-    fn from(s: Seconds) -> Self {
-        s.to_millis_quantity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,7 +71,6 @@ mod tests {
     #[test]
     fn millis_conversions() {
         assert_eq!(Seconds::from_millis(250.0).as_millis(), 250.0);
-        assert_eq!(Seconds::from(Millis::new(100.0)), Seconds::new(0.1));
     }
 
     #[test]
@@ -129,8 +85,8 @@ mod tests {
     proptest! {
         #[test]
         fn prop_millis_round_trip(ms in 0.0_f64..1e6) {
-            let rt = Millis::from(Seconds::from(Millis::new(ms)));
-            prop_assert!((rt.value() - ms).abs() < 1e-6);
+            let rt = Seconds::from_millis(ms).as_millis();
+            prop_assert!((rt - ms).abs() < 1e-6);
         }
     }
 }

@@ -29,70 +29,14 @@ impl Volts {
     pub fn squared(self) -> f64 {
         self.0 * self.0
     }
-
-    /// Converts to millivolts.
-    #[must_use]
-    pub fn to_millivolts(self) -> MilliVolts {
-        MilliVolts::new(self.0 * 1e3)
-    }
-}
-
-impl From<MilliVolts> for Volts {
-    fn from(mv: MilliVolts) -> Self {
-        mv.to_volts()
-    }
-}
-
-/// A supply voltage in millivolts, the unit used by regulator data sheets.
-///
-/// # Examples
-///
-/// ```
-/// use mpt_units::{MilliVolts, Volts};
-///
-/// assert_eq!(MilliVolts::new(912.5).to_volts(), Volts::new(0.9125));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct MilliVolts(f64);
-
-impl_f64_quantity!(MilliVolts, "mV");
-
-impl MilliVolts {
-    /// Converts to volts.
-    #[must_use]
-    pub fn to_volts(self) -> Volts {
-        Volts::new(self.0 * 1e-3)
-    }
-}
-
-impl From<Volts> for MilliVolts {
-    fn from(v: Volts) -> Self {
-        v.to_millivolts()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn round_trip() {
-        let v = Volts::new(1.2625);
-        assert!((Volts::from(MilliVolts::from(v)).value() - 1.2625).abs() < 1e-12);
-    }
 
     #[test]
     fn squared_is_nonnegative() {
         assert!(Volts::new(-0.5).squared() > 0.0);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_round_trip(v in 0.0_f64..2.0) {
-            let rt = Volts::from(Volts::new(v).to_millivolts());
-            prop_assert!((rt.value() - v).abs() < 1e-9);
-        }
     }
 }
