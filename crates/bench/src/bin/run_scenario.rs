@@ -646,14 +646,21 @@ fn run_campaign_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
     if let Some(renderer) = renderer {
         renderer.finish();
     }
+    // Labels pad to 52 columns, or to the longest label, so that every
+    // row of the cell, verification and fleet tables stays aligned.
+    let width = (report.cells.iter().map(|c| &c.label))
+        .chain(report.verification.iter().map(|v| &v.label))
+        .chain(report.fleet.iter().map(|f| &f.label))
+        .map(|label| label.chars().count())
+        .fold(52, usize::max);
     println!(
-        "{:<52} {:>9} {:>9} {:>9} {:>6}",
+        "{:<width$} {:>9} {:>9} {:>9} {:>6}",
         "cell", "peak C", "avg W", "J", "migr"
     );
-    println!("{}", "-".repeat(90));
+    println!("{}", "-".repeat(width + 38));
     for cell in &report.cells {
         println!(
-            "{:<52} {:>9.1} {:>9.2} {:>9.1} {:>6}",
+            "{:<width$} {:>9.1} {:>9.2} {:>9.1} {:>6}",
             cell.label,
             cell.outcome.peak_temperature_c,
             cell.outcome.average_power_w,
@@ -661,7 +668,7 @@ fn run_campaign_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
             cell.outcome.migrations,
         );
     }
-    println!("{}", "-".repeat(90));
+    println!("{}", "-".repeat(width + 38));
     let row = |name: &str, s: &mpt_core::campaign::SummaryStats| {
         println!(
             "{name:<18} min {:>8.2}   median {:>8.2}   mean {:>8.2}   p95 {:>8.2}   max {:>8.2}",
@@ -673,12 +680,12 @@ fn run_campaign_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
     row("energy [J]", &report.energy_j);
     if !report.verification.is_empty() {
         println!(
-            "\nverification (pre-gate):\n{:<52} {:>8} {:>18} {:>8}",
+            "\nverification (pre-gate):\n{:<width$} {:>8} {:>18} {:>8}",
             "cell", "verdict", "envelope peak C", "trip C"
         );
         for v in &report.verification {
             println!(
-                "{:<52} {:>8} [{:>6.1}, {:>6.1}] C {:>8.1}",
+                "{:<width$} {:>8} [{:>6.1}, {:>6.1}] C {:>8.1}",
                 v.label,
                 v.summary.verdict,
                 v.summary.peak_lower_c,
@@ -689,7 +696,7 @@ fn run_campaign_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
     }
     if !report.fleet.is_empty() {
         println!(
-            "\nfleet ({} devices/cell):\n{:<52} {:>8} {:>10} {:>10} {:>10}",
+            "\nfleet ({} devices/cell):\n{:<width$} {:>8} {:>10} {:>10} {:>10}",
             report.fleet[0].devices, "cell", "tripped", "onset p50", "peak p50 C", "peak max C"
         );
         for cell in &report.fleet {
@@ -699,7 +706,7 @@ fn run_campaign_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
                 .find(|q| (q.p - 50.0).abs() < f64::EPSILON)
                 .map_or_else(|| "-".to_owned(), |q| format!("{:.1} s", q.value));
             println!(
-                "{:<52} {:>8} {:>10} {:>10.1} {:>10.1}",
+                "{:<width$} {:>8} {:>10} {:>10.1} {:>10.1}",
                 cell.label,
                 cell.tripped_devices,
                 onset,

@@ -391,3 +391,29 @@ fn campaign_trace_has_one_track_set_per_cell() {
     assert_eq!(cold, hot);
     assert_eq!(tracks.len(), cold.len() + hot.len(), "{tracks:?}");
 }
+
+/// Every row of the campaign's cell and verification tables is as wide
+/// as its header, so the numbers line up even where a label is longer
+/// than the default 52 columns, as the Table I campaign's
+/// `thermal=step_wise(40.5/43.5) workloads=Google Hangouts` (55) is.
+#[test]
+fn campaign_tables_stay_aligned_past_52_column_labels() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/nexus_table1.campaign.json"
+    );
+    let (code, stdout, stderr) = run(&["--campaign", path, "--verify"], "");
+    assert_eq!(code, 0, "campaign failed: {stderr}");
+    let widths = |prefix: &str| -> Vec<usize> {
+        (stdout.lines())
+            .filter(|l| l.starts_with(prefix))
+            .map(|l| l.chars().count())
+            .collect()
+    };
+    let (headers, rows) = (widths("cell "), widths("thermal="));
+    assert_eq!((headers.len(), rows.len()), (2, 20), "{stdout}");
+    assert!(rows.iter().any(|&w| w > 52 + 38), "a label past 52 columns");
+    let (cells, verification) = rows.split_at(10);
+    assert!(cells.iter().all(|&w| w == headers[0]), "{stdout}");
+    assert!(verification.iter().all(|&w| w == headers[1]), "{stdout}");
+}

@@ -735,19 +735,26 @@ mod tests {
         assert_eq!(recorder.counter(Counter::CellsCompleted), 4);
         assert!(recorder.histogram_names().iter().any(|n| n == "cell"));
         assert!(recorder.spans().iter().any(|s| s.cat == "cell"));
-        // Stage timing lands in histograms, not spans: every pass of
-        // every cell records each of the nine stages once.
-        let ticks = recorder.counter(Counter::Ticks);
-        assert!(ticks > 0);
-        let snap = recorder.snapshot();
-        let stages: Vec<_> = snap
-            .histograms
-            .iter()
-            .filter(|h| h.name.starts_with("stage:"))
+        // Stage timing lands in histograms, not spans: one pass in 64 of
+        // each cell's simulator records `tick` and each of the nine
+        // stages once. The cells' passes come from their stage rollups.
+        let passes: Vec<u64> = (recorder.journal().poll(0).events.iter())
+            .filter_map(|e| match e.kind {
+                JournalKind::StageRollup { passes, .. } => Some(passes),
+                _ => None,
+            })
             .collect();
-        assert_eq!(stages.len(), 9);
-        for h in stages {
-            assert_eq!(h.count, ticks, "{}", h.name);
+        assert_eq!(passes.len(), 4);
+        assert_eq!(passes.iter().sum::<u64>(), recorder.counter(Counter::Ticks));
+        let sampled: u64 = passes.iter().map(|p| p / 64).sum();
+        assert!(sampled > 0);
+        let snap = recorder.snapshot();
+        let timed: Vec<_> = (snap.histograms.iter())
+            .filter(|h| h.name == "tick" || h.name.starts_with("stage:"))
+            .collect();
+        assert_eq!(timed.len(), 10);
+        for h in timed {
+            assert_eq!(h.count, sampled, "{}", h.name);
         }
     }
 

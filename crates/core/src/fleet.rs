@@ -209,9 +209,9 @@ pub(crate) fn run_cell_fleet(
 /// Replays a captured trace across a jittered device population through
 /// the batched kernel, observing per-device thermal outcomes.
 ///
-/// Public building block: the campaign runner calls this via
-/// [`run_cell_fleet`]-internal plumbing, and the benchmarks drive it
-/// directly to measure device-ticks/sec.
+/// Public building block: the campaign runner calls this for each fleet
+/// cell, and the benchmarks drive it directly to measure
+/// device-ticks/sec.
 ///
 /// # Errors
 ///

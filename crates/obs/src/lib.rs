@@ -18,8 +18,9 @@
 //!   only span *durations* vary between runs;
 //! * **histograms** — log-scale latency histograms with p50/p95/p99,
 //!   registered once by name and recorded by id on the hot path; the
-//!   simulator times every pipeline stage and pass into them with
-//!   [`Laps`] (one clock read per stage boundary, no span record);
+//!   simulator times the stages of one pipeline pass in 64 into them with
+//!   [`Laps`] (one clock read per stage boundary, each lap net of one
+//!   read's cost, no span record);
 //! * **counter tracks** ([`CounterTrack`]) — domain series (temperature,
 //!   power, frequency, FPS) in *simulation time*, which the caller builds
 //!   from the run's telemetry at export and [`trace`] writes as Chrome
@@ -49,10 +50,10 @@
 //! let rec = Recorder::new();
 //! let power = rec.register_histogram("stage:power");
 //! let tick = rec.register_histogram("tick");
-//! let mut laps = rec.laps();
+//! let mut laps = rec.laps(true);
 //! // ... the power stage ...
 //! laps.lap(power);
-//! laps.finish(tick);
+//! laps.finish(&rec, tick);
 //! {
 //!     let _span = rec.span("cell", "ambient=35C");
 //!     // ... a campaign cell ...

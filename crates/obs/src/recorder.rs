@@ -14,6 +14,9 @@ use crate::span::{current_lane, SpanGuard, SpanRecord};
 /// Maximum number of registrable histograms.
 pub const MAX_HISTOGRAMS: usize = 32;
 
+/// Most laps one [`Laps`] times.
+const MAX_LAPS: usize = 16;
+
 /// Maximum retained span records; further spans are dropped (and counted
 /// under [`Counter::SpansDropped`]).
 pub const SPAN_CAP: usize = 1 << 17;
@@ -152,15 +155,19 @@ impl Recorder {
         &self.hists[id.index()]
     }
 
-    /// Starts timing back-to-back laps into histograms, reading the
-    /// clock once now and once per [`Laps::lap`]. A disabled recorder
-    /// hands out inert laps that never read the clock.
-    pub fn laps(&self) -> Laps<'_> {
-        let marks = self.enabled.then(|| {
-            let now = crate::clock::now();
-            (now, now)
-        });
-        Laps { rec: self, marks }
+    /// Starts timing back-to-back laps when `timed` and the recorder is
+    /// enabled: one clock read now and one per [`Laps::lap`], with every
+    /// histogram written by [`Laps::finish`] after the last read.
+    /// Otherwise the laps are inert: they never read the clock or touch a
+    /// histogram, so a caller that times one pass in N pays one branch
+    /// per lap on the others.
+    #[inline]
+    pub fn laps(&self, timed: bool) -> Laps {
+        if self.enabled && timed {
+            Laps::start()
+        } else {
+            Laps { marks: None }
+        }
     }
 
     /// Opens a span; it records itself when the returned guard drops.
@@ -259,35 +266,78 @@ impl Recorder {
 }
 
 /// Consecutive laps timed into histograms with one clock read per lap
-/// boundary and no span record: how the simulator times its pipeline
-/// stages and whole pass. Obtained from [`Recorder::laps`].
-#[must_use = "laps record only through `lap` and `finish`"]
+/// boundary and no span record: how the simulator times the stages of
+/// one pipeline pass in 64. Obtained from [`Recorder::laps`].
+#[must_use = "laps record only through `finish`"]
 #[derive(Debug)]
-pub struct Laps<'a> {
-    rec: &'a Recorder,
-    /// When the first lap started and the last one ended; `None` on a
-    /// disabled recorder.
-    marks: Option<(Instant, Instant)>,
+pub struct Laps {
+    /// The laps' boundaries; `None` on inert laps.
+    marks: Option<Marks>,
 }
 
-impl Laps<'_> {
-    /// Ends the current lap, recording its duration into `hist`.
+#[derive(Debug)]
+struct Marks {
+    start: Instant,
+    /// Where each lap ended, with the histogram it records into.
+    ends: [(Instant, HistId); MAX_LAPS],
+    len: usize,
+}
+
+// The inert path of every method is inlined into the caller, and no
+// method takes the laps by value: moving the ~400-byte marks would cost
+// a memcpy on every pass, timed or not.
+impl Laps {
+    /// Ends the current lap, to be recorded into `hist`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a timed lap beyond the 16th.
+    #[inline]
     pub fn lap(&mut self, hist: HistId) {
-        if let Some((_, last)) = &mut self.marks {
-            let now = crate::clock::now();
-            self.rec
-                .record_duration(hist, now.saturating_duration_since(*last));
-            *last = now;
+        if let Some(marks) = &mut self.marks {
+            marks.lap(hist);
         }
     }
 
-    /// Records the time from the first lap's start to the last lap's end
-    /// into `hist`.
-    pub fn finish(self, hist: HistId) {
-        if let Some((start, last)) = self.marks {
-            self.rec
-                .record_duration(hist, last.saturating_duration_since(start));
+    /// Records each lap into its histogram and their sum into `whole`,
+    /// each lap net of one clock read's cost (the median of back-to-back
+    /// reads, measured once per process), so the laps and the whole hold
+    /// the timed work and not the reads that timed it. Call it once,
+    /// after the last lap.
+    #[inline]
+    pub fn finish(&self, rec: &Recorder, whole: HistId) {
+        if let Some(marks) = &self.marks {
+            marks.record(rec, whole);
         }
+    }
+
+    fn start() -> Self {
+        let start = crate::clock::now();
+        let marks = Marks {
+            start,
+            ends: [(start, HistId(0)); MAX_LAPS],
+            len: 0,
+        };
+        Laps { marks: Some(marks) }
+    }
+}
+
+impl Marks {
+    fn lap(&mut self, hist: HistId) {
+        self.ends[self.len] = (crate::clock::now(), hist);
+        self.len += 1;
+    }
+
+    fn record(&self, rec: &Recorder, whole: HistId) {
+        let read = crate::clock::read_cost();
+        let (mut start, mut total) = (self.start, Duration::ZERO);
+        for &(end, hist) in &self.ends[..self.len] {
+            let net = end.saturating_duration_since(start).saturating_sub(read);
+            rec.record_duration(hist, net);
+            total += net;
+            start = end;
+        }
+        rec.record_duration(whole, total);
     }
 }
 
@@ -339,12 +389,13 @@ mod tests {
             rec.register_histogram("stage:b"),
             rec.register_histogram("tick"),
         );
-        for _ in 0..3 {
-            let mut laps = rec.laps();
+        for timed in [true, false, true, true] {
+            let mut laps = rec.laps(timed);
             laps.lap(a);
             laps.lap(b);
-            laps.finish(whole);
+            laps.finish(&rec, whole);
         }
+        // Only timed laps record.
         for h in [a, b, whole] {
             assert_eq!(rec.histogram(h).count(), 3);
         }
@@ -355,9 +406,9 @@ mod tests {
 
         let null = Recorder::null();
         let h = null.register_histogram("tick");
-        let mut laps = null.laps();
+        let mut laps = null.laps(true);
         laps.lap(h);
-        laps.finish(h);
+        laps.finish(&null, h);
         assert_eq!(null.histogram(h).count(), 0);
     }
 

@@ -1,10 +1,9 @@
 //! Per-run online analysis: derived observables and alert rules.
 //!
 //! [`RunAnalysis`] is the simulator-side owner of the `mpt-obs` analyze
-//! machinery: it folds every tick into a
-//! [`DerivedTracker`](mpt_obs::DerivedTracker) and evaluates the
-//! configured [`AlertRule`](mpt_obs::AlertRule)s, firing
-//! [`EventKind::Alert`] events into the run's event log. The figure-style
+//! machinery: it folds every tick into a [`DerivedTracker`] and evaluates
+//! the configured [`AlertRule`]s, firing [`EventKind::Alert`] events
+//! into the run's event log. The figure-style
 //! temperature/power/frequency/FPS curves live in the telemetry frame,
 //! which `--trace-out` renders as counter tracks.
 //!

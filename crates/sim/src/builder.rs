@@ -363,6 +363,7 @@ impl SimBuilder {
             queue: EventQueue::new(),
             last_fingerprint: None,
             quiescent: false,
+            counted_passes: 0,
         })
     }
 }

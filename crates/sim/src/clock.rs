@@ -12,9 +12,9 @@ use mpt_units::Seconds;
 /// Simulation time bookkeeping shared by the fixed-dt and event-driven
 /// stepping modes.
 ///
-/// In fixed-dt mode every pass advances by exactly [`base_dt`]
-/// (`SimClock::base_dt`); in event-driven mode a pass may cover any
-/// whole multiple of the base tick. Either way, stages read the pass
+/// In fixed-dt mode every pass advances by exactly
+/// [`base_dt`](SimClock::base_dt); in event-driven mode a pass may cover
+/// any whole multiple of the base tick. Either way, stages read the pass
 /// length from the `dt` they are handed and the wall of record is
 /// [`now`](SimClock::now).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -515,7 +515,14 @@ pub struct Simulator {
     /// consecutive passes.
     pub(crate) last_fingerprint: Option<u64>,
     pub(crate) quiescent: bool,
+    /// Passes already added to the tick and stage-run counters.
+    pub(crate) counted_passes: u64,
 }
+
+/// One pipeline pass in this many is timed into the stage histograms.
+/// At 64 the clock reads and histogram writes cost a pass about 1/64 of
+/// what timing every pass did.
+const TIMED_PASS_STRIDE: u64 = 64;
 
 /// Number of whole base ticks (at least one) needed to reach `target`
 /// from `now` — the grid quantization that keeps every event-mode pass
@@ -657,8 +664,8 @@ impl Simulator {
 
     /// The run's observability recorder: counters for
     /// throttle/trip/governor/migration/sysfs activity and latency
-    /// histograms (`tick` per pass, `stage:<name>` per pipeline stage;
-    /// passes leave no span records). Export with
+    /// histograms (`tick` and `stage:<name>` per pipeline stage, sampled
+    /// on one pass in 64; passes leave no span records). Export with
     /// [`mpt_obs::trace::chrome_trace_json`]
     /// (its counter tracks come from the [`telemetry`](Self::telemetry)
     /// frame) and [`mpt_obs::MetricsSnapshot`].
@@ -725,12 +732,15 @@ impl Simulator {
     /// reported a touch interaction during the pass.
     ///
     /// Calls the nine stages in [`STAGES`] order over the core and the
-    /// reused step context. Each stage's wall time goes into its
-    /// `stage:<name>` histogram and the whole pass into `tick`, with one
-    /// clock read per stage boundary and none at all under
-    /// [`Recorder::null`]; a pass leaves no span.
+    /// reused step context. One pass in [`TIMED_PASS_STRIDE`], the last
+    /// of each run of that many (so never a simulator's cold first
+    /// pass), is timed: one clock read per stage boundary, then each
+    /// stage's wall time into its `stage:<name>` histogram and their sum
+    /// into `tick` (see [`Laps`](mpt_obs::Laps)). Every other pass, and
+    /// every pass under [`Recorder::null`], reads no clock and touches no
+    /// histogram; a pass leaves no span, and only a timed one adds to the
+    /// pass counters ([`count_passes`](Self::count_passes)).
     fn pass(&mut self, dt: Seconds) -> Result<bool> {
-        let recorder = Arc::clone(&self.core.recorder);
         let Self {
             core,
             ctx,
@@ -741,7 +751,8 @@ impl Simulator {
             ..
         } = self;
         ctx.reset(core.clock.now(), dt, core.workloads.len());
-        let mut laps = recorder.laps();
+        let timed = core.clock.steps() % TIMED_PASS_STRIDE == TIMED_PASS_STRIDE - 1;
+        let mut laps = core.recorder.laps(timed);
         govern::sysfs_control(core)?;
         laps.lap(h[0]);
         demand::run(core, ctx);
@@ -760,11 +771,34 @@ impl Simulator {
         laps.lap(h[7]);
         analyze::run(core, ctx);
         laps.lap(h[8]);
-        laps.finish(*tick_hist);
-        recorder.incr(Counter::Ticks);
-        recorder.add(Counter::StageRuns, STAGES.len() as u64);
+        laps.finish(&core.recorder, *tick_hist);
         core.clock.advance(dt);
-        Ok(ctx.interaction)
+        let interaction = ctx.interaction;
+        if timed {
+            self.count_passes();
+        }
+        Ok(interaction)
+    }
+
+    /// Adds the passes completed since the last count to the tick and
+    /// stage-run counters. Each timed pass calls it, so a live reader
+    /// sees the totals move every 64 passes, and so does each driving
+    /// call as it returns ([`counted`](Self::counted)), so the totals
+    /// are exact between calls. The other passes write no shared counter.
+    fn count_passes(&mut self) {
+        let passes = self.core.clock.steps() - self.counted_passes;
+        self.counted_passes += passes;
+        let recorder = &self.core.recorder;
+        recorder.add(Counter::Ticks, passes);
+        recorder.add(Counter::StageRuns, passes * STAGES.len() as u64);
+    }
+
+    /// Runs `drive`, then [counts](Self::count_passes) the passes it
+    /// completed, on `Ok` and `Err` alike.
+    fn counted<T>(&mut self, drive: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let result = drive(self);
+        self.count_passes();
+        result
     }
 
     /// Advances the simulation by one base tick: runs each pipeline
@@ -775,9 +809,7 @@ impl Simulator {
     /// Propagates thermal/scheduler/sysfs errors (none occur in a
     /// correctly built simulator).
     pub fn step(&mut self) -> Result<()> {
-        let dt = self.core.clock.base_dt();
-        self.pass(dt)?;
-        Ok(())
+        self.counted(|sim| sim.pass(sim.core.clock.base_dt()).map(drop))
     }
 
     /// One event-driven macro step toward `end`: collects the next wake
@@ -858,6 +890,15 @@ impl Simulator {
         Ok(())
     }
 
+    /// One pass toward `end`: a base tick in [`SteppingMode::FixedDt`],
+    /// a macro step in [`SteppingMode::EventDriven`].
+    fn advance(&mut self, end: Seconds) -> Result<()> {
+        match self.stepping {
+            SteppingMode::FixedDt => self.pass(self.core.clock.base_dt()).map(drop),
+            SteppingMode::EventDriven => self.event_step(end),
+        }
+    }
+
     /// Runs for a span of simulated time, advancing tick by tick in
     /// [`SteppingMode::FixedDt`] or event to event in
     /// [`SteppingMode::EventDriven`].
@@ -867,25 +908,20 @@ impl Simulator {
     /// Propagates the first [`step`](Self::step) error.
     pub fn run_for(&mut self, span: Seconds) -> Result<()> {
         let end = self.core.clock.now() + span;
-        match self.stepping {
-            SteppingMode::FixedDt => {
-                while self.core.clock.now() < end {
-                    self.step()?;
-                }
+        self.counted(|sim| {
+            while sim.core.clock.now() < end {
+                sim.advance(end)?;
             }
-            SteppingMode::EventDriven => {
-                while self.core.clock.now() < end {
-                    self.event_step(end)?;
-                }
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Runs until `predicate` returns true or `max` simulated time
     /// elapses; returns whether the predicate fired. The predicate is
     /// checked between passes, so in event mode its granularity is the
-    /// macro step, not the base tick.
+    /// macro step, not the base tick. The tick counters are added on
+    /// each timed pass and when the call returns, so a predicate reading
+    /// them sees them up to 63 passes behind the clock.
     ///
     /// # Errors
     ///
@@ -896,16 +932,15 @@ impl Simulator {
         max: Seconds,
     ) -> Result<bool> {
         let end = self.core.clock.now() + max;
-        while self.core.clock.now() < end {
-            if predicate(self) {
-                return Ok(true);
+        self.counted(|sim| {
+            while sim.core.clock.now() < end {
+                if predicate(sim) {
+                    return Ok(true);
+                }
+                sim.advance(end)?;
             }
-            match self.stepping {
-                SteppingMode::FixedDt => self.step()?,
-                SteppingMode::EventDriven => self.event_step(end)?,
-            }
-        }
-        Ok(predicate(self))
+            Ok(predicate(sim))
+        })
     }
 
     /// Temperature of a named thermal node, in Celsius.

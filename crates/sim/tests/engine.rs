@@ -591,9 +591,29 @@ fn unthrottled_run_reports_absent_trip_metrics() {
     assert!(sim.analysis().alerts().is_empty());
 }
 
-/// Per-pass timing is exact-count: every pass records the `tick`
-/// histogram and each stage histogram once and pushes no span, and a
-/// null recorder records nothing. Counts, not durations, so this gates
+/// One pipeline pass in this many is timed into the histograms: the
+/// last of each run of 64.
+const TIMED_EVERY: u64 = 64;
+
+/// The `tick` histogram's count, then each stage histogram's, in
+/// [`STAGES`] order.
+fn hist_counts(recorder: &Recorder) -> Vec<u64> {
+    let snap = recorder.snapshot();
+    let count = |name: &str| {
+        snap.histograms
+            .iter()
+            .find(|h| h.name == name)
+            .map_or_else(|| panic!("no {name} histogram"), |h| h.count)
+    };
+    std::iter::once("tick".to_owned())
+        .chain(STAGES.iter().map(|s| format!("stage:{s}")))
+        .map(|n| count(&n))
+        .collect()
+}
+
+/// Stage timing is exact-count: one pass in 64 records the `tick`
+/// histogram and each stage histogram once, no pass pushes a span, and
+/// a null recorder records nothing. Counts, not durations, so this gates
 /// without a wall clock.
 #[test]
 fn passes_time_stages_into_histograms_without_spans() {
@@ -610,19 +630,6 @@ fn passes_time_stages_into_histograms_without_spans() {
         sim.run_for(Seconds::new(5.0)).unwrap();
         sim
     };
-    let hist_counts = |recorder: &Recorder| {
-        let snap = recorder.snapshot();
-        let count = |name: &str| {
-            snap.histograms
-                .iter()
-                .find(|h| h.name == name)
-                .map_or_else(|| panic!("no {name} histogram"), |h| h.count)
-        };
-        let names: Vec<String> = std::iter::once("tick".to_owned())
-            .chain(STAGES.iter().map(|s| format!("stage:{s}")))
-            .collect();
-        names.iter().map(|n| count(n)).collect::<Vec<u64>>()
-    };
 
     let sim = run(Arc::new(Recorder::new()));
     let recorder = sim.recorder();
@@ -630,11 +637,88 @@ fn passes_time_stages_into_histograms_without_spans() {
     assert!(ticks >= 500, "5 s at the 10 ms base tick: {ticks} passes");
     assert_eq!(sim.stage_names(), STAGES);
     assert!(recorder.spans().is_empty(), "passes push no spans");
-    assert_eq!(hist_counts(recorder), vec![ticks; 1 + STAGES.len()]);
+    assert_eq!(
+        hist_counts(recorder),
+        vec![ticks / TIMED_EVERY; 1 + STAGES.len()]
+    );
 
     let sim = run(Arc::new(Recorder::null()));
     let recorder = sim.recorder();
     assert_eq!(recorder.counter(Counter::Ticks), 0);
     assert!(recorder.spans().is_empty());
     assert_eq!(hist_counts(recorder), vec![0; 1 + STAGES.len()]);
+}
+
+/// The tick and stage-run counters are added on each timed pass and as
+/// each driving call returns, not per pass: they match the clock's pass
+/// count after `step`, `run_for` in either engine and a `run_until`
+/// whose predicate fires part way or at once, and trail it by under 64
+/// passes inside a call. A null recorder counts and times nothing.
+#[test]
+fn pass_counters_stay_exact_through_every_driving_call() {
+    let build = |recorder: Arc<Recorder>, stepping: SteppingMode| {
+        SimBuilder::new(platforms::exynos_5422())
+            .recorder(recorder)
+            .stepping(stepping)
+            .attach(
+                Box::new(BasicMathLarge::new()),
+                ProcessClass::Background,
+                ComponentId::BigCluster,
+            )
+            .build()
+            .unwrap()
+    };
+    let totals = |sim: &Simulator| {
+        let recorder = sim.recorder();
+        (
+            recorder.counter(Counter::Ticks),
+            recorder.counter(Counter::StageRuns),
+        )
+    };
+    let exact = |sim: &Simulator| {
+        let passes = sim.clock().steps();
+        (passes, passes * STAGES.len() as u64)
+    };
+
+    let mut sim = build(Arc::new(Recorder::new()), SteppingMode::FixedDt);
+    for _ in 0..70 {
+        sim.step().unwrap();
+    }
+    assert_eq!(totals(&sim), exact(&sim));
+    sim.run_for(Seconds::new(1.0)).unwrap();
+    assert_eq!(totals(&sim), exact(&sim));
+    let stop = sim.time() + Seconds::new(1.5);
+    let mut lag = 0;
+    let fired = sim
+        .run_until(
+            |s| {
+                lag = lag.max(s.clock().steps() - totals(s).0);
+                s.time() >= stop
+            },
+            Seconds::new(10.0),
+        )
+        .unwrap();
+    assert!(fired);
+    assert!((1..64).contains(&lag), "live totals {lag} passes behind");
+    assert_eq!(totals(&sim), exact(&sim));
+    let before = totals(&sim);
+    assert!(sim.run_until(|_| true, Seconds::new(10.0)).unwrap());
+    assert_eq!(totals(&sim), before, "no pass ran, none is counted");
+    let passes = sim.clock().steps();
+    assert!(passes >= 220, "{passes}");
+    assert_eq!(
+        hist_counts(sim.recorder()),
+        vec![passes / TIMED_EVERY; 1 + STAGES.len()]
+    );
+
+    let mut event = build(Arc::new(Recorder::new()), SteppingMode::EventDriven);
+    event.run_for(Seconds::new(3.0)).unwrap();
+    assert_eq!(totals(&event), exact(&event));
+
+    let mut null = build(Arc::new(Recorder::null()), SteppingMode::FixedDt);
+    null.run_for(Seconds::new(2.0)).unwrap();
+    null.step().unwrap();
+    assert!(null.clock().steps() > TIMED_EVERY);
+    assert_eq!(totals(&null), (0, 0));
+    assert_eq!(hist_counts(null.recorder()), vec![0; 1 + STAGES.len()]);
 }

@@ -79,7 +79,7 @@ impl ParamJitter {
     /// fleet population with.
     ///
     /// Fixed and uniform jitters have exact ranges; a normal jitter is
-    /// bounded by the Box–Muller hard radius ([`NORMAL_HARD_SIGMAS`]),
+    /// bounded by the Box–Muller hard radius (`NORMAL_HARD_SIGMAS`),
     /// which no seed can exceed.
     #[must_use]
     pub fn bounds(&self) -> (f64, f64) {
@@ -279,7 +279,7 @@ impl FleetSpec {
     /// use a `±6σ` plausibility window (a 10k-device fleet draws well
     /// inside it, and the nominal `±7%` process spread the shipped
     /// campaigns model stays clean). The MPT6xx *envelope* verifier
-    /// instead uses the sound hard bound ([`NORMAL_HARD_SIGMAS`]).
+    /// instead uses the sound hard bound (`NORMAL_HARD_SIGMAS`).
     #[must_use]
     pub fn nonphysical_ranges(&self) -> Vec<String> {
         const PLAUSIBLE_SIGMAS: f64 = 6.0;
