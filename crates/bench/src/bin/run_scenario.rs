@@ -20,10 +20,10 @@ use std::time::Duration;
 use mpt_bench::obs_serve::ObsServer;
 use mpt_core::campaign::run_cells_framed;
 use mpt_core::report::SessionReport;
-use mpt_core::scenario::{run_scenario_framed_cached, AlertRuleSpec, CampaignSpec, ScenarioSpec};
+use mpt_core::scenario::{run_scenario_framed_cached, CampaignSpec, ScenarioSpec};
 use mpt_daq::columnar::ColumnData;
 use mpt_daq::{ColumnFrame, Query, QueryError};
-use mpt_obs::{clock, trace::chrome_trace_json, Counter, CounterTrack, Recorder};
+use mpt_obs::{clock, trace::chrome_trace_json, AlertRule, Counter, CounterTrack, Recorder};
 use mpt_sim::SteppingMode;
 
 fn usage() -> ! {
@@ -355,12 +355,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// Parses the `--alerts` file: a JSON array of rule objects.
-fn load_extra_alerts(args: &Args) -> Result<Vec<AlertRuleSpec>, Box<dyn std::error::Error>> {
+fn load_extra_alerts(args: &Args) -> Result<Vec<AlertRule>, Box<dyn std::error::Error>> {
     match &args.alerts {
         None => Ok(Vec::new()),
         Some(path) => {
             let text = std::fs::read_to_string(path)?;
-            let rules: Vec<AlertRuleSpec> =
+            let rules: Vec<AlertRule> =
                 serde_json::from_str(&text).map_err(|e| format!("bad alert rules {path}: {e}"))?;
             Ok(rules)
         }

@@ -130,6 +130,39 @@ fn retired_solver_field_gets_mpt106_from_the_lint_gate() {
     );
 }
 
+/// A misspelled key refuses the run with MPT109 before tick 0: the
+/// shipped three-typo fixture, and the paper's proposed-governor session
+/// with `app_aware` misspelled (which would otherwise run without the
+/// governor).
+#[test]
+fn misspelled_keys_get_mpt109_from_the_lint_gate() {
+    let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    let proposed = std::fs::read_to_string(format!("{scenarios}/odroid_proposed.json"))
+        .expect("shipped scenario reads");
+    assert!(proposed.contains("\"app_aware\""), "{proposed}");
+    let dir = std::env::temp_dir().join("mpt_key_typo_cli_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let app_awre = dir.join("odroid_proposed_app_awre.json");
+    std::fs::write(&app_awre, proposed.replace("\"app_aware\"", "\"app_awre\""))
+        .expect("write typo copy");
+    for path in [
+        format!("{scenarios}/invalid/three_typos.json"),
+        app_awre.to_str().expect("utf-8").to_owned(),
+    ] {
+        let (code, stdout, stderr) = run(&[&path], "");
+        assert_eq!(code, 1, "{path} must be refused: {stderr}");
+        assert!(stdout.is_empty(), "{path}: nothing may run: {stdout}");
+        assert!(
+            stderr.contains("MPT109"),
+            "{path}: expected MPT109: {stderr}"
+        );
+        assert!(
+            stderr.contains("nothing was simulated"),
+            "{path}: refusal must come before tick 0: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn query_flag_prints_grouped_rollup() {
     let (code, stdout, _) = run(

@@ -135,15 +135,11 @@ fn invalid(reason: String) -> SimError {
 }
 
 /// The trip threshold population statistics measure against: the fleet's
-/// own `trip_c` if set, else the scenario's trip reference (step-wise:
-/// the lowest trip; IPA: the control temperature).
+/// own `trip_c` if set, else the policy's
+/// [`trip_reference_c`](ThermalPolicySpec::trip_reference_c).
 #[must_use]
 pub fn trip_reference_c(fleet: &FleetSpec, thermal: &ThermalPolicySpec) -> Option<f64> {
-    fleet.trip_c.or(match thermal {
-        ThermalPolicySpec::Disabled => None,
-        ThermalPolicySpec::StepWise { trips_c, .. } => trips_c.iter().copied().reduce(f64::min),
-        ThermalPolicySpec::Ipa { control_c, .. } => Some(*control_c),
-    })
+    fleet.trip_c.or_else(|| thermal.trip_reference_c())
 }
 
 /// Runs one fleet campaign cell: canonical simulation with trace
@@ -358,6 +354,19 @@ fn rollup(
     }
 }
 
+/// The numeric channels [`device_frame`] writes, beside its `device`
+/// dictionary column: the per-device schema fleet-campaign queries are
+/// checked against.
+pub const DEVICE_CHANNELS: [&str; 7] = [
+    "peak_temp_c",
+    "throttle_onset_s",
+    "time_above_trip_s",
+    "leakage_scale",
+    "ambient_offset_c",
+    "phase_offset_s",
+    "workload_mix",
+];
+
 /// Builds the per-device columnar frame: one row per device keyed by the
 /// `device` dictionary column, so the query grammar works over
 /// populations (`p99(peak_temp_c) by ambient` across a fleet campaign).
@@ -379,4 +388,28 @@ pub fn device_frame(devices: &[DeviceOutcome]) -> mpt_daq::ColumnFrame {
         frame.end_row();
     }
     frame
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn device_frame_writes_exactly_the_shared_device_channels() {
+        let device = DeviceOutcome {
+            device: 0,
+            params: DeviceParams {
+                leakage_scale: 1.0,
+                ambient_offset_c: 0.0,
+                phase_offset_s: 0.0,
+                workload_mix: 1.0,
+            },
+            peak_temp_c: 50.0,
+            throttle_onset_s: Some(3.0),
+            time_above_trip_s: 1.0,
+        };
+        let mut numeric = device_frame(&[device]).channel_names();
+        numeric.retain(|c| c != "time_s" && c != "device");
+        assert_eq!(numeric, DEVICE_CHANNELS);
+    }
 }

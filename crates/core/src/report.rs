@@ -2,7 +2,7 @@
 //!
 //! [`SessionReport`] bundles a scenario's [`ScenarioOutcome`] with the
 //! online analysis the simulator accumulated while running — the derived
-//! paper observables ([`DerivedReport`]), every fired alert
+//! paper observables ([`DerivedSummary`]), every fired alert
 //! ([`AlertRecord`]) and the per-component frequency residency. It is
 //! what `run_scenario --report-out report.json` writes.
 //!
@@ -45,63 +45,6 @@ impl From<&Alert> for AlertRecord {
     }
 }
 
-/// The derived per-run observables, serializable. A mirror of
-/// [`mpt_obs::DerivedSummary`] (that crate is deliberately
-/// dependency-free, so the serde surface lives here).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DerivedReport {
-    /// Simulation time covered, seconds.
-    pub elapsed_s: f64,
-    /// Peak control temperature, Celsius.
-    pub peak_temp_c: Option<f64>,
-    /// Trip reference, Celsius, if throttling was configured.
-    pub trip_c: Option<f64>,
-    /// Simulated seconds above the trip reference.
-    pub time_above_trip_s: f64,
-    /// `trip - peak` Celsius; positive means the run never tripped.
-    pub thermal_headroom_c: Option<f64>,
-    /// Simulated seconds with at least one component capped.
-    pub time_throttled_s: f64,
-    /// Total throttle-related (cap-change) events.
-    pub throttle_events: u64,
-    /// dt-weighted mean FPS outside throttle windows.
-    pub fps_mean_free: Option<f64>,
-    /// dt-weighted mean FPS inside throttle windows.
-    pub fps_mean_throttled: Option<f64>,
-    /// Throttle-attributed FPS loss (free minus throttled mean).
-    pub throttle_fps_loss: Option<f64>,
-    /// The FPS loss as a percentage of the un-throttled mean.
-    pub throttle_fps_loss_pct: Option<f64>,
-    /// Least-squares temperature slope over the run, Celsius per second.
-    pub temp_trend_c_per_s: f64,
-    /// Least-squares power-vs-temperature slope, watts per Celsius.
-    pub power_temp_coupling_w_per_c: f64,
-    /// How fast the margin to the trip grows (positive) or erodes
-    /// (negative), Celsius per second.
-    pub stability_margin_drift_c_per_s: Option<f64>,
-}
-
-impl From<&DerivedSummary> for DerivedReport {
-    fn from(d: &DerivedSummary) -> Self {
-        Self {
-            elapsed_s: d.elapsed_s,
-            peak_temp_c: d.peak_temp_c,
-            trip_c: d.trip_c,
-            time_above_trip_s: d.time_above_trip_s,
-            thermal_headroom_c: d.thermal_headroom_c,
-            time_throttled_s: d.time_throttled_s,
-            throttle_events: d.throttle_events,
-            fps_mean_free: d.fps_mean_free,
-            fps_mean_throttled: d.fps_mean_throttled,
-            throttle_fps_loss: d.throttle_fps_loss,
-            throttle_fps_loss_pct: d.throttle_fps_loss_pct,
-            temp_trend_c_per_s: d.temp_trend_c_per_s,
-            power_temp_coupling_w_per_c: d.power_temp_coupling_w_per_c,
-            stability_margin_drift_c_per_s: d.stability_margin_drift_c_per_s,
-        }
-    }
-}
-
 /// Time spent in one frequency state of one component.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResidencyRow {
@@ -127,7 +70,7 @@ pub struct ComponentResidency {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionAnalysis {
     /// The derived per-run observables.
-    pub derived: DerivedReport,
+    pub derived: DerivedSummary,
     /// Every fired alert, in firing order.
     pub alerts: Vec<AlertRecord>,
     /// Per-component frequency residency.
@@ -161,7 +104,7 @@ impl SessionAnalysis {
             })
             .collect();
         Self {
-            derived: DerivedReport::from(&analysis.summary()),
+            derived: analysis.summary(),
             alerts: analysis.alerts().iter().map(AlertRecord::from).collect(),
             residency,
         }
@@ -308,7 +251,8 @@ impl SessionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_scenario_analyzed, AlertRuleSpec, ScenarioSpec};
+    use crate::scenario::{run_scenario_analyzed, ScenarioSpec};
+    use mpt_obs::AlertRule;
 
     fn throttled_spec() -> ScenarioSpec {
         let json = r#"{
@@ -386,7 +330,7 @@ mod tests {
     #[test]
     fn alert_counts_group_by_rule() {
         let analysis = SessionAnalysis {
-            derived: DerivedReport {
+            derived: DerivedSummary {
                 elapsed_s: 1.0,
                 peak_temp_c: None,
                 trip_c: None,
@@ -432,19 +376,19 @@ mod tests {
 
     #[test]
     fn alert_rule_spec_defaults_parse() {
-        let spec: AlertRuleSpec = serde_json::from_str(r#"{ "rule": "runaway" }"#).unwrap();
+        let spec: AlertRule = serde_json::from_str(r#"{ "rule": "runaway" }"#).unwrap();
         assert_eq!(
             spec,
-            AlertRuleSpec::Runaway {
+            AlertRule::Runaway {
                 window_s: 5.0,
                 slope_c_per_s: 0.1
             }
         );
-        let spec: AlertRuleSpec =
+        let spec: AlertRule =
             serde_json::from_str(r#"{ "rule": "temp_above", "threshold_c": 40.0 }"#).unwrap();
         assert_eq!(
             spec,
-            AlertRuleSpec::TempAbove {
+            AlertRule::TempAbove {
                 threshold_c: 40.0,
                 sustain_s: 0.0
             }

@@ -19,9 +19,11 @@ use mpt_soc::{platforms, ComponentId, Platform};
 use mpt_thermal::TransitionCache;
 use mpt_units::{Celsius, Seconds, Watts};
 use mpt_workloads::benchmarks::{
-    BasicMathLarge, BurstyCompute, ComputePhase, Nenamark, PhasedCompute, SteadyCompute, ThreeDMark,
+    BasicMathLarge, BurstyCompute, Nenamark, PhasedCompute, SteadyCompute, ThreeDMark,
 };
 use mpt_workloads::Workload;
+
+pub use mpt_workloads::benchmarks::ComputePhase;
 
 use crate::experiments::NexusApp;
 use crate::{AppAwareConfig, AppAwareGovernor, GovernorStats, ThrottleAction};
@@ -148,24 +150,8 @@ pub enum WorkloadKind {
         /// Process name.
         name: String,
         /// The schedule, in strictly increasing `until_s` order.
-        phases: Vec<PhaseSpec>,
+        phases: Vec<ComputePhase>,
     },
-}
-
-/// One phase of a [`WorkloadKind::Phased`] schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PhaseSpec {
-    /// Absolute end time of the phase (exclusive), seconds.
-    pub until_s: f64,
-    /// Big-equivalent cycles demanded per second (zero = idle phase).
-    pub rate: f64,
-    /// Parallelism during the phase.
-    #[serde(default = "default_phase_threads")]
-    pub threads: f64,
-}
-
-fn default_phase_threads() -> f64 {
-    1.0
 }
 
 /// One workload attachment.
@@ -239,15 +225,7 @@ impl WorkloadSpec {
                 ))
             }
             WorkloadKind::Phased { name, phases } => {
-                let schedule = phases
-                    .iter()
-                    .map(|p| ComputePhase {
-                        until_s: p.until_s,
-                        rate: p.rate,
-                        threads: p.threads,
-                    })
-                    .collect();
-                Box::new(PhasedCompute::new(name.clone(), schedule)?)
+                Box::new(PhasedCompute::new(name.clone(), phases.clone())?)
             }
         })
     }
@@ -276,7 +254,8 @@ pub enum ThermalPolicySpec {
     Disabled,
     /// Step-wise trip points over the GPU and big cluster.
     StepWise {
-        /// Trip temperatures in Celsius (1.5 °C hysteresis each).
+        /// Trip temperatures in Celsius, each released
+        /// [`STEPWISE_HYSTERESIS_C`](Self::STEPWISE_HYSTERESIS_C) below.
         trips_c: Vec<f64>,
         /// Poll period in seconds.
         period_s: f64,
@@ -290,6 +269,28 @@ pub enum ThermalPolicySpec {
         /// GPU weight relative to the big cluster's 1.0.
         gpu_weight: f64,
     },
+}
+
+impl ThermalPolicySpec {
+    /// Release hysteresis of every step-wise trip point, Celsius.
+    pub const STEPWISE_HYSTERESIS_C: f64 = 1.5;
+    /// Deepest step-wise cooling state of the GPU.
+    pub const STEPWISE_GPU_LIMIT: usize = 3;
+    /// Deepest step-wise cooling state of the big cluster.
+    pub const STEPWISE_BIG_LIMIT: usize = 5;
+
+    /// The trip reference derived observables, fleet statistics and
+    /// certificates measure against: the lowest step-wise trip, else the
+    /// IPA control temperature. `None` without throttling (or with an
+    /// empty step-wise ladder).
+    #[must_use]
+    pub fn trip_reference_c(&self) -> Option<f64> {
+        match self {
+            ThermalPolicySpec::Disabled => None,
+            ThermalPolicySpec::StepWise { trips_c, .. } => trips_c.iter().copied().reduce(f64::min),
+            ThermalPolicySpec::Ipa { control_c, .. } => Some(*control_c),
+        }
+    }
 }
 
 /// The proposed governor's configuration, if enabled.
@@ -307,88 +308,6 @@ pub struct AppAwareSpec {
 
 fn default_horizon() -> f64 {
     60.0
-}
-
-/// A declarative alert rule as it appears in scenario JSON, converted to
-/// [`mpt_obs::AlertRule`] when the simulator is built. Rules are
-/// evaluated every tick by the analyze stage; firings land in the event
-/// log (`ALERT <rule>: ...`) and in the session report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "rule", rename_all = "snake_case")]
-pub enum AlertRuleSpec {
-    /// Control temperature above `threshold_c` for `sustain_s`
-    /// consecutive simulated seconds.
-    TempAbove {
-        /// Temperature threshold, Celsius.
-        threshold_c: f64,
-        /// Required consecutive seconds above the threshold.
-        #[serde(default)]
-        sustain_s: f64,
-    },
-    /// Foreground frame rate below `target` for `sustain_s` consecutive
-    /// simulated seconds.
-    FpsBelow {
-        /// FPS floor.
-        target: f64,
-        /// Required consecutive seconds below the floor.
-        #[serde(default)]
-        sustain_s: f64,
-    },
-    /// At least `events` throttle (cap-change) events within any
-    /// trailing `window_s`.
-    ThrottleStorm {
-        /// Event count threshold.
-        events: u64,
-        /// Trailing window length, seconds.
-        window_s: f64,
-    },
-    /// Temperature rising faster than `slope_c_per_s` over the trailing
-    /// `window_s` while throttling is already engaged.
-    Runaway {
-        /// Trailing window length, seconds.
-        #[serde(default = "default_runaway_window")]
-        window_s: f64,
-        /// Minimum sustained heating rate, Celsius per second.
-        #[serde(default = "default_runaway_slope")]
-        slope_c_per_s: f64,
-    },
-}
-
-fn default_runaway_window() -> f64 {
-    5.0
-}
-
-fn default_runaway_slope() -> f64 {
-    0.1
-}
-
-impl AlertRuleSpec {
-    /// The equivalent engine rule.
-    #[must_use]
-    pub fn to_rule(&self) -> mpt_obs::AlertRule {
-        match *self {
-            AlertRuleSpec::TempAbove {
-                threshold_c,
-                sustain_s,
-            } => mpt_obs::AlertRule::TempAbove {
-                threshold_c,
-                sustain_s,
-            },
-            AlertRuleSpec::FpsBelow { target, sustain_s } => {
-                mpt_obs::AlertRule::FpsBelow { target, sustain_s }
-            }
-            AlertRuleSpec::ThrottleStorm { events, window_s } => {
-                mpt_obs::AlertRule::ThrottleStorm { events, window_s }
-            }
-            AlertRuleSpec::Runaway {
-                window_s,
-                slope_c_per_s,
-            } => mpt_obs::AlertRule::Runaway {
-                window_s,
-                slope_c_per_s,
-            },
-        }
-    }
 }
 
 /// A complete, serializable experiment definition.
@@ -428,7 +347,7 @@ pub struct ScenarioSpec {
     pub app_aware: Option<AppAwareSpec>,
     /// Alert rules evaluated online against the run.
     #[serde(default)]
-    pub alerts: Vec<AlertRuleSpec>,
+    pub alerts: Vec<mpt_obs::AlertRule>,
     /// The stepping engine (defaults to fixed-dt ticking).
     #[serde(default)]
     pub engine: EngineSpec,
@@ -849,9 +768,10 @@ pub fn build_scenario_cached(
             if trips_c.is_empty() {
                 return Err(invalid("step_wise needs at least one trip".into()));
             }
+            let hysteresis = Celsius::new(ThermalPolicySpec::STEPWISE_HYSTERESIS_C);
             let trips = trips_c
                 .iter()
-                .map(|&c| TripPoint::new(Celsius::new(c), Celsius::new(1.5)))
+                .map(|&c| TripPoint::new(Celsius::new(c), hysteresis))
                 .collect();
             let governed = vec![
                 (
@@ -859,24 +779,21 @@ pub fn build_scenario_cached(
                         .component(ComponentId::Gpu)
                         .map_err(|e| invalid(e.to_string()))?
                         .clone(),
-                    3,
+                    ThermalPolicySpec::STEPWISE_GPU_LIMIT,
                 ),
                 (
                     platform
                         .component(ComponentId::BigCluster)
                         .map_err(|e| invalid(e.to_string()))?
                         .clone(),
-                    5,
+                    ThermalPolicySpec::STEPWISE_BIG_LIMIT,
                 ),
             ];
             builder = builder
                 .thermal_governor(Box::new(StepWiseGovernor::with_state_limits(
                     trips, governed,
                 )))
-                .thermal_period(Seconds::new(*period_s))
-                .trip_reference(Celsius::new(
-                    trips_c.iter().copied().fold(f64::INFINITY, f64::min),
-                ));
+                .thermal_period(Seconds::new(*period_s));
         }
         ThermalPolicySpec::Ipa {
             control_c,
@@ -909,10 +826,12 @@ pub fn build_scenario_cached(
                     ),
                 ],
             )));
-            builder = builder.trip_reference(Celsius::new(*control_c));
         }
     }
-    builder = builder.alert_rules(spec.alerts.iter().map(AlertRuleSpec::to_rule).collect());
+    if let Some(trip_c) = spec.thermal.trip_reference_c() {
+        builder = builder.trip_reference(Celsius::new(trip_c));
+    }
+    builder = builder.alert_rules(spec.alerts.clone());
     let mut stats = None;
     if let Some(aa) = &spec.app_aware {
         let gov = AppAwareGovernor::new(AppAwareConfig {
@@ -1220,12 +1139,12 @@ mod tests {
     #[test]
     fn phased_workload_runs_under_both_engines() {
         let phases = vec![
-            PhaseSpec {
+            ComputePhase {
                 until_s: 2.0,
                 rate: 2.0e9,
                 threads: 2.0,
             },
-            PhaseSpec {
+            ComputePhase {
                 until_s: 5.0,
                 rate: 0.2e9,
                 threads: 1.0,
@@ -1254,12 +1173,12 @@ mod tests {
         spec.workloads[0].kind = WorkloadKind::Phased {
             name: "broken".into(),
             phases: vec![
-                PhaseSpec {
+                ComputePhase {
                     until_s: 5.0,
                     rate: 1.0e9,
                     threads: 1.0,
                 },
-                PhaseSpec {
+                ComputePhase {
                     until_s: 3.0,
                     rate: 1.0e9,
                     threads: 1.0,

@@ -298,15 +298,6 @@ impl ColumnFrame {
         Some(series)
     }
 
-    /// The named `u32` column's values, or `None` if absent or not `u32`.
-    #[must_use]
-    pub fn u32_column(&self, name: &str) -> Option<&[u32]> {
-        match self.column(name)?.data() {
-            ColumnData::U32(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The named column's row values as `f64` — `u32` columns convert,
     /// string columns return `None`. This is the numeric surface the
     /// query aggregates run over.

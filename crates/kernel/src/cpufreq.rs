@@ -2,12 +2,12 @@
 //!
 //! A [`CpuFreqPolicy`] owns a component's OPP table, the externally
 //! imposed frequency caps (what thermal governors write into
-//! `scaling_max_freq`) and a pluggable [`FrequencyGovernor`]. Every
-//! governor shipped on the paper's platforms is implemented:
-//! `performance`, `powersave`, `userspace`, `ondemand`, `conservative`,
-//! and Android's `interactive` (which "sets the frequency to the highest
-//! value whenever it detects user interactions" — the behaviour the
-//! paper's introduction calls out).
+//! `scaling_max_freq`) and a pluggable [`FrequencyGovernor`]: the
+//! `performance`, `ondemand` and Android `interactive` governors the
+//! simulated platforms run (`interactive` "sets the frequency to the
+//! highest value whenever it detects user interactions" — the behaviour
+//! the paper's introduction calls out), plus `userspace` for pinning a
+//! frequency.
 
 use std::fmt;
 
@@ -57,20 +57,6 @@ impl FrequencyGovernor for Performance {
 
     fn target(&mut self, opps: &OppTable, _: Hertz, _: ClusterLoad, _: Seconds) -> Hertz {
         opps.highest().frequency()
-    }
-}
-
-/// Always runs at the minimum frequency.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Powersave;
-
-impl FrequencyGovernor for Powersave {
-    fn name(&self) -> &'static str {
-        "powersave"
-    }
-
-    fn target(&mut self, opps: &OppTable, _: Hertz, _: ClusterLoad, _: Seconds) -> Hertz {
-        opps.lowest().frequency()
     }
 }
 
@@ -129,41 +115,6 @@ impl FrequencyGovernor for Ondemand {
         } else {
             // freq_next = load * max (as in the kernel's dbs algorithm).
             Hertz::new((max.as_f64() * load.utilization.value()) as u64)
-        }
-    }
-}
-
-/// The `conservative` governor: step one OPP at a time.
-#[derive(Debug, Clone, Copy)]
-pub struct Conservative {
-    /// Load above which to step up.
-    pub up_threshold: f64,
-    /// Load below which to step down.
-    pub down_threshold: f64,
-}
-
-impl Default for Conservative {
-    fn default() -> Self {
-        Self {
-            up_threshold: 0.80,
-            down_threshold: 0.20,
-        }
-    }
-}
-
-impl FrequencyGovernor for Conservative {
-    fn name(&self) -> &'static str {
-        "conservative"
-    }
-
-    fn target(&mut self, opps: &OppTable, current: Hertz, load: ClusterLoad, _: Seconds) -> Hertz {
-        let u = load.utilization.value();
-        if u >= self.up_threshold {
-            opps.step_up(current).unwrap_or(current)
-        } else if u <= self.down_threshold {
-            opps.step_down(current).unwrap_or(current)
-        } else {
-            current
         }
     }
 }
@@ -242,51 +193,17 @@ impl FrequencyGovernor for Interactive {
     }
 }
 
-/// The modern `schedutil` governor: `f_next = C · f_max · util` with the
-/// kernel's 25% headroom factor (`C = 1.25`), snapped up to the next OPP.
-/// Simpler and more responsive than `ondemand`, without `interactive`'s
-/// boost heuristics.
-#[derive(Debug, Clone, Copy)]
-pub struct Schedutil {
-    /// Headroom factor applied to the measured utilization.
-    pub headroom: f64,
-}
-
-impl Default for Schedutil {
-    fn default() -> Self {
-        Self { headroom: 1.25 }
-    }
-}
-
-impl FrequencyGovernor for Schedutil {
-    fn name(&self) -> &'static str {
-        "schedutil"
-    }
-
-    fn target(&mut self, opps: &OppTable, _: Hertz, load: ClusterLoad, _: Seconds) -> Hertz {
-        let max = opps.highest().frequency();
-        let ideal = max.as_f64() * load.utilization.value() * self.headroom;
-        opps.at_or_above(Hertz::new(ideal as u64)).frequency()
-    }
-}
-
 /// Selects a governor implementation by its sysfs name.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GovernorKind {
     /// `performance`
     Performance,
-    /// `powersave`
-    Powersave,
     /// `userspace` at the given setpoint.
     Userspace(Hertz),
     /// `ondemand`
     Ondemand,
-    /// `conservative`
-    Conservative,
     /// `interactive`
     Interactive,
-    /// `schedutil`
-    Schedutil,
 }
 
 impl GovernorKind {
@@ -295,12 +212,9 @@ impl GovernorKind {
     pub fn make(self) -> Box<dyn FrequencyGovernor> {
         match self {
             GovernorKind::Performance => Box::new(Performance),
-            GovernorKind::Powersave => Box::new(Powersave),
             GovernorKind::Userspace(f) => Box::new(Userspace::new(f)),
             GovernorKind::Ondemand => Box::new(Ondemand::default()),
-            GovernorKind::Conservative => Box::new(Conservative::default()),
             GovernorKind::Interactive => Box::new(Interactive::new()),
-            GovernorKind::Schedutil => Box::new(Schedutil::default()),
         }
     }
 }
@@ -329,7 +243,6 @@ impl GovernorKind {
 /// ```
 #[derive(Debug)]
 pub struct CpuFreqPolicy {
-    id: mpt_soc::ComponentId,
     opps: OppTable,
     governor: Box<dyn FrequencyGovernor>,
     current: Hertz,
@@ -342,19 +255,12 @@ impl CpuFreqPolicy {
     #[must_use]
     pub fn new(component: &Component, kind: GovernorKind) -> Self {
         Self {
-            id: component.id(),
             opps: component.opps().clone(),
             governor: kind.make(),
             current: component.opps().lowest().frequency(),
             max_cap: None,
             min_cap: None,
         }
-    }
-
-    /// The governed component.
-    #[must_use]
-    pub fn component_id(&self) -> mpt_soc::ComponentId {
-        self.id
     }
 
     /// The OPP table.
@@ -373,11 +279,6 @@ impl CpuFreqPolicy {
     #[must_use]
     pub fn governor_name(&self) -> &'static str {
         self.governor.name()
-    }
-
-    /// Replaces the governor.
-    pub fn set_governor(&mut self, kind: GovernorKind) {
-        self.governor = kind.make();
     }
 
     /// Sets (or clears) the thermal maximum-frequency cap
@@ -459,13 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn powersave_pins_min() {
-        let mut p = gpu_policy(GovernorKind::Powersave);
-        p.update(load(1.0), DT);
-        assert_eq!(p.current().as_mhz(), 180);
-    }
-
-    #[test]
     fn userspace_holds_setpoint_snapped() {
         let mut p = gpu_policy(GovernorKind::Userspace(Hertz::from_mhz(420)));
         p.update(load(1.0), DT);
@@ -489,20 +383,6 @@ mod tests {
         p.update(load(0.7), DT);
         // 0.7 * 600 = 420 -> snaps to 390.
         assert_eq!(p.current().as_mhz(), 390);
-    }
-
-    #[test]
-    fn conservative_steps_one_opp_at_a_time() {
-        let mut p = gpu_policy(GovernorKind::Conservative);
-        assert_eq!(p.current().as_mhz(), 180);
-        p.update(load(1.0), DT);
-        assert_eq!(p.current().as_mhz(), 305);
-        p.update(load(1.0), DT);
-        assert_eq!(p.current().as_mhz(), 390);
-        p.update(load(0.1), DT);
-        assert_eq!(p.current().as_mhz(), 305);
-        p.update(load(0.5), DT);
-        assert_eq!(p.current().as_mhz(), 305, "mid load holds");
     }
 
     #[test]
@@ -570,7 +450,7 @@ mod tests {
 
     #[test]
     fn min_floor_lifts_frequency() {
-        let mut p = gpu_policy(GovernorKind::Powersave);
+        let mut p = gpu_policy(GovernorKind::Userspace(Hertz::from_mhz(180)));
         p.set_min_cap(Some(Hertz::from_mhz(390)));
         p.update(load(0.0), DT);
         assert_eq!(p.current().as_mhz(), 390);
@@ -593,39 +473,5 @@ mod tests {
         p.set_max_cap(Some(Hertz::from_mhz(450)));
         // Without another governor tick, the cap already applies.
         assert_eq!(p.current().as_mhz(), 450);
-    }
-
-    #[test]
-    fn governor_swap() {
-        let mut p = gpu_policy(GovernorKind::Powersave);
-        assert_eq!(p.governor_name(), "powersave");
-        p.set_governor(GovernorKind::Performance);
-        assert_eq!(p.governor_name(), "performance");
-        p.update(load(0.0), DT);
-        assert_eq!(p.current().as_mhz(), 600);
-    }
-
-    #[test]
-    fn schedutil_applies_headroom() {
-        let mut p = gpu_policy(GovernorKind::Schedutil);
-        // util 0.52: ideal = 600 * 0.52 * 1.25 = 390 -> snaps to 390.
-        p.update(load(0.52), DT);
-        assert_eq!(p.current().as_mhz(), 390);
-        // Saturated: max.
-        p.update(load(1.0), DT);
-        assert_eq!(p.current().as_mhz(), 600);
-        // Idle: bottom.
-        p.update(load(0.0), DT);
-        assert_eq!(p.current().as_mhz(), 180);
-    }
-
-    #[test]
-    fn schedutil_snaps_upward_not_downward() {
-        // schedutil must never pick an OPP *below* the ideal frequency
-        // (that would guarantee missed deadlines); it rounds up.
-        let mut p = gpu_policy(GovernorKind::Schedutil);
-        // ideal = 600 * 0.42 * 1.25 = 315 -> next OPP above is 390.
-        p.update(load(0.42), DT);
-        assert_eq!(p.current().as_mhz(), 390);
     }
 }

@@ -16,9 +16,9 @@
 //!   ([`Process`], [`Scheduler`]);
 //! - max–min fair CPU-cycle allocation within a cluster
 //!   ([`allocate_max_min`]);
-//! - the classic cpufreq governors: `performance`, `powersave`,
-//!   `userspace`, `ondemand`, `conservative` and Android's `interactive`
-//!   ([`cpufreq`]);
+//! - the cpufreq governors the platforms run, `performance`, `ondemand`
+//!   and Android's `interactive`, plus `userspace` for pinning a
+//!   frequency ([`cpufreq`]);
 //! - the kernel thermal governors: step-wise trip points
 //!   ([`StepWiseGovernor`]) and ARM Intelligent Power Allocation
 //!   ([`IpaGovernor`]);

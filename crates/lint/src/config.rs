@@ -1,32 +1,34 @@
 //! Config analysis: scenarios, campaigns and alert files (MPT1xx).
 //!
-//! These are cross-reference checks the serde layer cannot express:
-//! sensor names must resolve against the scenario's platform, trip
-//! points must lie inside the sensor's plausible range, alert rules must
-//! reference observables the configured mechanisms actually emit, and
-//! sweep axes must be non-empty, duplicate-free and compatible with the
-//! base policy. `run_scenario` runs the same checks as a fail-fast phase
-//! before tick 0, so a dangling reference refuses to simulate with the
-//! same `MPTxxx` diagnostic the linter prints.
+//! Each file is parsed once, from text straight into its typed spec, and
+//! that parse is the schema gate: the spec types refuse any key they do
+//! not declare (keys starting with `_` are comments). A refusal maps to
+//! one stable code: a retired key (today only `solver`) gets MPT106, any
+//! other unknown key MPT109 naming the key and the keys its object
+//! accepts, an unknown or malformed `engine` MPT301, and anything else
+//! MPT101.
 //!
-//! Checking is two-stage: a few fields are inspected on the raw JSON
-//! value *before* the typed parse. A misspelled engine gets the specific
-//! MPT301 rather than a generic MPT101, and the retired `solver` field
-//! gets MPT106: the serde layer ignores unknown keys, so without this
-//! check an old `"solver": "forward_euler"` file would silently run the
-//! exact solver.
+//! What follows are the cross-reference checks the serde layer cannot
+//! express: sensor names must resolve against the scenario's platform,
+//! trip points must lie inside the sensor's plausible range, alert rules
+//! must reference observables the configured mechanisms actually emit,
+//! and sweep axes must be non-empty, duplicate-free and compatible with
+//! the base policy. `run_scenario` runs the same checks as a fail-fast
+//! phase before tick 0, so a dangling reference refuses to simulate with
+//! the same `MPTxxx` diagnostic the linter prints.
 
 use mpt_core::scenario::{
-    AlertRuleSpec, CampaignSpec, PlatformSpec, ScenarioSpec, SweepAxes, ThermalPolicySpec,
-    WorkloadKind,
+    CampaignSpec, ComputePhase, EngineSpec, PlatformSpec, ScenarioSpec, SweepAxes,
+    ThermalPolicySpec, WorkloadKind,
 };
+use mpt_obs::AlertRule;
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 use crate::model::MAX_SANE_TEMP_C;
 use crate::verify::BASE_DT_S;
 
-/// Engine names accepted by scenario JSON, mirroring `EngineSpec`.
-pub const KNOWN_ENGINES: [&str; 2] = ["fixed", "event"];
+/// Keys the spec types no longer declare, each with why it went.
+const RETIRED_KEYS: [(&str, &str); 1] = [("solver", "every run uses the exact LTI discretization")];
 
 /// What the scenario's mechanisms can observably emit; alert rules are
 /// checked against this.
@@ -43,25 +45,8 @@ struct AlertContext {
 #[must_use]
 pub fn check_scenario_json(json: &str, path: &str) -> Report {
     let mut r = Report::default();
-    r.checks_run += 1;
-    let Some(value) = parse_value(json, path, &mut r) else {
-        return r;
-    };
-    if let Some(obj) = value.as_object() {
-        if !no_solver_field(serde::__find(obj, "solver"), path, &mut r) {
-            return r;
-        }
-        if !engine_name_ok(serde::__find(obj, "engine"), path, &mut r) {
-            return r;
-        }
-    }
-    match serde_json::from_str::<ScenarioSpec>(json) {
-        Ok(spec) => r.merge(check_scenario(&spec, path)),
-        Err(e) => r.diagnostics.push(Diagnostic::new(
-            Code::ParseFailure,
-            path,
-            format!("scenario does not parse: {e}"),
-        )),
+    if let Some(spec) = parse::<ScenarioSpec>(json, "scenario", path, &mut r) {
+        r.merge(check_scenario(&spec, path));
     }
     r
 }
@@ -70,27 +55,8 @@ pub fn check_scenario_json(json: &str, path: &str) -> Report {
 #[must_use]
 pub fn check_campaign_json(json: &str, path: &str) -> Report {
     let mut r = Report::default();
-    r.checks_run += 1;
-    let Some(value) = parse_value(json, path, &mut r) else {
-        return r;
-    };
-    let base = value
-        .as_object()
-        .and_then(|obj| serde::__find(obj, "base"))
-        .and_then(serde::Value::as_object);
-    if !no_solver_field(base.and_then(|b| serde::__find(b, "solver")), path, &mut r) {
-        return r;
-    }
-    if !engine_name_ok(base.and_then(|b| serde::__find(b, "engine")), path, &mut r) {
-        return r;
-    }
-    match serde_json::from_str::<CampaignSpec>(json) {
-        Ok(spec) => r.merge(check_campaign(&spec, path)),
-        Err(e) => r.diagnostics.push(Diagnostic::new(
-            Code::ParseFailure,
-            path,
-            format!("campaign does not parse: {e}"),
-        )),
+    if let Some(spec) = parse::<CampaignSpec>(json, "campaign", path, &mut r) {
+        r.merge(check_campaign(&spec, path));
     }
     r
 }
@@ -101,16 +67,63 @@ pub fn check_campaign_json(json: &str, path: &str) -> Report {
 #[must_use]
 pub fn check_alerts_json(json: &str, path: &str) -> Report {
     let mut r = Report::default();
-    r.checks_run += 1;
-    match serde_json::from_str::<Vec<AlertRuleSpec>>(json) {
-        Ok(rules) => check_alert_rules(&rules, None, path, &mut r),
-        Err(e) => r.diagnostics.push(Diagnostic::new(
-            Code::ParseFailure,
-            path,
-            format!("alert rules do not parse: {e}"),
-        )),
+    if let Some(rules) = parse::<Vec<AlertRule>>(json, "alert file", path, &mut r) {
+        check_alert_rules(&rules, None, path, &mut r);
     }
     r
+}
+
+/// The one parse of a config file, JSON text to its typed spec. A
+/// refusal pushes its one diagnostic and yields `None`.
+fn parse<T: serde::Deserialize>(json: &str, what: &str, path: &str, r: &mut Report) -> Option<T> {
+    r.checks_run += 1;
+    let (code, message) = match serde_json::value_from_str(json) {
+        Ok(value) => match T::deserialize_value(&value) {
+            Ok(spec) => return Some(spec),
+            Err(e) => refusal(&e, what),
+        },
+        Err(e) => (Code::ParseFailure, format!("invalid JSON: {e}")),
+    };
+    r.diagnostics.push(Diagnostic::new(code, path, message));
+    None
+}
+
+/// The stable code and message for a typed-parse refusal.
+fn refusal(e: &serde::Error, what: &str) -> (Code, String) {
+    let at = e.path();
+    let at = if at.is_empty() {
+        String::new()
+    } else {
+        format!(" in {at}")
+    };
+    match e.unknown() {
+        Some(serde::Unknown::Key(key)) => {
+            match RETIRED_KEYS.iter().find(|(retired, _)| retired == key) {
+                Some((_, why)) => (
+                    Code::RetiredSolverField,
+                    format!("the {key:?} key{at} is retired; {why}"),
+                ),
+                None => (
+                    Code::UnknownKey,
+                    format!(
+                        "unknown key {key:?}{at} (accepted: {})",
+                        e.accepted().join(", ")
+                    ),
+                ),
+            }
+        }
+        _ if e.is_raised_by::<EngineSpec>() => {
+            let valid = e.accepted().join(", ");
+            let message = match e.unknown() {
+                Some(serde::Unknown::Variant(name)) => {
+                    format!("engine {name:?} is not registered (valid: {valid})")
+                }
+                _ => format!("engine must be a string naming a stepping engine (valid: {valid})"),
+            };
+            (Code::InvalidEngine, message)
+        }
+        _ => (Code::ParseFailure, format!("{what} does not parse: {e}")),
+    }
 }
 
 /// Full cross-reference check of a parsed scenario.
@@ -313,15 +326,7 @@ pub fn campaign_query_schema(spec: &CampaignSpec) -> (Vec<String>, Vec<String>) 
         // Fleet campaigns additionally expose the per-device population
         // frame: one row per device, grouped by the `device` dictionary
         // column on top of the swept axes.
-        for channel in [
-            "peak_temp_c",
-            "throttle_onset_s",
-            "time_above_trip_s",
-            "leakage_scale",
-            "ambient_offset_c",
-            "phase_offset_s",
-            "workload_mix",
-        ] {
+        for channel in mpt_core::fleet::DEVICE_CHANNELS {
             if !channels.iter().any(|c| c == channel) {
                 channels.push(channel.to_owned());
             }
@@ -567,7 +572,7 @@ fn check_trips(trips_c: &[f64], ambient_c: f64, path: &str, r: &mut Report) {
 }
 
 fn check_alert_rules(
-    rules: &[AlertRuleSpec],
+    rules: &[AlertRule],
     context: Option<&AlertContext>,
     path: &str,
     r: &mut Report,
@@ -581,7 +586,7 @@ fn check_alert_rules(
         r.checks_run += 1;
         let origin = format!("{path}#alerts[{i}]");
         match *rule {
-            AlertRuleSpec::TempAbove {
+            AlertRule::TempAbove {
                 threshold_c,
                 sustain_s,
             } => {
@@ -606,7 +611,7 @@ fn check_alert_rules(
                     );
                 }
             }
-            AlertRuleSpec::FpsBelow { target, sustain_s } => {
+            AlertRule::FpsBelow { target, sustain_s } => {
                 if !target.is_finite() || target <= 0.0 {
                     invalid(
                         r,
@@ -633,7 +638,7 @@ fn check_alert_rules(
                     }
                 }
             }
-            AlertRuleSpec::ThrottleStorm { events, window_s } => {
+            AlertRule::ThrottleStorm { events, window_s } => {
                 if events == 0 {
                     invalid(r, &origin, "throttle_storm events must be >= 1".to_owned());
                 }
@@ -646,7 +651,7 @@ fn check_alert_rules(
                 }
                 warn_if_no_throttling(context, "throttle_storm", &origin, r);
             }
-            AlertRuleSpec::Runaway {
+            AlertRule::Runaway {
                 window_s,
                 slope_c_per_s,
             } => {
@@ -692,7 +697,7 @@ fn temp_in_range(t: f64, ambient_c: f64) -> bool {
 /// The first ordering problem in a phased schedule, if any: end times
 /// must be finite, strictly increasing and start above zero. (Rate and
 /// thread validity stay with the generic workload build check, MPT103.)
-fn phase_schedule_problem(phases: &[mpt_core::scenario::PhaseSpec]) -> Option<String> {
+fn phase_schedule_problem(phases: &[ComputePhase]) -> Option<String> {
     if phases.is_empty() {
         return Some("phased workload has no phases".to_owned());
     }
@@ -707,66 +712,6 @@ fn phase_schedule_problem(phases: &[mpt_core::scenario::PhaseSpec]) -> Option<St
         prev = p.until_s;
     }
     None
-}
-
-fn parse_value(json: &str, path: &str, r: &mut Report) -> Option<serde::Value> {
-    match serde_json::value_from_str(json) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            r.diagnostics.push(Diagnostic::new(
-                Code::ParseFailure,
-                path,
-                format!("invalid JSON: {e}"),
-            ));
-            None
-        }
-    }
-}
-
-/// True when the raw document has no `solver` key; pushes MPT106 and
-/// returns false when the retired field is present, whatever its value.
-fn no_solver_field(solver: Option<&serde::Value>, path: &str, r: &mut Report) -> bool {
-    r.checks_run += 1;
-    if solver.is_none() {
-        return true;
-    }
-    r.diagnostics.push(Diagnostic::new(
-        Code::RetiredSolverField,
-        path,
-        "the \"solver\" field is retired; every run uses the exact LTI discretization",
-    ));
-    false
-}
-
-/// True when the raw `engine` value (if any) names a known stepping
-/// engine; pushes MPT301 and returns false otherwise.
-fn engine_name_ok(engine: Option<&serde::Value>, path: &str, r: &mut Report) -> bool {
-    r.checks_run += 1;
-    let Some(value) = engine else {
-        return true;
-    };
-    match value.as_str() {
-        Some(name) if KNOWN_ENGINES.contains(&name) => true,
-        Some(name) => {
-            r.diagnostics.push(Diagnostic::new(
-                Code::InvalidEngine,
-                path,
-                format!(
-                    "engine {name:?} is not registered (valid: {})",
-                    KNOWN_ENGINES.join(", ")
-                ),
-            ));
-            false
-        }
-        None => {
-            r.diagnostics.push(Diagnostic::new(
-                Code::InvalidEngine,
-                path,
-                "engine must be a string naming a stepping engine",
-            ));
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -832,6 +777,41 @@ mod tests {
     }
 
     #[test]
+    fn unknown_keys_fire_mpt109_naming_the_key_and_what_its_object_accepts() {
+        let report = check_scenario_json(
+            r#"{ "platform": "exynos5422", "duration_s": 1.0, "_comment": "ok",
+                 "workloads": [ { "kind": "basic_math", "forground": true } ] }"#,
+            "s",
+        );
+        let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(codes, vec![Code::UnknownKey]);
+        let message = &report.diagnostics[0].message;
+        for part in [
+            "\"forground\"",
+            "workloads[0]",
+            "kind",
+            "foreground",
+            "seed",
+        ] {
+            assert!(message.contains(part), "{part} missing from: {message}");
+        }
+        // The same gate covers campaign sweeps and alert files; `_` keys
+        // are comments at any depth.
+        let campaign = check_campaign_json(
+            r#"{ "base": { "platform": "exynos5422", "duration_s": 1.0,
+                           "workloads": [ { "kind": "basic_math", "_note": "" } ] },
+                 "sweep": { "initial_temperature_c": [40.0] } }"#,
+            "c",
+        );
+        let codes: Vec<_> = campaign.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(codes, vec![Code::UnknownKey], "{}", campaign.render_text());
+        assert!(campaign.diagnostics[0].message.contains("in sweep"));
+        let alerts = check_alerts_json(r#"[ { "rule": "runaway", "windows_s": 5.0 } ]"#, "a");
+        let codes: Vec<_> = alerts.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(codes, vec![Code::UnknownKey], "{}", alerts.render_text());
+    }
+
+    #[test]
     fn non_monotonic_phases_fire_mpt302() {
         let report = check_scenario_json(
             r#"{ "platform": "exynos5422", "duration_s": 10.0,
@@ -857,11 +837,11 @@ mod tests {
     fn unreachable_alerts_warn_but_invalid_params_error() {
         let mut spec = minimal();
         spec.alerts = vec![
-            AlertRuleSpec::ThrottleStorm {
+            AlertRule::ThrottleStorm {
                 events: 5,
                 window_s: 30.0,
             },
-            AlertRuleSpec::FpsBelow {
+            AlertRule::FpsBelow {
                 target: 30.0,
                 sustain_s: 1.0,
             },

@@ -81,13 +81,16 @@ pub enum Code {
     DanglingControlSensor,
     /// MPT105: a trip point or policy parameter is outside the sane range.
     ParameterOutOfRange,
-    /// MPT106: the retired `solver` field is present (exact LTI is the
-    /// only thermal solver).
+    /// MPT106: a retired key is present (today only `solver`: exact LTI
+    /// is the only thermal solver).
     RetiredSolverField,
     /// MPT107: an alert rule can never fire or has invalid parameters.
     UnreachableAlert,
     /// MPT108: a campaign sweep axis is empty, duplicated or inconsistent.
     InvalidSweepAxis,
+    /// MPT109: a config object carries a key its spec type does not
+    /// declare (usually a misspelling).
+    UnknownKey,
     /// MPT201: a wall-clock read outside the sanctioned clock helper.
     WallClockRead,
     /// MPT202: a nondeterministically seeded RNG.
@@ -128,7 +131,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in numeric order (used by `--list-codes`).
-    pub const ALL: [Code; 32] = [
+    pub const ALL: [Code; 33] = [
         Code::OppFrequencyOrder,
         Code::OppVoltageMonotonicity,
         Code::OppPowerMonotonicity,
@@ -148,6 +151,7 @@ impl Code {
         Code::RetiredSolverField,
         Code::UnreachableAlert,
         Code::InvalidSweepAxis,
+        Code::UnknownKey,
         Code::WallClockRead,
         Code::NondeterministicRng,
         Code::UnorderedContainer,
@@ -186,6 +190,7 @@ impl Code {
             Code::RetiredSolverField => "MPT106",
             Code::UnreachableAlert => "MPT107",
             Code::InvalidSweepAxis => "MPT108",
+            Code::UnknownKey => "MPT109",
             Code::WallClockRead => "MPT201",
             Code::NondeterministicRng => "MPT202",
             Code::UnorderedContainer => "MPT203",
@@ -243,9 +248,10 @@ impl Code {
             Code::InvalidWorkload => "workload spec cannot be built",
             Code::DanglingControlSensor => "control_sensor names no platform sensor",
             Code::ParameterOutOfRange => "trip point or policy parameter out of range",
-            Code::RetiredSolverField => "retired solver field present",
+            Code::RetiredSolverField => "retired key present",
             Code::UnreachableAlert => "alert rule invalid or can never fire",
             Code::InvalidSweepAxis => "campaign sweep axis empty, duplicated or inconsistent",
+            Code::UnknownKey => "config object carries a key its spec does not declare",
             Code::WallClockRead => "wall-clock read outside mpt_obs::clock",
             Code::NondeterministicRng => "nondeterministically seeded RNG",
             Code::UnorderedContainer => "iteration-order-sensitive unordered container",
@@ -312,12 +318,15 @@ impl Code {
             Code::InvalidSweepAxis => {
                 "remove duplicate axis entries; trips_c sweeps need a step_wise base policy"
             }
+            Code::UnknownKey => {
+                "spell the key as one the message accepts; keys starting with `_` are comments"
+            }
             Code::WallClockRead => {
                 "route wall-clock reads through mpt_obs::clock (or extend determinism.allow)"
             }
             Code::NondeterministicRng => "seed RNGs from the scenario/campaign seed",
             Code::UnorderedContainer => "use BTreeMap/BTreeSet for deterministic iteration",
-            Code::InvalidEngine => "valid engines: fixed, event",
+            Code::InvalidEngine => "name one of the stepping engines the message lists",
             Code::NonMonotonicPhases => {
                 "order phases by until_s, strictly increasing and starting above zero"
             }

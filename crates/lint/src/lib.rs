@@ -128,14 +128,20 @@ pub fn classify(path: &Path) -> FileKind {
 ///
 /// Propagates the read error if the file is unreadable.
 pub fn check_file(path: &Path) -> io::Result<Report> {
-    let json = fs::read_to_string(path)?;
+    Ok(check_text(path, &fs::read_to_string(path)?))
+}
+
+/// Lints `json` as the contents of the file at `path` (its [`classify`]
+/// kind picks the check).
+#[must_use]
+pub fn check_text(path: &Path, json: &str) -> Report {
     let shown = path.display().to_string();
-    Ok(match classify(path) {
-        FileKind::Model => model::check_model_file(&json, &shown),
-        FileKind::Campaign => config::check_campaign_json(&json, &shown),
-        FileKind::Alerts => config::check_alerts_json(&json, &shown),
-        FileKind::Scenario => config::check_scenario_json(&json, &shown),
-    })
+    match classify(path) {
+        FileKind::Model => model::check_model_file(json, &shown),
+        FileKind::Campaign => config::check_campaign_json(json, &shown),
+        FileKind::Alerts => config::check_alerts_json(json, &shown),
+        FileKind::Scenario => config::check_scenario_json(json, &shown),
+    }
 }
 
 /// Runs everything `--all` covers: the builtin platforms, every JSON

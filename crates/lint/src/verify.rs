@@ -57,7 +57,7 @@
 
 use mpt_core::report::{CellVerification, VerificationSummary};
 use mpt_core::scenario::{
-    CampaignSpec, ClusterSpec, PhaseSpec, ScenarioSpec, ThermalPolicySpec, WorkloadKind,
+    CampaignSpec, ClusterSpec, ComputePhase, ScenarioSpec, ThermalPolicySpec, WorkloadKind,
 };
 use mpt_soc::{ComponentId, FleetSpec, Platform, ThermalLti};
 use mpt_thermal::linalg::{self, Mat};
@@ -78,16 +78,6 @@ pub const BASE_DT_S: f64 = 0.01;
 /// slop the soundness suite allows a simulated exact-LTI sample outside
 /// the envelope, so a certificate implies no sample reaches the trip.
 pub const DEFAULT_MARGIN_C: f64 = 1e-3;
-
-/// The step-wise governor's release hysteresis, Celsius. Mirrors the
-/// `TripPoint` hysteresis `build_scenario_cached` configures.
-const HYSTERESIS_C: f64 = 1.5;
-
-/// Maximum step-wise cooling state for the GPU (mirrors the scenario
-/// builder's per-component limits).
-const STEPWISE_GPU_LIMIT: usize = 3;
-/// Maximum step-wise cooling state for the big cluster.
-const STEPWISE_BIG_LIMIT: usize = 5;
 
 /// Upper bounds on what one workload can demand, used to cap cluster
 /// utilization: `(threads, big-equivalent cycles per second, uses_gpu)`.
@@ -120,7 +110,7 @@ fn workload_bound(kind: &WorkloadKind) -> Result<Option<(f64, f64, bool)>, Strin
 
 /// The phase a `Phased` workload is in at time `t` (phases are strictly
 /// increasing in `until_s`; after the last one the workload is idle).
-fn phase_at(phases: &[PhaseSpec], t: f64) -> Option<(f64, f64, bool)> {
+fn phase_at(phases: &[ComputePhase], t: f64) -> Option<(f64, f64, bool)> {
     let p = phases.iter().find(|p| p.until_s > t)?;
     if p.rate <= 0.0 {
         return None; // declared idle phase
@@ -379,23 +369,22 @@ pub struct Verification {
     pub envelope: Envelope,
 }
 
-/// The trip threshold the envelope is certified against and its origin.
-/// Resolution mirrors `mpt_core::fleet::trip_reference_c`: the fleet's
-/// own `trip_c` wins, then the policy's reference; without any, the
-/// 125 °C model-sanity cap is the only provable limit.
+/// The trip threshold the envelope is certified against and its origin:
+/// the fleet's own `trip_c` wins, then the policy's
+/// [`trip_reference_c`](ThermalPolicySpec::trip_reference_c); without
+/// any, the 125 °C model-sanity cap is the only provable limit.
 fn resolve_trip(spec: &ScenarioSpec, fleet: Option<&FleetSpec>) -> (f64, &'static str) {
     if let Some(t) = fleet.and_then(|f| f.trip_c) {
         return (t, "fleet trip_c");
     }
-    match &spec.thermal {
-        ThermalPolicySpec::StepWise { trips_c, .. } => trips_c
-            .iter()
-            .copied()
-            .reduce(f64::min)
-            .map_or((MAX_SANE_TEMP_C, "sanity cap"), |t| (t, "step_wise trips")),
-        ThermalPolicySpec::Ipa { control_c, .. } => (*control_c, "ipa control_c"),
-        ThermalPolicySpec::Disabled => (MAX_SANE_TEMP_C, "sanity cap"),
-    }
+    let origin = match spec.thermal {
+        ThermalPolicySpec::StepWise { .. } => "step_wise trips",
+        ThermalPolicySpec::Ipa { .. } => "ipa control_c",
+        ThermalPolicySpec::Disabled => "sanity cap",
+    };
+    spec.thermal
+        .trip_reference_c()
+        .map_or((MAX_SANE_TEMP_C, "sanity cap"), |t| (t, origin))
 }
 
 /// Steady-state deviation `G⁻¹·p` of the full conductance matrix, or
@@ -440,16 +429,15 @@ fn stepwise_limit_cycle(
     amb_hi_c: f64,
 ) -> Option<(usize, f64, f64)> {
     let n = lti.len();
-    let max_state = STEPWISE_GPU_LIMIT.max(STEPWISE_BIG_LIMIT);
+    let gpu_limit = ThermalPolicySpec::STEPWISE_GPU_LIMIT;
+    let big_limit = ThermalPolicySpec::STEPWISE_BIG_LIMIT;
+    let max_state = gpu_limit.max(big_limit);
     let caps_at = |s: usize| {
         vec![
-            (
-                ComponentId::Gpu,
-                gpu_cap_index(platform, s.min(STEPWISE_GPU_LIMIT)),
-            ),
+            (ComponentId::Gpu, gpu_cap_index(platform, s.min(gpu_limit))),
             (
                 ComponentId::BigCluster,
-                big_cap_index(platform, s.min(STEPWISE_BIG_LIMIT)),
+                big_cap_index(platform, s.min(big_limit)),
             ),
         ]
     };
@@ -467,7 +455,7 @@ fn stepwise_limit_cycle(
     let temps: Vec<f64> = (0..=max_state).map(steady_at).collect::<Option<Vec<_>>>()?;
     for s in 0..max_state {
         let up = temps[s] > trip_c;
-        let down = temps[s + 1] < trip_c - HYSTERESIS_C;
+        let down = temps[s + 1] < trip_c - ThermalPolicySpec::STEPWISE_HYSTERESIS_C;
         if up && down {
             return Some((s, temps[s], temps[s + 1]));
         }
@@ -699,9 +687,10 @@ pub fn verify_cell(
                 format!(
                     "step-wise limit-cycle risk: worst-case steady state at cooling level {s} \
                      is {t_hot:.2} C (above the {trip_c:.1} C trip) but level {} cools to \
-                     {t_cool:.2} C (below trip - {HYSTERESIS_C:.1} C hysteresis) — the governor \
+                     {t_cool:.2} C (below trip - {:.1} C hysteresis) — the governor \
                      oscillates between the two caps",
-                    s + 1
+                    s + 1,
+                    ThermalPolicySpec::STEPWISE_HYSTERESIS_C
                 ),
             ));
         }

@@ -18,6 +18,8 @@
 
 use std::collections::VecDeque;
 
+use serde::{Deserialize, Serialize};
+
 /// One per-tick observation handed to the tracker and the alert engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickSample {
@@ -190,8 +192,9 @@ impl DerivedTracker {
     }
 }
 
-/// The derived per-run observables — the paper's headline metrics.
-#[derive(Debug, Clone, PartialEq)]
+/// The derived per-run observables — the paper's headline metrics, as
+/// the session report serializes them.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DerivedSummary {
     /// Simulation time covered, seconds.
     pub elapsed_s: f64,
@@ -228,8 +231,11 @@ pub struct DerivedSummary {
 }
 
 /// A declarative alert rule, evaluated per tick against the
-/// [`TickSample`] stream.
-#[derive(Debug, Clone, PartialEq)]
+/// [`TickSample`] stream. Scenario JSON and `--alerts` files carry rules
+/// in this shape, tagged by `"rule"`; firings land in the event log
+/// (`ALERT <rule>: ...`) and in the session report.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "rule", rename_all = "snake_case")]
 pub enum AlertRule {
     /// Control temperature above `threshold_c` for at least `sustain_s`
     /// consecutive simulated seconds.
@@ -237,6 +243,7 @@ pub enum AlertRule {
         /// Temperature threshold, °C.
         threshold_c: f64,
         /// Required consecutive time above threshold, seconds.
+        #[serde(default)]
         sustain_s: f64,
     },
     /// FPS below `target` for at least `sustain_s` consecutive simulated
@@ -245,6 +252,7 @@ pub enum AlertRule {
         /// FPS floor.
         target: f64,
         /// Required consecutive time below target, seconds.
+        #[serde(default)]
         sustain_s: f64,
     },
     /// At least `events` throttle events within any trailing `window_s`.
@@ -259,10 +267,20 @@ pub enum AlertRule {
     /// is engaged and losing.
     Runaway {
         /// Trailing window length, seconds.
+        #[serde(default = "default_runaway_window")]
         window_s: f64,
         /// Minimum sustained heating rate, °C/s.
+        #[serde(default = "default_runaway_slope")]
         slope_c_per_s: f64,
     },
+}
+
+fn default_runaway_window() -> f64 {
+    5.0
+}
+
+fn default_runaway_slope() -> f64 {
+    0.1
 }
 
 impl AlertRule {

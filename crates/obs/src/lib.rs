@@ -1,7 +1,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! Zero-dependency observability for the simulator stack.
+//! Observability for the simulator stack (its one dependency is the
+//! in-repo serde stub, for the alert rules and derived summary that
+//! scenario files and session reports carry).
 //!
 //! The paper's entire methodology is *measurement* — on-SoC sensors plus
 //! an external DAQ watching the platform while the governor acts. This

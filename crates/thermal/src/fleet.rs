@@ -122,12 +122,6 @@ impl FleetState {
         &mut self.power_in
     }
 
-    /// The per-device ambient vector (kelvin).
-    #[must_use]
-    pub fn ambient_raw(&self) -> &[f64] {
-        &self.ambient_k
-    }
-
     /// Splits mutable temperature plane and shared ambient vector for
     /// the solver kernel.
     pub(crate) fn planes_mut(&mut self) -> (&mut [f64], &[f64], &[f64]) {

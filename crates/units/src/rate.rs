@@ -107,12 +107,6 @@ impl Ratio {
         Self(1.0 - self.0)
     }
 
-    /// Saturating addition of two ratios.
-    #[must_use]
-    pub fn saturating_add(self, other: Self) -> Self {
-        Self::new(self.0 + other.0)
-    }
-
     /// Product of two ratios (always stays in `[0, 1]`).
     #[must_use]
     pub fn product(self, other: Self) -> Self {

@@ -3,6 +3,7 @@
 //! and MiBench `basicmath_large` as the power-hungry background task.
 
 use mpt_units::Seconds;
+use serde::{Deserialize, Serialize};
 
 use crate::{mibench, Demand, FramePipeline, Workload};
 
@@ -590,8 +591,9 @@ impl Workload for BurstyCompute {
 }
 
 /// One phase of a [`PhasedCompute`] schedule: a constant demand rate
-/// that lasts until an absolute simulated time.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// that lasts until an absolute simulated time. Scenario JSON writes
+/// phases in this shape.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ComputePhase {
     /// Absolute end time of the phase (exclusive), seconds.
     pub until_s: f64,
@@ -599,7 +601,12 @@ pub struct ComputePhase {
     /// (zero = idle phase).
     pub rate: f64,
     /// Parallelism during the phase.
+    #[serde(default = "default_phase_threads")]
     pub threads: f64,
+}
+
+fn default_phase_threads() -> f64 {
+    1.0
 }
 
 /// A piecewise-constant CPU task: an explicit schedule of (rate,
