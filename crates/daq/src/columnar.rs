@@ -91,21 +91,6 @@ impl ColumnData {
             ColumnData::Str { codes, .. } => codes.len(),
         }
     }
-
-    /// Pads the column to `rows` values with the type's "absent" marker
-    /// (`NaN`, `0`, or the empty string).
-    fn pad_to(&mut self, rows: usize) {
-        match self {
-            ColumnData::F64(v) => v.resize(rows, f64::NAN),
-            ColumnData::U32(v) => v.resize(rows, 0),
-            ColumnData::Str { codes, values } => {
-                if codes.len() < rows {
-                    let empty = dict_code(values, "");
-                    codes.resize(rows, empty);
-                }
-            }
-        }
-    }
 }
 
 impl PartialEq for ColumnData {
@@ -130,12 +115,32 @@ impl PartialEq for ColumnData {
     }
 }
 
-fn dict_code(values: &mut Vec<String>, value: &str) -> u32 {
-    if let Some(i) = values.iter().position(|v| v == value) {
-        u32::try_from(i).expect("dictionary exceeds u32 codes")
-    } else {
-        values.push(value.to_owned());
-        u32::try_from(values.len() - 1).expect("dictionary exceeds u32 codes")
+/// A string column's lookup index: its dictionary codes, sorted by the
+/// value each names. It holds no copy of the strings (4 B per distinct
+/// value), and it is a pure function of the dictionary, so two columns
+/// with equal data have equal indexes.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct DictIndex(Vec<u32>);
+
+impl DictIndex {
+    /// The code of `value` in `values`, appending it on first appearance
+    /// (codes stay in first-appearance order). A binary search over the
+    /// index finds the code or the insertion point, so N distinct values
+    /// cost O(N log N) comparisons; values arriving in ascending order
+    /// (a fleet's device names) insert at the end of the index.
+    fn code(&mut self, values: &mut Vec<String>, value: &str) -> u32 {
+        match self
+            .0
+            .binary_search_by(|&c| values[c as usize].as_str().cmp(value))
+        {
+            Ok(i) => self.0[i],
+            Err(i) => {
+                let code = u32::try_from(values.len()).expect("dictionary exceeds u32 codes");
+                values.push(value.to_owned());
+                self.0.insert(i, code);
+                code
+            }
+        }
     }
 }
 
@@ -144,6 +149,8 @@ fn dict_code(values: &mut Vec<String>, value: &str) -> u32 {
 pub struct Column {
     name: String,
     data: ColumnData,
+    /// Lookup index of a string column's dictionary; empty otherwise.
+    dict: DictIndex,
 }
 
 impl Column {
@@ -163,6 +170,21 @@ impl Column {
     #[must_use]
     pub fn data(&self) -> &ColumnData {
         &self.data
+    }
+
+    /// Pads the column to `rows` values with the type's "absent" marker
+    /// (`NaN`, `0`, or the empty string).
+    fn pad_to(&mut self, rows: usize) {
+        match &mut self.data {
+            ColumnData::F64(v) => v.resize(rows, f64::NAN),
+            ColumnData::U32(v) => v.resize(rows, 0),
+            ColumnData::Str { codes, values } => {
+                if codes.len() < rows {
+                    let empty = self.dict.code(values, "");
+                    codes.resize(rows, empty);
+                }
+            }
+        }
     }
 }
 
@@ -355,7 +377,7 @@ impl ColumnFrame {
     /// back-filling) the column on first touch.
     pub fn set_f64(&mut self, name: &str, value: f64) {
         self.set(name, |rows| ColumnData::F64(Vec::with_capacity(rows + 1)))
-            .pad_to_and(|data| match data {
+            .pad_to_and(|c| match &mut c.data {
                 ColumnData::F64(v) => v.push(value),
                 _ => panic!("column type mismatch: {name} is not f64"),
             });
@@ -365,7 +387,7 @@ impl ColumnFrame {
     /// first touch.
     pub fn set_u32(&mut self, name: &str, value: u32) {
         self.set(name, |rows| ColumnData::U32(Vec::with_capacity(rows + 1)))
-            .pad_to_and(|data| match data {
+            .pad_to_and(|c| match &mut c.data {
                 ColumnData::U32(v) => v.push(value),
                 _ => panic!("column type mismatch: {name} is not u32"),
             });
@@ -378,11 +400,8 @@ impl ColumnFrame {
             codes: Vec::with_capacity(rows + 1),
             values: Vec::new(),
         })
-        .pad_to_and(|data| match data {
-            ColumnData::Str { codes, values } => {
-                let code = dict_code(values, value);
-                codes.push(code);
-            }
+        .pad_to_and(|c| match &mut c.data {
+            ColumnData::Str { codes, values } => codes.push(c.dict.code(values, value)),
             _ => panic!("column type mismatch: {name} is not str"),
         });
     }
@@ -397,13 +416,14 @@ impl ColumnFrame {
                 self.columns.push(Column {
                     name: name.to_owned(),
                     data: make(rows),
+                    dict: DictIndex::default(),
                 });
                 self.index.insert(name.to_owned(), self.columns.len() - 1);
                 self.columns.len() - 1
             }
         };
         SetSlot {
-            data: &mut self.columns[i].data,
+            column: &mut self.columns[i],
             rows,
         }
     }
@@ -419,7 +439,7 @@ impl ColumnFrame {
         self.rows += 1;
         self.open = false;
         for c in &mut self.columns {
-            c.data.pad_to(self.rows);
+            c.pad_to(self.rows);
         }
     }
 
@@ -586,15 +606,18 @@ pub(crate) fn value_to_json_pretty(value: &serde::Value) -> String {
 /// A borrowed column slot mid-`set`, so padding and the typed push share
 /// one lookup.
 struct SetSlot<'a> {
-    data: &'a mut ColumnData,
+    column: &'a mut Column,
     rows: usize,
 }
 
 impl SetSlot<'_> {
-    fn pad_to_and(self, push: impl FnOnce(&mut ColumnData)) {
-        self.data.pad_to(self.rows);
-        assert!(self.data.len() == self.rows, "channel set twice in one row");
-        push(self.data);
+    fn pad_to_and(self, push: impl FnOnce(&mut Column)) {
+        self.column.pad_to(self.rows);
+        assert!(
+            self.column.data.len() == self.rows,
+            "channel set twice in one row"
+        );
+        push(self.column);
     }
 }
 
@@ -621,8 +644,9 @@ fn infer_column(fields: &[String]) -> ColumnData {
     }
     let mut codes = Vec::with_capacity(fields.len());
     let mut values = Vec::new();
+    let mut dict = DictIndex::default();
     for f in fields {
-        codes.push(dict_code(&mut values, f));
+        codes.push(dict.code(&mut values, f));
     }
     ColumnData::Str { codes, values }
 }
@@ -813,6 +837,62 @@ mod tests {
             Some(4.0)
         );
         assert!(json.contains("null"), "NaN must serialize as null");
+    }
+
+    #[test]
+    fn dictionary_codes_follow_first_appearance_over_10k_values() {
+        // 10k distinct values in a shuffled order (7919 is coprime to
+        // 10k), every third row a repeat of an earlier value, every 97th
+        // row unset, the column absent for the first 5 rows and one
+        // explicit "" late in the run.
+        let n = 10_000_usize;
+        let mut rows: Vec<Option<String>> = vec![None; 5];
+        for i in 0..n {
+            rows.push(Some(format!("v{:05}", (i * 7919) % n)));
+            if i % 3 == 2 {
+                rows.push(Some(format!("v{:05}", ((i / 2) * 7919) % n)));
+            }
+            if i % 97 == 0 {
+                rows.push(None);
+            }
+            if i == n / 2 {
+                rows.push(Some(String::new()));
+            }
+        }
+        let mut f = ColumnFrame::new();
+        for (r, value) in rows.iter().enumerate() {
+            f.begin_row(r as f64);
+            f.set_u32("row", r as u32);
+            if let Some(v) = value {
+                f.set_str("label", v);
+            }
+            f.end_row();
+        }
+        // Linear first-appearance reference; unset rows read "".
+        let mut want_values: Vec<String> = Vec::new();
+        let mut want_codes = Vec::with_capacity(rows.len());
+        for value in &rows {
+            let v = value.as_deref().unwrap_or("");
+            let code = match want_values.iter().position(|w| w == v) {
+                Some(i) => i,
+                None => {
+                    want_values.push(v.to_owned());
+                    want_values.len() - 1
+                }
+            };
+            want_codes.push(code as u32);
+        }
+        assert_eq!(want_values.len(), n + 1);
+        assert_eq!(want_values[0], "");
+        match f.column("label").expect("label column").data() {
+            ColumnData::Str { codes, values } => {
+                assert_eq!(values, &want_values);
+                assert_eq!(codes, &want_codes);
+            }
+            other => panic!("label is not a string column: {other:?}"),
+        }
+        let back = ColumnFrame::from_csv(&f.to_csv()).expect("parses");
+        assert_eq!(f, back);
     }
 
     #[test]

@@ -34,16 +34,27 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    let mut sorted: Vec<f64> = values.to_vec();
+    Some(sorted_percentile(&sorted_copy(values), p))
+}
+
+/// A sorted copy of `values`; `NaN` compares equal to everything.
+fn sorted_copy(values: &[f64]) -> Vec<f64> {
+    let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted
+}
+
+/// The `p`-th percentile of an already sorted, non-empty sample, by
+/// linear interpolation between closest ranks.
+fn sorted_percentile(sorted: &[f64], p: f64) -> f64 {
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        Some(sorted[lo])
+        sorted[lo]
     } else {
         let frac = rank - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
 
@@ -70,18 +81,26 @@ pub fn std_dev(values: &[f64]) -> Option<f64> {
 }
 
 /// The empirical CDF of a sample evaluated at the given percentile ranks:
-/// `(p, value)` pairs, one per rank, by [`percentile`]. Empty input (or
-/// no ranks) yields an empty vector — the fleet rollups use this for
-/// throttle-onset curves across a device population.
+/// `(p, value)` pairs, one per rank, each bit-identical to
+/// [`percentile`]`(values, p)`. The sample is sorted once for all ranks.
+/// Empty input (or no ranks) yields an empty vector — the fleet rollups
+/// use this for throttle-onset curves across a device population.
 ///
 /// # Panics
 ///
 /// Panics if any rank is outside `[0, 100]`.
 #[must_use]
 pub fn cdf_points(values: &[f64], ranks: &[f64]) -> Vec<(f64, f64)> {
+    for &p in ranks {
+        assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    }
+    if values.is_empty() {
+        return Vec::new();
+    }
+    let sorted = sorted_copy(values);
     ranks
         .iter()
-        .filter_map(|&p| percentile(values, p).map(|v| (p, v)))
+        .map(|&p| (p, sorted_percentile(&sorted, p)))
         .collect()
 }
 
@@ -214,6 +233,25 @@ mod tests {
             if p1 <= p2 {
                 prop_assert!(v1 <= v2 + 1e-9);
             }
+        }
+
+        #[test]
+        fn prop_cdf_points_equal_per_rank_percentiles(
+            values in proptest::collection::vec(-100.0_f64..100.0, 0..60),
+            ranks in proptest::collection::vec(0.0_f64..100.0, 0..10),
+        ) {
+            let mut ranks = ranks;
+            ranks.extend([0.0, 50.0, 100.0]);
+            let expected: Vec<(u64, u64)> = ranks
+                .iter()
+                .filter_map(|&p| percentile(&values, p).map(|v| (p.to_bits(), v.to_bits())))
+                .collect();
+            let got: Vec<(u64, u64)> = cdf_points(&values, &ranks)
+                .into_iter()
+                .map(|(p, v)| (p.to_bits(), v.to_bits()))
+                .collect();
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(got.len(), if values.is_empty() { 0 } else { ranks.len() });
         }
 
         #[test]

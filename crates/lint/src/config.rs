@@ -73,9 +73,14 @@ pub fn check_alerts_json(json: &str, path: &str) -> Report {
     r
 }
 
-/// The one parse of a config file, JSON text to its typed spec. A
-/// refusal pushes its one diagnostic and yields `None`.
-fn parse<T: serde::Deserialize>(json: &str, what: &str, path: &str, r: &mut Report) -> Option<T> {
+/// The one parse of a config or model file, JSON text to its typed
+/// spec. A refusal pushes its one diagnostic and yields `None`.
+pub(crate) fn parse<T: serde::Deserialize>(
+    json: &str,
+    what: &str,
+    path: &str,
+    r: &mut Report,
+) -> Option<T> {
     r.checks_run += 1;
     let (code, message) = match serde_json::value_from_str(json) {
         Ok(value) => match T::deserialize_value(&value) {

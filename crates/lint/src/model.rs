@@ -44,14 +44,13 @@ pub struct RawNetwork {
     pub ambient_c: f64,
 }
 
+/// A `*.model.json` file: exactly one of a builtin platform's name, a
+/// full platform description, or a raw network.
 #[derive(Deserialize)]
-struct PlatformModelFile {
-    platform: Platform,
-}
-
-#[derive(Deserialize)]
-struct NetworkModelFile {
-    network: RawNetwork,
+struct ModelFile {
+    builtin: Option<String>,
+    platform: Option<Platform>,
+    network: Option<RawNetwork>,
 }
 
 /// Constructor for a builtin [`Platform`].
@@ -161,63 +160,31 @@ fn emit_not_hurwitz(margin: f64, origin: &str, r: &mut Report) -> bool {
 
 /// Lints one `*.model.json` file: `{"builtin": name}`,
 /// `{"platform": {...}}` or `{"network": {...}}`.
+///
+/// The file is parsed once into its typed form, and refusals map as for
+/// config files: an unknown key is MPT109, anything else MPT101.
 #[must_use]
 pub fn check_model_file(json: &str, path: &str) -> Report {
     let mut r = Report::default();
-    r.checks_run += 1;
-    let value = match serde_json::value_from_str(json) {
-        Ok(v) => v,
-        Err(e) => {
-            r.diagnostics.push(Diagnostic::new(
-                Code::ParseFailure,
-                path,
-                format!("invalid JSON: {e}"),
-            ));
-            return r;
-        }
-    };
-    let Some(obj) = value.as_object() else {
-        r.diagnostics.push(Diagnostic::new(
-            Code::ParseFailure,
-            path,
-            "model file must be a JSON object",
-        ));
+    let Some(file) = crate::config::parse::<ModelFile>(json, "model file", path, &mut r) else {
         return r;
     };
-    if let Some(builtin) = serde::__find(obj, "builtin") {
-        let name = builtin.as_str().unwrap_or("");
-        match BUILTINS.iter().find(|(n, _)| *n == name) {
+    match (file.builtin, file.platform, file.network) {
+        (Some(name), None, None) => match BUILTINS.iter().find(|(n, _)| *n == name) {
             Some((_, build)) => r.merge(check_platform(&build(), path)),
             None => r.diagnostics.push(Diagnostic::new(
                 Code::ParseFailure,
                 path,
                 format!("unknown builtin platform {name:?} (valid: snapdragon810, exynos5422)"),
             )),
-        }
-    } else if serde::__find(obj, "platform").is_some() {
-        match serde_json::from_str::<PlatformModelFile>(json) {
-            Ok(file) => r.merge(check_platform(&file.platform, path)),
-            Err(e) => r.diagnostics.push(Diagnostic::new(
-                Code::ParseFailure,
-                path,
-                format!("platform does not parse: {e}"),
-            )),
-        }
-    } else if serde::__find(obj, "network").is_some() {
-        match serde_json::from_str::<NetworkModelFile>(json) {
-            Ok(file) => r.merge(check_raw_network(&file.network, path)),
-            Err(e) => r.diagnostics.push(Diagnostic::new(
-                Code::ParseFailure,
-                path,
-                format!("network does not parse: {e}"),
-            )),
-        }
-    } else {
-        r.diagnostics.push(Diagnostic::new(
+        },
+        (None, Some(platform), None) => r.merge(check_platform(&platform, path)),
+        (None, None, Some(network)) => r.merge(check_raw_network(&network, path)),
+        _ => r.diagnostics.push(Diagnostic::new(
             Code::ParseFailure,
             path,
-            "model file needs one of: \"builtin\", \"platform\", \"network\"",
-        ));
+            "model file needs exactly one of: \"builtin\", \"platform\", \"network\"",
+        )),
     }
     r
 }
@@ -720,11 +687,26 @@ mod tests {
     fn model_file_dispatch() {
         let ok = check_model_file(r#"{"builtin": "exynos5422"}"#, "m");
         assert_eq!(ok.errors(), 0, "{}", ok.render_text());
+        let commented = check_model_file(r#"{"builtin": "exynos5422", "_comment": "c"}"#, "m");
+        assert_eq!(commented.errors(), 0, "{}", commented.render_text());
         let bad = check_model_file(r#"{"builtin": "pixel9000"}"#, "m");
         assert_eq!(bad.diagnostics[0].code, Code::ParseFailure);
         let none = check_model_file(r#"{"something": 1}"#, "m");
-        assert_eq!(none.diagnostics[0].code, Code::ParseFailure);
+        assert_eq!(none.diagnostics[0].code, Code::UnknownKey);
         let garbage = check_model_file("{nope", "m");
         assert_eq!(garbage.diagnostics[0].code, Code::ParseFailure);
+        // No shape, two shapes, or a builtin name of the wrong type.
+        let network = r#""network": {"heat_capacity": [1.0], "conductance": [[0.0]],
+            "ambient_conductance": [0.1], "ambient_c": 25.0}"#;
+        assert_eq!(check_model_file(&format!("{{{network}}}"), "m").errors(), 0);
+        let two = format!(r#"{{"builtin": "exynos5422", {network}}}"#);
+        for refused in ["{}", two.as_str(), r#"{"builtin": 5}"#] {
+            let codes: Vec<Code> = check_model_file(refused, "m")
+                .diagnostics
+                .iter()
+                .map(|d| d.code)
+                .collect();
+            assert_eq!(codes, vec![Code::ParseFailure], "{refused}");
+        }
     }
 }

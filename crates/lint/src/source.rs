@@ -19,15 +19,20 @@ use std::path::{Path, PathBuf};
 
 use crate::diag::{Code, Diagnostic, Report};
 
-/// Crates whose `src/` trees must stay deterministic. `mpt-obs` is
-/// included: it *measures* wall time, but only through its own `clock`
-/// module, which the allowlist sanctions.
-pub const SCANNED_CRATES: [&str; 5] = [
+/// Crates whose `src/` trees must stay deterministic: the simulator and
+/// everything whose output feeds the jobs-1-vs-N contract (the kernel
+/// model, the workloads, the telemetry store). `mpt-obs` is included: it
+/// *measures* wall time, but only through its own `clock` module, which
+/// the allowlist sanctions.
+pub const SCANNED_CRATES: [&str; 8] = [
     "crates/core",
+    "crates/daq",
+    "crates/kernel",
     "crates/obs",
     "crates/sim",
     "crates/soc",
     "crates/thermal",
+    "crates/workloads",
 ];
 
 /// The patterns the scan flags, as `(needle, code)`.

@@ -8,9 +8,10 @@ use std::process::Command;
 use mpt_lint::{check_file, diag::Code};
 
 /// `(fixture file, the one code it must fire)`.
-const EXPECTED: [(&str, Code); 12] = [
+const EXPECTED: [(&str, Code); 13] = [
     ("asymmetric_g.model.json", Code::InvalidConductance),
     ("non_monotonic_opp.model.json", Code::OppVoltageMonotonicity),
+    ("builtin_typo.model.json", Code::UnknownKey),
     ("dangling_sensor.json", Code::DanglingControlSensor),
     ("unknown_solver.json", Code::RetiredSolverField),
     ("unknown_engine.json", Code::InvalidEngine),

@@ -121,6 +121,11 @@ impl Discretization {
             let b = lti.b_diag[j];
             bd_cols.extend((0..n).map(|i| phi[(i, j)] * b));
         }
+        // The batch kernel's bit-identity argument needs `b · 0 = ±0`.
+        debug_assert!(
+            bd_cols.iter().all(|b| b.is_finite()),
+            "Bd entries must be finite"
+        );
         Ok(Self {
             n,
             ad: ad.into_vec(),
@@ -302,8 +307,8 @@ pub struct ExactLti {
     /// fixed after construction, so `dt` alone keys the memo.
     memo: Option<StepMemo>,
     x: Vec<f64>,
-    /// Batch-kernel scratch (the `Ad·x` block); empty until the first
-    /// `step_batch` call.
+    /// Batch-kernel scratch (one block's next temperatures); empty until
+    /// the first `step_batch` call.
     y: Vec<f64>,
 }
 
@@ -410,15 +415,25 @@ impl ThermalSolver for ExactLti {
     /// The multi-RHS batch kernel: one cache-blocked mat-mat against the
     /// shared `(Ad, Bd)` advances every device at once.
     ///
-    /// Bit-identity with the scalar path is structural, not approximate:
-    /// for each `(node, device)` output the `Ad` accumulation runs over
+    /// Each block of devices is one pass over its scratch `y`: `y = Ad·x`,
+    /// then `y += T_amb`, then the `Bd` scatter into `y`, then one copy
+    /// into the temperature plane.
+    ///
+    /// Bit-identity with the scalar path is structural, not approximate.
+    /// For each `(node, device)` output the `Ad` accumulation runs over
     /// `k` in ascending order with no zero-skip (exactly the scalar
     /// mat-vec's addition sequence), the ambient is added after the full
     /// accumulation, and the `Bd` scatter visits power nodes `j` in
-    /// ascending order with the scalar path's per-value `!= 0.0` skip.
-    /// Blocking over the device axis never reorders any per-device
-    /// operation, so `N = 1` reproduces [`ThermalSolver::step`] bit for
-    /// bit and each device of an `N`-batch matches its own scalar run.
+    /// ascending order. The scatter skips node `j` only where its power
+    /// is zero for every device of the block; otherwise it adds `b · p`
+    /// for every device, where the scalar path skips each zero `p`. That
+    /// extra term is `b · 0 = ±0` (every `Bd` entry is finite), and
+    /// `t + ±0 = t` exactly for any non-zero `t`: the running value is a
+    /// temperature in kelvin, positive on every physical input. So each
+    /// output sees the scalar path's value after every operation. Blocking
+    /// over the device axis never reorders any per-device operation, so
+    /// `N = 1` reproduces [`ThermalSolver::step`] bit for bit and each
+    /// device of an `N`-batch matches its own scalar run.
     fn step_batch(
         &mut self,
         lti: &ThermalLti,
@@ -449,7 +464,8 @@ impl ThermalSolver for ExactLti {
                 }
             }
             // y = Ad·x, accumulating over k in ascending order per output
-            // (the scalar mat-vec's exact addition sequence).
+            // (the scalar mat-vec's exact addition sequence), then back to
+            // absolute temperatures.
             y[..n * bw].fill(0.0);
             for i in 0..n {
                 let y_row = &mut y[i * bw..(i + 1) * bw];
@@ -460,29 +476,28 @@ impl ThermalSolver for ExactLti {
                         *yv += a * xv;
                     }
                 }
-            }
-            // Back to absolute temperatures.
-            for i in 0..n {
-                let t_row = &mut temps[i * nd + d0..i * nd + d0 + bw];
-                let y_row = &y[i * bw..(i + 1) * bw];
-                for ((t, yv), a) in t_row.iter_mut().zip(y_row).zip(amb_blk) {
-                    *t = yv + a;
+                for (yv, a) in y_row.iter_mut().zip(amb_blk) {
+                    *yv += a;
                 }
             }
-            // Bd scatter, column-major like the scalar path: powered
-            // nodes j in ascending order, per-device zero-skip.
+            // Bd scatter, column-major like the scalar path: power nodes j
+            // in ascending order, skipping only a node unpowered across
+            // the whole block (the doc comment's ±0 argument).
             for j in 0..n {
-                let p_start = j * nd + d0;
+                let p_row = &power_in[j * nd + d0..j * nd + d0 + bw];
+                if p_row.iter().all(|&p| p == 0.0) {
+                    continue;
+                }
                 for i in 0..n {
                     let b = disc.bd_cols[j * n + i];
-                    let t_start = i * nd + d0;
-                    for c in 0..bw {
-                        let pv = power_in[p_start + c];
-                        if pv != 0.0 {
-                            temps[t_start + c] += b * pv;
-                        }
+                    let y_row = &mut y[i * bw..(i + 1) * bw];
+                    for (yv, pv) in y_row.iter_mut().zip(p_row) {
+                        *yv += b * pv;
                     }
                 }
+            }
+            for i in 0..n {
+                temps[i * nd + d0..i * nd + d0 + bw].copy_from_slice(&y[i * bw..(i + 1) * bw]);
             }
             d0 += bw;
         }

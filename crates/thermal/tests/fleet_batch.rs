@@ -5,8 +5,9 @@
 //! scalar `step` calls produce on per-device `ThermalLti`s differing
 //! only in ambient. No tolerance — `to_bits` equality — on both builtin
 //! platforms, across multiple ticks and random per-device spreads in
-//! ambient, initial temperature and injected power (including exact
-//! zeros, which exercise the `Bd` scatter's per-device skip).
+//! ambient, initial temperature and injected power. Exact zeros cover
+//! both sides of the `Bd` scatter: a node unpowered across a whole block
+//! is skipped, and a zero-power device in a powered block adds `b · 0`.
 
 use mpt_soc::{platforms, ThermalLti};
 use mpt_thermal::{ExactLti, FleetState, ThermalSolver, TransitionCache};
@@ -110,12 +111,20 @@ proptest! {
         platform in 0_usize..2,
         devices in 1_usize..20,
         dt_idx in 0_usize..3,
-        seed in proptest::collection::vec((-12.0_f64..12.0, 0.0_f64..40.0, 0.0_f64..2.5), 20),
+        seed in proptest::collection::vec(
+            (-12.0_f64..12.0, 0.0_f64..40.0, (0.0_f64..2.5, 0_u8..3)),
+            20,
+        ),
     ) {
         let dt = [0.1, 0.25, 1.0][dt_idx];
         let ambient_offsets: Vec<f64> = seed.iter().map(|s| s.0).collect();
         let initial_offsets: Vec<f64> = seed.iter().map(|s| s.1).collect();
-        let power_scales: Vec<f64> = seed.iter().map(|s| s.2).collect();
+        // One device in three draws exactly zero power, so a block mixes
+        // zero and non-zero devices on one node.
+        let power_scales: Vec<f64> = seed
+            .iter()
+            .map(|&(_, _, (scale, pick))| if pick == 0 { 0.0 } else { scale })
+            .collect();
         run_equivalence(
             platform,
             devices,

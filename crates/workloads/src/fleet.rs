@@ -15,8 +15,9 @@
 //! Nothing here touches temperatures or the platform model: the output
 //! is exactly the node-major power plane a
 //! `FleetState` feeds to the batched solver. Exact zeros in the trace
-//! stay exact zeros after scaling, preserving the `Bd` scatter's
-//! skip-unpowered-nodes fast path bit-for-bit.
+//! stay exact zeros after scaling, so a node the canonical run leaves
+//! unpowered hits the `Bd` scatter's skip for nodes unpowered across a
+//! device block.
 
 use mpt_soc::DeviceParams;
 use mpt_units::Watts;
@@ -124,6 +125,11 @@ impl FleetInputs {
     /// Fills one tick of the node-major power plane
     /// (`plane[node * devices + device]`, length `nodes · devices`) with
     /// every device's scaled, phase-shifted read of the trace.
+    ///
+    /// Device `d` reads trace tick `(tick + offset_d) mod ticks`. The
+    /// modulo runs once per call: offsets are already below `ticks`, so
+    /// one conditional subtraction wraps each device's read, which then
+    /// copies that tick's contiguous row of node powers.
     pub fn fill_tick(&self, tick: usize, plane: &mut [f64]) {
         let nodes = self.trace.nodes();
         let devices = self.scale.len();
@@ -133,11 +139,15 @@ impl FleetInputs {
             plane.fill(0.0);
             return;
         }
-        for node in 0..nodes {
-            let row = &mut plane[node * devices..(node + 1) * devices];
-            for (d, out) in row.iter_mut().enumerate() {
-                let src = (tick + self.offset_ticks[d]) % ticks;
-                *out = self.trace.sample(src, node) * self.scale[d];
+        let tick = tick % ticks;
+        for (d, (&scale, &offset)) in self.scale.iter().zip(&self.offset_ticks).enumerate() {
+            let mut src = tick + offset;
+            if src >= ticks {
+                src -= ticks;
+            }
+            let row = &self.trace.samples[src * nodes..(src + 1) * nodes];
+            for (out, &p) in plane[d..].iter_mut().step_by(devices).zip(row) {
+                *out = p * scale;
             }
         }
     }
@@ -146,6 +156,7 @@ impl FleetInputs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn params(leak: f64, mix: f64, phase: f64) -> DeviceParams {
         DeviceParams {
@@ -197,6 +208,47 @@ mod tests {
         let mut plane = vec![0.0; 4];
         inputs.fill_tick(0, &mut plane);
         assert_eq!(plane, vec![1.0, 3.0, 0.0, 4.0]);
+    }
+
+    proptest! {
+        #[test]
+        fn fill_tick_matches_the_modulo_read(
+            nodes in 1_usize..7,
+            ticks in 1_usize..12,
+            devices in 1_usize..40,
+            tick in 0_usize..100,
+            samples in proptest::collection::vec(0.0_f64..5.0, 6 * 11),
+            jitter in proptest::collection::vec((0_usize..40, 0.5_f64..2.0), 39),
+        ) {
+            let mut trace = PowerTrace::new(0.5, nodes);
+            for t in 0..ticks {
+                // Values below 1 W become exact zeros, as unpowered nodes.
+                let row: Vec<Watts> = samples[t * nodes..(t + 1) * nodes]
+                    .iter()
+                    .map(|&v| Watts::new(if v < 1.0 { 0.0 } else { v }))
+                    .collect();
+                trace.push_tick(&row);
+            }
+            // Device 0 sits at offset `ticks - 1`, the last one that
+            // does not wrap at tick 0.
+            let mut devs = vec![params(1.5, 1.0, (ticks - 1) as f64 * 0.5)];
+            devs.extend(
+                jitter[..devices - 1]
+                    .iter()
+                    .map(|&(k, mix)| params(1.0, mix, k as f64 * 0.5)),
+            );
+            let inputs = FleetInputs::new(trace, &devs);
+            let mut plane = vec![f64::NAN; nodes * devices];
+            inputs.fill_tick(tick, &mut plane);
+            for node in 0..nodes {
+                for d in 0..devices {
+                    let src = (tick + inputs.offset_ticks[d]) % ticks;
+                    let want = inputs.trace.sample(src, node) * inputs.scale[d];
+                    prop_assert_eq!(plane[node * devices + d].to_bits(), want.to_bits());
+                }
+            }
+            prop_assert_eq!(inputs.offset_ticks[0], ticks - 1);
+        }
     }
 
     #[test]
