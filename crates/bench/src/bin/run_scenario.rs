@@ -354,53 +354,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-/// Parses the `--alerts` file: a JSON array of rule objects.
-fn load_extra_alerts(args: &Args) -> Result<Vec<AlertRule>, Box<dyn std::error::Error>> {
-    match &args.alerts {
-        None => Ok(Vec::new()),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)?;
-            let rules: Vec<AlertRule> =
-                serde_json::from_str(&text).map_err(|e| format!("bad alert rules {path}: {e}"))?;
-            Ok(rules)
-        }
-    }
-}
-
 /// Fail-fast static analysis before tick 0: the same MPT1xx checks
-/// `mpt_lint` runs, over the scenario/campaign JSON and any `--alerts`
-/// file. Findings print to stderr; error severity refuses to simulate
-/// (exit 1) with the identical diagnostic the linter would give.
-fn lint_gate(
+/// `mpt_lint` runs, over the scenario/campaign JSON (`lint` is its
+/// `mpt_lint::config::lint_*_json`) and any `--alerts` file. Findings
+/// print to stderr; error severity refuses to simulate (exit 1) with the
+/// identical diagnostic the linter would give. Otherwise returns the
+/// spec and the `--alerts` rules from lint's one parse of each file.
+fn lint_gate<T>(
     json: &str,
     args: &Args,
-    campaign: bool,
+    lint: fn(&str, &str) -> (mpt_lint::Report, Option<T>),
     recorder: &Recorder,
-) -> Result<(), Box<dyn std::error::Error>> {
+) -> Result<(T, Vec<AlertRule>), Box<dyn std::error::Error>> {
     let _span = recorder.span("lint", "config");
     let origin = args.path.as_deref().unwrap_or("stdin");
-    let mut report = if campaign {
-        mpt_lint::config::check_campaign_json(json, origin)
-    } else {
-        mpt_lint::config::check_scenario_json(json, origin)
-    };
+    let (mut report, spec) = lint(json, origin);
+    let mut alerts = Some(Vec::new());
     if let Some(path) = &args.alerts {
-        let text = std::fs::read_to_string(path)?;
-        report.merge(mpt_lint::config::check_alerts_json(&text, path));
+        let (alert_report, rules) =
+            mpt_lint::config::lint_alerts_json(&std::fs::read_to_string(path)?, path);
+        report.merge(alert_report);
+        alerts = rules;
     }
     recorder.add(Counter::LintChecksRun, report.checks_run);
     recorder.add(Counter::LintDiagnostics, report.diagnostics.len() as u64);
     for d in &report.diagnostics {
         eprintln!("{}", d.render_text());
     }
-    if report.errors() > 0 {
-        eprintln!(
-            "run_scenario: {} static-analysis error(s); nothing was simulated",
-            report.errors()
-        );
-        std::process::exit(1);
+    match (spec, alerts) {
+        (Some(spec), Some(alerts)) if report.errors() == 0 => Ok((spec, alerts)),
+        _ => {
+            eprintln!(
+                "run_scenario: {} static-analysis error(s); nothing was simulated",
+                report.errors()
+            );
+            std::process::exit(1);
+        }
     }
-    Ok(())
 }
 
 /// The `--verify` pre-gate for a plain scenario: runs the MPT6xx static
@@ -513,11 +503,10 @@ fn print_query_result(result: &mpt_daq::QueryResult, json: bool) {
 
 fn run_scenario_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let recorder = Arc::new(Recorder::new());
-    lint_gate(json, args, false, &recorder)?;
+    let (mut spec, alerts) =
+        lint_gate(json, args, mpt_lint::config::lint_scenario_json, &recorder)?;
     let start = clock::now();
-    let mut spec: ScenarioSpec =
-        serde_json::from_str(json).map_err(|e| format!("bad scenario json: {e}"))?;
-    spec.alerts.extend(load_extra_alerts(args)?);
+    spec.alerts.extend(alerts);
     if let Some(mode) = args.engine {
         spec.engine = mode.into();
     }
@@ -623,10 +612,9 @@ fn run_scenario_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::E
 
 fn run_campaign_cli(json: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let recorder = Arc::new(Recorder::new());
-    lint_gate(json, args, true, &recorder)?;
-    let mut spec: CampaignSpec =
-        serde_json::from_str(json).map_err(|e| format!("bad campaign json: {e}"))?;
-    spec.base.alerts.extend(load_extra_alerts(args)?);
+    let (mut spec, alerts) =
+        lint_gate(json, args, mpt_lint::config::lint_campaign_json, &recorder)?;
+    spec.base.alerts.extend(alerts);
     if let Some(mode) = args.engine {
         spec.base.engine = mode.into();
     }

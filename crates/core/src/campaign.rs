@@ -84,7 +84,7 @@ where
 /// [`run_parallel`] with the executing worker's index (0-based, dense)
 /// passed alongside each job index — the campaign runner uses it to
 /// attribute per-cell wall time to workers for the occupancy report.
-pub fn run_parallel_workers<T, F>(count: usize, jobs: usize, run: F) -> Vec<T>
+pub(crate) fn run_parallel_workers<T, F>(count: usize, jobs: usize, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
@@ -279,7 +279,7 @@ pub struct CellFrame {
     /// The cell's axis-value label.
     pub label: String,
     /// Sweep-axis pairs parsed from the label (see
-    /// [`CampaignCell::axes`]).
+    /// `CampaignCell::axes`).
     pub axes: Vec<(String, String)>,
     /// The cell's decimated telemetry frame.
     pub frame: mpt_daq::ColumnFrame,

@@ -18,17 +18,13 @@
 //! Beyond the paper, [`ablations`] sweeps the design constants the paper
 //! fixes (window length, governor period, migration vs capping, horizon)
 //! and validates the stability analysis against the simulated ground
-//! truth ([`prediction_accuracy`]).
+//! truth ([`ablations::prediction_accuracy`]).
 
 pub mod ablations;
 mod fig7;
 mod nexus;
 mod odroid;
 
-pub use ablations::{
-    action_ablation, horizon_ablation, period_ablation, prediction_accuracy, window_ablation,
-    ActionAblation, HorizonAblation, PeriodAblation, PredictionRow, WindowAblation,
-};
 pub use fig7::{fig7_curves, Fig7Curve};
 pub use nexus::{nexus_run, table1, NexusApp, NexusRun, Table1Row};
-pub use odroid::{nenamark_run, table2, threedmark_run, OdroidRun, OdroidScenario, Table2};
+pub use odroid::{table2, threedmark_run, OdroidRun, OdroidScenario, Table2};

@@ -69,7 +69,7 @@ impl NexusApp {
 
     /// Builds the app's workload model.
     #[must_use]
-    pub fn make(self, seed: u64) -> AppModel {
+    pub(crate) fn make(self, seed: u64) -> AppModel {
         match self {
             NexusApp::PaperIo => apps::paper_io(seed),
             NexusApp::StickmanHook => apps::stickman_hook(seed),

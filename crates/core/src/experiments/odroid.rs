@@ -132,7 +132,7 @@ pub fn threedmark_run(scenario: OdroidScenario) -> Result<OdroidRun> {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn nenamark_run(scenario: OdroidScenario) -> Result<f64> {
+pub(crate) fn nenamark_run(scenario: OdroidScenario) -> Result<f64> {
     let mut spec = scenario.spec();
     for workload in &mut spec.workloads {
         if matches!(workload.kind, WorkloadKind::ThreeDMark { .. }) {

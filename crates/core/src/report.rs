@@ -112,7 +112,7 @@ impl SessionAnalysis {
 
     /// How many alerts each rule fired, keyed by rule name.
     #[must_use]
-    pub fn alert_counts(&self) -> std::collections::BTreeMap<String, u64> {
+    pub(crate) fn alert_counts(&self) -> std::collections::BTreeMap<String, u64> {
         let mut counts = std::collections::BTreeMap::new();
         for a in &self.alerts {
             *counts.entry(a.rule.clone()).or_insert(0) += 1;
@@ -206,46 +206,6 @@ impl SessionReport {
             verification: None,
         }
     }
-
-    /// The per-component frequency residency as a columnar frame: one
-    /// row per `(component, state)` pair, in report order, with the
-    /// component as a dictionary-encoded string column. The time column
-    /// is the row index (residency has no time axis). Rebuilt purely
-    /// from the report, so a deserialized report yields the identical
-    /// frame.
-    #[must_use]
-    pub fn residency_frame(&self) -> mpt_daq::ColumnFrame {
-        let mut frame = mpt_daq::ColumnFrame::new();
-        let mut row = 0usize;
-        for comp in &self.analysis.residency {
-            for state in &comp.states {
-                frame.begin_row(row as f64);
-                frame.set_str("component", &comp.component);
-                frame.set_f64("mhz", state.mhz);
-                frame.set_f64("time_s_at_state", state.time_s);
-                frame.set_f64("share_pct", state.share_pct);
-                frame.end_row();
-                row += 1;
-            }
-        }
-        frame
-    }
-
-    /// The fired alerts as a columnar frame: one row per alert in
-    /// firing order, timed by the alert's simulation time (alerts fire
-    /// in non-decreasing time, so the frame's monotone-time invariant
-    /// holds), with the rule as a dictionary-encoded string column.
-    #[must_use]
-    pub fn alerts_frame(&self) -> mpt_daq::ColumnFrame {
-        let mut frame = mpt_daq::ColumnFrame::new();
-        for alert in &self.analysis.alerts {
-            frame.begin_row(alert.t_s);
-            frame.set_str("rule", &alert.rule);
-            frame.set_f64("value", alert.value);
-            frame.end_row();
-        }
-        frame
-    }
 }
 
 #[cfg(test)]
@@ -295,28 +255,6 @@ mod tests {
         let json = serde_json::to_string_pretty(&report).expect("serializes");
         let back: SessionReport = serde_json::from_str(&json).expect("round-trips");
         assert_eq!(report, back);
-        // Frame-backed accessors rebuild identically from the
-        // deserialized report.
-        let residency = report.residency_frame();
-        let states: usize = report
-            .analysis
-            .residency
-            .iter()
-            .map(|c| c.states.len())
-            .sum();
-        assert_eq!(residency.rows(), states);
-        assert_eq!(
-            residency.str_value("component", 0),
-            Some(report.analysis.residency[0].component.as_str())
-        );
-        assert_eq!(back.residency_frame(), residency);
-        let alerts = report.alerts_frame();
-        assert_eq!(alerts.rows(), report.analysis.alerts.len());
-        assert_eq!(back.alerts_frame(), alerts);
-        // Residency shares are queryable like any other channel.
-        let q = mpt_daq::Query::parse("sum(share_pct) by component").expect("parses");
-        let res = q.run(&residency).expect("runs");
-        assert_eq!(res.rows.len(), report.analysis.residency.len());
     }
 
     #[test]

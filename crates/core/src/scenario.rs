@@ -69,7 +69,7 @@ pub enum EngineSpec {
 impl EngineSpec {
     /// The equivalent simulator stepping mode.
     #[must_use]
-    pub fn to_mode(self) -> SteppingMode {
+    pub(crate) fn to_mode(self) -> SteppingMode {
         match self {
             EngineSpec::Fixed => SteppingMode::FixedDt,
             EngineSpec::Event => SteppingMode::EventDriven,
@@ -315,7 +315,7 @@ fn default_horizon() -> f64 {
 /// # Examples
 ///
 /// ```
-/// use mpt_core::scenario::{run_scenario_json, ScenarioSpec};
+/// use mpt_core::scenario::{run_scenario, ScenarioSpec};
 ///
 /// let json = r#"{
 ///     "platform": "exynos5422",
@@ -326,7 +326,7 @@ fn default_horizon() -> f64 {
 /// }"#;
 /// let spec: ScenarioSpec = serde_json::from_str(json)?;
 /// assert_eq!(spec.duration_s, 5.0);
-/// let outcome = run_scenario_json(json)?;
+/// let outcome = run_scenario(&spec)?;
 /// assert!(outcome.average_power_w > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -355,7 +355,7 @@ pub struct ScenarioSpec {
     /// (defaults to the platform's hottest-reading control sensor).
     #[serde(default)]
     pub control_sensor: Option<String>,
-    /// Canned query expressions (see [`mpt_daq::query::Query`]) run over
+    /// Canned query expressions (see [`mpt_daq::Query`]) run over
     /// the session's telemetry frame after the run; validated statically
     /// by the MPT401/402 lints.
     #[serde(default)]
@@ -429,7 +429,7 @@ impl SweepAxes {
 
     /// How many cells these axes expand to (product of non-empty axes).
     #[must_use]
-    pub fn cell_count(&self) -> usize {
+    pub(crate) fn cell_count(&self) -> usize {
         fn len(n: usize) -> usize {
             n.max(1)
         }
@@ -506,7 +506,7 @@ impl CampaignCell {
     /// `[("platform", "exynos5422"), ("ambient", "35C")]`. Unswept
     /// campaigns (`"cell 0"` labels) have no axes.
     #[must_use]
-    pub fn axes(&self) -> Vec<(String, String)> {
+    pub(crate) fn axes(&self) -> Vec<(String, String)> {
         label_axes(&self.label)
     }
 }
@@ -518,7 +518,7 @@ impl CampaignCell {
 /// `[("workloads", "Stickman Hook")]`). Labels without such parts (e.g.
 /// `"cell 0"`) yield no axes.
 #[must_use]
-pub fn label_axes(label: &str) -> Vec<(String, String)> {
+pub(crate) fn label_axes(label: &str) -> Vec<(String, String)> {
     let mut axes: Vec<(String, String)> = Vec::new();
     for token in label.split(' ') {
         match token.split_once('=') {
@@ -993,18 +993,6 @@ pub(crate) fn run_scenario_framed_traced(
     Ok((outcome, analysis, frame, trace))
 }
 
-/// Parses a JSON scenario and runs it.
-///
-/// # Errors
-///
-/// [`SimError::InvalidConfig`] if the JSON does not parse; otherwise as
-/// [`run_scenario`].
-pub fn run_scenario_json(json: &str) -> Result<ScenarioOutcome> {
-    let spec: ScenarioSpec =
-        serde_json::from_str(json).map_err(|e| invalid(format!("bad scenario json: {e}")))?;
-    run_scenario(&spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1084,8 +1072,6 @@ mod tests {
             name: "tiktok".into(),
         };
         assert!(run_scenario(&spec).is_err());
-
-        assert!(run_scenario_json("{ not json").is_err());
 
         let mut spec = bml_spec();
         spec.control_sensor = Some("skin_xyz".into());
@@ -1200,7 +1186,8 @@ mod tests {
                 { "kind": "app", "name": "paper_io", "foreground": true, "seed": 42 }
             ]
         }"#;
-        let outcome = run_scenario_json(json).unwrap();
+        let spec: ScenarioSpec = serde_json::from_str(json).unwrap();
+        let outcome = run_scenario(&spec).unwrap();
         assert_eq!(outcome.workloads[0].name, "Paper.io");
         assert!(outcome.workloads[0].median_fps.is_some());
     }

@@ -6,7 +6,7 @@
 //! re-walking every row per question; a [`ColumnFrame`] stores one run's
 //! telemetry column-major instead, so an aggregate touches exactly the
 //! channel it needs, exports stream sequentially, and the query layer
-//! ([`crate::query`]) can group campaign cells by sweep axis without
+//! ([`Query`](crate::Query)) can group campaign cells by sweep axis without
 //! materializing anything.
 //!
 //! A frame is a time column plus named, typed channel columns:
@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 /// The type of one channel column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColumnType {
+pub(crate) enum ColumnType {
     /// 64-bit float samples; `NaN` marks "no sample at this row".
     F64,
     /// 32-bit unsigned integers (counts, indices).
@@ -44,7 +44,7 @@ pub enum ColumnType {
 impl ColumnType {
     /// Lowercase label used in JSON export and error messages.
     #[must_use]
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             ColumnType::F64 => "f64",
             ColumnType::U32 => "u32",
@@ -162,7 +162,7 @@ impl Column {
 
     /// The column's type.
     #[must_use]
-    pub fn column_type(&self) -> ColumnType {
+    pub(crate) fn column_type(&self) -> ColumnType {
         self.data.column_type()
     }
 
@@ -192,7 +192,7 @@ impl Column {
 /// (`{:?}`), or an empty field for `NaN` — the frame's "no sample"
 /// marker. `55.0` stays `55.0`, never the lossy-looking `55`.
 #[must_use]
-pub fn format_f64(v: f64) -> String {
+pub(crate) fn format_f64(v: f64) -> String {
     let mut out = String::new();
     write_f64(&mut out, v);
     out
@@ -234,7 +234,7 @@ pub struct ColumnFrame {
 }
 
 /// The name of the implicit time column every frame carries.
-pub const TIME_CHANNEL: &str = "time_s";
+pub(crate) const TIME_CHANNEL: &str = "time_s";
 
 impl ColumnFrame {
     /// An empty frame.
@@ -270,7 +270,7 @@ impl ColumnFrame {
 
     /// The schema: `(name, type)` per channel, time column first.
     #[must_use]
-    pub fn schema(&self) -> Vec<(String, ColumnType)> {
+    pub(crate) fn schema(&self) -> Vec<(String, ColumnType)> {
         let mut out = vec![(TIME_CHANNEL.to_owned(), ColumnType::F64)];
         out.extend(
             self.columns
@@ -289,7 +289,7 @@ impl ColumnFrame {
     /// The named column, or `None` (the time column is reached through
     /// [`times`](Self::times)).
     #[must_use]
-    pub fn column(&self, name: &str) -> Option<&Column> {
+    pub(crate) fn column(&self, name: &str) -> Option<&Column> {
         self.index.get(name).map(|&i| &self.columns[i])
     }
 
@@ -324,7 +324,7 @@ impl ColumnFrame {
     /// string columns return `None`. This is the numeric surface the
     /// query aggregates run over.
     #[must_use]
-    pub fn numeric_column(&self, name: &str) -> Option<Vec<f64>> {
+    pub(crate) fn numeric_column(&self, name: &str) -> Option<Vec<f64>> {
         if name == TIME_CHANNEL {
             return Some(self.times().to_vec());
         }
@@ -338,7 +338,7 @@ impl ColumnFrame {
     /// The string value of a dictionary column at `row`, or `None` if
     /// the column is absent or not a string column.
     #[must_use]
-    pub fn str_value(&self, name: &str, row: usize) -> Option<&str> {
+    pub(crate) fn str_value(&self, name: &str, row: usize) -> Option<&str> {
         match self.column(name)?.data() {
             ColumnData::Str { codes, values } => Some(values[*codes.get(row)? as usize].as_str()),
             _ => None,
@@ -348,7 +348,7 @@ impl ColumnFrame {
     /// Names of the dictionary (string) columns — the group-by axes a
     /// single-frame query accepts.
     #[must_use]
-    pub fn str_columns(&self) -> Vec<String> {
+    pub(crate) fn str_columns(&self) -> Vec<String> {
         self.columns
             .iter()
             .filter(|c| c.column_type() == ColumnType::Str)
@@ -444,8 +444,7 @@ impl ColumnFrame {
     }
 
     /// Renders the frame as CSV: `time_s` then every channel, floats in
-    /// shortest round-trip form ([`format_f64`]), `NaN` as an explicit
-    /// empty field.
+    /// shortest round-trip form, `NaN` as an explicit empty field.
     #[must_use]
     pub fn to_csv(&self) -> String {
         use std::fmt::Write;
@@ -654,7 +653,7 @@ fn infer_column(fields: &[String]) -> ColumnData {
 /// One cell of a [`CampaignFrame`]: the cell's sweep-axis values and a
 /// borrowed reference to its session frame.
 #[derive(Debug, Clone)]
-pub struct CellFrameRef<'a> {
+pub(crate) struct CellFrameRef<'a> {
     /// `(axis, value)` pairs, e.g. `("platform", "exynos5422")`.
     pub axes: &'a [(String, String)],
     /// The cell's session frame, borrowed — never copied.
@@ -684,13 +683,13 @@ impl<'a> CampaignFrame<'a> {
 
     /// The cells, in insertion (expansion) order.
     #[must_use]
-    pub fn cells(&self) -> &[CellFrameRef<'a>] {
+    pub(crate) fn cells(&self) -> &[CellFrameRef<'a>] {
         &self.cells
     }
 
     /// Every axis key present on any cell, sorted and deduplicated.
     #[must_use]
-    pub fn axis_keys(&self) -> Vec<String> {
+    pub(crate) fn axis_keys(&self) -> Vec<String> {
         let mut keys: Vec<String> = self
             .cells
             .iter()

@@ -23,12 +23,12 @@
 //! - [`columnar`] — the column-major telemetry store ([`ColumnFrame`],
 //!   [`CampaignFrame`]) that exports (CSV, JSON) and aggregate queries run
 //!   over;
-//! - [`query`] — the typed query layer (`p99(max_temp_c) by platform`)
+//! - [`Query`] — the typed query layer (`p99(max_temp_c) by platform`)
 //!   whose aggregates reuse the [`stats`] kernels.
 
 pub mod chart;
 pub mod columnar;
-pub mod query;
+pub(crate) mod query;
 mod residency;
 pub mod stats;
 mod trace;

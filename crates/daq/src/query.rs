@@ -57,7 +57,7 @@ impl Aggregate {
     /// when `values` is empty and the aggregate has no empty identity
     /// (`count` of nothing is `0`, `sum` of nothing is `0.0`).
     #[must_use]
-    pub fn apply(self, values: &[f64]) -> Option<f64> {
+    pub(crate) fn apply(self, values: &[f64]) -> Option<f64> {
         match self {
             Aggregate::Min => values.iter().copied().reduce(f64::min),
             Aggregate::Max => values.iter().copied().reduce(f64::max),
@@ -229,7 +229,7 @@ impl Query {
     /// The canonical rendering of the query (used as the `query` field of
     /// results and as golden-file headers).
     #[must_use]
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = format!("{}({})", self.agg.render(), self.channel);
         if !self.group_by.is_empty() {
             out.push_str(" by ");

@@ -52,15 +52,9 @@ impl<K: Ord + Copy> Residency<K> {
         Seconds::new(self.total)
     }
 
-    /// Time spent in one state.
-    #[must_use]
-    pub fn time_in(&self, state: K) -> Seconds {
-        Seconds::new(self.time_in_state.get(&state).copied().unwrap_or(0.0))
-    }
-
     /// Fraction of time per state (sums to 1 when nonempty).
     #[must_use]
-    pub fn fractions(&self) -> BTreeMap<K, f64> {
+    pub(crate) fn fractions(&self) -> BTreeMap<K, f64> {
         if self.total <= 0.0 {
             return BTreeMap::new();
         }
@@ -89,29 +83,11 @@ impl<K: Ord + Copy> Residency<K> {
         }
     }
 
-    /// The state with the largest residency, or `None` when empty.
-    #[must_use]
-    pub fn mode(&self) -> Option<K> {
-        self.time_in_state
-            .iter()
-            .filter(|(_, &t)| t > 0.0)
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(&k, _)| k)
-    }
-
     /// Iterates over `(state, seconds)` in state order.
     pub fn iter(&self) -> impl Iterator<Item = (K, Seconds)> + '_ {
         self.time_in_state
             .iter()
             .map(|(&k, &t)| (k, Seconds::new(t)))
-    }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &Self) {
-        for (&k, &t) in &other.time_in_state {
-            *self.time_in_state.entry(k).or_insert(0.0) += t;
-        }
-        self.total += other.total;
     }
 }
 
@@ -135,7 +111,6 @@ mod tests {
     fn empty_counter_yields_empty_maps() {
         let r: Residency<Hertz> = Residency::new();
         assert!(r.fractions().is_empty());
-        assert_eq!(r.mode(), None);
         assert_eq!(r.total(), Seconds::ZERO);
     }
 
@@ -156,26 +131,6 @@ mod tests {
         assert_eq!(pct.len(), 3);
         assert_eq!(pct[&Hertz::from_mhz(180)], 0.0);
         assert_eq!(pct[&Hertz::from_mhz(600)], 0.0);
-    }
-
-    #[test]
-    fn mode_is_dominant_state() {
-        let mut r = Residency::new();
-        r.record(Hertz::from_mhz(390), Seconds::new(6.7));
-        r.record(Hertz::from_mhz(180), Seconds::new(3.3));
-        assert_eq!(r.mode(), Some(Hertz::from_mhz(390)));
-    }
-
-    #[test]
-    fn merge_combines_counters() {
-        let mut a = Residency::new();
-        a.record(Hertz::from_mhz(390), Seconds::new(1.0));
-        let mut b = Residency::new();
-        b.record(Hertz::from_mhz(390), Seconds::new(1.0));
-        b.record(Hertz::from_mhz(600), Seconds::new(2.0));
-        a.merge(&b);
-        assert_eq!(a.time_in(Hertz::from_mhz(390)), Seconds::new(2.0));
-        assert_eq!(a.total(), Seconds::new(4.0));
     }
 
     proptest! {

@@ -94,7 +94,7 @@ impl TimeSeries {
 
     /// Minimum value, or `None` when empty.
     #[must_use]
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         self.values.iter().copied().reduce(f64::min)
     }
 
@@ -123,7 +123,7 @@ impl TimeSeries {
     /// The value at or before time `t` (step interpolation), or `None` if
     /// `t` precedes the first sample.
     #[must_use]
-    pub fn at(&self, t: Seconds) -> Option<f64> {
+    pub(crate) fn at(&self, t: Seconds) -> Option<f64> {
         let idx = self.times.partition_point(|&x| x <= t.value());
         if idx == 0 {
             None
@@ -136,7 +136,7 @@ impl TimeSeries {
     /// (step interpolation). Returns an empty vector for an empty trace or
     /// `n == 0`.
     #[must_use]
-    pub fn resample(&self, n: usize) -> Vec<(f64, f64)> {
+    pub(crate) fn resample(&self, n: usize) -> Vec<(f64, f64)> {
         if self.is_empty() || n == 0 {
             return Vec::new();
         }

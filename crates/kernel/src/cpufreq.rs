@@ -48,7 +48,7 @@ pub trait FrequencyGovernor: fmt::Debug + Send {
 
 /// Always runs at the maximum frequency.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Performance;
+pub(crate) struct Performance;
 
 impl FrequencyGovernor for Performance {
     fn name(&self) -> &'static str {
@@ -62,7 +62,7 @@ impl FrequencyGovernor for Performance {
 
 /// Runs at a fixed, user-selected frequency.
 #[derive(Debug, Clone, Copy)]
-pub struct Userspace {
+pub(crate) struct Userspace {
     setpoint: Hertz,
 }
 
@@ -71,11 +71,6 @@ impl Userspace {
     #[must_use]
     pub const fn new(setpoint: Hertz) -> Self {
         Self { setpoint }
-    }
-
-    /// Changes the pinned frequency.
-    pub fn set(&mut self, setpoint: Hertz) {
-        self.setpoint = setpoint;
     }
 }
 
@@ -92,7 +87,7 @@ impl FrequencyGovernor for Userspace {
 /// The classic `ondemand` governor: jump to maximum above the up
 /// threshold, otherwise scale frequency proportionally to load.
 #[derive(Debug, Clone, Copy)]
-pub struct Ondemand {
+pub(crate) struct Ondemand {
     /// Load above which the governor jumps to the maximum frequency.
     pub up_threshold: f64,
 }
@@ -127,7 +122,7 @@ impl FrequencyGovernor for Ondemand {
 /// load has stayed low for `min_sample_time` (so momentary dips don't cost
 /// responsiveness).
 #[derive(Debug, Clone, Copy)]
-pub struct Interactive {
+pub(crate) struct Interactive {
     /// Load at which to jump to hispeed.
     pub go_hispeed_load: f64,
     /// Steady-state target load.
@@ -209,7 +204,7 @@ pub enum GovernorKind {
 impl GovernorKind {
     /// Instantiates the governor.
     #[must_use]
-    pub fn make(self) -> Box<dyn FrequencyGovernor> {
+    pub(crate) fn make(self) -> Box<dyn FrequencyGovernor> {
         match self {
             GovernorKind::Performance => Box::new(Performance),
             GovernorKind::Userspace(f) => Box::new(Userspace::new(f)),
@@ -247,7 +242,6 @@ pub struct CpuFreqPolicy {
     governor: Box<dyn FrequencyGovernor>,
     current: Hertz,
     max_cap: Option<Hertz>,
-    min_cap: Option<Hertz>,
 }
 
 impl CpuFreqPolicy {
@@ -259,7 +253,6 @@ impl CpuFreqPolicy {
             governor: kind.make(),
             current: component.opps().lowest().frequency(),
             max_cap: None,
-            min_cap: None,
         }
     }
 
@@ -288,12 +281,6 @@ impl CpuFreqPolicy {
         self.current = self.clamp(self.current);
     }
 
-    /// Sets (or clears) the minimum-frequency floor (`scaling_min_freq`).
-    pub fn set_min_cap(&mut self, floor: Option<Hertz>) {
-        self.min_cap = floor;
-        self.current = self.clamp(self.current);
-    }
-
     /// The active maximum cap, if any.
     #[must_use]
     pub fn max_cap(&self) -> Option<Hertz> {
@@ -305,15 +292,6 @@ impl CpuFreqPolicy {
         if let Some(cap) = self.max_cap {
             if chosen.frequency() > cap {
                 chosen = *self.opps.at_or_below(cap);
-            }
-        }
-        if let Some(floor) = self.min_cap {
-            if chosen.frequency() < floor {
-                let lifted = *self.opps.at_or_above(floor);
-                // The max cap wins if the two conflict.
-                if self.max_cap.is_none_or(|cap| lifted.frequency() <= cap) {
-                    chosen = lifted;
-                }
             }
         }
         chosen.frequency()
@@ -446,23 +424,6 @@ mod tests {
         p.set_max_cap(None);
         p.update(load(1.0), DT);
         assert_eq!(p.current().as_mhz(), 600);
-    }
-
-    #[test]
-    fn min_floor_lifts_frequency() {
-        let mut p = gpu_policy(GovernorKind::Userspace(Hertz::from_mhz(180)));
-        p.set_min_cap(Some(Hertz::from_mhz(390)));
-        p.update(load(0.0), DT);
-        assert_eq!(p.current().as_mhz(), 390);
-    }
-
-    #[test]
-    fn max_cap_wins_over_min_floor() {
-        let mut p = gpu_policy(GovernorKind::Performance);
-        p.set_min_cap(Some(Hertz::from_mhz(510)));
-        p.set_max_cap(Some(Hertz::from_mhz(305)));
-        p.update(load(1.0), DT);
-        assert_eq!(p.current().as_mhz(), 305);
     }
 
     #[test]

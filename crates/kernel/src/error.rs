@@ -20,16 +20,6 @@ pub enum KernelError {
         /// The offending component.
         id: ComponentId,
     },
-    /// A governor was asked to manage a component the platform lacks.
-    UnknownComponent {
-        /// The missing component.
-        id: ComponentId,
-    },
-    /// A configuration value was out of range.
-    InvalidConfig {
-        /// Description of the problem.
-        reason: String,
-    },
 }
 
 impl fmt::Display for KernelError {
@@ -39,8 +29,6 @@ impl fmt::Display for KernelError {
             Self::NotACpuCluster { id } => {
                 write!(f, "component {id} cannot run threads")
             }
-            Self::UnknownComponent { id } => write!(f, "unknown component {id}"),
-            Self::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }
 }

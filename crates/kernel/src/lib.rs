@@ -57,4 +57,4 @@ pub use thermal_gov::{
 };
 
 /// Result alias for kernel operations.
-pub type Result<T> = std::result::Result<T, KernelError>;
+pub(crate) type Result<T> = std::result::Result<T, KernelError>;

@@ -10,7 +10,7 @@ use mpt_soc::ComponentId;
 
 /// Directory of a component's frequency-scaling policy.
 #[must_use]
-pub fn cpufreq_dir(id: ComponentId) -> String {
+pub(crate) fn cpufreq_dir(id: ComponentId) -> String {
     match id {
         ComponentId::LittleCluster => "/sys/devices/system/cpu/cpu0/cpufreq".to_owned(),
         ComponentId::BigCluster => "/sys/devices/system/cpu/cpu4/cpufreq".to_owned(),
@@ -61,12 +61,6 @@ pub fn thermal_zone_type(zone: usize) -> String {
     format!("/sys/class/thermal/thermal_zone{zone}/type")
 }
 
-/// A trip point temperature attribute (millidegrees).
-#[must_use]
-pub fn trip_point_temp(zone: usize, trip: usize) -> String {
-    format!("/sys/class/thermal/thermal_zone{zone}/trip_point_{trip}_temp")
-}
-
 /// An INA231-style power-rail sensor attribute (microwatts, read-only),
 /// as exposed on the Odroid-XU3.
 #[must_use]
@@ -108,10 +102,6 @@ mod tests {
         assert_eq!(
             thermal_zone_temp(0),
             "/sys/class/thermal/thermal_zone0/temp"
-        );
-        assert_eq!(
-            trip_point_temp(1, 2),
-            "/sys/class/thermal/thermal_zone1/trip_point_2_temp"
         );
     }
 

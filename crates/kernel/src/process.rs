@@ -133,14 +133,8 @@ impl UtilWindow {
 
     /// Whether at least a full span of samples has been observed.
     #[must_use]
-    pub fn is_warm(&self) -> bool {
+    pub(crate) fn is_warm(&self) -> bool {
         self.total_time >= self.span - 1e-9
-    }
-
-    /// Clears all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.total_time = 0.0;
     }
 }
 
@@ -168,8 +162,6 @@ pub struct Process {
     realtime: bool,
     util_window: UtilWindow,
     power_window: UtilWindow,
-    last_util: f64,
-    last_power: Watts,
     migrations: u32,
 }
 
@@ -189,8 +181,6 @@ impl Process {
             realtime: false,
             util_window: UtilWindow::new(window_span),
             power_window: UtilWindow::new(window_span),
-            last_util: 0.0,
-            last_power: Watts::ZERO,
             migrations: 0,
         }
     }
@@ -247,22 +237,8 @@ impl Process {
     /// Records the utilization (busy cores) and attributed power for one
     /// tick.
     pub fn record_tick(&mut self, util: f64, power: Watts, dt: Seconds) {
-        self.last_util = util;
-        self.last_power = power;
         self.util_window.push(util, dt);
         self.power_window.push(power.value(), dt);
-    }
-
-    /// Instantaneous utilization from the last tick.
-    #[must_use]
-    pub const fn last_utilization(&self) -> f64 {
-        self.last_util
-    }
-
-    /// Instantaneous attributed power from the last tick.
-    #[must_use]
-    pub const fn last_power(&self) -> Watts {
-        self.last_power
     }
 
     /// Average utilization over the rolling window.
@@ -282,7 +258,7 @@ impl Process {
     /// Average attributed power over the rolling window — the quantity the
     /// paper's governor ranks processes by.
     #[must_use]
-    pub fn windowed_power(&self) -> Watts {
+    pub(crate) fn windowed_power(&self) -> Watts {
         Watts::new(self.power_window.average())
     }
 }
@@ -373,8 +349,6 @@ mod tests {
         }
         assert!((p.windowed_utilization() - 2.0).abs() < 1e-9);
         assert!((p.windowed_power().value() - 1.5).abs() < 1e-9);
-        assert_eq!(p.last_utilization(), 2.0);
-        assert_eq!(p.last_power(), Watts::new(1.5));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::{KernelError, Pid, Process, ProcessClass, Result};
 
 /// The default rolling-window span used for per-process utilization and
 /// power accounting (the paper uses a one-second window).
-pub const DEFAULT_WINDOW: Seconds = Seconds::new(1.0);
+pub(crate) const DEFAULT_WINDOW: Seconds = Seconds::new(1.0);
 
 /// One process's share of a cluster's cycle capacity for a tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,18 +151,6 @@ impl Scheduler {
         pid
     }
 
-    /// Removes a process.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::NoSuchProcess`].
-    pub fn kill(&mut self, pid: Pid) -> Result<()> {
-        self.processes
-            .remove(&pid)
-            .map(|_| ())
-            .ok_or(KernelError::NoSuchProcess { pid })
-    }
-
     /// Moves a process to another CPU cluster.
     ///
     /// # Errors
@@ -270,18 +258,6 @@ mod tests {
         let b = s.spawn("b", ProcessClass::Background, ComponentId::LittleCluster);
         assert_ne!(a, b);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn kill_removes() {
-        let mut s = Scheduler::new();
-        let a = s.spawn("a", ProcessClass::Foreground, ComponentId::BigCluster);
-        s.kill(a).unwrap();
-        assert!(s.is_empty());
-        assert!(matches!(
-            s.kill(a).unwrap_err(),
-            KernelError::NoSuchProcess { .. }
-        ));
     }
 
     #[test]

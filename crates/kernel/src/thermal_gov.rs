@@ -15,8 +15,6 @@ use std::fmt;
 use mpt_soc::{Component, ComponentId};
 use mpt_units::{Celsius, Hertz, Seconds, Watts};
 
-use crate::{KernelError, Result};
-
 /// Per-actor observation fed to a thermal governor each poll.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActorState {
@@ -190,13 +188,6 @@ impl StepWiseGovernor {
             governed,
             state,
         }
-    }
-
-    /// The current cooling state (OPP steps below maximum) of a governed
-    /// component.
-    #[must_use]
-    pub fn cooling_state(&self, id: ComponentId) -> Option<usize> {
-        self.state.get(&id).copied()
     }
 }
 
@@ -411,7 +402,7 @@ impl IpaGovernor {
 
     /// Computes the total power budget for a control temperature.
     #[must_use]
-    pub fn power_budget(&self, control_temp: Celsius) -> Watts {
+    pub(crate) fn power_budget(&self, control_temp: Celsius) -> Watts {
         let err = self.config.control_temp.value() - control_temp.value();
         let p = self.config.k_p * err;
         let i = (self.config.k_i * self.integral).clamp(
@@ -512,25 +503,6 @@ impl ThermalGovernor for IpaGovernor {
     }
 }
 
-/// Validates an IPA configuration.
-///
-/// # Errors
-///
-/// [`KernelError::InvalidConfig`] for non-positive gains or budget.
-pub fn validate_ipa_config(config: &IpaConfig) -> Result<()> {
-    if config.sustainable_power.value() <= 0.0 {
-        return Err(KernelError::InvalidConfig {
-            reason: "sustainable power must be positive".into(),
-        });
-    }
-    if config.k_p <= 0.0 || config.k_i < 0.0 {
-        return Err(KernelError::InvalidConfig {
-            reason: "gains must be positive".into(),
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,7 +537,7 @@ mod tests {
             vec![gpu()],
         );
         assert!(g.update(Celsius::new(35.0), &[], DT).is_empty());
-        assert_eq!(g.cooling_state(ComponentId::Gpu), Some(0));
+        assert_eq!(g.state.get(&ComponentId::Gpu).copied(), Some(0));
     }
 
     #[test]
@@ -595,7 +567,7 @@ mod tests {
         for _ in 0..10 {
             g.update(Celsius::new(45.0), &[], DT);
         }
-        assert_eq!(g.cooling_state(ComponentId::Gpu), Some(5));
+        assert_eq!(g.state.get(&ComponentId::Gpu).copied(), Some(5));
     }
 
     #[test]
@@ -609,7 +581,7 @@ mod tests {
         );
         // Two trips exceeded: two steps in one poll.
         g.update(Celsius::new(47.0), &[], DT);
-        assert_eq!(g.cooling_state(ComponentId::Gpu), Some(2));
+        assert_eq!(g.state.get(&ComponentId::Gpu).copied(), Some(2));
     }
 
     #[test]
@@ -620,7 +592,7 @@ mod tests {
         );
         g.update(Celsius::new(45.0), &[], DT);
         g.update(Celsius::new(45.0), &[], DT);
-        assert_eq!(g.cooling_state(ComponentId::Gpu), Some(2));
+        assert_eq!(g.state.get(&ComponentId::Gpu).copied(), Some(2));
         // 42 C is inside the hysteresis band: hold.
         assert!(g.update(Celsius::new(42.0), &[], DT).is_empty());
         // 40.5 C is below 43-2: release one step per poll.
@@ -736,21 +708,6 @@ mod tests {
         // Same conditions, same caps: nothing new to do (the integral
         // drift may change it slightly, so allow <= first).
         assert!(second.len() <= first.len());
-    }
-
-    #[test]
-    fn ipa_config_validation() {
-        assert!(validate_ipa_config(&IpaConfig::default()).is_ok());
-        let bad = IpaConfig {
-            sustainable_power: Watts::ZERO,
-            ..IpaConfig::default()
-        };
-        assert!(validate_ipa_config(&bad).is_err());
-        let bad = IpaConfig {
-            k_p: 0.0,
-            ..IpaConfig::default()
-        };
-        assert!(validate_ipa_config(&bad).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use mpt_lint::{config, diag::Code, model, source, Report};
+use mpt_lint::{config, diag::Code, model, source, verify, Report};
 use mpt_obs::Recorder;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,15 +120,9 @@ fn run(args: &Args) -> Result<Report, String> {
     let mut report = Report::default();
     if args.all {
         report.merge(
-            mpt_lint::run_all(&args.root, &recorder)
+            mpt_lint::run_all(&args.root, &recorder, args.verify)
                 .map_err(|e| format!("walking {}: {e}", args.root.display()))?,
         );
-        if args.verify {
-            report.merge(
-                mpt_lint::verify_all(&args.root)
-                    .map_err(|e| format!("walking {}: {e}", args.root.display()))?,
-            );
-        }
     } else if args.source_only {
         let allowlist_file = args
             .allowlist
@@ -149,20 +143,21 @@ fn run(args: &Args) -> Result<Report, String> {
         let shown = path.display().to_string();
         report.merge(model::check_model_file(&read_checked(path)?, &shown));
     }
+    // `--verify` certifies only what lint accepted.
     for path in &args.scenarios {
         let shown = path.display().to_string();
-        let json = read_checked(path)?;
-        report.merge(config::check_scenario_json(&json, &shown));
-        if args.verify {
-            report.merge(mpt_lint::verify::verify_scenario_json(&json, &shown));
+        let (lint, spec) = config::lint_scenario_json(&read_checked(path)?, &shown);
+        report.merge(lint);
+        if let Some(spec) = spec.filter(|_| args.verify) {
+            report.merge(verify::scenario_report(&spec, &shown));
         }
     }
     for path in &args.campaigns {
         let shown = path.display().to_string();
-        let json = read_checked(path)?;
-        report.merge(config::check_campaign_json(&json, &shown));
-        if args.verify {
-            report.merge(mpt_lint::verify::verify_campaign_json(&json, &shown));
+        let (lint, spec) = config::lint_campaign_json(&read_checked(path)?, &shown);
+        report.merge(lint);
+        if let Some(spec) = spec.filter(|_| args.verify) {
+            report.merge(verify::campaign_report(&spec, &shown));
         }
     }
     for path in &args.alerts {

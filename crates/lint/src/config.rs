@@ -44,21 +44,13 @@ struct AlertContext {
 /// Lints a scenario JSON document.
 #[must_use]
 pub fn check_scenario_json(json: &str, path: &str) -> Report {
-    let mut r = Report::default();
-    if let Some(spec) = parse::<ScenarioSpec>(json, "scenario", path, &mut r) {
-        r.merge(check_scenario(&spec, path));
-    }
-    r
+    lint_scenario_json(json, path).0
 }
 
 /// Lints a campaign JSON document.
 #[must_use]
 pub fn check_campaign_json(json: &str, path: &str) -> Report {
-    let mut r = Report::default();
-    if let Some(spec) = parse::<CampaignSpec>(json, "campaign", path, &mut r) {
-        r.merge(check_campaign(&spec, path));
-    }
-    r
+    lint_campaign_json(json, path).0
 }
 
 /// Lints a standalone alert-rules file (a JSON array of rules, as passed
@@ -66,11 +58,50 @@ pub fn check_campaign_json(json: &str, path: &str) -> Report {
 /// or mechanism context, so only rule parameters are checked.
 #[must_use]
 pub fn check_alerts_json(json: &str, path: &str) -> Report {
+    lint_alerts_json(json, path).0
+}
+
+/// Lints a scenario JSON document and hands on the spec its one parse
+/// produced, only when the report holds no error: what `--verify`
+/// certifies and `run_scenario` runs.
+#[must_use]
+pub fn lint_scenario_json(json: &str, path: &str) -> (Report, Option<ScenarioSpec>) {
+    lint(json, "scenario", path, |spec, r| {
+        r.merge(check_scenario(spec, path))
+    })
+}
+
+/// [`lint_scenario_json`] for a campaign document.
+#[must_use]
+pub fn lint_campaign_json(json: &str, path: &str) -> (Report, Option<CampaignSpec>) {
+    lint(json, "campaign", path, |spec, r| {
+        r.merge(check_campaign(spec, path))
+    })
+}
+
+/// [`lint_scenario_json`] for a standalone alert-rules file.
+#[must_use]
+pub fn lint_alerts_json(json: &str, path: &str) -> (Report, Option<Vec<AlertRule>>) {
+    lint::<Vec<AlertRule>>(json, "alert file", path, |rules, r| {
+        check_alert_rules(rules, None, path, r);
+    })
+}
+
+/// Parses `json` once, runs `check` on the spec, and keeps the spec
+/// only if the report holds no error.
+fn lint<T: serde::Deserialize>(
+    json: &str,
+    what: &str,
+    path: &str,
+    check: impl FnOnce(&T, &mut Report),
+) -> (Report, Option<T>) {
     let mut r = Report::default();
-    if let Some(rules) = parse::<Vec<AlertRule>>(json, "alert file", path, &mut r) {
-        check_alert_rules(&rules, None, path, &mut r);
+    let spec = parse::<T>(json, what, path, &mut r);
+    if let Some(spec) = &spec {
+        check(spec, &mut r);
     }
-    r
+    let accepted = spec.filter(|_| r.errors() == 0);
+    (r, accepted)
 }
 
 /// The one parse of a config or model file, JSON text to its typed
@@ -133,7 +164,7 @@ fn refusal(e: &serde::Error, what: &str) -> (Code, String) {
 
 /// Full cross-reference check of a parsed scenario.
 #[must_use]
-pub fn check_scenario(spec: &ScenarioSpec, path: &str) -> Report {
+pub(crate) fn check_scenario(spec: &ScenarioSpec, path: &str) -> Report {
     let mut r = Report::default();
     r.checks_run += 1;
     let platform = spec.platform.build();
@@ -255,7 +286,7 @@ pub fn check_scenario(spec: &ScenarioSpec, path: &str) -> Report {
 /// Full check of a parsed campaign: the base scenario plus every sweep
 /// axis (MPT108) and axis-policy compatibility.
 #[must_use]
-pub fn check_campaign(spec: &CampaignSpec, path: &str) -> Report {
+pub(crate) fn check_campaign(spec: &CampaignSpec, path: &str) -> Report {
     let mut r = check_scenario(&spec.base, path);
     let ambient_c = spec.base.platform.build().thermal_spec().ambient.value();
     check_sweep(&spec.sweep, &spec.base.thermal, ambient_c, path, &mut r);

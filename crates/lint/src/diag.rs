@@ -274,7 +274,7 @@ impl Code {
 
     /// A fix hint attached to every finding of this code.
     #[must_use]
-    pub const fn hint(self) -> &'static str {
+    pub(crate) const fn hint(self) -> &'static str {
         match self {
             Code::OppFrequencyOrder => "sort the OPP table by frequency and remove duplicates",
             Code::OppVoltageMonotonicity => {
@@ -391,7 +391,7 @@ pub struct Diagnostic {
 impl Diagnostic {
     /// Creates a finding with the code's default severity.
     #[must_use]
-    pub fn new(code: Code, path: impl Into<String>, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: Code, path: impl Into<String>, message: impl Into<String>) -> Self {
         Self {
             code,
             severity: code.default_severity(),
@@ -403,14 +403,14 @@ impl Diagnostic {
 
     /// Attaches a 1-based line number (source findings).
     #[must_use]
-    pub const fn with_line(mut self, line: usize) -> Self {
+    pub(crate) const fn with_line(mut self, line: usize) -> Self {
         self.line = Some(line);
         self
     }
 
     /// Overrides the severity (escalation or demotion).
     #[must_use]
-    pub const fn with_severity(mut self, severity: Severity) -> Self {
+    pub(crate) const fn with_severity(mut self, severity: Severity) -> Self {
         self.severity = severity;
         self
     }

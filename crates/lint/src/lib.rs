@@ -59,27 +59,6 @@ pub mod model;
 pub mod source;
 pub mod verify;
 
-/// Runs the MPT6xx certifier over every scenario and campaign JSON under
-/// `<root>/scenarios/` (skipping the `invalid/` fixtures), as
-/// `mpt_lint --all --verify` and the CI verify gate do.
-///
-/// # Errors
-///
-/// I/O errors walking the workspace.
-pub fn verify_all(root: &Path) -> io::Result<Report> {
-    let mut report = Report::default();
-    for path in json_files_skipping_invalid(&root.join("scenarios"))? {
-        let json = fs::read_to_string(&path)?;
-        let shown = path.display().to_string();
-        match classify(&path) {
-            FileKind::Campaign => report.merge(verify::verify_campaign_json(&json, &shown)),
-            FileKind::Scenario => report.merge(verify::verify_scenario_json(&json, &shown)),
-            FileKind::Model | FileKind::Alerts => {}
-        }
-    }
-    Ok(report)
-}
-
 pub use diag::{Code, Diagnostic, Report, Severity};
 
 /// Relative path of the determinism allowlist within the workspace.
@@ -87,7 +66,7 @@ pub const ALLOWLIST_PATH: &str = "crates/lint/determinism.allow";
 
 /// Directory under `scenarios/` holding intentionally broken fixtures;
 /// `--all` skips it (the fixture tests lint them individually).
-pub const INVALID_DIR: &str = "invalid";
+pub(crate) const INVALID_DIR: &str = "invalid";
 
 /// Classification of a config file by its path, mirroring the
 /// `run_scenario` CLI's conventions.
@@ -135,24 +114,46 @@ pub fn check_file(path: &Path) -> io::Result<Report> {
 /// kind picks the check).
 #[must_use]
 pub fn check_text(path: &Path, json: &str) -> Report {
+    lint_text(path, json, None)
+}
+
+/// [`check_text`]; with `verified`, also certifies a scenario or
+/// campaign that lint accepted, from lint's one parse, into `verified`.
+fn lint_text(path: &Path, json: &str, verified: Option<&mut Report>) -> Report {
     let shown = path.display().to_string();
     match classify(path) {
         FileKind::Model => model::check_model_file(json, &shown),
-        FileKind::Campaign => config::check_campaign_json(json, &shown),
         FileKind::Alerts => config::check_alerts_json(json, &shown),
-        FileKind::Scenario => config::check_scenario_json(json, &shown),
+        FileKind::Campaign => {
+            let (report, spec) = config::lint_campaign_json(json, &shown);
+            if let (Some(verified), Some(spec)) = (verified, spec) {
+                verified.merge(verify::campaign_report(&spec, &shown));
+            }
+            report
+        }
+        FileKind::Scenario => {
+            let (report, spec) = config::lint_scenario_json(json, &shown);
+            if let (Some(verified), Some(spec)) = (verified, spec) {
+                verified.merge(verify::scenario_report(&spec, &shown));
+            }
+            report
+        }
     }
 }
 
 /// Runs everything `--all` covers: the builtin platforms, every JSON
 /// file under `<root>/scenarios/` (skipping `scenarios/invalid/`, whose
-/// fixtures are supposed to fail), and the source scan.
+/// fixtures are supposed to fail), and the source scan. With `verify`,
+/// the MPT6xx certifier also runs over every scenario and campaign lint
+/// accepted, as `mpt_lint --all --verify` and the CI verify gate do; its
+/// findings follow the source scan's.
 ///
 /// # Errors
 ///
 /// I/O errors walking the workspace.
-pub fn run_all(root: &Path, recorder: &Recorder) -> io::Result<Report> {
+pub fn run_all(root: &Path, recorder: &Recorder, verify: bool) -> io::Result<Report> {
     let mut report = Report::default();
+    let mut verified = Report::default();
     {
         let _span = recorder.span("lint", "model");
         for (name, build) in model::BUILTINS {
@@ -162,7 +163,8 @@ pub fn run_all(root: &Path, recorder: &Recorder) -> io::Result<Report> {
     {
         let _span = recorder.span("lint", "config");
         for path in json_files_skipping_invalid(&root.join("scenarios"))? {
-            report.merge(check_file(&path)?);
+            let json = fs::read_to_string(&path)?;
+            report.merge(lint_text(&path, &json, verify.then_some(&mut verified)));
         }
     }
     {
@@ -175,6 +177,7 @@ pub fn run_all(root: &Path, recorder: &Recorder) -> io::Result<Report> {
         };
         report.merge(source::scan_workspace(root, &allowlist)?);
     }
+    report.merge(verified);
     recorder.add(Counter::LintChecksRun, report.checks_run);
     recorder.add(Counter::LintDiagnostics, report.diagnostics.len() as u64);
     Ok(report)
@@ -237,7 +240,7 @@ mod tests {
     #[test]
     fn run_all_on_this_workspace_has_no_errors() {
         let recorder = Recorder::new();
-        let report = run_all(&workspace_root(), &recorder).expect("workspace walks");
+        let report = run_all(&workspace_root(), &recorder, false).expect("workspace walks");
         assert_eq!(
             report.errors(),
             0,

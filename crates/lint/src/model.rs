@@ -26,7 +26,7 @@ use crate::diag::{Code, Diagnostic, Report, Severity};
 
 /// Hottest-plausible sensor reading; trip points and alert thresholds
 /// beyond this are configuration mistakes, not design points.
-pub const MAX_SANE_TEMP_C: f64 = 125.0;
+pub(crate) const MAX_SANE_TEMP_C: f64 = 125.0;
 
 /// A standalone thermal network given as raw matrices — the third form a
 /// `*.model.json` file can take (alongside `builtin` and `platform`).
@@ -54,7 +54,7 @@ struct ModelFile {
 }
 
 /// Constructor for a builtin [`Platform`].
-pub type PlatformBuilder = fn() -> Platform;
+pub(crate) type PlatformBuilder = fn() -> Platform;
 
 /// The builtin platforms `--all` checks, as `(spec name, constructor)`.
 pub const BUILTINS: [(&str, PlatformBuilder); 2] = [
@@ -110,7 +110,7 @@ pub fn hurwitz_margin(heat_capacity: &[f64], g_full: &[Vec<f64>]) -> f64 {
 /// Checks one platform: every MPT0xx family, gated as described in the
 /// module docs.
 #[must_use]
-pub fn check_platform(platform: &Platform, origin: &str) -> Report {
+pub(crate) fn check_platform(platform: &Platform, origin: &str) -> Report {
     let mut r = Report::default();
     for comp in platform.components() {
         check_opp_table(comp, origin, &mut r);
@@ -192,7 +192,7 @@ pub fn check_model_file(json: &str, path: &str) -> Report {
 /// Checks a raw-matrix network: shape, capacities, symmetry, sign,
 /// connectivity, then (if structurally clean) the Hurwitz spectrum.
 #[must_use]
-pub fn check_raw_network(net: &RawNetwork, origin: &str) -> Report {
+pub(crate) fn check_raw_network(net: &RawNetwork, origin: &str) -> Report {
     let mut r = Report::default();
     r.checks_run += 1;
     let n = net.heat_capacity.len();

@@ -24,7 +24,7 @@ use crate::diag::{Code, Diagnostic, Report};
 /// model, the workloads, the telemetry store). `mpt-obs` is included: it
 /// *measures* wall time, but only through its own `clock` module, which
 /// the allowlist sanctions.
-pub const SCANNED_CRATES: [&str; 8] = [
+pub(crate) const SCANNED_CRATES: [&str; 8] = [
     "crates/core",
     "crates/daq",
     "crates/kernel",
@@ -36,7 +36,7 @@ pub const SCANNED_CRATES: [&str; 8] = [
 ];
 
 /// The patterns the scan flags, as `(needle, code)`.
-pub const PATTERNS: [(&str, Code); 7] = [
+pub(crate) const PATTERNS: [(&str, Code); 7] = [
     ("Instant::now", Code::WallClockRead),
     (".elapsed()", Code::WallClockRead),
     ("SystemTime", Code::WallClockRead),
@@ -57,7 +57,7 @@ pub struct Allowlist {
 impl Allowlist {
     /// Parses allowlist text.
     #[must_use]
-    pub fn parse(text: &str) -> Self {
+    pub(crate) fn parse(text: &str) -> Self {
         let entries = text
             .lines()
             .map(str::trim)
@@ -82,29 +82,21 @@ impl Allowlist {
     /// Whether `pattern` is sanctioned in the file at `rel_path`
     /// (workspace-relative, `/`-separated).
     #[must_use]
-    pub fn permits(&self, rel_path: &str, pattern: &str) -> bool {
+    pub(crate) fn permits(&self, rel_path: &str, pattern: &str) -> bool {
         self.entries
             .iter()
             .any(|(p, pat)| p == rel_path && pat == pattern)
-    }
-
-    /// Number of entries (for the summary line).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the allowlist is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
 /// Scans one file's content. `rel_path` is the workspace-relative path
 /// used both for reporting and for allowlist matching.
 #[must_use]
-pub fn scan_file_content(rel_path: &str, content: &str, allowlist: &Allowlist) -> Vec<Diagnostic> {
+pub(crate) fn scan_file_content(
+    rel_path: &str,
+    content: &str,
+    allowlist: &Allowlist,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (lineno, line) in content.lines().enumerate() {
         let trimmed = line.trim_start();
@@ -154,7 +146,7 @@ fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Scans every `src/` tree in [`SCANNED_CRATES`] under `root`.
+/// Scans every `src/` tree in `SCANNED_CRATES` under `root`.
 ///
 /// # Errors
 ///
@@ -218,7 +210,7 @@ mod tests {
             "# the clock authority\n\
              crates/obs/src/clock.rs Instant::now\n",
         );
-        assert_eq!(allow.len(), 1);
+        assert_eq!(allow.entries.len(), 1);
         let sanctioned = scan_file_content("crates/obs/src/clock.rs", "Instant::now()", &allow);
         assert!(sanctioned.is_empty());
         let elsewhere = scan_file_content("crates/sim/src/x.rs", "Instant::now()", &allow);

@@ -320,12 +320,6 @@ impl Envelope {
         self.n
     }
 
-    /// The ambient interval the bounds are anchored to, Celsius.
-    #[must_use]
-    pub fn ambient_c(&self) -> (f64, f64) {
-        (self.ambient_lo_c, self.ambient_hi_c)
-    }
-
     /// Guaranteed lower bound on node `node` at sample `sample`, Celsius.
     #[must_use]
     pub fn lower_c(&self, sample: usize, node: usize) -> f64 {
@@ -340,7 +334,7 @@ impl Envelope {
 
     /// The hottest node's upper bound at a sample, Celsius.
     #[must_use]
-    pub fn max_upper_c(&self, sample: usize) -> f64 {
+    pub(crate) fn max_upper_c(&self, sample: usize) -> f64 {
         (0..self.n)
             .map(|i| self.upper_c(sample, i))
             .fold(f64::NEG_INFINITY, f64::max)
@@ -349,7 +343,7 @@ impl Envelope {
     /// The hottest node's lower bound at a sample, Celsius. Any concrete
     /// trajectory's *maximum* temperature is at least this.
     #[must_use]
-    pub fn max_lower_c(&self, sample: usize) -> f64 {
+    pub(crate) fn max_lower_c(&self, sample: usize) -> f64 {
         (0..self.n)
             .map(|i| self.lower_c(sample, i))
             .fold(f64::NEG_INFINITY, f64::max)
@@ -759,52 +753,31 @@ pub fn verify_campaign(
     Ok((report, verdicts))
 }
 
-/// Verifies a scenario JSON document, folding parse and verification
-/// failures into the report (for the `mpt_lint --verify` path).
+/// Certifies a scenario lint accepted, folding a failure to verify into
+/// the report (the `mpt_lint --verify` path).
 #[must_use]
-pub fn verify_scenario_json(json: &str, path: &str) -> Report {
-    let mut r = Report::default();
-    r.checks_run += 1;
-    match serde_json::from_str::<ScenarioSpec>(json) {
-        Ok(spec) => match verify_scenario(&spec, path) {
-            Ok(v) => r.merge(v.report),
-            Err(msg) => r.diagnostics.push(Diagnostic::new(
-                Code::ScenarioShape,
-                path,
-                format!("cannot verify: {msg}"),
-            )),
-        },
-        Err(e) => r.diagnostics.push(Diagnostic::new(
-            Code::ParseFailure,
-            path,
-            format!("scenario does not parse: {e}"),
-        )),
-    }
-    r
+pub fn scenario_report(spec: &ScenarioSpec, path: &str) -> Report {
+    fold_failure(verify_scenario(spec, path).map(|v| v.report), path)
 }
 
-/// Verifies a campaign JSON document, folding parse and verification
-/// failures into the report (for the `mpt_lint --verify` path).
+/// [`scenario_report`] for a campaign, over every expanded cell.
 #[must_use]
-pub fn verify_campaign_json(json: &str, path: &str) -> Report {
-    let mut r = Report::default();
-    r.checks_run += 1;
-    match serde_json::from_str::<CampaignSpec>(json) {
-        Ok(spec) => match verify_campaign(&spec, path) {
-            Ok((report, _)) => r.merge(report),
-            Err(msg) => r.diagnostics.push(Diagnostic::new(
-                Code::ScenarioShape,
-                path,
-                format!("cannot verify: {msg}"),
-            )),
-        },
-        Err(e) => r.diagnostics.push(Diagnostic::new(
-            Code::ParseFailure,
+pub fn campaign_report(spec: &CampaignSpec, path: &str) -> Report {
+    fold_failure(verify_campaign(spec, path).map(|(report, _)| report), path)
+}
+
+/// A verification's report, or one MPT102 for a spec it cannot verify.
+fn fold_failure(verified: Result<Report, String>, path: &str) -> Report {
+    verified.unwrap_or_else(|msg| {
+        let mut r = Report::default();
+        r.checks_run += 1;
+        r.diagnostics.push(Diagnostic::new(
+            Code::ScenarioShape,
             path,
-            format!("campaign does not parse: {e}"),
-        )),
-    }
-    r
+            format!("cannot verify: {msg}"),
+        ));
+        r
+    })
 }
 
 #[cfg(test)]

@@ -79,6 +79,40 @@ fn binary_fails_each_fixture_with_its_code_in_json_output() {
     }
 }
 
+/// `--verify` certifies only what lint accepted, so a rejected fixture
+/// gets its one code and nothing from the certifier.
+#[test]
+fn binary_verify_adds_nothing_to_a_rejected_fixture() {
+    for (name, code) in EXPECTED {
+        let flag = if name.ends_with(".model.json") {
+            "--platform"
+        } else if name.ends_with(".campaign.json") {
+            "--campaign"
+        } else {
+            "--scenario"
+        };
+        let path = workspace_root().join("scenarios/invalid").join(name);
+        let out = Command::new(env!("CARGO_BIN_EXE_mpt_lint"))
+            .args([flag, path.to_str().expect("utf-8 path")])
+            .args(["--verify", "--format", "json"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{name} must exit 1");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let codes: Vec<&str> = stdout
+            .split("\"code\": \"")
+            .skip(1)
+            .map(|rest| rest.split('"').next().unwrap_or_default())
+            .collect();
+        assert_eq!(
+            codes,
+            vec![code.code()],
+            "{name} under --verify must fire {} alone:\n{stdout}",
+            code.code()
+        );
+    }
+}
+
 #[test]
 fn binary_all_passes_on_the_shipped_workspace() {
     let root = workspace_root();

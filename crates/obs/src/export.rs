@@ -36,7 +36,7 @@ impl HistSnapshot {
     /// (`mpt_stage_seconds`, `Some(("stage", "power"))`), a plain
     /// `"tick"` becomes (`mpt_tick_seconds`, `None`).
     #[must_use]
-    pub fn family(&self) -> (String, Option<(&str, &str)>) {
+    pub(crate) fn family(&self) -> (String, Option<(&str, &str)>) {
         match self.name.split_once(':') {
             Some((fam, label)) => (format!("mpt_{fam}_seconds"), Some((fam, label))),
             None => (format!("mpt_{}_seconds", self.name), None),

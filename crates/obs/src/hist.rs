@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-two buckets.
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A pre-registered histogram's id: an index into the recorder's fixed
 /// histogram table. Obtained from
@@ -20,7 +20,7 @@ pub struct HistId(pub(crate) usize);
 impl HistId {
     /// The histogram's slot index.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -61,7 +61,7 @@ impl Histogram {
     }
 
     /// Records one duration in nanoseconds.
-    pub fn record_ns(&self, ns: u64) {
+    pub(crate) fn record_ns(&self, ns: u64) {
         self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -76,19 +76,19 @@ impl Histogram {
 
     /// Sum of all recorded durations, nanoseconds.
     #[must_use]
-    pub fn sum_ns(&self) -> u64 {
+    pub(crate) fn sum_ns(&self) -> u64 {
         self.sum_ns.load(Ordering::Relaxed)
     }
 
     /// Largest recorded duration, nanoseconds.
     #[must_use]
-    pub fn max_ns(&self) -> u64 {
+    pub(crate) fn max_ns(&self) -> u64 {
         self.max_ns.load(Ordering::Relaxed)
     }
 
     /// Mean duration in nanoseconds (0 when empty).
     #[must_use]
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0
@@ -101,7 +101,7 @@ impl Histogram {
     /// bound of the bucket holding the `ceil(q*count)`-th sample. Returns
     /// 0 for an empty histogram.
     #[must_use]
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_ns(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
             return 0;

@@ -1,8 +1,8 @@
 //! Live event journal: a bounded deque of sequence-numbered events with
 //! a snapshot+delta subscriber protocol.
 //!
-//! The batch exporters ([`crate::trace`], [`crate::export`]) only speak
-//! after a run finishes; the journal is the *live* plane. Emitters (the
+//! The batch exporters ([`crate::trace`], [`crate::MetricsSnapshot`])
+//! only speak after a run finishes; the journal is the *live* plane. Emitters (the
 //! campaign runner, both stepping engines, the alert engine) push
 //! [`JournalEvent`]s into it; subscribers (the `--progress` renderer, the
 //! `--serve-obs` HTTP endpoint, eventually `mpt-serve`) follow along with
@@ -45,7 +45,7 @@ use crate::recorder::Recorder;
 use crate::trace::escape_json;
 
 /// Default capacity (events) for a [`Recorder`]'s journal.
-pub const DEFAULT_CAPACITY: usize = 1 << 13;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 13;
 
 /// What one journal event reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,11 +103,11 @@ pub enum JournalKind {
         /// Discretizations actually factored.
         builds: u64,
     },
-    /// Event-engine queue totals for one run (zeros under fixed-dt).
+    /// Event-engine wake totals for one run (zeros under fixed-dt).
     QueueStats {
-        /// Wake events popped off the queue.
+        /// Macro passes sized by a wake scan.
         events_popped: u64,
-        /// Queued wakes absorbed into an already-running macro pass.
+        /// Stage wakes absorbed into an already-running macro pass.
         wakes_coalesced: u64,
         /// Bisection iterations refining trip-crossing wake times.
         trip_bisection_iters: u64,
@@ -143,7 +143,7 @@ pub struct JournalEvent {
 impl JournalEvent {
     /// Stable key naming the event kind in exports.
     #[must_use]
-    pub fn kind_key(&self) -> &'static str {
+    pub(crate) fn kind_key(&self) -> &'static str {
         match self.kind {
             JournalKind::CampaignStarted { .. } => "campaign_started",
             JournalKind::CellStarted { .. } => "cell_started",
@@ -161,7 +161,7 @@ impl JournalEvent {
     /// (bit-identical across worker counts). [`JournalKind::CounterDelta`]
     /// batches depend on sampler timing and are excluded.
     #[must_use]
-    pub fn is_deterministic(&self) -> bool {
+    pub(crate) fn is_deterministic(&self) -> bool {
         !matches!(self.kind, JournalKind::CounterDelta { .. })
     }
 
@@ -252,7 +252,7 @@ impl JournalEvent {
     /// The event with every wall-clock-dependent field zeroed: `seq` and
     /// `ts_us` cleared, and `wall_us` zeroed for stage rollups.
     #[must_use]
-    pub fn normalized(&self) -> JournalEvent {
+    pub(crate) fn normalized(&self) -> JournalEvent {
         let mut ev = self.clone();
         ev.seq = 0;
         ev.ts_us = 0;
@@ -359,7 +359,7 @@ impl Journal {
     /// The current cursor: the sequence number the *next* event will get.
     /// Polling from here returns only events emitted after this call.
     #[must_use]
-    pub fn cursor(&self) -> u64 {
+    pub(crate) fn cursor(&self) -> u64 {
         self.state().next_seq
     }
 
@@ -638,13 +638,13 @@ pub fn cell_scope(cell: u32) -> CellScopeGuard {
 
 /// The cell the calling thread is currently scoped to, if any.
 #[must_use]
-pub fn current_cell() -> Option<u32> {
+pub(crate) fn current_cell() -> Option<u32> {
     CELL_SCOPE.with(std::cell::Cell::get)
 }
 
 /// Renders the deterministic subset of `events` to a normalized form
 /// that is bit-identical across worker counts: wall-clock-dependent
-/// fields zeroed ([`JournalEvent::normalized`]), sampler events dropped,
+/// fields zeroed (`JournalEvent::normalized`), sampler events dropped,
 /// lines grouped by cell (global events first, then cells in index
 /// order) with per-cell emission order preserved.
 #[must_use]

@@ -28,14 +28,15 @@
 //!   from the run's telemetry at export and [`trace`] writes as Chrome
 //!   `"ph":"C"` counter events, so the paper's Figure 1/3/5-style curves
 //!   render as Perfetto tracks next to the cell spans;
-//! * **derived observables + alerts** ([`analyze`]) — online computation
+//! * **derived observables + alerts** ([`DerivedTracker`],
+//!   [`AlertEngine`]) — online computation
 //!   of the paper's headline metrics (time-above-trip, throttle-attributed
 //!   FPS loss, thermal headroom, stability-margin drift) and a
 //!   declarative alert-rule engine (`temp_above`, `fps_below`,
 //!   `throttle_storm`, `runaway`), all deterministic across worker
 //!   counts;
 //! * **exporters** — Chrome trace JSON ([`trace`]), a Prometheus-style
-//!   text exposition and a JSON snapshot ([`export`]).
+//!   text exposition and a JSON snapshot ([`MetricsSnapshot`]).
 //!
 //! Everything is allocation-light by design: counters and histograms are
 //! fixed atomic slots addressed by pre-registered ids, spans push one
@@ -67,13 +68,13 @@
 //! assert_eq!(rec.spans().len(), 1);
 //! ```
 
-pub mod analyze;
+pub(crate) mod analyze;
 pub mod clock;
-pub mod export;
-pub mod hist;
+pub(crate) mod export;
+pub(crate) mod hist;
 pub mod journal;
-pub mod metrics;
-pub mod recorder;
+pub(crate) mod metrics;
+pub(crate) mod recorder;
 pub mod span;
 pub mod trace;
 

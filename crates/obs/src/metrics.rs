@@ -58,10 +58,10 @@ pub enum Counter {
     LintChecksRun,
     /// Diagnostics emitted by `mpt-lint` (errors and warnings).
     LintDiagnostics,
-    /// Wake events popped off the event-driven engine's queue (one per
-    /// macro pass that consumed a scheduled wake).
+    /// Event-engine macro passes sized by a wake scan (one per pass free
+    /// to jump, whether a stage wake or the run end won).
     EventsPopped,
-    /// Queued wakes absorbed into an already-running macro pass instead
+    /// Stage wakes absorbed into an already-running macro pass instead
     /// of waking the engine separately (lands due to the base-dt grid
     /// quantization of wake times).
     WakesCoalesced,
@@ -100,11 +100,11 @@ impl Counter {
     ];
 
     /// Number of counter slots.
-    pub const COUNT: usize = Counter::ALL.len();
+    pub(crate) const COUNT: usize = Counter::ALL.len();
 
     /// The counter's slot index.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
@@ -138,7 +138,7 @@ impl Counter {
 
     /// One-line description for the Prometheus `# HELP` exposition.
     #[must_use]
-    pub fn help(self) -> &'static str {
+    pub(crate) fn help(self) -> &'static str {
         match self {
             Counter::Ticks => "Simulator ticks executed.",
             Counter::StageRuns => "Pipeline stage executions (ticks x stages).",
@@ -175,7 +175,7 @@ impl Counter {
     /// Looks up the `# HELP` text for a counter by its exposition name,
     /// for exporters that only carry `(name, value)` pairs.
     #[must_use]
-    pub fn help_for_name(name: &str) -> Option<&'static str> {
+    pub(crate) fn help_for_name(name: &str) -> Option<&'static str> {
         Counter::ALL
             .iter()
             .find(|c| c.name() == name)

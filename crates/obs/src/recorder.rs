@@ -12,14 +12,14 @@ use crate::metrics::Counter;
 use crate::span::{current_lane, SpanGuard, SpanRecord};
 
 /// Maximum number of registrable histograms.
-pub const MAX_HISTOGRAMS: usize = 32;
+pub(crate) const MAX_HISTOGRAMS: usize = 32;
 
 /// Most laps one [`Laps`] times.
 const MAX_LAPS: usize = 16;
 
 /// Maximum retained span records; further spans are dropped (and counted
 /// under [`Counter::SpansDropped`]).
-pub const SPAN_CAP: usize = 1 << 17;
+pub(crate) const SPAN_CAP: usize = 1 << 17;
 
 /// Collects spans, counters and histograms for one run (or one whole
 /// campaign — a single recorder is safely shared across worker threads
@@ -118,7 +118,7 @@ impl Recorder {
     ///
     /// # Panics
     ///
-    /// Panics if more than [`MAX_HISTOGRAMS`] distinct names are
+    /// Panics if more than `MAX_HISTOGRAMS` distinct names are
     /// registered.
     pub fn register_histogram(&self, name: &str) -> HistId {
         let mut names = self.hist_names.lock().expect("hist mutex never poisoned");

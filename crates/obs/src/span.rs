@@ -42,7 +42,7 @@ thread_local! {
 /// The calling thread's lane: a small integer stable for the thread's
 /// lifetime and unique across threads.
 #[must_use]
-pub fn current_lane() -> u32 {
+pub(crate) fn current_lane() -> u32 {
     LANE.with(|l| *l)
 }
 

@@ -37,7 +37,7 @@ pub struct CounterTrack {
 /// below 0x20 as `\u00XX` — so scenario-derived names can never produce
 /// an unloadable trace.
 #[must_use]
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

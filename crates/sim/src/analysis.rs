@@ -113,7 +113,7 @@ impl RunAnalysis {
     /// (see [`AlertEngine::next_deadline`]); `None` when no sustain rule
     /// is mid-episode.
     #[must_use]
-    pub fn next_alert_deadline_s(&self) -> Option<f64> {
+    pub(crate) fn next_alert_deadline_s(&self) -> Option<f64> {
         self.engine.next_deadline()
     }
 
@@ -122,7 +122,7 @@ impl RunAnalysis {
     /// bisects the LTI trajectory against these so a macro step never
     /// jumps across a crossing.
     #[must_use]
-    pub fn temp_thresholds(&self) -> Vec<f64> {
+    pub(crate) fn temp_thresholds(&self) -> Vec<f64> {
         let mut thresholds = self.engine.temp_thresholds();
         if let Some(trip) = self.tracker.trip_c() {
             thresholds.push(trip);

@@ -16,7 +16,6 @@ use mpt_workloads::Workload;
 use crate::analysis::RunAnalysis;
 use crate::clock::SimClock;
 use crate::engine::{Attached, LiveSysfs, SimCore, SteppingMode};
-use crate::queue::EventQueue;
 use crate::stages::govern::Governors;
 use crate::stages::observe::Seen;
 use crate::stages::{StepContext, STAGES};
@@ -86,8 +85,9 @@ impl SimBuilder {
     }
 
     /// Selects the stepping mode (default [`SteppingMode::FixedDt`]).
-    /// [`SteppingMode::EventDriven`] jumps between scheduled events —
-    /// see the `queue` module — and is equivalent to fixed-dt within the
+    /// [`SteppingMode::EventDriven`] runs each pass to the earliest wake
+    /// the stages declare (or the run end), shortened to a predicted
+    /// trip crossing, and is equivalent to fixed-dt within the
     /// documented tolerances.
     #[must_use]
     pub fn stepping(mut self, mode: SteppingMode) -> Self {
@@ -232,7 +232,7 @@ impl SimBuilder {
         self
     }
 
-    /// Finalizes the simulator: builds the shared [`SimCore`] and the
+    /// Finalizes the simulator: builds the shared `SimCore` and the
     /// pipeline's governors, context and snapshot.
     ///
     /// # Errors
@@ -360,7 +360,6 @@ impl SimBuilder {
             tick_hist,
             stage_hists,
             stepping: self.stepping,
-            queue: EventQueue::new(),
             last_fingerprint: None,
             quiescent: false,
             counted_passes: 0,

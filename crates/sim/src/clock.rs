@@ -3,9 +3,9 @@
 //! Before the event-driven engine existed, "what time is it" lived in two
 //! `SimCore` fields (`time`, `dt`) and every stage implicitly assumed the
 //! step size never changed. [`SimClock`] centralizes that bookkeeping:
-//! current sim time, the base tick the scenario was configured with, the
-//! duration of the most recent pass (which in event mode may be many base
-//! ticks long) and a monotonically increasing pass counter.
+//! current sim time, the base tick the scenario was configured with and
+//! a monotonically increasing pass counter. A pass's length (in event
+//! mode, possibly many base ticks) is the `dt` the stages are handed.
 
 use mpt_units::Seconds;
 
@@ -13,15 +13,14 @@ use mpt_units::Seconds;
 /// stepping modes.
 ///
 /// In fixed-dt mode every pass advances by exactly
-/// [`base_dt`](SimClock::base_dt); in event-driven mode a pass may cover
+/// the base tick; in event-driven mode a pass may cover
 /// any whole multiple of the base tick. Either way, stages read the pass
-/// length from the `dt` they are handed and the wall of record is
-/// [`now`](SimClock::now).
+/// length from the `dt` they are handed and the wall of record is the
+/// clock's current time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimClock {
     time: Seconds,
     base_dt: Seconds,
-    last_dt: Seconds,
     steps: u64,
 }
 
@@ -31,26 +30,19 @@ impl SimClock {
         SimClock {
             time: Seconds::ZERO,
             base_dt,
-            last_dt: Seconds::ZERO,
             steps: 0,
         }
     }
 
     /// Current simulated time (start of the next pass).
-    pub fn now(&self) -> Seconds {
+    pub(crate) fn now(&self) -> Seconds {
         self.time
     }
 
     /// The configured base tick — the dt of every fixed-mode pass and
     /// the quantum event-mode gaps are quantized to.
-    pub fn base_dt(&self) -> Seconds {
+    pub(crate) fn base_dt(&self) -> Seconds {
         self.base_dt
-    }
-
-    /// Duration of the most recently completed pass (zero before the
-    /// first pass).
-    pub fn last_dt(&self) -> Seconds {
-        self.last_dt
     }
 
     /// Number of passes completed so far.
@@ -59,9 +51,8 @@ impl SimClock {
     }
 
     /// Advance the clock by one completed pass of length `dt`.
-    pub fn advance(&mut self, dt: Seconds) {
+    pub(crate) fn advance(&mut self, dt: Seconds) {
         self.time += dt;
-        self.last_dt = dt;
         self.steps += 1;
     }
 }
@@ -75,7 +66,6 @@ mod tests {
         let clock = SimClock::new(Seconds::new(0.01));
         assert_eq!(clock.now(), Seconds::ZERO);
         assert_eq!(clock.base_dt(), Seconds::new(0.01));
-        assert_eq!(clock.last_dt(), Seconds::ZERO);
         assert_eq!(clock.steps(), 0);
     }
 
@@ -93,15 +83,13 @@ mod tests {
         // equal to fixed mode.
         assert_eq!(clock.now(), reference);
         assert_eq!(clock.steps(), 1000);
-        assert_eq!(clock.last_dt(), dt);
     }
 
     #[test]
-    fn variable_length_passes_record_last_dt() {
+    fn variable_length_passes_advance_time() {
         let mut clock = SimClock::new(Seconds::new(0.01));
         clock.advance(Seconds::new(0.01));
         clock.advance(Seconds::new(0.5));
-        assert_eq!(clock.last_dt(), Seconds::new(0.5));
         assert_eq!(clock.now(), Seconds::new(0.51));
         assert_eq!(clock.steps(), 2);
     }

@@ -14,7 +14,6 @@ use mpt_workloads::Workload;
 
 use crate::analysis::RunAnalysis;
 use crate::clock::SimClock;
-use crate::queue::{EventQueue, WakeKind};
 use crate::stages::govern::{self, Governors};
 use crate::stages::observe::{self, Seen};
 use crate::stages::{analyze, demand, power, schedule, thermal, StepContext, Wake, STAGES};
@@ -37,7 +36,7 @@ impl SteppingMode {
     /// Stable lowercase key (`"fixed"` / `"event"`), as accepted by
     /// `--engine` and the scenario `"engine"` field.
     #[must_use]
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             SteppingMode::FixedDt => "fixed",
             SteppingMode::EventDriven => "event",
@@ -100,7 +99,7 @@ impl std::fmt::Debug for Attached {
 /// the governors and the events stage's previous-pass snapshot live
 /// beside the core in the [`Simulator`].
 #[derive(Debug)]
-pub struct SimCore {
+pub(crate) struct SimCore {
     pub(crate) platform: Platform,
     pub(crate) network: RcNetwork,
     pub(crate) scheduler: Scheduler,
@@ -133,7 +132,7 @@ pub struct SimCore {
     /// Online derived observables and alert rules, advanced by the
     /// `analyze` stage.
     pub(crate) analysis: RunAnalysis,
-    /// Event-engine queue totals for this run (all zero under fixed-dt).
+    /// Event-engine wake totals for this run (all zero under fixed-dt).
     pub(crate) macro_stats: MacroStats,
     /// Per-tick node-power capture for fleet canonical runs (`None` when
     /// tracing is off — the thermal stage then pays one branch per tick).
@@ -193,15 +192,15 @@ fn load_f64(slot: &AtomicU64) -> f64 {
     f64::from_bits(slot.load(Ordering::Relaxed))
 }
 
-/// Per-run event-engine queue totals, mirrored into the recorder's
+/// Per-run event-engine wake totals, mirrored into the recorder's
 /// counters and reported to the live journal at the end of a run. Driven
 /// purely by simulated state, so deterministic across worker counts.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MacroStats {
-    /// Wake events popped off the queue (one per macro pass that
-    /// consumed a scheduled wake).
+    /// Macro passes sized by a wake scan (one per pass that was free to
+    /// jump, whether a stage wake or the run end won).
     pub events_popped: u64,
-    /// Queued wakes absorbed into an already-running macro pass.
+    /// Stage wakes absorbed into an already-running macro pass.
     pub wakes_coalesced: u64,
     /// Bisection iterations spent refining trip-crossing wake times.
     pub trip_bisection_iters: u64,
@@ -489,7 +488,7 @@ impl SimCore {
     }
 }
 
-/// The co-simulator: a [`SimCore`] advanced by a staged pipeline. Build
+/// The co-simulator: a `SimCore` advanced by a staged pipeline. Build
 /// with [`SimBuilder`](crate::SimBuilder).
 #[derive(Debug)]
 pub struct Simulator {
@@ -507,9 +506,6 @@ pub struct Simulator {
     pub(crate) stage_hists: [HistId; STAGES.len()],
     /// How [`run_for`](Simulator::run_for) advances time.
     pub(crate) stepping: SteppingMode,
-    /// The macro-stepper's wake queue, rebuilt each pass from the
-    /// stages' declared wakes.
-    pub(crate) queue: EventQueue,
     /// Control-state fingerprint after the previous pass; a long jump is
     /// only allowed once the fingerprint has been stable across two
     /// consecutive passes.
@@ -523,6 +519,36 @@ pub struct Simulator {
 /// At 64 the clock reads and histogram writes cost a pass about 1/64 of
 /// what timing every pass did.
 const TIMED_PASS_STRIDE: u64 = 64;
+
+/// The time a macro step runs to, from the stages' wake times in stage
+/// order (`None` where a stage declared no future wake): the earliest
+/// wake wins, a tie goes to the earlier stage, and a wake tied with the
+/// run `end` beats it. Also returns the index of the winning wake, or
+/// `None` when `end` wins.
+fn earliest_wake(wakes: &[Option<Seconds>], end: Seconds) -> (Seconds, Option<usize>) {
+    let mut best: Option<(Seconds, usize)> = None;
+    for (i, time) in wakes.iter().enumerate() {
+        if let Some(time) = *time {
+            if best.is_none_or(|(t, _)| time < t) {
+                best = Some((time, i));
+            }
+        }
+    }
+    match best {
+        Some((time, i)) if time <= end => (time, Some(i)),
+        _ => (end, None),
+    }
+}
+
+/// The wakes other than `chosen` due at or before `pass_end` (with the
+/// grid tolerance): the wakes a pass ending there absorbs instead of
+/// waking the engine separately.
+fn coalesced_wakes(wakes: &[Option<Seconds>], chosen: Option<usize>, pass_end: Seconds) -> u64 {
+    let due = wakes.iter().enumerate().filter(|&(i, time)| {
+        Some(i) != chosen && time.is_some_and(|t| t.value() <= pass_end.value() + 1e-12)
+    });
+    due.count() as u64
+}
 
 /// Number of whole base ticks (at least one) needed to reach `target`
 /// from `now` — the grid quantization that keeps every event-mode pass
@@ -606,7 +632,7 @@ impl Simulator {
         STAGES.to_vec()
     }
 
-    /// Event-engine queue totals for this run so far (all zero under
+    /// Event-engine wake totals for this run so far (all zero under
     /// fixed-dt stepping). Deterministic across worker counts.
     #[must_use]
     pub fn macro_stats(&self) -> MacroStats {
@@ -814,12 +840,11 @@ impl Simulator {
 
     /// One event-driven macro step toward `end`: collects the next wake
     /// of each stage that declares one (sysfs-control, demand,
-    /// telemetry, govern, analyze — in that order, since queue ties pop
-    /// in insertion order), schedules the wakes (plus the run end) on
-    /// the event queue, pops the earliest, quantizes the gap up to the
-    /// base-tick grid, lets the thermal stage shorten it to a predicted
-    /// trip crossing, then runs a single pipeline pass covering the
-    /// whole gap.
+    /// telemetry, govern, analyze — in that order, since a tie goes to
+    /// the earlier stage), takes the earliest of them and the run end
+    /// ([`earliest_wake`]), quantizes the gap up to the base-tick grid,
+    /// lets the thermal stage shorten it to a predicted trip crossing,
+    /// then runs a single pipeline pass covering the whole gap.
     ///
     /// Two guards keep this equivalent to fixed-dt stepping: a stage
     /// that answers [`Wake::EveryTick`] (frame-based workloads, pending
@@ -829,49 +854,45 @@ impl Simulator {
     fn event_step(&mut self, end: Seconds) -> Result<()> {
         let now = self.core.clock.now();
         let base = self.core.clock.base_dt();
-        self.queue.clear();
         let mut every_tick = false;
-        let wakes = [
+        let mut wakes = [None; 5];
+        let declared = [
             govern::sysfs_control_wake(&self.core),
             demand::next_wake(&self.core),
             observe::telemetry_wake(&self.core, now),
             self.governors.next_wake(&self.core, now),
             analyze::next_wake(&self.core, now),
         ];
-        for wake in wakes {
+        for (slot, wake) in wakes.iter_mut().zip(declared) {
             match wake {
                 Wake::Never => {}
                 Wake::EveryTick => every_tick = true,
-                Wake::At { time, kind } => {
+                Wake::At(time) => {
                     if time.value() <= now.value() + 1e-12 {
                         // Due immediately: the earliest legal pass end is
                         // one base tick away.
                         every_tick = true;
                     } else if time.value().is_finite() {
-                        self.queue.schedule(time, kind);
+                        *slot = Some(time);
                     }
                 }
             }
         }
-        self.queue.schedule(end, WakeKind::RunEnd);
 
         let mut steps: u64 = 1;
         if !every_tick && self.quiescent {
-            if let Some(event) = self.queue.pop() {
-                self.core.macro_stats.events_popped += 1;
-                self.core.recorder.incr(Counter::EventsPopped);
-                steps = grid_steps(now, event.time, base);
-            }
+            let (next, chosen) = earliest_wake(&wakes, end);
+            self.core.macro_stats.events_popped += 1;
+            self.core.recorder.incr(Counter::EventsPopped);
+            steps = grid_steps(now, next, base);
             if steps > 1 {
                 let target = now + Seconds::new(steps as f64 * base.value());
                 if let Some(t) = thermal::refine_wake(&mut self.core, now, target) {
                     steps = steps.min(grid_steps(now, t, base)).max(1);
                 }
             }
-            // Whatever still sits in the queue inside the chosen pass is
-            // absorbed by it rather than waking the engine separately.
             let pass_end = now + Seconds::new(steps as f64 * base.value());
-            let coalesced = self.queue.due_count(pass_end) as u64;
+            let coalesced = coalesced_wakes(&wakes, chosen, pass_end);
             if coalesced > 0 {
                 self.core.macro_stats.wakes_coalesced += coalesced;
                 self.core.recorder.add(Counter::WakesCoalesced, coalesced);
@@ -957,5 +978,62 @@ impl Simulator {
     #[must_use]
     pub fn max_temperature(&self) -> Kelvin {
         self.core.network.hottest().1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The reference: a queue of the wakes in stage order with the run
+    /// end appended, stably sorted by time, so a tie goes to the earlier
+    /// stage and a wake beats the run end it ties with. Pops the head,
+    /// then counts the wakes left due by `pass_end`.
+    fn queue_pop(
+        wakes: &[Option<Seconds>],
+        end: Seconds,
+        pass_end: Seconds,
+    ) -> (Seconds, Option<usize>, u64) {
+        let mut queue: Vec<(Seconds, Option<usize>)> = (wakes.iter().enumerate())
+            .filter_map(|(i, time)| time.map(|t| (t, Some(i))))
+            .chain([(end, None)])
+            .collect();
+        queue.sort_by(|a, b| a.0.value().total_cmp(&b.0.value()));
+        let (time, chosen) = queue.remove(0);
+        let due = (queue.iter())
+            .filter(|(t, i)| i.is_some() && t.value() <= pass_end.value() + 1e-12)
+            .count();
+        (time, chosen, due as u64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_wake_scan_keeps_the_queue_order(
+            slots in proptest::collection::vec(0u32..10, 5),
+            end_k in 1u32..10,
+            pass_k in 1u32..10,
+            nudge in 0usize..3,
+        ) {
+            // Codes 0–2 leave a stage's slot empty; the rest sit on a
+            // quarter-second grid, so stages tie with each other and
+            // with the run end.
+            let wakes: Vec<Option<Seconds>> = (slots.iter())
+                .map(|&k| (k > 2).then(|| Seconds::new(f64::from(k - 2) * 0.25)))
+                .collect();
+            let end = Seconds::new(f64::from(end_k) * 0.25);
+            // The pass may end before the chosen wake (`refine_wake`
+            // shortened it) or after it, and within the grid tolerance
+            // of a wake on either side.
+            let pass_end =
+                Seconds::new(f64::from(pass_k) * 0.25 + [0.0, 5e-13, -5e-13][nudge]);
+            let (time, chosen) = earliest_wake(&wakes, end);
+            let (want_time, want_chosen, want_due) = queue_pop(&wakes, end, pass_end);
+            prop_assert_eq!(time, want_time);
+            prop_assert_eq!(chosen, want_chosen);
+            prop_assert_eq!(coalesced_wakes(&wakes, chosen, pass_end), want_due);
+        }
     }
 }

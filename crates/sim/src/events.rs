@@ -53,7 +53,7 @@ impl EventKind {
     /// [`EventLog::counts_by_kind`], the rendered summary line, and the
     /// metrics counters (`mpt_events_<key>_total`).
     #[must_use]
-    pub fn key(&self) -> &'static str {
+    pub(crate) fn key(&self) -> &'static str {
         match self {
             EventKind::Migration { .. } => "migration",
             EventKind::CapChanged { .. } => "cap_changed",
@@ -144,7 +144,7 @@ impl EventLog {
 
     /// Number of events.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
@@ -161,20 +161,13 @@ impl EventLog {
             .filter(|e| matches!(e.kind, EventKind::Migration { .. }))
     }
 
-    /// Iterates over the cap-change events.
-    pub fn cap_changes(&self) -> impl Iterator<Item = &Event> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::CapChanged { .. }))
-    }
-
     /// The time of the first migration, if any happened.
     #[must_use]
     pub fn first_migration(&self) -> Option<Seconds> {
         self.migrations().next().map(|e| e.time)
     }
 
-    /// Event totals grouped by [`EventKind::key`] — the same counter
+    /// Event totals grouped by `EventKind::key` — the same counter
     /// semantics the metrics snapshot exposes as
     /// `mpt_events_<key>_total`.
     #[must_use]
@@ -239,7 +232,6 @@ mod tests {
         log.push(migration(2.2));
         assert_eq!(log.len(), 3);
         assert_eq!(log.migrations().count(), 2);
-        assert_eq!(log.cap_changes().count(), 1);
         assert_eq!(log.first_migration(), Some(Seconds::new(1.1)));
     }
 

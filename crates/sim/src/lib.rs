@@ -6,7 +6,7 @@
 //! The [`Simulator`] closes the loop between every substrate in the
 //! workspace, mirroring the paper's experimental stack. Each tick
 //! (default 10 ms) runs a fixed sequence of stages over the shared
-//! [`SimCore`]:
+//! `SimCore`:
 //!
 //! 1. **Workloads** express demand (CPU cycles + parallelism, GPU cycles,
 //!    touch interactions).
@@ -58,19 +58,16 @@ mod engine;
 mod error;
 pub mod events;
 mod policy;
-pub mod queue;
 mod stages;
 mod telemetry;
 
 pub use analysis::RunAnalysis;
 pub use builder::SimBuilder;
 pub use clock::SimClock;
-pub use engine::{MacroStats, SimCore, Simulator, SteppingMode};
+pub use engine::{MacroStats, Simulator, SteppingMode};
 pub use error::SimError;
 pub use events::{Event, EventKind, EventLog};
 pub use policy::{SystemPolicy, SystemView};
-pub use queue::{EventId, EventQueue, ScheduledEvent, WakeKind};
-pub use stages::Wake;
 pub use telemetry::Telemetry;
 
 /// Result alias for simulator operations.

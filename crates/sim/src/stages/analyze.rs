@@ -7,7 +7,6 @@ use mpt_obs::TickSample;
 use mpt_units::Seconds;
 
 use crate::engine::SimCore;
-use crate::queue::WakeKind;
 use crate::stages::{StepContext, Wake};
 use crate::EventKind;
 
@@ -52,7 +51,7 @@ pub(crate) fn run(core: &mut SimCore, ctx: &StepContext) {
 /// just as it would tick by tick.
 pub(crate) fn next_wake(core: &SimCore, now: Seconds) -> Wake {
     match core.analysis.next_alert_deadline_s() {
-        Some(remaining) => Wake::at(now + Seconds::new(remaining), WakeKind::AlertDeadline),
+        Some(remaining) => Wake::At(now + Seconds::new(remaining)),
         None => Wake::Never,
     }
 }

@@ -1,7 +1,6 @@
 //! Demand collection: workloads express what they want this tick.
 
 use crate::engine::SimCore;
-use crate::queue::WakeKind;
 use crate::stages::{StepContext, Wake};
 
 /// Asks every attached workload for its per-tick demand (CPU cycles and
@@ -28,7 +27,7 @@ pub(crate) fn next_wake(core: &SimCore) -> Wake {
             // demand rate can change any tick.
             None => return Wake::EveryTick,
             Some(t) if t.value().is_finite() => {
-                wake = wake.earliest(Wake::at(t, WakeKind::PhaseChange));
+                wake = wake.earliest(Wake::At(t));
             }
             // Constant forever: imposes nothing.
             Some(_) => {}

@@ -8,7 +8,6 @@ use mpt_soc::ComponentId;
 use mpt_units::{Ratio, Seconds, Watts};
 
 use crate::engine::SimCore;
-use crate::queue::WakeKind;
 use crate::stages::{StepContext, Wake};
 use crate::{Result, SystemPolicy, SystemView};
 
@@ -153,19 +152,19 @@ impl Governors {
         // when the governor can act at all.
         if self.thermal_governor.is_active() {
             let remaining = (self.thermal_period - self.since_thermal).max(Seconds::ZERO);
-            wake = wake.earliest(Wake::at(now + remaining, WakeKind::GovernorPoll));
+            wake = wake.earliest(Wake::At(now + remaining));
         }
         // The system policy's next poll boundary.
         if let Some(policy) = &self.system_policy {
             let remaining = (policy.period() - self.since_policy).max(Seconds::ZERO);
-            wake = wake.earliest(Wake::at(now + remaining, WakeKind::GovernorPoll));
+            wake = wake.earliest(Wake::At(now + remaining));
         }
         // cpufreq governors with pending internal state (interactive's
         // ramp-down hold): their decision flips even under constant
         // load.
         for policy in core.policies.values() {
             if let Some(remaining) = policy.pending_wake() {
-                wake = wake.earliest(Wake::at(now + remaining, WakeKind::GovernorPoll));
+                wake = wake.earliest(Wake::At(now + remaining));
             }
         }
         wake

@@ -41,8 +41,6 @@ use mpt_kernel::{Allocation, Pid};
 use mpt_units::Seconds;
 use mpt_workloads::Demand;
 
-use crate::queue::WakeKind;
-
 /// The stage names, in pass order; each stage's latency histogram is
 /// `stage:<name>`.
 pub(crate) const STAGES: [&str; 9] = [
@@ -60,40 +58,28 @@ pub(crate) const STAGES: [&str; 9] = [
 /// A stage's answer to "when must the pipeline run again?", used by the
 /// event-driven stepping mode to size macro steps.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Wake {
+pub(crate) enum Wake {
     /// This stage imposes no wake of its own.
     Never,
     /// This stage cannot predict its next change — run every base tick
     /// (frame-based workloads, pending external control writes).
     EveryTick,
-    /// Run a pass ending at (or just after, once grid-quantized) `time`.
-    At {
-        /// Absolute simulated time of the wake.
-        time: Seconds,
-        /// Why the wake is needed.
-        kind: WakeKind,
-    },
+    /// Run a pass ending at (or just after, once grid-quantized) this
+    /// absolute simulated time.
+    At(Seconds),
 }
 
 impl Wake {
-    /// A wake at an absolute time.
-    #[must_use]
-    pub fn at(time: Seconds, kind: WakeKind) -> Self {
-        Wake::At { time, kind }
-    }
-
     /// Combines two wake requests, keeping the more urgent one.
     /// [`Wake::EveryTick`] dominates (it is the earliest possible wake);
     /// [`Wake::Never`] is the identity.
     #[must_use]
-    pub fn earliest(self, other: Wake) -> Wake {
+    pub(crate) fn earliest(self, other: Wake) -> Wake {
         match (self, other) {
             (Wake::EveryTick, _) | (_, Wake::EveryTick) => Wake::EveryTick,
             (Wake::Never, w) | (w, Wake::Never) => w,
-            (Wake::At { time: a, kind }, Wake::At { time: b, .. }) if a <= b => {
-                Wake::At { time: a, kind }
-            }
-            (Wake::At { .. }, w) => w,
+            (Wake::At(a), Wake::At(b)) if a <= b => Wake::At(a),
+            (Wake::At(_), w) => w,
         }
     }
 }

@@ -4,7 +4,6 @@ use mpt_soc::ComponentId;
 use mpt_units::Seconds;
 
 use crate::engine::{log_event, SimCore};
-use crate::queue::WakeKind;
 use crate::stages::{StepContext, Wake};
 use crate::{Event, EventKind};
 
@@ -38,7 +37,7 @@ pub(crate) fn telemetry_wake(core: &SimCore, now: Seconds) -> Wake {
     } else {
         next
     };
-    Wake::at(target, WakeKind::SamplePoint)
+    Wake::At(target)
 }
 
 /// The events stage's memory of the previous pass, by attach slot: each

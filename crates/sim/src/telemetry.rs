@@ -161,7 +161,7 @@ impl Telemetry {
     /// wakes here so decimated series keep their cadence across macro
     /// steps.
     #[must_use]
-    pub fn next_sample_time(&self) -> Seconds {
+    pub(crate) fn next_sample_time(&self) -> Seconds {
         Seconds::new(self.next_sample)
     }
 
@@ -202,7 +202,7 @@ impl Telemetry {
     /// Average power of a component over the whole run — the numbers
     /// behind the paper's Figure 9 pie charts.
     #[must_use]
-    pub fn average_power(&self, id: ComponentId) -> Watts {
+    pub(crate) fn average_power(&self, id: ComponentId) -> Watts {
         if self.elapsed <= 0.0 {
             Watts::ZERO
         } else {

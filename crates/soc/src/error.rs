@@ -22,11 +22,6 @@ pub enum SocError {
         /// The frequency whose voltage dipped below its predecessor's.
         frequency: Hertz,
     },
-    /// A frequency was requested that is not in the table.
-    UnknownFrequency {
-        /// The requested frequency.
-        frequency: Hertz,
-    },
     /// The platform has no component with this id.
     UnknownComponent {
         /// The requested component.
@@ -59,9 +54,6 @@ impl fmt::Display for SocError {
             Self::NonMonotoneVoltage { frequency } => {
                 write!(f, "opp voltage decreases with frequency at {frequency}")
             }
-            Self::UnknownFrequency { frequency } => {
-                write!(f, "frequency {frequency} is not an operating point")
-            }
             Self::UnknownComponent { id } => write!(f, "platform has no component {id}"),
             Self::InvalidPowerParameter { name, value } => {
                 write!(f, "power parameter {name} has invalid value {value}")
@@ -85,9 +77,12 @@ mod tests {
 
     #[test]
     fn display_is_concise() {
-        let e = SocError::UnknownFrequency {
+        let e = SocError::NonMonotoneVoltage {
             frequency: Hertz::from_mhz(700),
         };
-        assert_eq!(e.to_string(), "frequency 700 MHz is not an operating point");
+        assert_eq!(
+            e.to_string(),
+            "opp voltage decreases with frequency at 700 MHz"
+        );
     }
 }

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// The same SplitMix64 finalizer the campaign layer uses for per-cell
 /// seeds, reproduced here so device derivation stays dependency-free.
 #[must_use]
-pub fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -65,7 +65,7 @@ pub enum ParamJitter {
 /// exceed `√(−2·ln(f64::MIN_POSITIVE)) ≈ 37.64`. Any value this far out
 /// is unreachable, which makes `mean ± 37.65·std` a *sound* interval for
 /// the MPT6xx verifier: no seed can realize a draw outside it.
-pub const NORMAL_HARD_SIGMAS: f64 = 37.65;
+pub(crate) const NORMAL_HARD_SIGMAS: f64 = 37.65;
 
 impl ParamJitter {
     /// A degenerate jitter pinning every device to `value`.
@@ -95,7 +95,7 @@ impl ParamJitter {
 
     /// Samples the distribution for the given seed.
     #[must_use]
-    pub fn sample(&self, seed: u64) -> f64 {
+    pub(crate) fn sample(&self, seed: u64) -> f64 {
         match *self {
             ParamJitter::Fixed { value } => value,
             ParamJitter::Uniform { min, max } => min + unit_f64(splitmix64(seed)) * (max - min),
@@ -207,7 +207,7 @@ impl FleetSpec {
     /// same SplitMix64 scheme the campaign layer uses for cell seeds,
     /// one more level down. Pure, so any worker computes the same seed.
     #[must_use]
-    pub fn device_seed(cell_seed: u64, device: usize) -> u64 {
+    pub(crate) fn device_seed(cell_seed: u64, device: usize) -> u64 {
         splitmix64(cell_seed ^ (device as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
     }
 

@@ -52,4 +52,4 @@ pub use sensors::{PowerRail, TemperatureSensor};
 pub use thermal_spec::{ThermalCoupling, ThermalLti, ThermalNodeSpec, ThermalSpec};
 
 /// Result alias for SoC model operations.
-pub type Result<T> = std::result::Result<T, SocError>;
+pub(crate) type Result<T> = std::result::Result<T, SocError>;

@@ -156,17 +156,6 @@ impl OppTable {
             .ok()
     }
 
-    /// The operating point for an exact frequency.
-    ///
-    /// # Errors
-    ///
-    /// [`SocError::UnknownFrequency`] if `frequency` is not in the table.
-    pub fn point_for(&self, frequency: Hertz) -> Result<&OperatingPoint> {
-        self.index_of(frequency)
-            .map(|i| &self.points[i])
-            .ok_or(SocError::UnknownFrequency { frequency })
-    }
-
     /// The highest point whose frequency is `<= cap`.
     ///
     /// Returns the lowest point if `cap` is below every frequency: a
@@ -177,17 +166,6 @@ impl OppTable {
             Ok(i) => &self.points[i],
             Err(0) => self.lowest(),
             Err(i) => &self.points[i - 1],
-        }
-    }
-
-    /// The lowest point whose frequency is `>= floor`, or the highest point
-    /// if `floor` exceeds every frequency.
-    #[must_use]
-    pub fn at_or_above(&self, floor: Hertz) -> &OperatingPoint {
-        match self.points.binary_search_by_key(&floor, |p| p.frequency()) {
-            Ok(i) => &self.points[i],
-            Err(i) if i >= self.points.len() => self.highest(),
-            Err(i) => &self.points[i],
         }
     }
 
@@ -302,20 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn at_or_above_snaps_up() {
-        let t = adreno430();
-        assert_eq!(
-            t.at_or_above(Hertz::from_mhz(500)).frequency().as_mhz(),
-            510
-        );
-        assert_eq!(
-            t.at_or_above(Hertz::from_mhz(700)).frequency().as_mhz(),
-            600
-        );
-        assert_eq!(t.at_or_above(Hertz::from_mhz(50)).frequency().as_mhz(), 180);
-    }
-
-    #[test]
     fn stepping() {
         let t = adreno430();
         assert_eq!(t.step_down(Hertz::from_mhz(600)).unwrap().as_mhz(), 510);
@@ -324,22 +288,6 @@ mod tests {
         assert_eq!(t.step_up(Hertz::from_mhz(180)).unwrap().as_mhz(), 305);
         // Not an exact point:
         assert_eq!(t.step_down(Hertz::from_mhz(200)), None);
-    }
-
-    #[test]
-    fn point_for_unknown_frequency_errors() {
-        let t = adreno430();
-        assert!(matches!(
-            t.point_for(Hertz::from_mhz(123)).unwrap_err(),
-            SocError::UnknownFrequency { .. }
-        ));
-        assert_eq!(
-            t.point_for(Hertz::from_mhz(390))
-                .unwrap()
-                .frequency()
-                .as_mhz(),
-            390
-        );
     }
 
     proptest! {

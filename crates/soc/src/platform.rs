@@ -7,8 +7,7 @@ use crate::{Component, ComponentId, PowerRail, Result, SocError, TemperatureSens
 /// A complete mobile platform: its components, thermal network and sensor
 /// inventory.
 ///
-/// Use [`Platform::builder`] or one of the presets in
-/// [`platforms`](crate::platforms).
+/// Use one of the presets in [`platforms`](crate::platforms).
 ///
 /// # Examples
 ///
@@ -18,7 +17,7 @@ use crate::{Component, ComponentId, PowerRail, Result, SocError, TemperatureSens
 /// let odroid = platforms::exynos_5422();
 /// assert_eq!(odroid.name(), "Exynos 5422 (Odroid-XU3)");
 /// assert_eq!(odroid.components().len(), 4);
-/// assert!(odroid.has_power_rails());
+/// assert!(!odroid.power_rails().is_empty());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Platform {
@@ -32,7 +31,7 @@ pub struct Platform {
 impl Platform {
     /// Starts building a platform.
     #[must_use]
-    pub fn builder(name: impl Into<String>) -> PlatformBuilder {
+    pub(crate) fn builder(name: impl Into<String>) -> PlatformBuilder {
         PlatformBuilder {
             name: name.into(),
             components: Vec::new(),
@@ -84,12 +83,6 @@ impl Platform {
     pub fn power_rails(&self) -> &[PowerRail] {
         &self.power_rails
     }
-
-    /// Whether per-rail power sensing is available.
-    #[must_use]
-    pub fn has_power_rails(&self) -> bool {
-        !self.power_rails.is_empty()
-    }
 }
 
 /// Builder for [`Platform`] (C-BUILDER).
@@ -112,21 +105,21 @@ impl PlatformBuilder {
 
     /// Sets the thermal network.
     #[must_use]
-    pub fn thermal(mut self, spec: ThermalSpec) -> Self {
+    pub(crate) fn thermal(mut self, spec: ThermalSpec) -> Self {
         self.thermal = Some(spec);
         self
     }
 
     /// Adds a temperature sensor.
     #[must_use]
-    pub fn temperature_sensor(mut self, sensor: TemperatureSensor) -> Self {
+    pub(crate) fn temperature_sensor(mut self, sensor: TemperatureSensor) -> Self {
         self.temperature_sensors.push(sensor);
         self
     }
 
     /// Adds a power rail.
     #[must_use]
-    pub fn power_rail(mut self, rail: PowerRail) -> Self {
+    pub(crate) fn power_rail(mut self, rail: PowerRail) -> Self {
         self.power_rails.push(rail);
         self
     }
@@ -140,7 +133,7 @@ impl PlatformBuilder {
     /// component nodes referencing missing components, duplicate component
     /// ids), or [`SocError::UnknownComponent`] if a power rail references a
     /// component the platform lacks.
-    pub fn build(self) -> Result<Platform> {
+    pub(crate) fn build(self) -> Result<Platform> {
         let thermal = self.thermal.ok_or_else(|| SocError::InvalidThermalSpec {
             reason: "platform has no thermal network".into(),
         })?;
@@ -252,7 +245,7 @@ mod tests {
             p.component(ComponentId::BigCluster).unwrap_err(),
             SocError::UnknownComponent { .. }
         ));
-        assert!(!p.has_power_rails());
+        assert!(p.power_rails().is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::{
 
 /// Shared leakage activation constant (Kelvin). Also the scale of the
 /// auxiliary temperature θ = β/T in the stability analysis.
-pub const LEAKAGE_BETA: f64 = 8000.0;
+pub(crate) const LEAKAGE_BETA: f64 = 8000.0;
 
 /// Builds an OPP table with voltages interpolated linearly between
 /// `v_min` (at the lowest frequency) and `v_max` (at the highest).
@@ -68,7 +68,7 @@ fn power_params(ceff: f64, alpha: f64, floor_w: f64) -> PowerParams {
 /// use mpt_soc::platforms::snapdragon_810;
 ///
 /// let soc = snapdragon_810();
-/// assert!(!soc.has_power_rails()); // needs the external DAQ
+/// assert!(soc.power_rails().is_empty()); // needs the external DAQ
 /// ```
 #[must_use]
 pub fn snapdragon_810() -> Platform {
@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn nexus_has_no_power_rails_but_odroid_does() {
-        assert!(!snapdragon_810().has_power_rails());
+        assert!(snapdragon_810().power_rails().is_empty());
         let odroid = exynos_5422();
         assert_eq!(odroid.power_rails().len(), 4);
         let names: Vec<&str> = odroid.power_rails().iter().map(|r| r.name()).collect();

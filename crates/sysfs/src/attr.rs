@@ -28,11 +28,11 @@ type WriteFn = Arc<dyn Fn(&str) -> std::result::Result<(), String> + Send + Sync
 ///     let temp_mc = Arc::clone(&temp_mc);
 ///     Attribute::read_only(move || temp_mc.load(Ordering::Relaxed).to_string())
 /// };
-/// assert_eq!(sensor.read().unwrap(), "42000");
+/// assert_eq!(sensor.read(), "42000");
 /// ```
 #[derive(Clone)]
 pub struct Attribute {
-    read: Option<ReadFn>,
+    read: ReadFn,
     write: Option<WriteFn>,
 }
 
@@ -43,7 +43,7 @@ impl Attribute {
         let cell = Arc::new(Mutex::new(initial.into()));
         let read_cell = Arc::clone(&cell);
         Self {
-            read: Some(Arc::new(move || read_cell.lock().clone())),
+            read: Arc::new(move || read_cell.lock().clone()),
             write: Some(Arc::new(move |v| {
                 *cell.lock() = v.to_owned();
                 Ok(())
@@ -57,7 +57,7 @@ impl Attribute {
     pub fn constant(value: impl Into<String>) -> Self {
         let value = value.into();
         Self {
-            read: Some(Arc::new(move || value.clone())),
+            read: Arc::new(move || value.clone()),
             write: None,
         }
     }
@@ -66,21 +66,8 @@ impl Attribute {
     #[must_use]
     pub fn read_only(read: impl Fn() -> String + Send + Sync + 'static) -> Self {
         Self {
-            read: Some(Arc::new(read)),
+            read: Arc::new(read),
             write: None,
-        }
-    }
-
-    /// A write-only attribute (e.g. a trigger file).
-    ///
-    /// The handler returns `Err(reason)` to reject a value.
-    #[must_use]
-    pub fn write_only(
-        write: impl Fn(&str) -> std::result::Result<(), String> + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            read: None,
-            write: Some(Arc::new(write)),
         }
     }
 
@@ -91,34 +78,28 @@ impl Attribute {
         write: impl Fn(&str) -> std::result::Result<(), String> + Send + Sync + 'static,
     ) -> Self {
         Self {
-            read: Some(Arc::new(read)),
+            read: Arc::new(read),
             write: Some(Arc::new(write)),
         }
     }
 
-    /// Whether the attribute supports reads.
-    #[must_use]
-    pub fn is_readable(&self) -> bool {
-        self.read.is_some()
-    }
-
     /// Whether the attribute supports writes.
     #[must_use]
-    pub fn is_writable(&self) -> bool {
+    pub(crate) fn is_writable(&self) -> bool {
         self.write.is_some()
     }
 
-    /// Reads the attribute, or `None` if it is write-only.
+    /// Reads the attribute.
     #[must_use]
-    pub fn read(&self) -> Option<String> {
-        self.read.as_ref().map(|f| f())
+    pub fn read(&self) -> String {
+        (self.read)()
     }
 
     /// Writes the attribute.
     ///
     /// Returns `None` if the attribute is write-protected, `Some(Err)` if
     /// the handler rejected the value.
-    pub fn write(&self, value: &str) -> Option<std::result::Result<(), String>> {
+    pub(crate) fn write(&self, value: &str) -> Option<std::result::Result<(), String>> {
         self.write.as_ref().map(|f| f(value))
     }
 }
@@ -126,7 +107,6 @@ impl Attribute {
 impl fmt::Debug for Attribute {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Attribute")
-            .field("readable", &self.is_readable())
             .field("writable", &self.is_writable())
             .finish()
     }
@@ -140,15 +120,14 @@ mod tests {
     #[test]
     fn value_attribute_round_trips() {
         let a = Attribute::value("hello");
-        assert_eq!(a.read().unwrap(), "hello");
+        assert_eq!(a.read(), "hello");
         a.write("world").unwrap().unwrap();
-        assert_eq!(a.read().unwrap(), "world");
+        assert_eq!(a.read(), "world");
     }
 
     #[test]
     fn constant_rejects_writes() {
         let a = Attribute::constant("600000");
-        assert!(a.is_readable());
         assert!(!a.is_writable());
         assert!(a.write("1").is_none());
     }
@@ -168,22 +147,9 @@ mod tests {
         );
         a.write("1800000").unwrap().unwrap();
         assert_eq!(state.load(Ordering::Relaxed), 1_800_000);
-        assert_eq!(a.read().unwrap(), "1800000");
+        assert_eq!(a.read(), "1800000");
         let err = a.write("abc").unwrap().unwrap_err();
         assert_eq!(err, "not a number");
-    }
-
-    #[test]
-    fn write_only_attribute() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        let a = Attribute::write_only(move |_| {
-            h.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        });
-        assert!(a.read().is_none());
-        a.write("trigger").unwrap().unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]

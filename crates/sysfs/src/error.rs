@@ -19,11 +19,6 @@ pub enum SysFsError {
         /// The offending path.
         path: String,
     },
-    /// The attribute exists but has no read handler (`EACCES`).
-    WriteOnly {
-        /// The offending path.
-        path: String,
-    },
     /// A write handler rejected the value (`EINVAL`).
     InvalidValue {
         /// The offending path.
@@ -58,7 +53,6 @@ impl SysFsError {
         match self {
             Self::NotFound { path }
             | Self::ReadOnly { path }
-            | Self::WriteOnly { path }
             | Self::InvalidValue { path, .. }
             | Self::AlreadyExists { path }
             | Self::NotADirectory { path }
@@ -72,7 +66,6 @@ impl fmt::Display for SysFsError {
         match self {
             Self::NotFound { path } => write!(f, "no such attribute: {path}"),
             Self::ReadOnly { path } => write!(f, "attribute is read-only: {path}"),
-            Self::WriteOnly { path } => write!(f, "attribute is write-only: {path}"),
             Self::InvalidValue {
                 path,
                 value,
@@ -100,9 +93,6 @@ mod tests {
                 path: "/sys/x".into(),
             },
             SysFsError::ReadOnly {
-                path: "/sys/x".into(),
-            },
-            SysFsError::WriteOnly {
                 path: "/sys/x".into(),
             },
             SysFsError::InvalidValue {

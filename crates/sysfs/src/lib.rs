@@ -45,4 +45,4 @@ pub use path::SysPath;
 pub use tree::SysFs;
 
 /// Result alias for sysfs operations.
-pub type Result<T> = std::result::Result<T, SysFsError>;
+pub(crate) type Result<T> = std::result::Result<T, SysFsError>;

@@ -86,16 +86,6 @@ impl SysPath {
             Some(SysPath(format!("/{}", comps[..comps.len() - 1].join("/"))))
         }
     }
-
-    /// Joins a relative component onto this path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SysFsError::InvalidPath`] if the resulting path would be
-    /// malformed (e.g. `child` contains `..`).
-    pub fn join(&self, child: &str) -> crate::Result<SysPath> {
-        SysPath::parse(&format!("{}/{}", self.0, child))
-    }
 }
 
 impl fmt::Display for SysPath {
@@ -152,13 +142,6 @@ mod tests {
         );
         let root = SysPath::parse("/sys").unwrap();
         assert_eq!(root.parent(), None);
-    }
-
-    #[test]
-    fn join_builds_children() {
-        let p = SysPath::parse("/sys/class").unwrap();
-        assert_eq!(p.join("thermal").unwrap().as_str(), "/sys/class/thermal");
-        assert!(p.join("..").is_err());
     }
 
     #[test]

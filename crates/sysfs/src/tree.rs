@@ -161,15 +161,10 @@ impl SysFs {
     ///
     /// # Errors
     ///
-    /// [`SysFsError::NotFound`] if nothing is registered there,
-    /// [`SysFsError::WriteOnly`] if the attribute cannot be read, or a path
+    /// [`SysFsError::NotFound`] if nothing is registered there, or a path
     /// error.
     pub fn read(&self, path: &str) -> Result<String> {
-        self.with_attr(path, |attr| {
-            attr.read().ok_or_else(|| SysFsError::WriteOnly {
-                path: path.to_owned(),
-            })
-        })
+        self.with_attr(path, |attr| Ok(attr.read()))
     }
 
     /// Reads and parses the attribute at `path`.
@@ -257,35 +252,8 @@ impl SysFs {
         Ok(map.keys().cloned().collect())
     }
 
-    /// Removes the attribute or subtree at `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`SysFsError::NotFound`] if nothing exists there.
-    pub fn remove(&self, path: &str) -> Result<()> {
-        let parsed = SysPath::parse(path)?;
-        let comps: Vec<String> = parsed.components().map(str::to_owned).collect();
-        let mut guard = self.root.write();
-        let mut map = &mut *guard;
-        for comp in &comps[..comps.len() - 1] {
-            match map.get_mut(comp) {
-                Some(Node::Dir(children)) => map = children,
-                _ => {
-                    return Err(SysFsError::NotFound {
-                        path: parsed.as_str().to_owned(),
-                    })
-                }
-            }
-        }
-        map.remove(comps.last().expect("nonempty"))
-            .map(|_| ())
-            .ok_or(SysFsError::NotFound {
-                path: parsed.as_str().to_owned(),
-            })
-    }
-
     /// Walks the whole tree, invoking `visit` with each attribute path.
-    pub fn walk(&self, mut visit: impl FnMut(&str, &Attribute)) {
+    pub(crate) fn walk(&self, mut visit: impl FnMut(&str, &Attribute)) {
         fn rec(
             prefix: &str,
             map: &BTreeMap<String, Node>,
@@ -420,17 +388,11 @@ mod tests {
     }
 
     #[test]
-    fn exists_and_remove() {
+    fn exists_finds_attributes_and_directories() {
         let fs = sample();
         assert!(fs.exists("/sys/class/thermal/thermal_zone0/temp"));
         assert!(fs.exists("/sys/class/thermal"));
-        fs.remove("/sys/class/thermal/thermal_zone0/temp").unwrap();
-        assert!(!fs.exists("/sys/class/thermal/thermal_zone0/temp"));
-        assert!(matches!(
-            fs.remove("/sys/class/thermal/thermal_zone0/temp")
-                .unwrap_err(),
-            SysFsError::NotFound { .. }
-        ));
+        assert!(!fs.exists("/sys/class/thermal/thermal_zone9/temp"));
     }
 
     #[test]
@@ -513,8 +475,6 @@ mod tests {
                 fs.register(&path, Attribute::value(value.clone())).unwrap();
                 prop_assert_eq!(fs.read(&path).unwrap(), value);
                 prop_assert!(fs.exists(&path));
-                fs.remove(&path).unwrap();
-                prop_assert!(!fs.exists(&path));
             }
 
             #[test]

@@ -58,13 +58,13 @@ impl FleetState {
 
     /// Number of thermal nodes per device.
     #[must_use]
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.nodes
     }
 
     /// Number of devices in the batch.
     #[must_use]
-    pub fn devices(&self) -> usize {
+    pub(crate) fn devices(&self) -> usize {
         self.devices
     }
 
@@ -79,20 +79,9 @@ impl FleetState {
         self.temps[node * self.devices + device] = t.value();
     }
 
-    /// Injected power at `node` on `device`.
-    #[must_use]
-    pub fn power(&self, node: usize, device: usize) -> Watts {
-        Watts::new(self.power_in[node * self.devices + device])
-    }
-
     /// Sets the power injected at `node` on `device` for the next step.
     pub fn set_power(&mut self, node: usize, device: usize, p: Watts) {
         self.power_in[node * self.devices + device] = p.value();
-    }
-
-    /// Zeroes the whole power plane (start of a tick's input assembly).
-    pub fn clear_power(&mut self) {
-        self.power_in.fill(0.0);
     }
 
     /// Ambient temperature of `device`.
@@ -127,13 +116,6 @@ impl FleetState {
     pub(crate) fn planes_mut(&mut self) -> (&mut [f64], &[f64], &[f64]) {
         (&mut self.temps, &self.power_in, &self.ambient_k)
     }
-
-    /// Copies device `device`'s temperatures into `out` (resized to the
-    /// node count) — the bridge back to scalar per-device views.
-    pub fn device_temps_into(&self, device: usize, out: &mut Vec<Kelvin>) {
-        out.clear();
-        out.extend((0..self.nodes).map(|node| self.temp(node, device)));
-    }
 }
 
 #[cfg(test)]
@@ -147,9 +129,8 @@ mod tests {
         // Node-major: node 1's plane starts at nodes * devices = 3.
         assert_eq!(f.temps_raw()[3 + 2], 310.0);
         f.set_power(0, 1, Watts::new(2.5));
-        assert_eq!(f.power(0, 1), Watts::new(2.5));
-        f.clear_power();
-        assert_eq!(f.power(0, 1), Watts::ZERO);
+        assert_eq!(f.power_raw_mut()[1], 2.5);
+        assert_eq!(f.power_raw_mut()[0], 0.0);
     }
 
     #[test]
@@ -165,8 +146,7 @@ mod tests {
         let mut f = FleetState::new(3, 2, Kelvin::new(300.0), Kelvin::new(298.0));
         f.set_temp(0, 1, Kelvin::new(301.0));
         f.set_temp(2, 1, Kelvin::new(303.0));
-        let mut out = Vec::new();
-        f.device_temps_into(1, &mut out);
+        let out: Vec<Kelvin> = (0..3).map(|node| f.temp(node, 1)).collect();
         assert_eq!(
             out,
             vec![Kelvin::new(301.0), Kelvin::new(300.0), Kelvin::new(303.0)]

@@ -40,7 +40,7 @@ impl Mat {
 
     /// The `n × n` identity matrix.
     #[must_use]
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m.data[i * n + i] = 1.0;
@@ -67,23 +67,15 @@ impl Mat {
         }
     }
 
-    /// Wraps an existing flat row-major buffer. `data.len()` must equal
-    /// `rows * cols`.
-    #[must_use]
-    pub fn from_flat(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "flat buffer length mismatch");
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     #[must_use]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[must_use]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -98,20 +90,14 @@ impl Mat {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// The whole matrix as one flat row-major slice.
-    #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Consumes the matrix, returning its flat row-major buffer.
     #[must_use]
-    pub fn into_vec(self) -> Vec<f64> {
+    pub(crate) fn into_vec(self) -> Vec<f64> {
         self.data
     }
 
     /// Swaps rows `a` and `b` element-wise (no allocation).
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
         }
@@ -184,7 +170,7 @@ pub fn solve(mut a: Mat, mut b: Vec<f64>) -> Option<Vec<f64>> {
 ///
 /// Returns `None` if the matrix is (numerically) singular.
 #[allow(clippy::needless_range_loop)] // indexed form mirrors the math
-pub fn solve_multi(mut a: Mat, mut b: Mat) -> Option<Mat> {
+pub(crate) fn solve_multi(mut a: Mat, mut b: Mat) -> Option<Mat> {
     let n = a.rows();
     debug_assert!(b.rows() == n && a.cols() == n);
     let width = b.cols();
@@ -226,27 +212,13 @@ pub fn solve_multi(mut a: Mat, mut b: Mat) -> Option<Mat> {
     Some(x)
 }
 
-/// The `n×n` identity matrix.
-#[must_use]
-pub fn identity(n: usize) -> Mat {
-    Mat::identity(n)
-}
-
-/// Dense matrix product `A·B` into a fresh matrix.
-#[must_use]
-pub fn mat_mul(a: &Mat, b: &Mat) -> Mat {
-    let mut out = Mat::zeros(a.rows(), b.cols());
-    mat_mul_into(a, b, &mut out);
-    out
-}
-
 /// Dense matrix product `A·B` written into `out` (which is zeroed first).
 ///
 /// `out` must already have shape `a.rows() × b.cols()`; no allocation
 /// happens here, which is what lets `expm`'s squaring loop ping-pong
 /// between two fixed buffers.
 #[allow(clippy::needless_range_loop)] // indexed form mirrors the math
-pub fn mat_mul_into(a: &Mat, b: &Mat, out: &mut Mat) {
+pub(crate) fn mat_mul_into(a: &Mat, b: &Mat, out: &mut Mat) {
     let (m, inner, p) = (a.rows(), a.cols(), b.cols());
     debug_assert!(b.rows() == inner && out.rows() == m && out.cols() == p);
     out.data.fill(0.0);
@@ -413,7 +385,7 @@ fn outward(lo: f64, hi: f64, terms: usize) -> (f64, f64) {
 /// widened outward by the accumulated rounding slack, so it soundly
 /// brackets every real dot product `a · x` with `x_lo ≤ x ≤ x_hi`.
 #[must_use]
-pub fn interval_dot(a: &[f64], x_lo: &[f64], x_hi: &[f64]) -> (f64, f64) {
+pub(crate) fn interval_dot(a: &[f64], x_lo: &[f64], x_hi: &[f64]) -> (f64, f64) {
     debug_assert_eq!(a.len(), x_lo.len());
     debug_assert_eq!(a.len(), x_hi.len());
     let mut lo = 0.0;
@@ -436,7 +408,7 @@ pub fn interval_dot(a: &[f64], x_lo: &[f64], x_hi: &[f64]) -> (f64, f64) {
 /// This is the abstract transformer of the MPT6xx verifier: applied to the
 /// exact discretization `Ad = exp(A·dt)` it propagates a guaranteed
 /// per-node temperature envelope one tick forward.
-pub fn interval_mat_vec(
+pub(crate) fn interval_mat_vec(
     m: &[f64],
     n: usize,
     x_lo: &[f64],
@@ -513,28 +485,21 @@ mod tests {
     }
 
     #[test]
-    fn mat_from_flat_round_trips() {
-        let m = Mat::from_flat(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(m[(0, 2)], 3.0);
-        assert_eq!(m[(1, 0)], 4.0);
-        assert_eq!(m.clone().into_vec(), m.as_slice());
-    }
-
-    #[test]
     fn mat_mul_into_handles_rectangular_shapes() {
         // (2×3)·(3×2) = 2×2, checked against hand arithmetic.
         let a = mat(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let b = mat(&[&[7.0, 8.0], &[9.0, 10.0], &[11.0, 12.0]]);
-        let p = mat_mul(&a, &b);
+        let mut p = Mat::zeros(2, 2);
+        mat_mul_into(&a, &b, &mut p);
         assert_eq!(p.rows(), 2);
         assert_eq!(p.cols(), 2);
-        assert_eq!(p.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
+        assert_eq!(p.into_vec(), vec![58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
     fn expm_of_zero_is_identity() {
         let z = Mat::zeros(3, 3);
-        assert_eq!(expm(&z), identity(3));
+        assert_eq!(expm(&z), Mat::identity(3));
     }
 
     #[test]
@@ -553,7 +518,8 @@ mod tests {
         let two_a = mat(&[&[-4.0, 3.0], &[1.4, -2.4]]);
         let e1 = expm(&a);
         let e2 = expm(&two_a);
-        let prod = mat_mul(&e1, &e1);
+        let mut prod = Mat::zeros(2, 2);
+        mat_mul_into(&e1, &e1, &mut prod);
         for i in 0..2 {
             for j in 0..2 {
                 assert!((prod[(i, j)] - e2[(i, j)]).abs() < 1e-12, "({i},{j})");
@@ -607,7 +573,7 @@ mod tests {
     #[test]
     fn solve_multi_detects_singular() {
         let a = mat(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(solve_multi(a, Mat::from_flat(2, 1, vec![1.0, 2.0])).is_none());
+        assert!(solve_multi(a, mat(&[&[1.0], &[2.0]])).is_none());
     }
 
     proptest! {

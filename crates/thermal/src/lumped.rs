@@ -204,7 +204,7 @@ impl LumpedModel {
     /// or if `p_crit` is unreachable (the implied `c ≥ 1/2`... i.e. the
     /// linear steady state at `p_crit` would already be below ambient
     /// scale).
-    pub fn calibrate_leak_gain(
+    pub(crate) fn calibrate_leak_gain(
         t_ambient: Kelvin,
         r_th: f64,
         beta: f64,
@@ -247,35 +247,21 @@ impl LumpedModel {
         self.beta
     }
 
-    /// Leakage magnitude `g = α·V` in W/K².
-    #[must_use]
-    pub const fn leak_gain(&self) -> f64 {
-        self.leak_gain
-    }
-
     /// Thermal time constant.
     #[must_use]
     pub const fn tau(&self) -> Seconds {
         self.tau
     }
 
-    /// The auxiliary temperature `θ = β/T` for an absolute temperature.
-    ///
-    /// Higher `θ` ⇔ lower temperature.
-    #[must_use]
-    pub fn aux_temperature(&self, t: Kelvin) -> f64 {
-        self.beta / t.value()
-    }
-
     /// The absolute temperature for an auxiliary temperature.
     #[must_use]
-    pub fn temperature_from_aux(&self, theta: f64) -> Kelvin {
+    pub(crate) fn temperature_from_aux(&self, theta: f64) -> Kelvin {
         Kelvin::new(self.beta / theta)
     }
 
     /// Leakage power at temperature `t`.
     #[must_use]
-    pub fn leakage(&self, t: Kelvin) -> Watts {
+    pub(crate) fn leakage(&self, t: Kelvin) -> Watts {
         let tk = t.value();
         Watts::new(self.leak_gain * tk * tk * (-self.beta / tk).exp())
     }
@@ -404,38 +390,10 @@ impl LumpedModel {
         self.stability(p_dyn).steady_state()
     }
 
-    /// The largest dynamic power whose stable fixed point does not exceed
-    /// `limit` — a thermally safe power budget in the spirit of the TSP
-    /// line of work the paper cites. Inverse of
-    /// [`steady_state_temperature`](Self::steady_state_temperature):
-    /// at the fixed point `T = T_a + R·(P + leak(T))`, so
-    /// `P = (limit − T_a)/R − leak(limit)`.
-    ///
-    /// Returns [`Watts::ZERO`] if the limit is at or below ambient (no
-    /// budget exists), and caps the result at the critical power (beyond
-    /// which the fixed point would not be stable anyway).
-    #[must_use]
-    pub fn power_budget_for_limit(&self, limit: Kelvin) -> Watts {
-        if limit <= self.t_ambient {
-            return Watts::ZERO;
-        }
-        // Limits past the critical temperature are unreachable as stable
-        // fixed points: the budget saturates at the critical power (the
-        // balance formula below would follow the *unstable* branch).
-        if let Some((p_crit, t_crit)) = self.critical_point() {
-            if limit >= t_crit {
-                return p_crit;
-            }
-        }
-        let raw =
-            (limit.value() - self.t_ambient.value()) / self.r_th - self.leakage(limit).value();
-        Watts::new(raw.max(0.0))
-    }
-
     /// Instantaneous heating rate `dT/dt` at temperature `t` and dynamic
     /// power `p_dyn`.
     #[must_use]
-    pub fn heating_rate(&self, t: Kelvin, p_dyn: Watts) -> f64 {
+    pub(crate) fn heating_rate(&self, t: Kelvin, p_dyn: Watts) -> f64 {
         let p_total = p_dyn + self.leakage(t);
         (self.t_ambient.value() - t.value() + self.r_th * p_total.value()) / self.tau.value()
     }
@@ -634,11 +592,13 @@ mod tests {
     #[test]
     fn aux_temperature_is_inversely_proportional() {
         let m = odroid();
-        let hot = m.aux_temperature(Kelvin::new(380.0));
-        let cold = m.aux_temperature(Kelvin::new(300.0));
-        assert!(hot < cold, "hotter temperature must give smaller aux value");
-        let t = Kelvin::new(333.0);
-        let rt = m.temperature_from_aux(m.aux_temperature(t));
+        let hot = m.temperature_from_aux(m.beta() / 380.0);
+        let cold = m.temperature_from_aux(m.beta() / 300.0);
+        assert!(
+            hot > cold,
+            "a smaller aux value must give a hotter temperature"
+        );
+        let rt = m.temperature_from_aux(m.beta() / 333.0);
         assert!((rt.value() - 333.0).abs() < 1e-9);
     }
 
@@ -810,36 +770,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn power_budget_inverts_steady_state() {
-        let m = odroid();
-        for limit_c in [60.0, 80.0, 95.0] {
-            let limit = Kelvin::new(273.15 + limit_c);
-            let budget = m.power_budget_for_limit(limit);
-            // Running exactly at the budget lands exactly on the limit.
-            let t = m
-                .steady_state_temperature(budget)
-                .expect("stable at budget");
-            assert!(
-                (t.value() - limit.value()).abs() < 1e-6,
-                "limit {limit_c}: budget {budget} gives {t}"
-            );
-            // A little more power exceeds the limit.
-            let t_over = m.steady_state_temperature(budget + Watts::new(0.05));
-            assert!(t_over.is_none_or(|t| t > limit));
-        }
-    }
-
-    #[test]
-    fn power_budget_edge_cases() {
-        let m = odroid();
-        assert_eq!(m.power_budget_for_limit(m.t_ambient()), Watts::ZERO);
-        assert_eq!(m.power_budget_for_limit(Kelvin::new(200.0)), Watts::ZERO);
-        // An absurdly high limit is capped at the critical power.
-        let huge = m.power_budget_for_limit(Kelvin::new(500.0));
-        assert!((huge.value() - m.critical_power().value()).abs() < 1e-9);
     }
 
     /// The bisections as they were before the early exit, every loop
@@ -1210,20 +1140,6 @@ mod tests {
                 m.time_to_reach(from, target, p, &stability, h).map(|s| s.value().to_bits()),
                 reference::time_to_reach(&m, from, target, p, h).map(|s| s.value().to_bits())
             );
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn prop_power_budget_monotone_in_limit(a in 310.0_f64..420.0, b in 310.0_f64..420.0) {
-            let m = odroid();
-            let (pa, pb) = (
-                m.power_budget_for_limit(Kelvin::new(a)),
-                m.power_budget_for_limit(Kelvin::new(b)),
-            );
-            if a < b {
-                prop_assert!(pa <= pb);
-            }
         }
     }
 }

@@ -26,9 +26,9 @@ use crate::{linalg, LumpedModel, Result, ThermalError};
 /// power–temperature feedback loop with one tick of latency).
 ///
 /// The network's LTI state-space form is assembled exactly once (by
-/// [`ThermalSpec::lti`]) and exposed via [`lti`](RcNetwork::lti) — the
-/// steady-state, time-constant and lumped-model analyses below all
-/// consume the same matrices the solver integrates. The constants those
+/// [`ThermalSpec::lti`]) — the steady-state, time-constant and
+/// lumped-model analyses below all consume the same matrices the solver
+/// integrates. The constants those
 /// analyses derive from it — the steady-state gain table and the
 /// dominant time constant — depend on the network alone, so each is
 /// computed on first use and then read back: a network that is never
@@ -98,13 +98,6 @@ impl RcNetwork {
         })
     }
 
-    /// The network's LTI state-space form — the single source of the
-    /// `(A, B)` matrices for both integration and stability analysis.
-    #[must_use]
-    pub fn lti(&self) -> &ThermalLti {
-        &self.lti
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -116,12 +109,6 @@ impl RcNetwork {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Node names, in index order.
-    #[must_use]
-    pub fn names(&self) -> &[String] {
-        &self.names
     }
 
     /// Index of a named node.
@@ -162,24 +149,6 @@ impl RcNetwork {
             }
         }
         best
-    }
-
-    /// Overrides all node temperatures (e.g. to start an experiment from a
-    /// pre-warmed state).
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::PowerLengthMismatch`] if the slice length differs
-    /// from the node count.
-    pub fn set_temperatures(&mut self, temps: &[Kelvin]) -> Result<()> {
-        if temps.len() != self.len() {
-            return Err(ThermalError::PowerLengthMismatch {
-                expected: self.len(),
-                actual: temps.len(),
-            });
-        }
-        self.temperatures.copy_from_slice(temps);
-        Ok(())
     }
 
     /// Sets every node to the same temperature.
@@ -275,7 +244,7 @@ impl RcNetwork {
     /// # Panics
     ///
     /// Panics if `node` or `injected_at` is out of range.
-    pub fn gain(&self, node: usize, injected_at: usize) -> Result<f64> {
+    pub(crate) fn gain(&self, node: usize, injected_at: usize) -> Result<f64> {
         let n = self.len();
         assert!(
             node < n && injected_at < n,
@@ -312,7 +281,7 @@ impl RcNetwork {
     /// # Errors
     ///
     /// [`ThermalError::SingularNetwork`].
-    pub fn dominant_time_constant(&self) -> Result<Seconds> {
+    pub(crate) fn dominant_time_constant(&self) -> Result<Seconds> {
         let tau = self.tau.get_or_init(|| self.power_iterate_tau());
         tau.ok_or(ThermalError::SingularNetwork)
     }
@@ -386,7 +355,7 @@ impl RcNetwork {
     /// # Errors
     ///
     /// [`ThermalError::UnknownNode`].
-    pub fn temperature_of(&self, name: &str) -> Result<Kelvin> {
+    pub(crate) fn temperature_of(&self, name: &str) -> Result<Kelvin> {
         self.node_index(name)
             .map(|i| self.temperatures[i])
             .ok_or_else(|| ThermalError::UnknownNode {
@@ -481,8 +450,7 @@ mod tests {
             assert_eq!(stats.cache_build, expect_build);
             assert_eq!(stats.cache_hit, !expect_build);
         }
-        assert_eq!(cache.builds(), 1);
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -599,15 +567,6 @@ mod tests {
         let err = net.step(Seconds::new(0.1), &[Watts::ZERO]).unwrap_err();
         assert!(matches!(err, ThermalError::PowerLengthMismatch { .. }));
         assert!(net.steady_state(&[Watts::ZERO]).is_err());
-    }
-
-    #[test]
-    fn set_temperatures_validates_length() {
-        let mut net = odroid_network();
-        assert!(net.set_temperatures(&[Kelvin::new(300.0)]).is_err());
-        let temps = vec![Kelvin::new(310.0); net.len()];
-        net.set_temperatures(&temps).unwrap();
-        assert_eq!(net.temperature(0), Kelvin::new(310.0));
     }
 
     #[test]

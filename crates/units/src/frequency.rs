@@ -47,12 +47,6 @@ impl Hertz {
         Self(khz * 1_000)
     }
 
-    /// Raw value in hertz.
-    #[must_use]
-    pub const fn value(self) -> u64 {
-        self.0
-    }
-
     /// Whole megahertz (truncating).
     #[must_use]
     pub const fn as_mhz(self) -> u64 {
@@ -69,24 +63,6 @@ impl Hertz {
     #[must_use]
     pub const fn as_f64(self) -> f64 {
         self.0 as f64
-    }
-
-    /// Cycles elapsed in `dt` seconds at this frequency.
-    #[must_use]
-    pub fn cycles_in(self, dt: crate::Seconds) -> f64 {
-        self.as_f64() * dt.value()
-    }
-
-    /// Returns the ratio `self / other` as a dimensionless `f64`.
-    ///
-    /// Returns 0.0 when `other` is zero.
-    #[must_use]
-    pub fn ratio_of(self, other: Self) -> f64 {
-        if other.0 == 0 {
-            0.0
-        } else {
-            self.as_f64() / other.as_f64()
-        }
     }
 }
 
@@ -105,8 +81,6 @@ impl core::fmt::Display for Hertz {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Seconds;
-    use proptest::prelude::*;
 
     #[test]
     fn mhz_khz_constructors_agree() {
@@ -118,18 +92,6 @@ mod tests {
         assert_eq!(Hertz::from_mhz(180).to_string(), "180 MHz");
         assert_eq!(Hertz::from_khz(32).to_string(), "32 kHz");
         assert_eq!(Hertz::new(7).to_string(), "7 Hz");
-    }
-
-    #[test]
-    fn cycles_in_window() {
-        // 600 MHz for 10 ms => 6 million cycles.
-        let c = Hertz::from_mhz(600).cycles_in(Seconds::new(0.01));
-        assert!((c - 6.0e6).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ratio_of_zero_is_zero() {
-        assert_eq!(Hertz::from_mhz(100).ratio_of(Hertz::ZERO), 0.0);
     }
 
     #[test]
@@ -148,14 +110,5 @@ mod tests {
                 Hertz::from_mhz(510)
             ]
         );
-    }
-
-    proptest! {
-        #[test]
-        fn prop_ratio_inverse(a in 1_u64..5_000, b in 1_u64..5_000) {
-            let (fa, fb) = (Hertz::from_mhz(a), Hertz::from_mhz(b));
-            let product = fa.ratio_of(fb) * fb.ratio_of(fa);
-            prop_assert!((product - 1.0).abs() < 1e-9);
-        }
     }
 }

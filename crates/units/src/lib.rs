@@ -72,30 +72,6 @@ macro_rules! impl_f64_quantity {
             pub fn max(self, other: Self) -> Self {
                 Self(self.0.max(other.0))
             }
-
-            /// Returns the smaller of `self` and `other`.
-            ///
-            /// NaN values are treated as larger than any number.
-            #[must_use]
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
-            }
-
-            /// Clamps the value into `[lo, hi]`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `lo > hi`.
-            #[must_use]
-            pub fn clamp(self, lo: Self, hi: Self) -> Self {
-                Self(self.0.clamp(lo.0, hi.0))
-            }
-
-            /// Absolute value.
-            #[must_use]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
         }
 
         impl core::ops::Add for $ty {

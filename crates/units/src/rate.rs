@@ -37,14 +37,6 @@ impl Fps {
             (self.0 - after.0) / self.0 * 100.0
         }
     }
-
-    /// The frame period, in seconds, for this rate.
-    ///
-    /// Returns `f64::INFINITY` for a zero rate.
-    #[must_use]
-    pub fn frame_period(self) -> crate::Seconds {
-        crate::Seconds::new(1.0 / self.0)
-    }
 }
 
 /// A dimensionless ratio clamped to `[0, 1]`, used for utilizations, duty
@@ -83,12 +75,6 @@ impl Ratio {
         }
     }
 
-    /// Creates a ratio from a percentage in `[0, 100]`, saturating.
-    #[must_use]
-    pub fn from_percent(pct: f64) -> Self {
-        Self::new(pct / 100.0)
-    }
-
     /// The raw fraction in `[0, 1]`.
     #[must_use]
     pub const fn value(self) -> f64 {
@@ -99,18 +85,6 @@ impl Ratio {
     #[must_use]
     pub fn as_percent(self) -> f64 {
         self.0 * 100.0
-    }
-
-    /// The complementary ratio `1 - self`.
-    #[must_use]
-    pub fn complement(self) -> Self {
-        Self(1.0 - self.0)
-    }
-
-    /// Product of two ratios (always stays in `[0, 1]`).
-    #[must_use]
-    pub fn product(self, other: Self) -> Self {
-        Self(self.0 * other.0)
     }
 }
 
@@ -160,12 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_period_inverts_rate() {
-        let p = Fps::new(60.0).frame_period();
-        assert!((p.value() - 1.0 / 60.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn ratio_saturates() {
         assert_eq!(Ratio::new(2.0), Ratio::ONE);
         assert_eq!(Ratio::new(-1.0), Ratio::ZERO);
@@ -177,29 +145,11 @@ mod tests {
         assert_eq!(format!("{:.0}", Ratio::new(0.67)), "67%");
     }
 
-    #[test]
-    fn complement_and_percent() {
-        let r = Ratio::from_percent(38.0);
-        assert!((r.complement().as_percent() - 62.0).abs() < 1e-9);
-    }
-
     proptest! {
         #[test]
         fn prop_ratio_always_in_unit_interval(v in -10.0_f64..10.0) {
             let r = Ratio::new(v);
             prop_assert!((0.0..=1.0).contains(&r.value()));
-        }
-
-        #[test]
-        fn prop_complement_involutive(v in 0.0_f64..1.0) {
-            let r = Ratio::new(v);
-            prop_assert!((r.complement().complement().value() - r.value()).abs() < 1e-12);
-        }
-
-        #[test]
-        fn prop_product_bounded_by_factors(a in 0.0_f64..1.0, b in 0.0_f64..1.0) {
-            let p = Ratio::new(a).product(Ratio::new(b));
-            prop_assert!(p.value() <= a.min(b) + 1e-12);
         }
     }
 }

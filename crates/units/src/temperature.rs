@@ -28,9 +28,6 @@ pub struct Kelvin(f64);
 impl_f64_quantity!(Kelvin, "K");
 
 impl Kelvin {
-    /// Standard laboratory ambient, 25 °C.
-    pub const AMBIENT: Self = Self(25.0 + KELVIN_OFFSET);
-
     /// Converts to the Celsius scale.
     #[must_use]
     pub fn to_celsius(self) -> Celsius {
@@ -84,11 +81,6 @@ mod tests {
         let c = Celsius::new(36.6);
         let back: Celsius = c.to_kelvin().to_celsius();
         assert!((back.value() - 36.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ambient_constant_is_25c() {
-        assert_eq!(Kelvin::AMBIENT.to_celsius(), Celsius::new(25.0));
     }
 
     #[test]

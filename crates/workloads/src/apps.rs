@@ -260,18 +260,6 @@ pub fn facebook(seed: u64) -> AppModel {
     )
 }
 
-/// All five paper apps, in Table I order.
-#[must_use]
-pub fn all_paper_apps(seed: u64) -> Vec<AppModel> {
-    vec![
-        paper_io(seed),
-        stickman_hook(seed.wrapping_add(1)),
-        amazon(seed.wrapping_add(2)),
-        google_hangouts(seed.wrapping_add(3)),
-        facebook(seed.wrapping_add(4)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,21 +377,5 @@ mod tests {
         let max = demands.iter().copied().fold(0.0, f64::max);
         let min = demands.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(max > min * 1.2, "scene complexity must vary: {min}..{max}");
-    }
-
-    #[test]
-    fn all_paper_apps_has_table1_order() {
-        let apps = all_paper_apps(1);
-        let names: Vec<&str> = apps.iter().map(|a| a.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "Paper.io",
-                "Stickman Hook",
-                "Amazon",
-                "Google Hangouts",
-                "Facebook"
-            ]
-        );
     }
 }

@@ -35,14 +35,14 @@ pub struct ThreeDMark {
 impl ThreeDMark {
     /// GPU cycles per GT1 frame: calibrated so a Mali-T628 at 600 MHz
     /// renders ~97 FPS (the paper's unthrottled baseline).
-    pub const GT1_GPU_PER_FRAME: f64 = 6.19e6;
+    pub(crate) const GT1_GPU_PER_FRAME: f64 = 6.19e6;
     /// GPU cycles per GT2 frame: ~51 FPS at 600 MHz.
-    pub const GT2_GPU_PER_FRAME: f64 = 11.76e6;
+    pub(crate) const GT2_GPU_PER_FRAME: f64 = 11.76e6;
     /// CPU cycles per frame: scene preparation and physics on the big
     /// cluster (3DMark's graphics tests keep the CPU meaningfully busy —
     /// the paper's Figure 9a shows the big cluster drawing ~38% of total
     /// power during the benchmark).
-    pub const CPU_PER_FRAME: f64 = 12.0e6;
+    pub(crate) const CPU_PER_FRAME: f64 = 12.0e6;
 
     /// Creates the benchmark with the default 60 s per graphics test.
     #[must_use]
@@ -205,7 +205,7 @@ impl Nenamark {
     ///
     /// Panics if any parameter is not positive or `growth <= 1`.
     #[must_use]
-    pub fn with_config(
+    pub(crate) fn with_config(
         base_gpu_per_frame: f64,
         growth: f64,
         level_duration: Seconds,
@@ -243,7 +243,7 @@ impl Nenamark {
 
     /// The per-frame GPU cost at the current difficulty.
     #[must_use]
-    pub fn level_cost(&self) -> f64 {
+    pub(crate) fn level_cost(&self) -> f64 {
         self.base_gpu_per_frame * self.growth.powf(self.elapsed / self.level_duration)
     }
 }
@@ -336,7 +336,7 @@ pub struct BasicMathLarge {
 
 impl BasicMathLarge {
     /// Big-equivalent cycles per `basicmath` outer-loop iteration.
-    pub const CYCLES_PER_ITERATION: f64 = 25.0e6;
+    pub(crate) const CYCLES_PER_ITERATION: f64 = 25.0e6;
 
     /// Creates the background task.
     #[must_use]
@@ -417,7 +417,6 @@ pub struct SteadyCompute {
     name: String,
     rate: f64,
     threads: f64,
-    delivered: f64,
 }
 
 impl SteadyCompute {
@@ -437,14 +436,7 @@ impl SteadyCompute {
             name: name.into(),
             rate,
             threads,
-            delivered: 0.0,
         }
-    }
-
-    /// Total cycles delivered so far.
-    #[must_use]
-    pub fn delivered_cycles(&self) -> f64 {
-        self.delivered
     }
 }
 
@@ -470,9 +462,7 @@ impl Workload for SteadyCompute {
         }
     }
 
-    fn deliver(&mut self, cpu_cycles: f64, _gpu_cycles: f64, _now: Seconds, _dt: Seconds) {
-        self.delivered += cpu_cycles.max(0.0);
-    }
+    fn deliver(&mut self, _: f64, _: f64, _: Seconds, _: Seconds) {}
 
     fn next_phase_change(&self, _now: Seconds) -> Option<Seconds> {
         // Demand rate is constant forever: never a phase boundary.
@@ -504,7 +494,6 @@ pub struct BurstyCompute {
     burst: f64,
     idle: f64,
     threads: f64,
-    delivered: f64,
 }
 
 impl BurstyCompute {
@@ -525,20 +514,7 @@ impl BurstyCompute {
             burst: burst.value(),
             idle: idle.value(),
             threads: 2.0,
-            delivered: 0.0,
         }
-    }
-
-    /// The duty cycle (busy fraction).
-    #[must_use]
-    pub fn duty_cycle(&self) -> f64 {
-        self.burst / (self.burst + self.idle)
-    }
-
-    /// Total cycles delivered so far.
-    #[must_use]
-    pub fn delivered_cycles(&self) -> f64 {
-        self.delivered
     }
 
     fn in_burst(&self, now: Seconds) -> bool {
@@ -573,9 +549,7 @@ impl Workload for BurstyCompute {
         }
     }
 
-    fn deliver(&mut self, cpu_cycles: f64, _gpu_cycles: f64, _now: Seconds, _dt: Seconds) {
-        self.delivered += cpu_cycles.max(0.0);
-    }
+    fn deliver(&mut self, _: f64, _: f64, _: Seconds, _: Seconds) {}
 
     fn next_phase_change(&self, now: Seconds) -> Option<Seconds> {
         // The demand rate flips at every burst/idle edge.
@@ -633,7 +607,6 @@ fn default_phase_threads() -> f64 {
 pub struct PhasedCompute {
     name: String,
     phases: Vec<ComputePhase>,
-    delivered: f64,
     finished: bool,
 }
 
@@ -673,15 +646,8 @@ impl PhasedCompute {
         Ok(Self {
             name: name.into(),
             phases,
-            delivered: 0.0,
             finished: false,
         })
-    }
-
-    /// Total cycles delivered so far.
-    #[must_use]
-    pub fn delivered_cycles(&self) -> f64 {
-        self.delivered
     }
 
     fn phase_at(&self, now: Seconds) -> Option<&ComputePhase> {
@@ -717,8 +683,7 @@ impl Workload for PhasedCompute {
         }
     }
 
-    fn deliver(&mut self, cpu_cycles: f64, _gpu_cycles: f64, now: Seconds, dt: Seconds) {
-        self.delivered += cpu_cycles.max(0.0);
+    fn deliver(&mut self, _cpu_cycles: f64, _gpu_cycles: f64, now: Seconds, dt: Seconds) {
         if (now + dt).value() >= self.phases.last().map_or(0.0, |p| p.until_s) {
             self.finished = true;
         }
@@ -743,22 +708,24 @@ mod tests {
 
     const DT: Seconds = Seconds::new(0.01);
 
-    fn drive<W: Workload>(w: &mut W, seconds: f64, cpu_rate: f64, gpu_rate: f64) {
+    /// Runs `w` for `seconds` at the given capacities; returns the CPU
+    /// cycles delivered.
+    fn drive<W: Workload>(w: &mut W, seconds: f64, cpu_rate: f64, gpu_rate: f64) -> f64 {
         let ticks = (seconds / DT.value()) as usize;
+        let mut delivered = 0.0;
         for i in 0..ticks {
             let now = Seconds::new(i as f64 * DT.value());
             if w.is_finished() {
                 break;
             }
             let d = w.demand(now, DT);
-            w.deliver(
-                d.cpu_cycles
-                    .min(cpu_rate * DT.value() * d.cpu_threads.max(1.0)),
-                d.gpu_cycles.min(gpu_rate * DT.value()),
-                now,
-                DT,
-            );
+            let cpu = d
+                .cpu_cycles
+                .min(cpu_rate * DT.value() * d.cpu_threads.max(1.0));
+            delivered += cpu;
+            w.deliver(cpu, d.gpu_cycles.min(gpu_rate * DT.value()), now, DT);
         }
+        delivered
     }
 
     #[test]
@@ -855,8 +822,7 @@ mod tests {
     #[test]
     fn steady_compute_consumes_its_rate() {
         let mut svc = SteadyCompute::new("system_server", 0.5e9, 1.0);
-        drive(&mut svc, 10.0, 2.0e9, 0.0);
-        let got = svc.delivered_cycles();
+        let got = drive(&mut svc, 10.0, 2.0e9, 0.0);
         assert!((got - 5.0e9).abs() / 5.0e9 < 0.01, "delivered {got}");
     }
 
@@ -869,11 +835,9 @@ mod tests {
     #[test]
     fn bursty_compute_respects_duty_cycle() {
         let mut b = BurstyCompute::new("spiky", Seconds::new(0.2), Seconds::new(0.8));
-        assert!((b.duty_cycle() - 0.2).abs() < 1e-12);
-        drive(&mut b, 10.0, 1.0e9, 0.0);
+        let got = drive(&mut b, 10.0, 1.0e9, 0.0);
         // 20% duty at 1 Gcycle/s (x2 threads in drive) for 10 s.
         let expected = 0.2 * 2.0e9 * 10.0;
-        let got = b.delivered_cycles();
         assert!((got - expected).abs() / expected < 0.05, "delivered {got}");
     }
 

@@ -26,7 +26,7 @@ pub struct Demand {
 
 impl Demand {
     /// A completely idle tick.
-    pub const IDLE: Demand = Demand {
+    pub(crate) const IDLE: Demand = Demand {
         cpu_cycles: 0.0,
         cpu_threads: 0.0,
         gpu_cycles: 0.0,

@@ -59,7 +59,7 @@ impl PowerTrace {
 
     /// Number of thermal nodes per tick.
     #[must_use]
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.nodes
     }
 

@@ -21,7 +21,7 @@ pub enum CubicRoots {
 impl CubicRoots {
     /// The real roots as a slice.
     #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         match self {
             CubicRoots::Three(r) => r,
             CubicRoots::One(r) => std::slice::from_ref(r),
@@ -117,13 +117,13 @@ pub fn usqrt(x: u64) -> u64 {
 
 /// Degrees to radians (MiBench `deg2rad`).
 #[must_use]
-pub fn deg_to_rad(deg: f64) -> f64 {
+pub(crate) fn deg_to_rad(deg: f64) -> f64 {
     deg * std::f64::consts::PI / 180.0
 }
 
 /// Radians to degrees (MiBench `rad2deg`).
 #[must_use]
-pub fn rad_to_deg(rad: f64) -> f64 {
+pub(crate) fn rad_to_deg(rad: f64) -> f64 {
     rad * 180.0 / std::f64::consts::PI
 }
 

@@ -7,7 +7,7 @@ use mpt_units::Seconds;
 ///
 /// Every frame costs `cpu_per_frame` big-equivalent CPU cycles and
 /// `gpu_per_frame` GPU cycles (scaled by the current scene complexity —
-/// see [`set_costs`](Self::set_costs)); a frame is complete when both
+/// see `set_costs`); a frame is complete when both
 /// sides have finished it. The pipeline never runs more than one frame
 /// ahead of the vsync schedule (`target_fps`), so a fast platform idles
 /// between frames (low utilization → governors ramp down) while a
@@ -95,7 +95,7 @@ impl FramePipeline {
     /// # Panics
     ///
     /// Panics under the same conditions as [`new`](Self::new).
-    pub fn set_costs(&mut self, cpu_per_frame: f64, gpu_per_frame: f64) {
+    pub(crate) fn set_costs(&mut self, cpu_per_frame: f64, gpu_per_frame: f64) {
         assert!(
             cpu_per_frame >= 0.0 && gpu_per_frame >= 0.0,
             "frame costs must be >= 0"
@@ -106,17 +106,6 @@ impl FramePipeline {
         );
         self.cpu_per_frame = cpu_per_frame;
         self.gpu_per_frame = gpu_per_frame;
-    }
-
-    /// Scales both per-frame costs by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive.
-    pub fn scale_costs(&mut self, factor: f64) {
-        assert!(factor > 0.0, "cost factor must be positive");
-        self.cpu_per_frame *= factor;
-        self.gpu_per_frame *= factor;
     }
 
     /// How many frames one side of the pipeline may run ahead of the
@@ -175,17 +164,11 @@ impl FramePipeline {
             .push((now.value() + dt.value(), self.completed));
     }
 
-    /// Total frames completed so far.
-    #[must_use]
-    pub fn frames_completed(&self) -> f64 {
-        self.completed
-    }
-
     /// Frames completed per second over the trailing `window`.
     ///
     /// Returns `None` until at least `window` of history exists.
     #[must_use]
-    pub fn rolling_fps(&self, window: Seconds) -> Option<f64> {
+    pub(crate) fn rolling_fps(&self, window: Seconds) -> Option<f64> {
         let (t_end, f_end) = *self.history.last()?;
         let t_start = t_end - window.value();
         if self.history.first()?.0 > t_start {
@@ -199,7 +182,7 @@ impl FramePipeline {
 
     /// Per-second frame counts (the samples behind the median).
     #[must_use]
-    pub fn fps_buckets(&self) -> Vec<f64> {
+    pub(crate) fn fps_buckets(&self) -> Vec<f64> {
         let Some(&(t_end, _)) = self.history.last() else {
             return Vec::new();
         };
@@ -221,20 +204,6 @@ impl FramePipeline {
             prev_frames = frames_at;
         }
         buckets
-    }
-
-    /// The fraction of whole seconds whose frame count fell below
-    /// `threshold` — a jank metric in the spirit of the QoS works the
-    /// paper cites (QScale, MAESTRO). Returns `None` with less than one
-    /// full second of history.
-    #[must_use]
-    pub fn jank_ratio(&self, threshold: f64) -> Option<f64> {
-        let buckets = self.fps_buckets();
-        if buckets.is_empty() {
-            return None;
-        }
-        let janky = buckets.iter().filter(|&&f| f < threshold).count();
-        Some(janky as f64 / buckets.len() as f64)
     }
 
     /// The median of the per-second frame counts — the paper's reported
@@ -319,7 +288,7 @@ mod tests {
     fn starved_pipeline_completes_nothing() {
         let mut p = FramePipeline::new(1.0e6, 10.0e6, 60.0);
         run(&mut p, 5.0, 0.0, 0.0);
-        assert_eq!(p.frames_completed(), 0.0);
+        assert_eq!(p.completed, 0.0);
         assert_eq!(p.median_fps(), Some(0.0));
     }
 
@@ -349,7 +318,7 @@ mod tests {
     fn heavier_costs_reduce_fps() {
         let mut a = FramePipeline::new(0.5e6, 10.0e6, 60.0);
         let mut b = FramePipeline::new(0.5e6, 10.0e6, 60.0);
-        b.scale_costs(2.0);
+        b.set_costs(1.0e6, 20.0e6);
         run(&mut a, 10.0, 1e9, 300.0e6);
         run(&mut b, 10.0, 1e9, 300.0e6);
         assert!(b.median_fps().unwrap() < a.median_fps().unwrap());
@@ -359,14 +328,14 @@ mod tests {
     fn cost_change_applies_to_future_frames_only() {
         let mut p = FramePipeline::new(1.0e6, 10.0e6, 240.0);
         run(&mut p, 5.0, 1e9, 300.0e6); // ~30 fps
-        let before = p.frames_completed();
+        let before = p.completed;
         p.set_costs(1.0e6, 20.0e6); // frames get twice as heavy
         run(&mut p, 5.0, 1e9, 300.0e6);
-        let after = p.frames_completed() - before;
+        let after = p.completed - before;
         // Second half should complete roughly half the frames of the first.
         assert!(after < before * 0.65, "before {before}, after {after}");
         // Progress was not retroactively lost.
-        assert!(p.frames_completed() >= before);
+        assert!(p.completed >= before);
     }
 
     #[test]
@@ -405,8 +374,8 @@ mod tests {
                 let now = Seconds::new(i as f64 * 0.01);
                 let (cw, gw) = p.demand(now, DT);
                 p.deliver(cw.min(r * 1e6 * 0.01), gw.min(r * 1e6 * 0.01), now, DT);
-                prop_assert!(p.frames_completed() >= prev);
-                prev = p.frames_completed();
+                prop_assert!(p.completed >= prev);
+                prev = p.completed;
             }
         }
 
@@ -418,26 +387,5 @@ mod tests {
                 prop_assert!(fps <= 61.0);
             }
         }
-    }
-
-    #[test]
-    fn jank_ratio_counts_slow_seconds() {
-        let mut p = FramePipeline::new(0.5e6, 10.0e6, 60.0);
-        // 5 s fast (~35 fps), 5 s starved (0 fps).
-        run(&mut p, 5.0, 1e9, 350.0e6);
-        for i in 500..1000 {
-            let now = Seconds::new(i as f64 * DT.value());
-            p.deliver(0.0, 0.0, now, DT);
-        }
-        let jank = p.jank_ratio(30.0).unwrap();
-        assert!((0.4..0.7).contains(&jank), "jank = {jank}");
-        // Everything clears a 1 FPS bar except the starved half.
-        assert_eq!(p.jank_ratio(0.0), Some(0.0));
-    }
-
-    #[test]
-    fn jank_ratio_none_without_history() {
-        let p = FramePipeline::new(1.0e6, 1.0e6, 60.0);
-        assert_eq!(p.jank_ratio(30.0), None);
     }
 }

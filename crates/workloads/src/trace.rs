@@ -101,12 +101,6 @@ impl TraceWorkload {
         }
     }
 
-    /// The total trace length.
-    #[must_use]
-    pub fn trace_length(&self) -> Seconds {
-        Seconds::new(self.total)
-    }
-
     /// Cycles delivered so far: `(cpu, gpu)`.
     #[must_use]
     pub fn delivered(&self) -> (f64, f64) {
@@ -223,7 +217,7 @@ mod tests {
 
     #[test]
     fn trace_length_sums_segments() {
-        assert_eq!(two_phase(false).trace_length(), Seconds::new(2.0));
+        assert_eq!(two_phase(false).total, 2.0);
     }
 
     proptest! {
