@@ -1,18 +1,25 @@
-//! Criterion benchmarks of the fleet-batched thermal kernel: the
-//! multi-RHS `step_batch` pass that advances every device of a
-//! population with one cached `(Ad, Bd)` pair.
+//! Criterion benchmarks of the fleet strip kernel, which advances every
+//! device of a population with one cached `(Ad, Bd)` pair: its one-tick
+//! case `step_batch`, and the observed `replay_fleet` over a trace.
 //!
 //! The number that matters is **device-ticks per second per core** — the
 //! budget for campaign-scale fleet studies (`BENCH_fleet.json` pins it;
 //! the target is >= 1e6/s/core, and the batched kernel clears it by
-//! orders of magnitude). Each bench iteration steps the whole fleet
-//! once, so device-ticks/s = devices / (seconds per iteration).
+//! orders of magnitude). Each `step_batch` iteration steps the whole
+//! fleet once, so device-ticks/s = devices / (seconds per iteration);
+//! each `replay` iteration replays a 1000-tick trace, so device-ticks/s
+//! = 1000 · devices / (seconds per iteration).
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use mpt_soc::platforms;
-use mpt_thermal::{ExactLti, FleetState, ThermalSolver};
+use mpt_core::fleet::replay_fleet;
+use mpt_obs::Recorder;
+use mpt_soc::{platforms, DeviceParams};
+use mpt_thermal::{ExactLti, FleetState, ThermalSolver, TransitionCache};
 use mpt_units::{Kelvin, Seconds, Watts};
+use mpt_workloads::PowerTrace;
 
 /// A warmed solver + fleet pair on the Odroid-XU3 network: the exp(A dt)
 /// build happens once outside the timed region, exactly as the campaign
@@ -72,5 +79,62 @@ fn bench_step_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_step_batch);
+/// A 1000-tick, 10 ms trace on the Nexus 6P network: each component
+/// node draws a slowly varying power, and the passive nodes none, as in
+/// a captured canonical run.
+fn nexus_trace() -> (mpt_soc::ThermalLti, PowerTrace) {
+    let platform = platforms::snapdragon_810();
+    let spec = platform.thermal_spec();
+    let lti = spec.lti().expect("builtin platform is LTI-form");
+    let mut trace = PowerTrace::new(0.01, lti.len());
+    for tick in 0..1000 {
+        let row: Vec<Watts> = spec
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(node, n)| match n.component {
+                Some(_) => Watts::new(1.0 + 0.8 * ((tick + 97 * node) as f64 * 0.013).sin()),
+                None => Watts::ZERO,
+            })
+            .collect();
+        trace.push_tick(&row);
+    }
+    (lti, trace)
+}
+
+fn bench_replay(c: &mut Criterion) {
+    let (lti, trace) = nexus_trace();
+    let cache = Arc::new(TransitionCache::new());
+    let recorder = Arc::new(Recorder::null());
+    let mut group = c.benchmark_group("fleet");
+    group.sample_size(10);
+    for (name, devices) in [("replay_2000dev", 2000), ("replay_10000dev", 10000)] {
+        // A deterministic spread in every input-side parameter.
+        let params: Vec<DeviceParams> = (0..devices)
+            .map(|d| DeviceParams {
+                leakage_scale: 0.9 + (d % 11) as f64 * 0.02,
+                ambient_offset_c: (d % 13) as f64 * 0.8 - 3.0,
+                phase_offset_s: (d % 17) as f64 * 0.5,
+                workload_mix: 0.9 + (d % 5) as f64 * 0.05,
+            })
+            .collect();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                replay_fleet(
+                    &lti,
+                    trace.clone(),
+                    std::hint::black_box(&params),
+                    None,
+                    Some(40.0),
+                    &recorder,
+                    Some(Arc::clone(&cache)),
+                )
+                .expect("replay succeeds")
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_step_batch, bench_replay);
 criterion_main!(benches);

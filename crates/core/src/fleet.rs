@@ -5,8 +5,9 @@
 //! *canonical* scenario simulates normally (forced to fixed-dt stepping)
 //! with the thermal stage's per-tick node-power plane captured as a
 //! [`PowerTrace`]. Then the trace is replayed **open-loop** across N
-//! jittered devices through the batched multi-RHS thermal kernel
-//! ([`ThermalSolver::step_batch`]): all devices share the cell's cached
+//! jittered devices through the fleet strip kernel ([`ExactLti::replay`],
+//! two devices per register-resident strip, trips observed in the same
+//! loop): all devices share the cell's cached
 //! `(Ad, Bd)` discretization, and differ only in input-side parameters
 //! (leakage scale, ambient offset, workload phase/mix) drawn from the
 //! fleet's seeded distributions. The canonical device's governor
@@ -29,7 +30,7 @@ use mpt_obs::journal::JournalKind;
 use mpt_obs::{Counter, Recorder};
 use mpt_sim::{Result, SimError};
 use mpt_soc::{DeviceParams, FleetSpec};
-use mpt_thermal::{ExactLti, FleetState, ThermalSolver, TransitionCache};
+use mpt_thermal::{ExactLti, FleetState, TraceFeed, TransitionCache, TripWatch};
 use mpt_units::{Celsius, Kelvin, Seconds};
 use mpt_workloads::{FleetInputs, PowerTrace};
 
@@ -45,7 +46,8 @@ const CDF_RANKS: [f64; 7] = [5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0];
 /// min–max range).
 const HIST_BINS: usize = 16;
 
-/// Journal progress events per fleet replay (deterministic cadence).
+/// Journal progress events per fleet replay (deterministic cadence); the
+/// replay kernel runs its ticks in chunks of this cadence.
 const PROGRESS_EVENTS: usize = 8;
 
 /// One device's replay outcome. Not serialized into the campaign report
@@ -203,7 +205,15 @@ pub(crate) fn run_cell_fleet(
 }
 
 /// Replays a captured trace across a jittered device population through
-/// the batched kernel, observing per-device thermal outcomes.
+/// the fleet strip kernel, observing per-device thermal outcomes.
+///
+/// Device `d` behaves exactly as one scalar solver on its own
+/// ambient-shifted network, fed trace tick `(tick + offset_d) mod
+/// ticks` times its power scale. After every tick its hottest node is
+/// observed: the peak, the time above `trip_c` and the end of the first
+/// tick above it. Ticks run in chunks of `ticks / 8` (at least one),
+/// and each chunk adds its device-ticks to `Counter::DeviceTicks` and
+/// emits one `fleet_progress` journal event.
 ///
 /// Public building block: the campaign runner calls this for each fleet
 /// cell, and the benchmarks drive it directly to measure
@@ -225,7 +235,6 @@ pub fn replay_fleet(
     let devices = params.len();
     let ticks = trace.ticks();
     let dt = Seconds::new(trace.dt_s());
-    let trip_k = trip_c.map(|c| Celsius::new(c).to_kelvin().value());
     let mut fleet = FleetState::new(nodes, devices, lti.ambient, lti.ambient);
     for (d, p) in params.iter().enumerate() {
         let ambient = Kelvin::new(lti.ambient.value() + p.ambient_offset_c);
@@ -240,62 +249,39 @@ pub fn replay_fleet(
         None => ExactLti::new(),
     };
     let inputs = FleetInputs::new(trace, params);
+    let feed = TraceFeed {
+        dt,
+        samples: inputs.trace().samples(),
+        offsets: inputs.offsets(),
+        scales: inputs.scales(),
+    };
+    let mut watch = TripWatch::new(devices, trip_c.map(|c| Celsius::new(c).to_kelvin().value()));
     let journal = recorder.journal();
-    let progress_every = (ticks / PROGRESS_EVENTS).max(1);
-    let mut peak = vec![f64::NEG_INFINITY; devices];
-    let mut onset = vec![None; devices];
-    let mut above = vec![0.0_f64; devices];
-    let mut hottest = vec![f64::NEG_INFINITY; devices];
-    for tick in 0..ticks {
-        inputs.fill_tick(tick, fleet.power_raw_mut());
-        solver.step_batch(lti, &mut fleet, dt)?;
-        recorder.add(Counter::DeviceTicks, devices as u64);
-        // Hottest node per device this tick, in one node-major pass.
-        hottest.fill(f64::NEG_INFINITY);
-        let temps = fleet.temps_raw();
-        for node in 0..nodes {
-            let row = &temps[node * devices..(node + 1) * devices];
-            for (h, &t) in hottest.iter_mut().zip(row) {
-                if t > *h {
-                    *h = t;
-                }
-            }
-        }
-        let now_s = (tick + 1) as f64 * dt.value();
-        for d in 0..devices {
-            if hottest[d] > peak[d] {
-                peak[d] = hottest[d];
-            }
-            if let Some(trip) = trip_k {
-                if hottest[d] > trip {
-                    above[d] += dt.value();
-                    if onset[d].is_none() {
-                        onset[d] = Some(now_s);
-                    }
-                }
-            }
-        }
-        if (tick + 1) % progress_every == 0 || tick + 1 == ticks {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            journal.emit(
-                Some((now_s * 1e6).round() as u64),
-                JournalKind::FleetProgress {
-                    devices: devices as u64,
-                    ticks_done: (tick + 1) as u64,
-                    ticks_total: ticks as u64,
-                },
-            );
-        }
-    }
+    let chunk = (ticks / PROGRESS_EVENTS).max(1);
+    let mut last = 0;
+    solver.replay(lti, &mut fleet, &feed, &mut watch, chunk, |done| {
+        recorder.add(Counter::DeviceTicks, (devices * (done - last)) as u64);
+        last = done;
+        let now_s = done as f64 * dt.value();
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        journal.emit(
+            Some((now_s * 1e6).round() as u64),
+            JournalKind::FleetProgress {
+                devices: devices as u64,
+                ticks_done: done as u64,
+                ticks_total: ticks as u64,
+            },
+        );
+    })?;
     Ok(params
         .iter()
         .enumerate()
         .map(|(d, p)| DeviceOutcome {
             device: d,
             params: *p,
-            peak_temp_c: Kelvin::new(peak[d]).to_celsius().value(),
-            throttle_onset_s: onset[d],
-            time_above_trip_s: above[d],
+            peak_temp_c: Kelvin::new(watch.peak_k(d)).to_celsius().value(),
+            throttle_onset_s: watch.onset_s(d),
+            time_above_trip_s: watch.above_s(d),
         })
         .collect())
 }

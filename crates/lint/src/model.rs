@@ -119,6 +119,8 @@ pub(crate) fn check_platform(platform: &Platform, origin: &str) -> Report {
     check_component_ids(platform, origin, &mut r);
     let spec_ok = check_thermal_structure(platform.thermal_spec(), origin, &mut r);
     check_cross_references(platform, origin, &mut r);
+    // Before the fixed-point gate: those points are set by the ambient.
+    check_ambient(platform.thermal_spec().ambient.value(), origin, &mut r);
     if spec_ok {
         r.checks_run += 1;
         let ts = platform.thermal_spec();
@@ -274,7 +276,21 @@ pub(crate) fn check_raw_network(net: &RawNetwork, origin: &str) -> Report {
         let margin = hurwitz_margin(&net.heat_capacity, &g_full);
         emit_not_hurwitz(margin, origin, &mut r);
     }
+    check_ambient(net.ambient_c, origin, &mut r);
     r
+}
+
+/// MPT105 for an ambient that is not finite or lies outside the range
+/// scenario temperatures are held to. Part of the thermal structure
+/// check, so it adds no check of its own.
+fn check_ambient(ambient_c: f64, origin: &str, r: &mut Report) {
+    if !ambient_c.is_finite() || !(-40.0..=MAX_SANE_TEMP_C).contains(&ambient_c) {
+        r.diagnostics.push(Diagnostic::new(
+            Code::ParameterOutOfRange,
+            origin,
+            format!("ambient_c = {ambient_c} outside [-40, {MAX_SANE_TEMP_C}] C"),
+        ));
+    }
 }
 
 fn check_opp_table(comp: &mpt_soc::Component, origin: &str, r: &mut Report) {
@@ -681,6 +697,50 @@ mod tests {
         assert_eq!(check_raw_network(&net, "mem").errors(), 0);
         let g_full = assemble_g_full(2, &[(0, 1, -1.2)], &[0.1, 0.1]);
         assert!(hurwitz_margin(&net.heat_capacity, &g_full) < 0.0);
+    }
+
+    /// The builtin Odroid platform with its ambient replaced, through
+    /// the serde door a `"platform"` model file uses.
+    fn exynos_at(ambient_c: f64) -> Platform {
+        let json = serde_json::to_string(&platforms::exynos_5422()).unwrap();
+        let key = "\"ambient\":";
+        let at = json.find(key).expect("thermal spec has an ambient") + key.len();
+        let end = at + json[at..].find([',', '}']).unwrap();
+        serde_json::from_str(&format!("{}{ambient_c:e}{}", &json[..at], &json[end..])).unwrap()
+    }
+
+    #[test]
+    fn ambient_out_of_range_is_mpt105_in_both_shapes() {
+        let network_at = |ambient_c| RawNetwork {
+            heat_capacity: vec![10.0, 20.0],
+            conductance: vec![vec![0.0, 0.5], vec![0.5, 0.0]],
+            ambient_conductance: vec![0.1, 0.1],
+            ambient_c,
+        };
+        let codes = |r: Report| r.diagnostics.iter().map(|d| d.code).collect::<Vec<_>>();
+        for ambient_c in [1.0e9, -41.0, f64::NAN, f64::INFINITY] {
+            let report = check_raw_network(&network_at(ambient_c), "mem");
+            assert_eq!(
+                codes(report),
+                vec![Code::ParameterOutOfRange],
+                "network at {ambient_c} C"
+            );
+        }
+        for ambient_c in [1.0e9, -41.0, 126.0] {
+            let report = check_platform(&exynos_at(ambient_c), "mem");
+            assert_eq!(
+                codes(report),
+                vec![Code::ParameterOutOfRange],
+                "platform at {ambient_c} C"
+            );
+        }
+        for ambient_c in [-40.0, 25.0, MAX_SANE_TEMP_C] {
+            let raw = check_raw_network(&network_at(ambient_c), "mem");
+            assert_eq!(raw.errors(), 0, "network at {ambient_c} C");
+        }
+        // The platform at its own ambient, through the same door.
+        let platform = check_platform(&exynos_at(25.0), "mem");
+        assert_eq!(platform.errors(), 0, "{}", platform.render_text());
     }
 
     #[test]

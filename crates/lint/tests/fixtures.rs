@@ -8,8 +8,9 @@ use std::process::Command;
 use mpt_lint::{check_file, diag::Code};
 
 /// `(fixture file, the one code it must fire)`.
-const EXPECTED: [(&str, Code); 13] = [
+const EXPECTED: [(&str, Code); 14] = [
     ("asymmetric_g.model.json", Code::InvalidConductance),
+    ("ambient_out_of_range.model.json", Code::ParameterOutOfRange),
     ("non_monotonic_opp.model.json", Code::OppVoltageMonotonicity),
     ("builtin_typo.model.json", Code::UnknownKey),
     ("dangling_sensor.json", Code::DanglingControlSensor),

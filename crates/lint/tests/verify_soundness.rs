@@ -195,9 +195,12 @@ fn fleet_fixture() -> &'static FleetFixture {
     })
 }
 
-/// Replays `devices` jittered devices exactly as `replay_fleet` does and
-/// asserts every node of every device sits inside the widened envelope
-/// at every tick.
+/// Replays `devices` jittered devices one tick at a time through
+/// `fill_tick` and `step_batch` and asserts every node of every device
+/// sits inside the widened envelope at every tick. `replay_fleet` runs
+/// the same strip kernel over the same inputs in chunks of ticks, and
+/// its per-device temperatures have these bits (the kernel's bit-identity
+/// argument), but it keeps only each device's hottest node.
 fn assert_fleet_contained(seed: u64, devices: usize) -> Result<(), String> {
     let fx = fleet_fixture();
     let nodes = fx.lti.len();

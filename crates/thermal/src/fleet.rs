@@ -3,16 +3,17 @@
 //! A fleet is N devices sharing one platform model (one `ThermalLti`,
 //! one cached `(Ad, Bd)` discretization) but each carrying its own
 //! temperatures, injected powers and ambient. Because the discretized
-//! state jump `x' = Ad·x + Bd·u` is linear in the device axis, stepping
-//! N devices is one multi-RHS mat-mat against the shared transition
-//! matrices instead of N mat-vecs — see
-//! [`ThermalSolver::step_batch`](crate::ThermalSolver::step_batch).
+//! state jump `x' = Ad·x + Bd·u` is linear in the device axis, every
+//! device steps against the same shared transition matrices — two at a
+//! time, in the strip kernel behind
+//! [`ThermalSolver::step_batch`](crate::ThermalSolver::step_batch) and
+//! [`ExactLti::replay`](crate::ExactLti::replay).
 //!
 //! # Layout
 //!
 //! Both planes are **node-major**: `temps[node * devices + device]`.
-//! The device axis is innermost and contiguous, so the batch kernel's
-//! inner loops stream linearly through memory and vectorize; the
+//! The device axis is innermost and contiguous, so a strip of two
+//! adjacent devices reads each node's pair of values from one place; the
 //! per-device spread (ambient, leakage, workload phase) enters only on
 //! the input side, never the shared matrices.
 //!
@@ -25,18 +26,23 @@
 //!          ...
 //!   ambient (per dev)  [ A0   A1   A2   ...  AN-1   ]
 //! ```
+//!
+//! The power plane is allocated by the first [`FleetState::set_power`] or
+//! [`FleetState::power_raw_mut`]. A replay reads its power from a
+//! [`TraceFeed`] instead, so it never holds one.
 
-use mpt_units::{Kelvin, Watts};
+use mpt_units::{Kelvin, Seconds, Watts};
 
 /// Node-major per-device state for a batch of devices sharing one
 /// thermal network.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FleetState {
     nodes: usize,
     devices: usize,
     /// Temperatures in kelvin, `[node * devices + device]`.
     temps: Vec<f64>,
-    /// Injected powers in watts, `[node * devices + device]`.
+    /// Injected powers in watts, `[node * devices + device]`; empty
+    /// until a power is first set.
     power_in: Vec<f64>,
     /// Per-device ambient in kelvin.
     ambient_k: Vec<f64>,
@@ -51,7 +57,7 @@ impl FleetState {
             nodes,
             devices,
             temps: vec![initial.value(); nodes * devices],
-            power_in: vec![0.0; nodes * devices],
+            power_in: Vec::new(),
             ambient_k: vec![ambient.value(); devices],
         }
     }
@@ -81,7 +87,8 @@ impl FleetState {
 
     /// Sets the power injected at `node` on `device` for the next step.
     pub fn set_power(&mut self, node: usize, device: usize, p: Watts) {
-        self.power_in[node * self.devices + device] = p.value();
+        let devices = self.devices;
+        self.power_raw_mut()[node * devices + device] = p.value();
     }
 
     /// Ambient temperature of `device`.
@@ -108,13 +115,79 @@ impl FleetState {
     /// The raw node-major power plane, mutable (`[node * devices +
     /// device]`, watts) — the fast path for per-tick input assembly.
     pub fn power_raw_mut(&mut self) -> &mut [f64] {
+        if self.power_in.is_empty() {
+            self.power_in = vec![0.0; self.nodes * self.devices];
+        }
         &mut self.power_in
     }
 
-    /// Splits mutable temperature plane and shared ambient vector for
-    /// the solver kernel.
+    /// Splits the mutable temperature plane from the power plane (empty
+    /// if no power was ever set) and the ambient vector, for the kernel.
     pub(crate) fn planes_mut(&mut self) -> (&mut [f64], &[f64], &[f64]) {
         (&mut self.temps, &self.power_in, &self.ambient_k)
+    }
+}
+
+/// The power a replay feeds its devices: one canonical trace, read by
+/// each device at its own circular offset and scaled by its own factor.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceFeed<'a> {
+    /// The trace's tick period.
+    pub dt: Seconds,
+    /// Per-node powers in watts, tick-major: `[tick * nodes + node]`.
+    pub samples: &'a [f64],
+    /// Per-device read offset in ticks, each below the trace's length:
+    /// device `d` reads tick `(tick + offsets[d]) mod ticks`.
+    pub offsets: &'a [usize],
+    /// Per-device power multiplier.
+    pub scales: &'a [f64],
+}
+
+/// What a replay observes of each device against a trip threshold: the
+/// peak of its hottest node, the time that node spent above the trip,
+/// and when it first crossed.
+#[derive(Debug, Clone)]
+pub struct TripWatch {
+    /// The trip in kelvin; `+∞` without one, so nothing crosses.
+    pub(crate) trip_k: f64,
+    pub(crate) peak: Vec<f64>,
+    pub(crate) above: Vec<f64>,
+    /// First crossing time in seconds; NaN until the device crosses.
+    pub(crate) onset: Vec<f64>,
+}
+
+impl TripWatch {
+    /// A watch over `devices` devices that have seen nothing yet, against
+    /// `trip_k` (kelvin) if set.
+    #[must_use]
+    pub fn new(devices: usize, trip_k: Option<f64>) -> Self {
+        Self {
+            trip_k: trip_k.unwrap_or(f64::INFINITY),
+            peak: vec![f64::NEG_INFINITY; devices],
+            above: vec![0.0; devices],
+            onset: vec![f64::NAN; devices],
+        }
+    }
+
+    /// The hottest node temperature `device` reached, kelvin
+    /// (`-∞` before any tick).
+    #[must_use]
+    pub fn peak_k(&self, device: usize) -> f64 {
+        self.peak[device]
+    }
+
+    /// Seconds `device`'s hottest node spent above the trip.
+    #[must_use]
+    pub fn above_s(&self, device: usize) -> f64 {
+        self.above[device]
+    }
+
+    /// The end of the first tick `device`'s hottest node ended above the
+    /// trip, seconds from the replay's start.
+    #[must_use]
+    pub fn onset_s(&self, device: usize) -> Option<f64> {
+        let onset = self.onset[device];
+        (!onset.is_nan()).then_some(onset)
     }
 }
 

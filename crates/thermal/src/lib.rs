@@ -36,11 +36,13 @@
 //! as a test oracle the exact solver is checked against.
 //!
 //! The same discretization also steps whole device *fleets*: a
-//! [`FleetState`] holds node-major per-device temperature/power planes
-//! and [`ThermalSolver::step_batch`] advances all of them in one
-//! cache-blocked multi-RHS pass against the shared `(Ad, Bd)` — each
+//! [`FleetState`] holds node-major per-device temperature/power planes,
+//! and one strip kernel advances them two devices at a time against
+//! the shared `(Ad, Bd)`, each strip's state held in registers — each
 //! device bit-identical to its own scalar run, with per-device spread
 //! (ambient, leakage, workload phase) entering only on the input side.
+//! [`ExactLti::replay`] runs it across a power trace, observing trips
+//! as it goes; [`ThermalSolver::step_batch`] is its one-tick case.
 //!
 //! The [`reduce`](RcNetwork::reduce) method connects the layers: it
 //! collapses the network to the lumped parameters seen from the hottest
@@ -67,9 +69,10 @@ pub mod linalg;
 mod lumped;
 mod network;
 mod solver;
+mod strip;
 
 pub use error::ThermalError;
-pub use fleet::FleetState;
+pub use fleet::{FleetState, TraceFeed, TripWatch};
 pub use lumped::{FixedPoints, LumpedModel, Stability};
 pub use network::RcNetwork;
 pub use solver::{Discretization, ExactLti, StepStats, ThermalSolver, TransitionCache};

@@ -12,12 +12,13 @@
 //! the same platform factors the network exactly once and shares the
 //! immutable `Ad`/`Bd` across worker threads.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use mpt_soc::ThermalLti;
 use mpt_units::{Kelvin, Seconds, Watts};
 
-use crate::{linalg, FleetState, Result, ThermalError};
+use crate::strip::{self, Lane};
+use crate::{linalg, FleetState, Result, ThermalError, TraceFeed, TripWatch};
 
 /// What one solver step did, for observability counters.
 ///
@@ -58,20 +59,24 @@ pub trait ThermalSolver {
         powers: &[Watts],
     ) -> Result<StepStats>;
 
-    /// Advances every device of a [`FleetState`] by `dt`.
+    /// Advances every device of a [`FleetState`] by `dt`, with power
+    /// from its power plane.
     ///
     /// Semantics are defined by the scalar path: device `d` behaves
     /// exactly as an independent network whose [`ThermalLti`] differs
     /// from `lti` only in `ambient` (the fleet's per-device ambient) —
     /// same inputs produce the same bits as N separate [`step`] calls.
-    /// The returned stats describe the discretization work of the batch
+    /// This is the fleet strip kernel run for one tick. The
+    /// returned stats describe the discretization work of the batch
     /// pass, not per-device work.
     ///
     /// [`step`]: ThermalSolver::step
     ///
     /// # Errors
     ///
-    /// [`ThermalError::SingularNetwork`] as for [`step`](ThermalSolver::step).
+    /// [`ThermalError::SingularNetwork`] as for [`step`](ThermalSolver::step);
+    /// [`ThermalError::InvalidSpec`] for a network of more than 1024
+    /// nodes, the widest the kernel takes.
     fn step_batch(
         &mut self,
         lti: &ThermalLti,
@@ -89,6 +94,10 @@ pub struct Discretization {
     n: usize,
     ad: Vec<f64>,
     bd_cols: Vec<f64>,
+    /// Both matrices as the fleet strip kernel reads them at its width
+    /// (see `strip.rs`), laid out on first use so the scalar path
+    /// never pays for it; empty for a network no kernel takes.
+    kernel_layout: OnceLock<Vec<Lane>>,
 }
 
 impl Discretization {
@@ -120,7 +129,7 @@ impl Discretization {
             let b = lti.b_diag[j];
             bd_cols.extend((0..n).map(|i| phi[(i, j)] * b));
         }
-        // The batch kernel's bit-identity argument needs `b · 0 = ±0`.
+        // The strip kernel's bit-identity argument needs `b · 0 = ±0`.
         debug_assert!(
             bd_cols.iter().all(|b| b.is_finite()),
             "Bd entries must be finite"
@@ -129,6 +138,7 @@ impl Discretization {
             n,
             ad: ad.into_vec(),
             bd_cols,
+            kernel_layout: OnceLock::new(),
         })
     }
 
@@ -142,6 +152,16 @@ impl Discretization {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// The strip kernel's layout of both matrices.
+    fn kernel_layout(&self) -> &[Lane] {
+        self.kernel_layout.get_or_init(|| {
+            strip::width(self.n).map_or_else(
+                |_| Vec::new(),
+                |w| strip::layout(w, self.n, &self.ad, &self.bd_cols),
+            )
+        })
     }
 
     /// Propagates a guaranteed state envelope one tick forward:
@@ -277,9 +297,6 @@ pub struct ExactLti {
     /// fixed after construction, so `dt` alone keys the memo.
     memo: Option<StepMemo>,
     x: Vec<f64>,
-    /// Batch-kernel scratch (one block's next temperatures); empty until
-    /// the first `step_batch` call.
-    y: Vec<f64>,
 }
 
 /// Resolves the discretization for `dt`, preferring the per-solver memo
@@ -325,16 +342,60 @@ impl ExactLti {
             cache,
             memo: None,
             x: Vec::new(),
-            y: Vec::new(),
         }
     }
 
-    /// Devices per cache block in the batch kernel: the working set of
-    /// one block (`2 · nodes · BLOCK` doubles of scratch plus the
-    /// temperature and power rows it touches) stays inside L1 for any
-    /// realistic node count, so the multi-RHS pass streams `Ad` once per
-    /// block instead of once per device.
-    const BLOCK: usize = 256;
+    /// Replays a power trace across every device of `fleet`, one tick of
+    /// `feed.dt` per trace tick, observing each device's hottest node
+    /// against `watch`'s trip after every tick.
+    ///
+    /// Device `d` reads trace tick `(tick + feed.offsets[d]) mod ticks`
+    /// scaled by `feed.scales[d]`, and behaves exactly as [`step`] on its
+    /// own ambient-shifted network fed that power: each tick's
+    /// temperatures, and so what `watch` records, have the scalar
+    /// path's bits. The strip kernel runs the ticks in
+    /// chunks of `chunk` (at least one); after each chunk `done` gets
+    /// the number of ticks done.
+    ///
+    /// [`step`]: ThermalSolver::step
+    ///
+    /// # Errors
+    ///
+    /// As for [`step_batch`](ThermalSolver::step_batch).
+    ///
+    /// # Panics
+    ///
+    /// If `fleet` does not have `lti`'s nodes, `feed` does not hold whole
+    /// ticks of them or one offset and scale per device, `watch` does
+    /// not watch every device, or an offset is not below the trace's
+    /// length.
+    pub fn replay(
+        &mut self,
+        lti: &ThermalLti,
+        fleet: &mut FleetState,
+        feed: &TraceFeed<'_>,
+        watch: &mut TripWatch,
+        chunk: usize,
+        mut done: impl FnMut(usize),
+    ) -> Result<StepStats> {
+        let (n, devices) = (fleet.nodes(), fleet.devices());
+        assert_eq!(n, lti.len(), "the fleet has the network's nodes");
+        assert_eq!(feed.samples.len() % n, 0, "trace holds whole ticks");
+        let ticks = feed.samples.len() / n;
+        assert_eq!(feed.offsets.len(), devices, "one offset per device");
+        assert_eq!(feed.scales.len(), devices, "one scale per device");
+        assert_eq!(watch.peak.len(), devices, "one watch per device");
+        assert!(
+            feed.offsets.iter().all(|&o| o < ticks.max(1)),
+            "offsets lie inside the trace"
+        );
+        let Self { cache, memo, .. } = self;
+        let mut stats = StepStats::default();
+        let m = memoized_disc(cache, memo, lti, feed.dt, &mut stats)?;
+        stats.substeps_avoided = m.substeps_avoided;
+        strip::replay(m.disc.kernel_layout(), fleet, feed, watch, chunk, &mut done)?;
+        Ok(stats)
+    }
 }
 
 impl Default for ExactLti {
@@ -382,95 +443,18 @@ impl ThermalSolver for ExactLti {
         Ok(stats)
     }
 
-    /// The multi-RHS batch kernel: one cache-blocked mat-mat against the
-    /// shared `(Ad, Bd)` advances every device at once.
-    ///
-    /// Each block of devices is one pass over its scratch `y`: `y = Ad·x`,
-    /// then `y += T_amb`, then the `Bd` scatter into `y`, then one copy
-    /// into the temperature plane.
-    ///
-    /// Bit-identity with the scalar path is structural, not approximate.
-    /// For each `(node, device)` output the `Ad` accumulation runs over
-    /// `k` in ascending order with no zero-skip (exactly the scalar
-    /// mat-vec's addition sequence), the ambient is added after the full
-    /// accumulation, and the `Bd` scatter visits power nodes `j` in
-    /// ascending order. The scatter skips node `j` only where its power
-    /// is zero for every device of the block; otherwise it adds `b · p`
-    /// for every device, where the scalar path skips each zero `p`. That
-    /// extra term is `b · 0 = ±0` (every `Bd` entry is finite), and
-    /// `t + ±0 = t` exactly for any non-zero `t`: the running value is a
-    /// temperature in kelvin, positive on every physical input. So each
-    /// output sees the scalar path's value after every operation. Blocking
-    /// over the device axis never reorders any per-device operation, so
-    /// `N = 1` reproduces [`ThermalSolver::step`] bit for bit and each
-    /// device of an `N`-batch matches its own scalar run.
     fn step_batch(
         &mut self,
         lti: &ThermalLti,
         fleet: &mut FleetState,
         dt: Seconds,
     ) -> Result<StepStats> {
-        let Self { cache, memo, x, y } = self;
+        let Self { cache, memo, .. } = self;
         let mut stats = StepStats::default();
         let m = memoized_disc(cache, memo, lti, dt, &mut stats)?;
         stats.substeps_avoided = m.substeps_avoided;
-        let disc = &*m.disc;
-        let n = fleet.nodes();
-        debug_assert_eq!(n, disc.n);
-        let nd = fleet.devices();
-        let (temps, power_in, amb) = fleet.planes_mut();
-        x.resize(n * Self::BLOCK, 0.0);
-        y.resize(n * Self::BLOCK, 0.0);
-        let mut d0 = 0;
-        while d0 < nd {
-            let bw = Self::BLOCK.min(nd - d0);
-            let amb_blk = &amb[d0..d0 + bw];
-            // Deviation coordinates for the block: x[k][c] = T − T_amb(d).
-            for k in 0..n {
-                let t_row = &temps[k * nd + d0..k * nd + d0 + bw];
-                let x_row = &mut x[k * bw..(k + 1) * bw];
-                for ((xv, t), a) in x_row.iter_mut().zip(t_row).zip(amb_blk) {
-                    *xv = t - a;
-                }
-            }
-            // y = Ad·x, accumulating over k in ascending order per output
-            // (the scalar mat-vec's exact addition sequence), then back to
-            // absolute temperatures.
-            y[..n * bw].fill(0.0);
-            for i in 0..n {
-                let y_row = &mut y[i * bw..(i + 1) * bw];
-                for k in 0..n {
-                    let a = disc.ad[i * n + k];
-                    let x_row = &x[k * bw..(k + 1) * bw];
-                    for (yv, xv) in y_row.iter_mut().zip(x_row) {
-                        *yv += a * xv;
-                    }
-                }
-                for (yv, a) in y_row.iter_mut().zip(amb_blk) {
-                    *yv += a;
-                }
-            }
-            // Bd scatter, column-major like the scalar path: power nodes j
-            // in ascending order, skipping only a node unpowered across
-            // the whole block (the doc comment's ±0 argument).
-            for j in 0..n {
-                let p_row = &power_in[j * nd + d0..j * nd + d0 + bw];
-                if p_row.iter().all(|&p| p == 0.0) {
-                    continue;
-                }
-                for i in 0..n {
-                    let b = disc.bd_cols[j * n + i];
-                    let y_row = &mut y[i * bw..(i + 1) * bw];
-                    for (yv, pv) in y_row.iter_mut().zip(p_row) {
-                        *yv += b * pv;
-                    }
-                }
-            }
-            for i in 0..n {
-                temps[i * nd + d0..i * nd + d0 + bw].copy_from_slice(&y[i * bw..(i + 1) * bw]);
-            }
-            d0 += bw;
-        }
+        debug_assert_eq!(fleet.nodes(), m.disc.n);
+        strip::step_plane(m.disc.kernel_layout(), fleet)?;
         Ok(stats)
     }
 }

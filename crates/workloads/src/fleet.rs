@@ -12,12 +12,14 @@
 //!   circularly (a steady population caught at random phases of the
 //!   viral launch), rounded to the tick grid.
 //!
-//! Nothing here touches temperatures or the platform model: the output
-//! is exactly the node-major power plane a
-//! `FleetState` feeds to the batched solver. Exact zeros in the trace
-//! stay exact zeros after scaling, so a node the canonical run leaves
-//! unpowered hits the `Bd` scatter's skip for nodes unpowered across a
-//! device block.
+//! Nothing here touches temperatures or the platform model. A replay
+//! hands the fleet kernel the trace's samples with each device's
+//! [`offsets`](FleetInputs::offsets) and [`scales`](FleetInputs::scales),
+//! and the kernel reads each device's row of node powers itself;
+//! [`FleetInputs::fill_tick`] assembles the same powers into the
+//! node-major plane a `FleetState` holds. Exact zeros in the trace stay
+//! exact zeros after scaling, so a node the canonical run never powers
+//! is one the kernel skips.
 
 use mpt_soc::DeviceParams;
 use mpt_units::Watts;
@@ -74,6 +76,12 @@ impl PowerTrace {
     pub fn sample(&self, tick: usize, node: usize) -> f64 {
         self.samples[tick * self.nodes + node]
     }
+
+    /// Every sample in watts, tick-major: `[tick * nodes + node]`.
+    #[must_use]
+    pub fn samples(&self) -> &[f64] {
+        &self.samples
+    }
 }
 
 /// A fleet's assembled input model: the canonical trace plus each
@@ -120,6 +128,19 @@ impl FleetInputs {
     #[must_use]
     pub fn trace(&self) -> &PowerTrace {
         &self.trace
+    }
+
+    /// Each device's circular read offset in ticks, below the trace's
+    /// length: device `d` reads trace tick `(tick + offsets[d]) mod ticks`.
+    #[must_use]
+    pub fn offsets(&self) -> &[usize] {
+        &self.offset_ticks
+    }
+
+    /// Each device's power multiplier (`leakage_scale · workload_mix`).
+    #[must_use]
+    pub fn scales(&self) -> &[f64] {
+        &self.scale
     }
 
     /// Fills one tick of the node-major power plane
