@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use mpt_kernel::{allocate_max_min, GovernorKind, Pid, ProcessClass};
+use mpt_kernel::{allocate_max_min, GovernorKind, Pid};
 use mpt_sim::{SimBuilder, SteppingMode};
 use mpt_soc::{platforms, ComponentId};
 use mpt_thermal::{LumpedModel, RcNetwork};
@@ -144,11 +144,7 @@ fn bench_simulator_tick(c: &mut Criterion) {
         b.iter_batched(
             || {
                 SimBuilder::new(platforms::snapdragon_810())
-                    .attach(
-                        Box::new(apps::paper_io(42)),
-                        ProcessClass::Foreground,
-                        ComponentId::BigCluster,
-                    )
+                    .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
                     .build()
                     .expect("valid sim")
             },
@@ -165,11 +161,7 @@ fn bench_simulator_tick(c: &mut Criterion) {
         b.iter_batched(
             || {
                 SimBuilder::new(platforms::exynos_5422())
-                    .attach(
-                        Box::new(BasicMathLarge::new()),
-                        ProcessClass::Background,
-                        ComponentId::BigCluster,
-                    )
+                    .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
                     .build()
                     .expect("valid sim")
             },
@@ -202,7 +194,6 @@ fn bench_stepping(c: &mut Criterion) {
             .governor(ComponentId::LittleCluster, GovernorKind::Performance)
             .attach(
                 Box::new(SteadyCompute::new("load", 2.0e9, 2.0)),
-                ProcessClass::Background,
                 ComponentId::BigCluster,
             )
             .build()
@@ -238,11 +229,7 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     let build = |recorder: Arc<Recorder>| {
         SimBuilder::new(platforms::exynos_5422())
             .recorder(recorder)
-            .attach(
-                Box::new(BasicMathLarge::new()),
-                ProcessClass::Background,
-                ComponentId::BigCluster,
-            )
+            .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
             .build()
             .expect("valid sim")
     };

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use mpt_core::experiments::{fig7_curves, nexus_run, NexusApp};
 use mpt_core::{AppAwareConfig, AppAwareGovernor};
-use mpt_kernel::{IpaConfig, IpaGovernor, ProcessClass};
+use mpt_kernel::{IpaConfig, IpaGovernor};
 use mpt_sim::SimBuilder;
 use mpt_soc::{platforms, ComponentId};
 use mpt_units::{Celsius, Seconds, Watts};
@@ -38,14 +38,9 @@ fn short_odroid(proposed: bool) {
                 Seconds::new(5.0),
                 Seconds::new(5.0),
             )),
-            ProcessClass::Foreground,
             ComponentId::BigCluster,
         )
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .build()
         .expect("valid sim");
     sim.run_for(Seconds::new(10.0)).expect("run");

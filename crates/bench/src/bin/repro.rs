@@ -19,7 +19,7 @@ use mpt_core::experiments::{
     self, fig7_curves, nexus_run, threedmark_run, NexusApp, NexusRun, OdroidRun, OdroidScenario,
 };
 use mpt_daq::{chart, Residency, TimeSeries};
-use mpt_kernel::{GovernorKind, ProcessClass};
+use mpt_kernel::GovernorKind;
 use mpt_obs::clock;
 use mpt_sim::{SimBuilder, SteppingMode};
 use mpt_soc::{platforms, ComponentId};
@@ -362,7 +362,6 @@ fn time_engine(mode: SteppingMode) -> (f64, f64) {
         .governor(ComponentId::LittleCluster, GovernorKind::Performance)
         .attach(
             Box::new(SteadyCompute::new("load", 2.0e9, 2.0)),
-            ProcessClass::Background,
             ComponentId::BigCluster,
         )
         .build()

@@ -8,7 +8,6 @@
 //! throttle trip — using the same lumped stability analysis the governor
 //! runs.
 
-use mpt_kernel::ProcessClass;
 use mpt_sim::{Result, SimBuilder};
 use mpt_soc::{platforms, ComponentId, Platform};
 use mpt_units::{Celsius, Kelvin, Seconds, Watts};
@@ -44,7 +43,6 @@ fn probe(soc: &Platform, spec: &AppSpec, scale: f64, seed: u64) -> Result<(Optio
     let mut sim = SimBuilder::new(soc.clone())
         .attach(
             Box::new(AppModel::new(&scaled(spec, scale), seed)),
-            ProcessClass::Foreground,
             ComponentId::BigCluster,
         )
         .control_sensor("package")
@@ -54,13 +52,7 @@ fn probe(soc: &Platform, spec: &AppSpec, scale: f64, seed: u64) -> Result<(Optio
     let p_dyn: Watts = (sim.last_powers().iter().flatten())
         .map(|b| b.dynamic + b.static_floor)
         .sum();
-    let mut leak_gain = 0.0;
-    let mut beta = 8000.0;
-    for component in soc.components() {
-        let leak = component.power_params().leakage();
-        beta = leak.beta();
-        leak_gain += leak.alpha() * component.opps().highest().voltage().value();
-    }
+    let (leak_gain, beta) = soc.lumped_leakage(|c| c.opps().highest().voltage());
     let (hot, _) = sim.network().hottest();
     let lumped = sim
         .network()

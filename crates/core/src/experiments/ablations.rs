@@ -4,7 +4,6 @@
 //! the stability analysis's predictions against the simulated ground
 //! truth.
 
-use mpt_kernel::ProcessClass;
 use mpt_sim::{Result, SimBuilder, Simulator};
 use mpt_soc::{platforms, ComponentId};
 use mpt_thermal::RcNetwork;
@@ -45,21 +44,15 @@ pub fn window_ablation(windows: &[Seconds]) -> Result<Vec<WindowAblation>> {
                     Seconds::new(60.0),
                     Seconds::new(60.0),
                 )),
-                ProcessClass::Foreground,
                 ComponentId::BigCluster,
             )
-            .attach(
-                Box::new(BasicMathLarge::new()),
-                ProcessClass::Background,
-                ComponentId::BigCluster,
-            )
+            .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
             .attach(
                 Box::new(BurstyCompute::new(
                     "bursty-decoy",
                     Seconds::new(0.12),
                     Seconds::new(0.88),
                 )),
-                ProcessClass::Background,
                 ComponentId::BigCluster,
             )
             .system_policy(Box::new(gov))
@@ -231,14 +224,9 @@ fn bml_scenario(policy: Box<dyn mpt_sim::SystemPolicy>) -> Result<Simulator> {
                 Seconds::new(60.0),
                 Seconds::new(60.0),
             )),
-            ProcessClass::Foreground,
             ComponentId::BigCluster,
         )
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .system_policy(policy)
         .initial_temperature(Celsius::new(50.0))
         .build()
@@ -273,18 +261,16 @@ pub fn prediction_accuracy(powers: &[Watts]) -> mpt_thermal::Result<Vec<Predicti
     let big = soc.component(ComponentId::BigCluster).expect("big cluster");
     let leak = big.power_params().leakage();
     let v = big.opps().highest().voltage();
+    // Only the big cluster is powered here, so its own α·V is the whole
+    // leak gain, not the platform's `lumped_leakage` sum.
+    let big_cluster_leak_gain = leak.alpha() * v.value();
     powers
         .iter()
         .map(|&p| {
             let net = RcNetwork::from_spec(spec)?;
             let mut node_powers = vec![Watts::ZERO; net.len()];
             node_powers[big_node] = p;
-            let lumped = net.reduce(
-                &node_powers,
-                big_node,
-                leak.alpha() * v.value(),
-                leak.beta(),
-            )?;
+            let lumped = net.reduce(&node_powers, big_node, big_cluster_leak_gain, leak.beta())?;
             let predicted = lumped.steady_state_temperature(p).map(Kelvin::to_celsius);
             // Ground truth: integrate the network with leakage feedback
             // until it settles (or detect runaway).

@@ -150,23 +150,6 @@ impl AppAwareGovernor {
         Arc::clone(&self.stats)
     }
 
-    /// Derives the lumped leak gain `Σ αᵢ·Vᵢ` and β from the platform at
-    /// the current operating points.
-    fn leakage_parameters(view: &SystemView<'_>) -> (f64, f64) {
-        let mut gain = 0.0;
-        let mut beta = 0.0;
-        for component in view.platform.components() {
-            let leak = component.power_params().leakage();
-            beta = leak.beta();
-            let v = view.policies.get(&component.id()).map_or_else(
-                || component.opps().highest().voltage(),
-                |p| component.opps().at_or_below(p.current()).voltage(),
-            );
-            gain += leak.alpha() * v.value();
-        }
-        (gain, beta)
-    }
-
     fn act(&mut self, view: &mut SystemView<'_>) {
         match self.config.action {
             ThrottleAction::MigrateToLittle => {
@@ -255,7 +238,13 @@ impl SystemPolicy for AppAwareGovernor {
         let p_dyn: Watts = (view.powers.iter().flatten())
             .map(|b| b.dynamic + b.static_floor)
             .sum();
-        let (leak_gain, beta) = Self::leakage_parameters(&view);
+        // The lumped leak gain is taken at the current operating points.
+        let (leak_gain, beta) = view.platform.lumped_leakage(|component| {
+            view.policies.get(&component.id()).map_or_else(
+                || component.opps().highest().voltage(),
+                |p| component.opps().at_or_below(p.current()).voltage(),
+            )
+        });
 
         // Reduce the live network to the lumped model seen from the
         // hottest node.
@@ -310,7 +299,6 @@ impl SystemPolicy for AppAwareGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpt_kernel::ProcessClass;
     use mpt_sim::SimBuilder;
     use mpt_soc::platforms;
     use mpt_units::Seconds;
@@ -343,14 +331,9 @@ mod tests {
                     Seconds::new(60.0),
                     Seconds::new(60.0),
                 )),
-                ProcessClass::Foreground,
                 ComponentId::BigCluster,
             )
-            .attach(
-                Box::new(BasicMathLarge::new()),
-                ProcessClass::Background,
-                ComponentId::BigCluster,
-            )
+            .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
             .system_policy(Box::new(gov))
             .initial_temperature(Celsius::new(50.0))
             .build()
@@ -379,11 +362,7 @@ mod tests {
         let gov = AppAwareGovernor::new(AppAwareConfig::default());
         let stats = gov.stats();
         let mut sim = SimBuilder::new(platforms::exynos_5422())
-            .attach(
-                Box::new(BasicMathLarge::new()),
-                ProcessClass::Background,
-                ComponentId::LittleCluster,
-            )
+            .attach(Box::new(BasicMathLarge::new()), ComponentId::LittleCluster)
             .system_policy(Box::new(gov))
             .build()
             .unwrap();
@@ -402,17 +381,12 @@ mod tests {
         });
         let stats = gov.stats();
         let mut sim = SimBuilder::new(platforms::exynos_5422())
-            .attach(
-                Box::new(BasicMathLarge::new()),
-                ProcessClass::Background,
-                ComponentId::BigCluster,
-            )
+            .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
             .attach(
                 Box::new(ThreeDMark::with_durations(
                     Seconds::new(60.0),
                     Seconds::new(60.0),
                 )),
-                ProcessClass::Foreground,
                 ComponentId::BigCluster,
             )
             .system_policy(Box::new(gov))
@@ -445,14 +419,9 @@ mod tests {
                     Seconds::new(15.0),
                     Seconds::new(15.0),
                 )),
-                ProcessClass::Foreground,
                 ComponentId::BigCluster,
             )
-            .attach(
-                Box::new(BasicMathLarge::new()),
-                ProcessClass::Background,
-                ComponentId::BigCluster,
-            )
+            .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
             .system_policy(Box::new(gov))
             .initial_temperature(Celsius::new(85.0))
             .build()

@@ -34,14 +34,13 @@
 //! use mpt_core::{AppAwareConfig, AppAwareGovernor};
 //! use mpt_sim::SimBuilder;
 //! use mpt_soc::{platforms, ComponentId};
-//! use mpt_kernel::ProcessClass;
 //! use mpt_units::Seconds;
 //! use mpt_workloads::benchmarks::BasicMathLarge;
 //!
 //! let gov = AppAwareGovernor::new(AppAwareConfig::default());
 //! let stats = gov.stats();
 //! let mut sim = SimBuilder::new(platforms::exynos_5422())
-//!     .attach(Box::new(BasicMathLarge::new()), ProcessClass::Background, ComponentId::BigCluster)
+//!     .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
 //!     .system_policy(Box::new(gov))
 //!     .build()?;
 //! sim.run_for(Seconds::new(2.0))?;

@@ -13,9 +13,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use mpt_kernel::{IpaConfig, IpaGovernor, ProcessClass, StepWiseGovernor, TripPoint};
+use mpt_kernel::{IpaConfig, IpaGovernor, StepWiseGovernor, TripPoint};
 use mpt_sim::{Result, SimBuilder, SimError, Simulator, SteppingMode};
-use mpt_soc::{platforms, ComponentId, Platform};
+use mpt_soc::{platforms, splitmix64, ComponentId, Platform};
 use mpt_thermal::TransitionCache;
 use mpt_units::{Celsius, Seconds, Watts};
 use mpt_workloads::benchmarks::{
@@ -163,7 +163,9 @@ pub struct WorkloadSpec {
     /// Where it starts.
     #[serde(default)]
     pub cluster: ClusterSpec,
-    /// Whether it is the user-facing app.
+    /// Whether it is the user-facing app. Nothing reads this flag: it
+    /// changes nothing a run produces, and the paper's governor exempts
+    /// an app through `realtime`, not through a foreground class.
     #[serde(default)]
     pub foreground: bool,
     /// Whether it registers as real-time (exempt from the proposed
@@ -536,14 +538,6 @@ pub(crate) fn label_axes(label: &str) -> Vec<(String, String)> {
     axes
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn thermal_label(t: &ThermalPolicySpec) -> String {
     match t {
         ThermalPolicySpec::Disabled => "disabled".to_owned(),
@@ -849,15 +843,10 @@ pub fn build_scenario_cached(
     }
     for w in &spec.workloads {
         let workload = w.build().map_err(invalid)?;
-        let class = if w.foreground {
-            ProcessClass::Foreground
-        } else {
-            ProcessClass::Background
-        };
         builder = if w.realtime {
-            builder.attach_realtime(workload, class, w.cluster.into())
+            builder.attach_realtime(workload, w.cluster.into())
         } else {
-            builder.attach(workload, class, w.cluster.into())
+            builder.attach(workload, w.cluster.into())
         };
     }
     Ok((builder.build()?, stats))

@@ -6,8 +6,7 @@
 //! `performance`, `ondemand` and Android `interactive` governors the
 //! simulated platforms run (`interactive` "sets the frequency to the
 //! highest value whenever it detects user interactions" — the behaviour
-//! the paper's introduction calls out), plus `userspace` for pinning a
-//! frequency.
+//! the paper's introduction calls out).
 
 use std::fmt;
 
@@ -57,30 +56,6 @@ impl FrequencyGovernor for Performance {
 
     fn target(&mut self, opps: &OppTable, _: Hertz, _: ClusterLoad, _: Seconds) -> Hertz {
         opps.highest().frequency()
-    }
-}
-
-/// Runs at a fixed, user-selected frequency.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Userspace {
-    setpoint: Hertz,
-}
-
-impl Userspace {
-    /// Creates the governor pinned to `setpoint`.
-    #[must_use]
-    pub const fn new(setpoint: Hertz) -> Self {
-        Self { setpoint }
-    }
-}
-
-impl FrequencyGovernor for Userspace {
-    fn name(&self) -> &'static str {
-        "userspace"
-    }
-
-    fn target(&mut self, _: &OppTable, _: Hertz, _: ClusterLoad, _: Seconds) -> Hertz {
-        self.setpoint
     }
 }
 
@@ -193,8 +168,6 @@ impl FrequencyGovernor for Interactive {
 pub enum GovernorKind {
     /// `performance`
     Performance,
-    /// `userspace` at the given setpoint.
-    Userspace(Hertz),
     /// `ondemand`
     Ondemand,
     /// `interactive`
@@ -207,7 +180,6 @@ impl GovernorKind {
     pub(crate) fn make(self) -> Box<dyn FrequencyGovernor> {
         match self {
             GovernorKind::Performance => Box::new(Performance),
-            GovernorKind::Userspace(f) => Box::new(Userspace::new(f)),
             GovernorKind::Ondemand => Box::new(Ondemand::default()),
             GovernorKind::Interactive => Box::new(Interactive::new()),
         }
@@ -335,14 +307,6 @@ mod tests {
     fn performance_pins_max() {
         let mut p = gpu_policy(GovernorKind::Performance);
         assert_eq!(p.update(load(0.0), DT).as_mhz(), 600);
-    }
-
-    #[test]
-    fn userspace_holds_setpoint_snapped() {
-        let mut p = gpu_policy(GovernorKind::Userspace(Hertz::from_mhz(420)));
-        p.update(load(1.0), DT);
-        // 420 MHz is not an Adreno OPP; snaps down to 390.
-        assert_eq!(p.current().as_mhz(), 390);
     }
 
     #[test]

@@ -11,14 +11,12 @@
 //! allocation" on the Odroid-XU3. To make the comparison policy-vs-policy
 //! rather than policy-vs-stub, this crate implements:
 //!
-//! - a process model with foreground/background classes, real-time
-//!   registration, cluster affinity and rolling utilization windows
-//!   ([`Process`], [`Scheduler`]);
+//! - a process model with real-time registration, cluster affinity and
+//!   rolling utilization windows ([`Process`], [`Scheduler`]);
 //! - max–min fair CPU-cycle allocation within a cluster
 //!   ([`allocate_max_min`]);
 //! - the cpufreq governors the platforms run, `performance`, `ondemand`
-//!   and Android's `interactive`, plus `userspace` for pinning a
-//!   frequency ([`cpufreq`]);
+//!   and Android's `interactive` ([`cpufreq`]);
 //! - the kernel thermal governors: step-wise trip points
 //!   ([`StepWiseGovernor`]) and ARM Intelligent Power Allocation
 //!   ([`IpaGovernor`]);
@@ -28,12 +26,12 @@
 //! # Examples
 //!
 //! ```
-//! use mpt_kernel::{ProcessClass, Scheduler};
+//! use mpt_kernel::Scheduler;
 //! use mpt_soc::ComponentId;
 //!
 //! let mut sched = Scheduler::new();
-//! let game = sched.spawn("paper.io", ProcessClass::Foreground, ComponentId::BigCluster);
-//! let sync = sched.spawn("sync-daemon", ProcessClass::Background, ComponentId::BigCluster);
+//! let game = sched.spawn("paper.io", ComponentId::BigCluster);
+//! let sync = sched.spawn("sync-daemon", ComponentId::BigCluster);
 //! sched.migrate(sync, ComponentId::LittleCluster)?;
 //! assert_eq!(sched.process(game).unwrap().cluster(), ComponentId::BigCluster);
 //! assert_eq!(sched.process(sync).unwrap().cluster(), ComponentId::LittleCluster);
@@ -49,7 +47,7 @@ pub mod thermal_gov;
 
 pub use cpufreq::{CpuFreqPolicy, FrequencyGovernor, GovernorKind};
 pub use error::KernelError;
-pub use process::{Pid, Process, ProcessClass, UtilWindow};
+pub use process::{Pid, Process, UtilWindow};
 pub use sched::{allocate_max_min, Allocation, Scheduler};
 pub use thermal_gov::{
     ActorState, DisabledGovernor, IpaConfig, IpaGovernor, StepWiseGovernor, ThermalAction,

@@ -41,19 +41,6 @@ impl fmt::Display for Pid {
     }
 }
 
-/// Whether a process is user-facing.
-///
-/// The paper's key observation is that stock thermal governors throttle
-/// the whole system even when a *background* process caused the heating;
-/// its proposed governor penalizes only the offender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ProcessClass {
-    /// The app the user is interacting with (rendering frames).
-    Foreground,
-    /// A compute task with no user-visible deadline.
-    Background,
-}
-
 /// A rolling time-weighted average over a fixed time span.
 ///
 /// The paper's governor "monitor\[s\] the average utilization of each active
@@ -138,17 +125,17 @@ impl UtilWindow {
     }
 }
 
-/// A schedulable process: identity, class, cluster affinity and the
+/// A schedulable process: identity, cluster affinity and the
 /// windows the governors consult.
 ///
 /// # Examples
 ///
 /// ```
-/// use mpt_kernel::{ProcessClass, Scheduler};
+/// use mpt_kernel::Scheduler;
 /// use mpt_soc::ComponentId;
 ///
 /// let mut sched = Scheduler::new();
-/// let pid = sched.spawn("bml", ProcessClass::Background, ComponentId::BigCluster);
+/// let pid = sched.spawn("bml", ComponentId::BigCluster);
 /// let p = sched.process(pid).unwrap();
 /// assert_eq!(p.name(), "bml");
 /// assert!(!p.is_realtime());
@@ -157,7 +144,6 @@ impl UtilWindow {
 pub struct Process {
     pid: Pid,
     name: String,
-    class: ProcessClass,
     cluster: ComponentId,
     realtime: bool,
     util_window: UtilWindow,
@@ -169,14 +155,12 @@ impl Process {
     pub(crate) fn new(
         pid: Pid,
         name: impl Into<String>,
-        class: ProcessClass,
         cluster: ComponentId,
         window_span: Seconds,
     ) -> Self {
         Self {
             pid,
             name: name.into(),
-            class,
             cluster,
             realtime: false,
             util_window: UtilWindow::new(window_span),
@@ -195,12 +179,6 @@ impl Process {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Foreground or background.
-    #[must_use]
-    pub const fn class(&self) -> ProcessClass {
-        self.class
     }
 
     /// The CPU cluster the process currently runs on.
@@ -340,7 +318,6 @@ mod tests {
         let mut p = Process::new(
             Pid::new(1),
             "game",
-            ProcessClass::Foreground,
             ComponentId::BigCluster,
             Seconds::new(1.0),
         );
@@ -356,7 +333,6 @@ mod tests {
         let mut p = Process::new(
             Pid::new(1),
             "bml",
-            ProcessClass::Background,
             ComponentId::BigCluster,
             Seconds::new(1.0),
         );
@@ -371,7 +347,6 @@ mod tests {
         let mut p = Process::new(
             Pid::new(1),
             "decoder",
-            ProcessClass::Background,
             ComponentId::BigCluster,
             Seconds::new(1.0),
         );

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use mpt_soc::ComponentId;
 use mpt_units::Seconds;
 
-use crate::{KernelError, Pid, Process, ProcessClass, Result};
+use crate::{KernelError, Pid, Process, Result};
 
 /// The default rolling-window span used for per-process utilization and
 /// power accounting (the paper uses a one-second window).
@@ -90,11 +90,11 @@ pub fn allocate_max_min(
 /// # Examples
 ///
 /// ```
-/// use mpt_kernel::{ProcessClass, Scheduler};
+/// use mpt_kernel::Scheduler;
 /// use mpt_soc::ComponentId;
 ///
 /// let mut sched = Scheduler::new();
-/// let pid = sched.spawn("bml", ProcessClass::Background, ComponentId::BigCluster);
+/// let pid = sched.spawn("bml", ComponentId::BigCluster);
 /// sched.migrate(pid, ComponentId::LittleCluster)?;
 /// assert_eq!(sched.on_cluster(ComponentId::LittleCluster).count(), 1);
 /// # Ok::<(), mpt_kernel::KernelError>(())
@@ -136,18 +136,13 @@ impl Scheduler {
     /// Panics if `cluster` is not a CPU cluster; spawning onto the GPU is
     /// a programming error (GPU work is expressed through the workload's
     /// GPU demand instead).
-    pub fn spawn(
-        &mut self,
-        name: impl Into<String>,
-        class: ProcessClass,
-        cluster: ComponentId,
-    ) -> Pid {
+    pub fn spawn(&mut self, name: impl Into<String>, cluster: ComponentId) -> Pid {
         assert!(cluster.is_cpu(), "processes run on CPU clusters");
         let pid = Pid::new(self.next_pid);
         self.next_pid += 1;
         let span = self.window.unwrap_or(DEFAULT_WINDOW);
         self.processes
-            .insert(pid, Process::new(pid, name, class, cluster, span));
+            .insert(pid, Process::new(pid, name, cluster, span));
         pid
     }
 
@@ -254,8 +249,8 @@ mod tests {
     #[test]
     fn spawn_assigns_unique_pids() {
         let mut s = Scheduler::new();
-        let a = s.spawn("a", ProcessClass::Foreground, ComponentId::BigCluster);
-        let b = s.spawn("b", ProcessClass::Background, ComponentId::LittleCluster);
+        let a = s.spawn("a", ComponentId::BigCluster);
+        let b = s.spawn("b", ComponentId::LittleCluster);
         assert_ne!(a, b);
         assert_eq!(s.len(), 2);
     }
@@ -263,7 +258,7 @@ mod tests {
     #[test]
     fn migrate_to_gpu_is_rejected() {
         let mut s = Scheduler::new();
-        let a = s.spawn("a", ProcessClass::Foreground, ComponentId::BigCluster);
+        let a = s.spawn("a", ComponentId::BigCluster);
         assert!(matches!(
             s.migrate(a, ComponentId::Gpu).unwrap_err(),
             KernelError::NotACpuCluster { .. }
@@ -274,14 +269,14 @@ mod tests {
     #[should_panic(expected = "CPU clusters")]
     fn spawn_on_gpu_is_a_bug() {
         let mut s = Scheduler::new();
-        let _ = s.spawn("a", ProcessClass::Foreground, ComponentId::Gpu);
+        let _ = s.spawn("a", ComponentId::Gpu);
     }
 
     #[test]
     fn on_cluster_filters() {
         let mut s = Scheduler::new();
-        let a = s.spawn("a", ProcessClass::Foreground, ComponentId::BigCluster);
-        let _b = s.spawn("b", ProcessClass::Background, ComponentId::BigCluster);
+        let a = s.spawn("a", ComponentId::BigCluster);
+        let _b = s.spawn("b", ComponentId::BigCluster);
         s.migrate(a, ComponentId::LittleCluster).unwrap();
         assert_eq!(s.on_cluster(ComponentId::BigCluster).count(), 1);
         assert_eq!(s.on_cluster(ComponentId::LittleCluster).count(), 1);
@@ -290,8 +285,8 @@ mod tests {
     #[test]
     fn most_power_hungry_respects_realtime_exemption() {
         let mut s = Scheduler::new();
-        let hungry = s.spawn("hungry", ProcessClass::Background, ComponentId::BigCluster);
-        let modest = s.spawn("modest", ProcessClass::Background, ComponentId::BigCluster);
+        let hungry = s.spawn("hungry", ComponentId::BigCluster);
+        let modest = s.spawn("modest", ComponentId::BigCluster);
         for _ in 0..10 {
             s.process_mut(hungry)
                 .unwrap()
@@ -309,16 +304,8 @@ mod tests {
     #[test]
     fn most_power_hungry_can_exclude_a_cluster() {
         let mut s = Scheduler::new();
-        let big = s.spawn(
-            "big-task",
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        );
-        let little = s.spawn(
-            "little-task",
-            ProcessClass::Background,
-            ComponentId::LittleCluster,
-        );
+        let big = s.spawn("big-task", ComponentId::BigCluster);
+        let little = s.spawn("little-task", ComponentId::LittleCluster);
         for _ in 0..10 {
             s.process_mut(big)
                 .unwrap()
@@ -338,7 +325,7 @@ mod tests {
     #[test]
     fn most_power_hungry_none_when_all_idle() {
         let mut s = Scheduler::new();
-        let _ = s.spawn("idle", ProcessClass::Background, ComponentId::BigCluster);
+        let _ = s.spawn("idle", ComponentId::BigCluster);
         assert!(s.most_power_hungry(None).is_none());
     }
 

@@ -34,8 +34,9 @@ const RETIRED_KEYS: [(&str, &str); 1] = [("solver", "every run uses the exact LT
 /// checked against this.
 struct AlertContext {
     ambient_c: f64,
-    /// A foreground workload that reports frames exists.
-    foreground_fps: bool,
+    /// Some workload renders frames, so the simulator's frame rate (the
+    /// worst over every renderer) exists for `fps_below` to watch.
+    renders_frames: bool,
     /// Some throttling mechanism (baseline policy or app-aware governor)
     /// can generate cap-change events.
     throttling: bool,
@@ -263,14 +264,11 @@ pub(crate) fn check_scenario(spec: &ScenarioSpec, path: &str) -> Report {
     }
     let context = AlertContext {
         ambient_c,
-        foreground_fps: spec.workloads.iter().any(|w| {
-            w.foreground
-                && matches!(
-                    w.kind,
-                    WorkloadKind::App { .. }
-                        | WorkloadKind::ThreeDMark { .. }
-                        | WorkloadKind::Nenamark
-                )
+        renders_frames: spec.workloads.iter().any(|w| {
+            matches!(
+                w.kind,
+                WorkloadKind::App { .. } | WorkloadKind::ThreeDMark { .. } | WorkloadKind::Nenamark
+            )
         }),
         throttling: spec.thermal != ThermalPolicySpec::Disabled || spec.app_aware.is_some(),
     };
@@ -663,12 +661,12 @@ fn check_alert_rules(
                     );
                 }
                 if let Some(ctx) = context {
-                    if !ctx.foreground_fps {
+                    if !ctx.renders_frames {
                         invalid(
                             r,
                             &origin,
-                            "fps_below watches the foreground frame rate, but no foreground \
-                             workload reports frames"
+                            "fps_below watches the rendered frame rate, but no workload \
+                             renders frames"
                                 .to_owned(),
                         );
                     }
@@ -885,6 +883,20 @@ mod tests {
         let report = check_scenario(&spec, "s");
         assert_eq!(report.warnings(), 1, "{}", report.render_text());
         assert_eq!(report.errors(), 1, "{}", report.render_text());
+    }
+
+    #[test]
+    fn fps_below_watches_any_renderer_whatever_its_foreground_flag() {
+        let report = check_scenario_json(
+            r#"{ "platform": "snapdragon810", "duration_s": 20.0,
+                 "initial_temperature_c": 35.0,
+                 "thermal": { "policy": "step_wise", "trips_c": [40.5, 43.5],
+                              "period_s": 1.0 },
+                 "alerts": [ { "rule": "fps_below", "target": 30.0, "sustain_s": 1.0 } ],
+                 "workloads": [ { "kind": "app", "name": "paper_io", "seed": 42 } ] }"#,
+            "s",
+        );
+        assert!(report.diagnostics.is_empty(), "{}", report.render_text());
     }
 
     #[test]

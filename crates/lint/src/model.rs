@@ -579,9 +579,10 @@ fn check_fixed_points(platform: &Platform, origin: &str, r: &mut Report) {
     let n = ts.nodes.len();
     let mut max_node_w = vec![0.0; n];
     let mut idle_node_w = vec![0.0; n];
-    let (mut gain_max, mut gain_idle, mut beta) = (0.0, 0.0, 0.0);
+    let (gain_max, beta) = platform.lumped_leakage(|c| c.opps().highest().voltage());
+    let (gain_idle, _) = platform.lumped_leakage(|c| c.opps().lowest().voltage());
     for comp in platform.components() {
-        let (top, bottom) = (comp.opps().highest(), comp.opps().lowest());
+        let top = comp.opps().highest();
         let pp = comp.power_params();
         let dynamic = pp
             .dynamic_power(top.voltage(), top.frequency(), f64::from(comp.core_count()))
@@ -592,9 +593,6 @@ fn check_fixed_points(platform: &Platform, origin: &str, r: &mut Report) {
             .expect("checked by cross-reference pass");
         max_node_w[node] += dynamic + floor;
         idle_node_w[node] += floor;
-        gain_max += pp.leakage().alpha() * top.voltage().value();
-        gain_idle += pp.leakage().alpha() * bottom.voltage().value();
-        beta = pp.leakage().beta();
     }
     for (label, node_w, gain, runaway_severity) in [
         ("max power", &max_node_w, gain_max, Severity::Warning),

@@ -3,9 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use mpt_kernel::{
-    CpuFreqPolicy, DisabledGovernor, GovernorKind, ProcessClass, Scheduler, ThermalGovernor,
-};
+use mpt_kernel::{CpuFreqPolicy, DisabledGovernor, GovernorKind, Scheduler, ThermalGovernor};
 use mpt_obs::{AlertRule, Recorder};
 use mpt_soc::{ComponentId, Platform};
 use mpt_sysfs::SysFs;
@@ -38,7 +36,7 @@ pub struct SimBuilder {
     initial_temperature: Option<Celsius>,
     telemetry_period: Seconds,
     accounting_window: Option<Seconds>,
-    workloads: Vec<(Box<dyn Workload>, ProcessClass, ComponentId, bool)>,
+    workloads: Vec<(Box<dyn Workload>, ComponentId, bool)>,
     recorder: Option<Arc<Recorder>>,
     trip_reference: Option<Celsius>,
     alert_rules: Vec<AlertRule>,
@@ -208,13 +206,8 @@ impl SimBuilder {
 
     /// Attaches a workload as a process on a CPU cluster.
     #[must_use]
-    pub fn attach(
-        mut self,
-        workload: Box<dyn Workload>,
-        class: ProcessClass,
-        cluster: ComponentId,
-    ) -> Self {
-        self.workloads.push((workload, class, cluster, false));
+    pub fn attach(mut self, workload: Box<dyn Workload>, cluster: ComponentId) -> Self {
+        self.workloads.push((workload, cluster, false));
         self
     }
 
@@ -222,13 +215,8 @@ impl SimBuilder {
     /// application-aware throttling, per the paper's registration
     /// mechanism).
     #[must_use]
-    pub fn attach_realtime(
-        mut self,
-        workload: Box<dyn Workload>,
-        class: ProcessClass,
-        cluster: ComponentId,
-    ) -> Self {
-        self.workloads.push((workload, class, cluster, true));
+    pub fn attach_realtime(mut self, workload: Box<dyn Workload>, cluster: ComponentId) -> Self {
+        self.workloads.push((workload, cluster, true));
         self
     }
 
@@ -295,7 +283,7 @@ impl SimBuilder {
             None => Scheduler::new(),
         };
         let mut attached = Vec::new();
-        for (workload, class, cluster, realtime) in self.workloads {
+        for (workload, cluster, realtime) in self.workloads {
             if !cluster.is_cpu() {
                 return Err(SimError::InvalidConfig {
                     reason: format!(
@@ -309,7 +297,7 @@ impl SimBuilder {
                     reason: format!("platform has no {cluster} cluster"),
                 });
             }
-            let pid = scheduler.spawn(workload.name().to_owned(), class, cluster);
+            let pid = scheduler.spawn(workload.name().to_owned(), cluster);
             scheduler.set_realtime(pid, realtime)?;
             attached.push(Attached { pid, workload });
         }

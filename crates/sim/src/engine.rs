@@ -214,8 +214,8 @@ impl SimCore {
     }
 
     /// The worst frame rate across the attached workloads' pipelines, or
-    /// `None` when none renders: a dropped foreground frame must not be
-    /// masked by a fast background renderer.
+    /// `None` when none renders: one renderer's dropped frames must not
+    /// be masked by a faster one.
     pub(crate) fn worst_fps(&self) -> Option<f64> {
         self.workloads
             .iter()

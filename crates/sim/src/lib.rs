@@ -39,12 +39,11 @@
 //! ```
 //! use mpt_sim::SimBuilder;
 //! use mpt_soc::{platforms, ComponentId};
-//! use mpt_kernel::ProcessClass;
 //! use mpt_units::Seconds;
 //! use mpt_workloads::apps;
 //!
 //! let mut sim = SimBuilder::new(platforms::snapdragon_810())
-//!     .attach(Box::new(apps::paper_io(42)), ProcessClass::Foreground, ComponentId::BigCluster)
+//!     .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
 //!     .build()?;
 //! sim.run_for(Seconds::new(5.0))?;
 //! assert!(sim.time() >= Seconds::new(5.0));

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use mpt_kernel::{ProcessClass, StepWiseGovernor, ThermalGovernor, TripPoint};
+use mpt_kernel::{StepWiseGovernor, ThermalGovernor, TripPoint};
 use mpt_obs::{Counter, Recorder};
 use mpt_sim::{SimBuilder, SimError, Simulator, SteppingMode};
 use mpt_soc::{platforms, ComponentId, Platform};
@@ -25,11 +25,7 @@ const STAGES: [&str; 9] = [
 
 fn game_sim() -> Simulator {
     SimBuilder::new(platforms::snapdragon_810())
-        .attach(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
         .build()
         .unwrap()
 }
@@ -97,11 +93,7 @@ fn thermal_governor_caps_via_sysfs() {
     let soc = platforms::snapdragon_810();
     let gov = nexus_stock_thermal(&soc);
     let mut sim = SimBuilder::new(soc)
-        .attach(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
         .thermal_governor(gov)
         .thermal_period(Seconds::new(1.0))
         .control_sensor("package")
@@ -125,20 +117,12 @@ fn unthrottled_runs_hotter_but_faster() {
     let soc = platforms::snapdragon_810();
     let gov = nexus_stock_thermal(&soc);
     let mut free = SimBuilder::new(platforms::snapdragon_810())
-        .attach(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
         .initial_temperature(Celsius::new(35.0))
         .build()
         .unwrap();
     let mut throttled = SimBuilder::new(soc)
-        .attach(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
         .thermal_governor(gov)
         .thermal_period(Seconds::new(1.0))
         .control_sensor("package")
@@ -178,11 +162,7 @@ fn writing_sysfs_cap_takes_effect() {
 #[test]
 fn bml_saturates_one_big_core() {
     let mut sim = SimBuilder::new(platforms::exynos_5422())
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .build()
         .unwrap();
     sim.run_for(Seconds::new(10.0)).unwrap();
@@ -196,11 +176,7 @@ fn bml_saturates_one_big_core() {
 #[test]
 fn migration_moves_load_to_little_cluster() {
     let mut sim = SimBuilder::new(platforms::exynos_5422())
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .build()
         .unwrap();
     sim.run_for(Seconds::new(5.0)).unwrap();
@@ -255,11 +231,7 @@ fn invalid_configs_are_rejected() {
     assert!(matches!(err, SimError::InvalidConfig { .. }));
 
     let err = SimBuilder::new(platforms::snapdragon_810())
-        .attach(
-            Box::new(apps::paper_io(1)),
-            ProcessClass::Foreground,
-            ComponentId::Gpu,
-        )
+        .attach(Box::new(apps::paper_io(1)), ComponentId::Gpu)
         .build()
         .unwrap_err();
     assert!(matches!(err, SimError::InvalidConfig { .. }));
@@ -295,11 +267,7 @@ fn lookups_for_unknown_names_are_none() {
 #[test]
 fn non_rendering_workloads_report_no_fps() {
     let mut sim = SimBuilder::new(platforms::exynos_5422())
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .build()
         .unwrap();
     sim.run_for(Seconds::new(2.0)).unwrap();
@@ -315,11 +283,7 @@ fn analysis_tracks_alerts_and_derived_observables() {
     let soc = platforms::snapdragon_810();
     let gov = nexus_stock_thermal(&soc);
     let mut sim = SimBuilder::new(soc)
-        .attach(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
         .thermal_governor(gov)
         .thermal_period(Seconds::new(1.0))
         .control_sensor("package")
@@ -392,11 +356,7 @@ fn event_stepping_is_bit_identical_on_app_scenarios() {
     let run = |mode| {
         let mut sim = SimBuilder::new(platforms::snapdragon_810())
             .stepping(mode)
-            .attach(
-                Box::new(apps::paper_io(42)),
-                ProcessClass::Foreground,
-                ComponentId::BigCluster,
-            )
+            .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
             .initial_temperature(Celsius::new(35.0))
             .build()
             .unwrap();
@@ -432,7 +392,6 @@ fn event_stepping_macro_jumps_a_steady_scenario() {
             .telemetry_period(Seconds::new(5.0))
             .attach(
                 Box::new(SteadyCompute::new("load", 2.0e9, 2.0)),
-                ProcessClass::Background,
                 ComponentId::BigCluster,
             )
             .initial_temperature(Celsius::new(35.0))
@@ -469,7 +428,6 @@ fn event_stepping_preserves_alert_firings_across_trip_crossings() {
             .stepping(mode)
             .attach(
                 Box::new(SteadyCompute::new("load", 3.0e9, 3.0)),
-                ProcessClass::Background,
                 ComponentId::BigCluster,
             )
             .thermal_governor(gov)
@@ -535,7 +493,6 @@ fn event_stepping_rows_keep_their_timestamps() {
             .telemetry_period(Seconds::new(1.0))
             .attach(
                 Box::new(SteadyCompute::new("load", 2.0e9, 2.0)),
-                ProcessClass::Background,
                 ComponentId::BigCluster,
             )
             .initial_temperature(Celsius::new(35.0))
@@ -574,11 +531,7 @@ fn event_stepping_rows_keep_their_timestamps() {
 #[test]
 fn unthrottled_run_reports_absent_trip_metrics() {
     let mut sim = SimBuilder::new(platforms::snapdragon_810())
-        .attach(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
         .initial_temperature(Celsius::new(35.0))
         .build()
         .unwrap();
@@ -620,11 +573,7 @@ fn passes_time_stages_into_histograms_without_spans() {
     let run = |recorder: Arc<Recorder>| {
         let mut sim = SimBuilder::new(platforms::snapdragon_810())
             .recorder(recorder)
-            .attach(
-                Box::new(apps::paper_io(42)),
-                ProcessClass::Foreground,
-                ComponentId::BigCluster,
-            )
+            .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
             .build()
             .unwrap();
         sim.run_for(Seconds::new(5.0)).unwrap();
@@ -660,11 +609,7 @@ fn pass_counters_stay_exact_through_every_driving_call() {
         SimBuilder::new(platforms::exynos_5422())
             .recorder(recorder)
             .stepping(stepping)
-            .attach(
-                Box::new(BasicMathLarge::new()),
-                ProcessClass::Background,
-                ComponentId::BigCluster,
-            )
+            .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
             .build()
             .unwrap()
     };

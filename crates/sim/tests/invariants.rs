@@ -4,7 +4,6 @@
 
 use proptest::prelude::*;
 
-use mpt_kernel::ProcessClass;
 use mpt_sim::SimBuilder;
 use mpt_soc::{platforms, ComponentId};
 use mpt_units::Seconds;
@@ -29,7 +28,6 @@ fn traced_sim(cpu_rates: &[f64], gpu_rate: f64) -> mpt_sim::Simulator {
         };
         builder = builder.attach(
             Box::new(TraceWorkload::new(format!("w{i}"), segs, true)),
-            ProcessClass::Background,
             cluster,
         );
     }
@@ -136,7 +134,6 @@ fn event_log_records_cpuset_migrations() {
                 vec![TraceSegment::cpu(Seconds::new(1.0), 1.0e9, 1.0)],
                 true,
             )),
-            ProcessClass::Background,
             ComponentId::BigCluster,
         )
         .build()

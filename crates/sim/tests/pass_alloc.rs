@@ -17,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mpt_kernel::{IpaConfig, IpaGovernor, ProcessClass, StepWiseGovernor, TripPoint};
+use mpt_kernel::{IpaConfig, IpaGovernor, StepWiseGovernor, TripPoint};
 use mpt_sim::{SimBuilder, Simulator};
 use mpt_soc::{platforms, ComponentId};
 use mpt_units::{Celsius, Seconds, Watts};
@@ -82,11 +82,7 @@ fn nexus_step_wise_pass_does_not_allocate() {
         .map(|c| TripPoint::new(Celsius::new(c), Celsius::new(1.5)))
         .to_vec();
     let sim = SimBuilder::new(platform)
-        .attach(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
         .initial_temperature(Celsius::new(35.0))
         .thermal_governor(Box::new(StepWiseGovernor::with_state_limits(
             trips, governed,
@@ -113,11 +109,7 @@ fn odroid_ipa(control_c: f64) -> Simulator {
         (platform.component(ComponentId::Gpu).unwrap().clone(), 1.0),
     ];
     SimBuilder::new(platform)
-        .attach_realtime(
-            Box::new(ThreeDMark::new()),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach_realtime(Box::new(ThreeDMark::new()), ComponentId::BigCluster)
         .initial_temperature(Celsius::new(50.0))
         .thermal_governor(Box::new(IpaGovernor::with_weights(
             IpaConfig {

@@ -12,10 +12,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The same SplitMix64 finalizer the campaign layer uses for per-cell
-/// seeds, reproduced here so device derivation stays dependency-free.
+/// The SplitMix64 finalizer: one well-mixed `u64` from another. It
+/// derives every per-device fleet draw here and the campaign layer's
+/// per-cell seeds.
 #[must_use]
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

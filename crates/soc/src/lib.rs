@@ -44,7 +44,7 @@ mod thermal_spec;
 
 pub use component::{Component, ComponentId};
 pub use error::SocError;
-pub use fleet::{DeviceParams, FleetSpec, ParamJitter};
+pub use fleet::{splitmix64, DeviceParams, FleetSpec, ParamJitter};
 pub use opp::{OperatingPoint, OppTable};
 pub use platform::{Platform, PlatformBuilder};
 pub use power::{LeakageParams, PowerBreakdown, PowerParams};

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use mpt_units::Volts;
+
 use crate::{Component, ComponentId, PowerRail, Result, SocError, TemperatureSensor, ThermalSpec};
 
 /// A complete mobile platform: its components, thermal network and sensor
@@ -51,6 +53,38 @@ impl Platform {
     #[must_use]
     pub fn components(&self) -> &[Component] {
         &self.components
+    }
+
+    /// The lumped leakage inputs `(Σ αᵢ·Vᵢ, β)`, with each component's
+    /// supply voltage taken from `voltage` and the sum run in
+    /// [`components`](Self::components) order.
+    ///
+    /// The lumped model takes one β, and this is the last component's
+    /// (0 for a platform with none). Both builtin platforms give every
+    /// component 8000 K, so the choice only matters for a platform whose
+    /// components disagree.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mpt_soc::platforms;
+    ///
+    /// let soc = platforms::exynos_5422();
+    /// let (top, beta) = soc.lumped_leakage(|c| c.opps().highest().voltage());
+    /// let (bottom, _) = soc.lumped_leakage(|c| c.opps().lowest().voltage());
+    /// assert!(top > bottom);
+    /// assert_eq!(beta, 8000.0);
+    /// ```
+    #[must_use]
+    pub fn lumped_leakage(&self, voltage: impl Fn(&Component) -> Volts) -> (f64, f64) {
+        let mut gain = 0.0;
+        let mut beta = 0.0;
+        for component in &self.components {
+            let leak = component.power_params().leakage();
+            gain += leak.alpha() * voltage(component).value();
+            beta = leak.beta();
+        }
+        (gain, beta)
     }
 
     /// Looks up one component.

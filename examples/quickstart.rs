@@ -7,7 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mobile_thermal::kernel::{ProcessClass, StepWiseGovernor, TripPoint};
+use mobile_thermal::kernel::{StepWiseGovernor, TripPoint};
 use mobile_thermal::sim::SimBuilder;
 use mobile_thermal::soc::{platforms, ComponentId};
 use mobile_thermal::units::{Celsius, Seconds};
@@ -30,11 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Run Paper.io for two simulated minutes without thermal limits.
     let mut free = SimBuilder::new(soc.clone())
-        .attach(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
         .initial_temperature(Celsius::new(35.0))
         .control_sensor("package")
         .build()?;
@@ -53,11 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (soc.component(ComponentId::BigCluster)?.clone(), 5),
     ];
     let mut throttled = SimBuilder::new(soc)
-        .attach(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
         .thermal_governor(Box::new(StepWiseGovernor::with_state_limits(
             vec![
                 TripPoint::new(Celsius::new(41.0), Celsius::new(1.5)),

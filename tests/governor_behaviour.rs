@@ -2,7 +2,6 @@
 //! gets migrated, who is protected, and what the predictions say.
 
 use mobile_thermal::core::{AppAwareConfig, AppAwareGovernor};
-use mobile_thermal::kernel::ProcessClass;
 use mobile_thermal::sim::SimBuilder;
 use mobile_thermal::soc::{platforms, ComponentId};
 use mobile_thermal::units::{Celsius, Seconds};
@@ -19,17 +18,11 @@ fn victim_is_the_most_power_hungry_background_process() {
                 Seconds::new(40.0),
                 Seconds::new(40.0),
             )),
-            ProcessClass::Foreground,
             ComponentId::BigCluster,
         )
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .attach(
             Box::new(SteadyCompute::new("light-daemon", 0.2e9, 1.0)),
-            ProcessClass::Background,
             ComponentId::BigCluster,
         )
         .system_policy(Box::new(gov))
@@ -64,14 +57,9 @@ fn realtime_registration_protects_a_process() {
                 Seconds::new(40.0),
                 Seconds::new(40.0),
             )),
-            ProcessClass::Foreground,
             ComponentId::BigCluster,
         )
-        .attach_realtime(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach_realtime(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .system_policy(Box::new(gov))
         .initial_temperature(Celsius::new(60.0))
         .build()
@@ -96,7 +84,6 @@ fn predictions_track_the_thermal_state() {
     let mut sim = SimBuilder::new(platforms::exynos_5422())
         .attach(
             Box::new(SteadyCompute::new("idle-ish", 0.1e9, 1.0)),
-            ProcessClass::Background,
             ComponentId::LittleCluster,
         )
         .system_policy(Box::new(gov))
@@ -125,14 +112,9 @@ fn governor_counts_match_the_scheduler_state() {
                 Seconds::new(40.0),
                 Seconds::new(40.0),
             )),
-            ProcessClass::Foreground,
             ComponentId::BigCluster,
         )
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .system_policy(Box::new(gov))
         .initial_temperature(Celsius::new(60.0))
         .build()
@@ -161,16 +143,8 @@ fn governor_generalizes_to_the_phone_platform() {
     });
     let stats = gov.stats();
     let mut sim = SimBuilder::new(platforms::snapdragon_810())
-        .attach_realtime(
-            Box::new(apps::paper_io(42)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach_realtime(Box::new(apps::paper_io(42)), ComponentId::BigCluster)
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .system_policy(Box::new(gov))
         .initial_temperature(Celsius::new(38.0))
         .build()

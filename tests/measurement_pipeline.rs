@@ -2,7 +2,6 @@
 //! simulator: energy bookkeeping and residency accounting must agree
 //! with the run they describe.
 
-use mobile_thermal::kernel::ProcessClass;
 use mobile_thermal::sim::SimBuilder;
 use mobile_thermal::soc::{platforms, ComponentId};
 use mobile_thermal::units::Seconds;
@@ -11,11 +10,7 @@ use mobile_thermal::workloads::apps;
 #[test]
 fn telemetry_energy_matches_average_power_times_time() {
     let mut sim = SimBuilder::new(platforms::snapdragon_810())
-        .attach(
-            Box::new(apps::facebook(3)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::facebook(3)), ComponentId::BigCluster)
         .build()
         .expect("valid sim");
     sim.run_for(Seconds::new(20.0)).expect("run");
@@ -35,11 +30,7 @@ fn telemetry_energy_matches_average_power_times_time() {
 #[test]
 fn residency_covers_the_full_run_for_every_component() {
     let mut sim = SimBuilder::new(platforms::exynos_5422())
-        .attach(
-            Box::new(apps::paper_io(5)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(5)), ComponentId::BigCluster)
         .build()
         .expect("valid sim");
     sim.run_for(Seconds::new(15.0)).expect("run");

@@ -1,6 +1,6 @@
 //! The shipped scenario files must stay parseable and runnable.
 
-use mobile_thermal::core::scenario::{run_scenario, ScenarioSpec};
+use mobile_thermal::core::scenario::{run_scenario, run_scenario_framed_cached, ScenarioSpec};
 
 fn load(name: &str) -> ScenarioSpec {
     let path = format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -44,4 +44,24 @@ fn throttled_game_scenario_reports_fps() {
     let game = &outcome.workloads[0];
     assert_eq!(game.name, "Paper.io");
     assert!(game.median_fps.expect("renders frames") > 10.0);
+}
+
+#[test]
+fn foreground_flag_changes_nothing_a_run_produces() {
+    // Nothing reads `foreground`: the proposed governor exempts apps
+    // through `realtime`. A policy that starts reading the flag fails here.
+    let mut shipped = load("odroid_proposed.json");
+    shipped.duration_s = 20.0;
+    let mut flipped = shipped.clone();
+    for w in &mut flipped.workloads {
+        w.foreground = !w.foreground;
+    }
+    let run = |spec: &ScenarioSpec| run_scenario_framed_cached(spec, None, None).expect("runs");
+    let (outcome, analysis, frame) = run(&shipped);
+    let (flipped_outcome, flipped_analysis, flipped_frame) = run(&flipped);
+    // The governor acts, so the flag had a decision to sway.
+    assert!(outcome.migrations >= 1);
+    assert_eq!(outcome, flipped_outcome);
+    assert_eq!(analysis, flipped_analysis);
+    assert_eq!(frame, flipped_frame);
 }

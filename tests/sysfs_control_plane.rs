@@ -2,7 +2,7 @@
 //! exactly like a real embedded platform — by reading and writing small
 //! text attributes at Linux paths.
 
-use mobile_thermal::kernel::{paths, ProcessClass};
+use mobile_thermal::kernel::paths;
 use mobile_thermal::sim::{SimBuilder, Simulator, SteppingMode};
 use mobile_thermal::soc::{platforms, ComponentId};
 use mobile_thermal::sysfs::SysFsError;
@@ -15,11 +15,7 @@ const ENGINES: [SteppingMode; 2] = [SteppingMode::FixedDt, SteppingMode::EventDr
 
 fn game_sim_with(mode: SteppingMode) -> Simulator {
     SimBuilder::new(platforms::snapdragon_810())
-        .attach(
-            Box::new(apps::paper_io(1)),
-            ProcessClass::Foreground,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(apps::paper_io(1)), ComponentId::BigCluster)
         .stepping(mode)
         .build()
         .expect("valid sim")
@@ -128,11 +124,7 @@ fn live_files_cost_no_sysfs_writes() {
 fn odroid_exposes_ina231_rails_in_microwatts() {
     for mode in ENGINES {
         let mut sim = SimBuilder::new(platforms::exynos_5422())
-            .attach(
-                Box::new(BasicMathLarge::new()),
-                ProcessClass::Background,
-                ComponentId::BigCluster,
-            )
+            .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
             .stepping(mode)
             .build()
             .expect("valid sim");
@@ -208,11 +200,7 @@ fn invalid_writes_are_rejected_not_applied() {
 #[test]
 fn cpuset_files_move_processes_between_clusters() {
     let mut sim = SimBuilder::new(platforms::exynos_5422())
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .build()
         .expect("valid sim");
     let pid = sim.pid_of("basicmath_large").expect("attached");
@@ -232,11 +220,7 @@ fn cpuset_files_move_processes_between_clusters() {
 #[test]
 fn cpuset_rejects_unknown_clusters() {
     let sim = SimBuilder::new(platforms::exynos_5422())
-        .attach(
-            Box::new(BasicMathLarge::new()),
-            ProcessClass::Background,
-            ComponentId::BigCluster,
-        )
+        .attach(Box::new(BasicMathLarge::new()), ComponentId::BigCluster)
         .build()
         .expect("valid sim");
     let pid = sim.pid_of("basicmath_large").expect("attached");
