@@ -91,6 +91,17 @@ impl ColumnData {
             ColumnData::Str { codes, .. } => codes.len(),
         }
     }
+
+    /// Grows the per-row vector's capacity to at least `rows` values,
+    /// exactly: not to the next doubling.
+    fn reserve_rows(&mut self, rows: usize) {
+        let additional = rows.saturating_sub(self.len());
+        match self {
+            ColumnData::F64(v) => v.reserve_exact(additional),
+            ColumnData::U32(v) => v.reserve_exact(additional),
+            ColumnData::Str { codes, .. } => codes.reserve_exact(additional),
+        }
+    }
 }
 
 impl PartialEq for ColumnData {
@@ -223,7 +234,7 @@ fn write_f64(out: &mut String, v: f64) {
 /// assert_eq!(frame.rows(), 3);
 /// assert_eq!(frame.f64_column("temp_big_c").unwrap()[2], 42.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct ColumnFrame {
     time: Vec<f64>,
     columns: Vec<Column>,
@@ -231,6 +242,36 @@ pub struct ColumnFrame {
     /// Rows completed by `end_row` (the open row, if any, is not counted).
     rows: usize,
     open: bool,
+    /// The column `set` tries before the name index: the one after the
+    /// column set last (`begin_row` resets it to the first). A row that
+    /// sets its channels in creation order finds each with one name
+    /// compare.
+    next: usize,
+    /// The row count [`reserve`](Self::reserve) sized the columns for;
+    /// a column created later starts with this capacity too.
+    reserved: usize,
+}
+
+/// Two frames are equal when they hold the same rows: the set hint and
+/// the reserved capacity are lookup and sizing state, not data, so a
+/// frame parsed back from CSV equals the frame it was written from.
+impl PartialEq for ColumnFrame {
+    fn eq(&self, other: &Self) -> bool {
+        let Self {
+            time,
+            columns,
+            index,
+            rows,
+            open,
+            next: _,
+            reserved: _,
+        } = self;
+        *time == other.time
+            && *columns == other.columns
+            && *index == other.index
+            && *rows == other.rows
+            && *open == other.open
+    }
 }
 
 /// The name of the implicit time column every frame carries.
@@ -371,12 +412,23 @@ impl ColumnFrame {
         }
         self.time.push(t);
         self.open = true;
+        self.next = 0;
+    }
+
+    /// Sizes the time column and every channel column, including those
+    /// created later, to hold `additional` more rows without growing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.reserved = self.reserved.max(self.time.len() + additional);
+        self.time.reserve_exact(self.reserved - self.time.len());
+        for c in &mut self.columns {
+            c.data.reserve_rows(self.reserved);
+        }
     }
 
     /// Sets an `f64` channel on the open row, creating (and
     /// back-filling) the column on first touch.
     pub fn set_f64(&mut self, name: &str, value: f64) {
-        self.set(name, |rows| ColumnData::F64(Vec::with_capacity(rows + 1)))
+        self.set(name, |cap| ColumnData::F64(Vec::with_capacity(cap)))
             .pad_to_and(|c| match &mut c.data {
                 ColumnData::F64(v) => v.push(value),
                 _ => panic!("column type mismatch: {name} is not f64"),
@@ -386,7 +438,7 @@ impl ColumnFrame {
     /// Sets a `u32` channel on the open row, creating the column on
     /// first touch.
     pub fn set_u32(&mut self, name: &str, value: u32) {
-        self.set(name, |rows| ColumnData::U32(Vec::with_capacity(rows + 1)))
+        self.set(name, |cap| ColumnData::U32(Vec::with_capacity(cap)))
             .pad_to_and(|c| match &mut c.data {
                 ColumnData::U32(v) => v.push(value),
                 _ => panic!("column type mismatch: {name} is not u32"),
@@ -396,8 +448,8 @@ impl ColumnFrame {
     /// Sets a string channel on the open row, creating the column on
     /// first touch; values are dictionary-encoded per column.
     pub fn set_str(&mut self, name: &str, value: &str) {
-        self.set(name, |rows| ColumnData::Str {
-            codes: Vec::with_capacity(rows + 1),
+        self.set(name, |cap| ColumnData::Str {
+            codes: Vec::with_capacity(cap),
             values: Vec::new(),
         })
         .pad_to_and(|c| match &mut c.data {
@@ -406,22 +458,28 @@ impl ColumnFrame {
         });
     }
 
+    /// The slot of channel `name` on the open row, creating the column
+    /// with `make(capacity)` on first touch.
     fn set(&mut self, name: &str, make: impl FnOnce(usize) -> ColumnData) -> SetSlot<'_> {
         assert!(self.open, "set outside begin_row/end_row");
         let rows = self.rows;
-        // Look up before inserting: only a new column allocates its key.
-        let i = match self.index.get(name) {
-            Some(&i) => i,
-            None => {
-                self.columns.push(Column {
-                    name: name.to_owned(),
-                    data: make(rows),
-                    dict: DictIndex::default(),
-                });
-                self.index.insert(name.to_owned(), self.columns.len() - 1);
-                self.columns.len() - 1
-            }
+        let i = match self.columns.get(self.next) {
+            Some(c) if c.name == name => self.next,
+            // Look up before inserting: only a new column allocates its key.
+            _ => match self.index.get(name) {
+                Some(&i) => i,
+                None => {
+                    self.columns.push(Column {
+                        name: name.to_owned(),
+                        data: make(self.reserved.max(rows + 1)),
+                        dict: DictIndex::default(),
+                    });
+                    self.index.insert(name.to_owned(), self.columns.len() - 1);
+                    self.columns.len() - 1
+                }
+            },
         };
+        self.next = i + 1;
         SetSlot {
             column: &mut self.columns[i],
             rows,
@@ -718,6 +776,7 @@ impl<'a> CampaignFrame<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Query;
 
     fn sample_frame() -> ColumnFrame {
         let mut f = ColumnFrame::new();
@@ -892,6 +951,133 @@ mod tests {
         }
         let back = ColumnFrame::from_csv(&f.to_csv()).expect("parses");
         assert_eq!(f, back);
+    }
+
+    /// One channel's value on a row.
+    #[derive(Clone, Copy)]
+    enum Cell {
+        F(f64),
+        U(u32),
+        S(&'static str),
+    }
+
+    fn set(f: &mut ColumnFrame, name: &str, cell: Cell) {
+        match cell {
+            Cell::F(v) => f.set_f64(name, v),
+            Cell::U(v) => f.set_u32(name, v),
+            Cell::S(v) => f.set_str(name, v),
+        }
+    }
+
+    #[test]
+    fn set_order_is_invisible_to_the_frame() {
+        // Twelve rows over five channels of all three types; a `None`
+        // cell leaves its channel unset. `late_c` comes online at row 5,
+        // and `load` is unset on row 7.
+        let rows: Vec<Vec<(&str, Option<Cell>)>> = (0..12u32)
+            .map(|i| {
+                let x = f64::from(i);
+                let mut row = vec![
+                    ("temp_c", Some(Cell::F(40.0 + x / 3.0))),
+                    ("events", Some(Cell::U(i % 3))),
+                    (
+                        "phase",
+                        Some(Cell::S(["warm", "hot", "cool"][i as usize % 3])),
+                    ),
+                    ("load", (i != 7).then_some(Cell::F(0.5 * x))),
+                ];
+                if i >= 5 {
+                    row.push(("late_c", Some(Cell::F(55.0 + x))));
+                }
+                row
+            })
+            .collect();
+        // In creation order, setting the absent marker where a channel
+        // has no value: the hint names every existing column it is asked
+        // for.
+        let mut in_order = ColumnFrame::new();
+        for (i, row) in rows.iter().enumerate() {
+            in_order.begin_row(i as f64 * 0.1);
+            for &(name, cell) in row {
+                set(&mut in_order, name, cell.unwrap_or(Cell::F(f64::NAN)));
+            }
+            in_order.end_row();
+        }
+        // After the first row, each row in another order: rotated by the
+        // row index and reversed on odd rows, so the hint misses, runs off
+        // the last column and meets the new column mid-row; row 7 skips
+        // `load` altogether.
+        let mut shuffled = ColumnFrame::new();
+        for (i, row) in rows.iter().enumerate() {
+            let mut order: Vec<_> = row.iter().filter(|(_, cell)| cell.is_some()).collect();
+            if i > 0 {
+                let by = i % order.len();
+                order.rotate_left(by);
+                if i % 2 == 1 {
+                    order.reverse();
+                }
+            }
+            shuffled.begin_row(i as f64 * 0.1);
+            for &&(name, cell) in &order {
+                set(&mut shuffled, name, cell.expect("filtered"));
+            }
+            shuffled.end_row();
+        }
+        assert_eq!(in_order, shuffled);
+        assert_eq!(in_order.to_csv(), shuffled.to_csv());
+        for expr in [
+            "mean(temp_c)",
+            "count(load)",
+            "max(late_c) by phase",
+            "sum(events) by phase where phase!=cool",
+        ] {
+            let q = Query::parse(expr).expect("parses");
+            let (a, b) = (q.run(&in_order), q.run(&shuffled));
+            assert_eq!(a, b, "{expr}");
+            assert_eq!(a.expect("runs").to_csv(), b.expect("runs").to_csv());
+        }
+        // A frame parsed back from CSV carries no hint and still equals.
+        assert_eq!(ColumnFrame::from_csv(&shuffled.to_csv()), Ok(in_order));
+    }
+
+    #[test]
+    fn reserved_columns_hold_the_run_without_growing() {
+        let fill = |f: &mut ColumnFrame, from: u32, to: u32| {
+            for i in from..to {
+                f.begin_row(f64::from(i));
+                f.set_f64("early", 1.0);
+                if i >= 50 {
+                    f.set_u32("late", 2);
+                }
+                f.end_row();
+            }
+        };
+        let mut reserved = ColumnFrame::new();
+        reserved.reserve(100);
+        fill(&mut reserved, 0, 100);
+        // Neither the early column nor the one created at row 50 grew
+        // past the reserve.
+        assert_eq!(reserved.time.capacity(), 100);
+        assert_eq!(column_capacities(&reserved), vec![100, 100]);
+        // A second reserve sizes every column for the rows it adds.
+        reserved.reserve(20);
+        assert_eq!(column_capacities(&reserved), vec![120, 120]);
+        fill(&mut reserved, 100, 120);
+        assert_eq!(column_capacities(&reserved), vec![120, 120]);
+        // Capacity is not data: the unreserved twin is equal.
+        let mut grown = ColumnFrame::new();
+        fill(&mut grown, 0, 120);
+        assert_eq!(reserved, grown);
+    }
+
+    fn column_capacities(f: &ColumnFrame) -> Vec<usize> {
+        (f.columns.iter())
+            .map(|c| match &c.data {
+                ColumnData::F64(v) => v.capacity(),
+                ColumnData::U32(v) => v.capacity(),
+                ColumnData::Str { codes, .. } => codes.capacity(),
+            })
+            .collect()
     }
 
     #[test]

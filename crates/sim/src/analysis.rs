@@ -23,6 +23,9 @@ use crate::{Event, EventKind, EventLog};
 pub struct RunAnalysis {
     tracker: DerivedTracker,
     engine: AlertEngine,
+    /// The temperature thresholds the event engine bisects against,
+    /// fixed at construction (see [`temp_thresholds`](Self::temp_thresholds)).
+    thresholds: Vec<f64>,
     alerts: Vec<Alert>,
     /// Watermark into the event log: events at or past this index have
     /// not yet been scanned for throttle activity.
@@ -44,12 +47,16 @@ impl RunAnalysis {
     /// throttling is disabled; `rules` is the declarative alert set.
     #[must_use]
     pub(crate) fn new(trip_c: Option<f64>, rules: Vec<AlertRule>) -> Self {
+        let engine = AlertEngine::new(rules);
+        let mut thresholds = engine.temp_thresholds();
+        thresholds.extend(trip_c);
         Self {
             tracker: match trip_c {
                 Some(t) => DerivedTracker::with_trip(t),
                 None => DerivedTracker::new(),
             },
-            engine: AlertEngine::new(rules),
+            engine,
+            thresholds,
             alerts: Vec::new(),
             events_seen: 0,
         }
@@ -122,11 +129,7 @@ impl RunAnalysis {
     /// bisects the LTI trajectory against these so a macro step never
     /// jumps across a crossing.
     #[must_use]
-    pub(crate) fn temp_thresholds(&self) -> Vec<f64> {
-        let mut thresholds = self.engine.temp_thresholds();
-        if let Some(trip) = self.tracker.trip_c() {
-            thresholds.push(trip);
-        }
-        thresholds
+    pub(crate) fn temp_thresholds(&self) -> &[f64] {
+        &self.thresholds
     }
 }

@@ -307,6 +307,7 @@ impl SimBuilder {
         let mut core = SimCore {
             platform: self.platform,
             node_powers: vec![Watts::ZERO; network.len()],
+            peeked: Vec::with_capacity(network.len()),
             network,
             scheduler,
             policies,

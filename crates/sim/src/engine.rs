@@ -137,6 +137,10 @@ pub(crate) struct SimCore {
     /// Per-tick node-power capture for fleet canonical runs (`None` when
     /// tracing is off — the thermal stage then pays one branch per tick).
     pub(crate) power_trace: Option<mpt_workloads::PowerTrace>,
+    /// The node temperatures of the latest
+    /// [`peek_control_temperature`](Self::peek_control_temperature)
+    /// probe, kept so the event engine's trip bisection reuses one buffer.
+    pub(crate) peeked: Vec<Kelvin>,
 }
 
 /// The raw numbers behind the simulator's live sysfs files, shared with
@@ -248,8 +252,8 @@ impl SimCore {
     /// constant, without advancing the network — the probe the event
     /// engine bisects on for trip-crossing prediction.
     pub(crate) fn peek_control_temperature(&mut self, dt: Seconds) -> Result<Celsius> {
-        let temps = self.network.peek(dt, &self.node_powers)?;
-        Ok(self.control_of(|zone| temps[self.sensor_nodes[zone]].to_celsius()))
+        self.network.peek(dt, &self.node_powers, &mut self.peeked)?;
+        Ok(self.control_of(|zone| self.peeked[self.sensor_nodes[zone]].to_celsius()))
     }
 
     /// Hash of the control state the macro-stepper must not jump across
@@ -922,13 +926,15 @@ impl Simulator {
 
     /// Runs for a span of simulated time, advancing tick by tick in
     /// [`SteppingMode::FixedDt`] or event to event in
-    /// [`SteppingMode::EventDriven`].
+    /// [`SteppingMode::EventDriven`]. The telemetry frame is first sized
+    /// for every row the span can record.
     ///
     /// # Errors
     ///
     /// Propagates the first [`step`](Self::step) error.
     pub fn run_for(&mut self, span: Seconds) -> Result<()> {
         let end = self.core.clock.now() + span;
+        self.core.telemetry.reserve_until(end);
         self.counted(|sim| {
             while sim.core.clock.now() < end {
                 sim.advance(end)?;
@@ -942,7 +948,8 @@ impl Simulator {
     /// checked between passes, so in event mode its granularity is the
     /// macro step, not the base tick. The tick counters are added on
     /// each timed pass and when the call returns, so a predicate reading
-    /// them sees them up to 63 passes behind the clock.
+    /// them sees them up to 63 passes behind the clock. The telemetry
+    /// frame is first sized for every row a run to `max` can record.
     ///
     /// # Errors
     ///
@@ -953,6 +960,7 @@ impl Simulator {
         max: Seconds,
     ) -> Result<bool> {
         let end = self.core.clock.now() + max;
+        self.core.telemetry.reserve_until(end);
         self.counted(|sim| {
             while sim.core.clock.now() < end {
                 if predicate(sim) {

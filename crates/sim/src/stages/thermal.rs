@@ -43,8 +43,8 @@ pub(crate) fn refine_wake(core: &mut SimCore, now: Seconds, target: Seconds) -> 
     if k_max <= 1 {
         return None;
     }
-    let thresholds = core.analysis.temp_thresholds();
-    if thresholds.is_empty() {
+    let watched = core.analysis.temp_thresholds().len();
+    if watched == 0 {
         return None;
     }
     // Input held constant across the gap: the previous pass's node
@@ -56,7 +56,9 @@ pub(crate) fn refine_wake(core: &mut SimCore, now: Seconds, target: Seconds) -> 
         .value();
     let crossed = |t: f64, threshold: f64| (t0 > threshold) != (t > threshold);
     let mut stop_at: Option<u64> = None;
-    for &threshold in &thresholds {
+    for i in 0..watched {
+        // Read by index: each probe below borrows the core mutably.
+        let threshold = core.analysis.temp_thresholds()[i];
         if !crossed(t_end, threshold) {
             continue;
         }

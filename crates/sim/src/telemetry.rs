@@ -1,7 +1,5 @@
 //! Run telemetry: the simulator's measurement products.
 
-use std::collections::BTreeMap;
-
 use mpt_daq::{ColumnFrame, Residency, TimeSeries};
 use mpt_soc::{ComponentId, PowerBreakdown};
 use mpt_units::{Celsius, Hertz, Seconds, Watts};
@@ -17,24 +15,35 @@ use mpt_units::{Celsius, Hertz, Seconds, Watts};
 /// `time_s`, `temp_<sensor>_c`, `max_temp_c`, `power_<rail>_w`,
 /// `total_power_w`, `freq_<domain>_mhz` and `fps` — the export, query
 /// and trace surface. The [`TimeSeries`] accessors read their channel
-/// out of it.
+/// out of it. A row sets its channels in the order the frame created
+/// them (unless a sensor comes online mid-run), so the frame finds
+/// each by slot with one name compare.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     sample_period: f64,
     next_sample: f64,
     elapsed: f64,
-    residency: BTreeMap<ComponentId, Residency>,
-    energy: BTreeMap<ComponentId, f64>,
+    /// Frequency residency per component, indexed by
+    /// `ComponentId as usize` (`None` until the component reports).
+    residency: [Option<Residency>; 4],
+    /// Energy per component in joules, indexed by `ComponentId as usize`.
+    energy: [f64; 4],
     total_energy: f64,
     frame: ColumnFrame,
-    /// `(sensor, temp_<sensor>_c)` for every sensor seen so far: channel
+    /// `temp_<sensor>_c` per zone seen so far, indexed by zone: channel
     /// names are formatted once per run, not once per row.
-    temp_names: Vec<(String, String)>,
+    temp_names: Vec<String>,
     /// `power_<c>_w` per component, indexed by `ComponentId as usize`.
     power_names: [String; 4],
     /// `freq_<c>_mhz` per component, indexed by `ComponentId as usize`.
     freq_names: [String; 4],
 }
+
+/// The most rows [`Telemetry::reserve_until`] sizes the frame for:
+/// 1.8 h of 100 ms samples, ~0.5 MB per channel. A longer bound, such
+/// as a `run_until` horizon its predicate ends early, should not claim
+/// memory its run may never fill.
+const MAX_RESERVED_ROWS: usize = 1 << 16;
 
 /// The frame's keyed channel families: one channel per sensor, power
 /// rail or frequency domain.
@@ -79,8 +88,8 @@ impl Telemetry {
             sample_period: sample_period.value(),
             next_sample: 0.0,
             elapsed: 0.0,
-            residency: BTreeMap::new(),
-            energy: BTreeMap::new(),
+            residency: Default::default(),
+            energy: [0.0; 4],
             total_energy: 0.0,
             frame: ColumnFrame::new(),
             temp_names: Vec::new(),
@@ -89,9 +98,11 @@ impl Telemetry {
         }
     }
 
-    /// Records one tick: `(sensor, temperature)` per sensor, and each
-    /// component's frequency and power indexed by `ComponentId as usize`
-    /// (`None` for a component the platform lacks). `fps` is the worst
+    /// Records one tick: `(sensor, temperature)` per sensor in zone
+    /// order, and each component's frequency and power indexed by
+    /// `ComponentId as usize` (`None` for a component the platform
+    /// lacks). A zone keeps the sensor name it first reported with; a
+    /// tick may report fewer zones than a later one. `fps` is the worst
     /// frame pipeline's rate, `None` when no workload renders (an `fps`
     /// of `NaN` in the frame).
     pub fn record<'a>(
@@ -107,12 +118,14 @@ impl Telemetry {
         self.elapsed = t + dt.value();
         // Residency and energy integrate at full rate.
         for (id, f) in present(freqs) {
-            self.residency.entry(id).or_default().record(f, dt);
+            self.residency[id as usize]
+                .get_or_insert_with(Residency::default)
+                .record(f, dt);
         }
         let mut total = 0.0;
         for (id, b) in present(powers) {
             let p = b.total().value();
-            *self.energy.entry(id).or_insert(0.0) += p * dt.value();
+            self.energy[id as usize] += p * dt.value();
             total += p;
         }
         self.total_energy += total * dt.value();
@@ -121,16 +134,17 @@ impl Telemetry {
             self.next_sample = t + self.sample_period;
             self.frame.begin_row(t);
             let mut max_c = f64::NEG_INFINITY;
-            for (name, c) in sensor_temps {
-                let i = match self.temp_names.iter().position(|(s, _)| s == name) {
-                    Some(i) => i,
-                    None => {
-                        let channel = Keyed::Temp.channel(name);
-                        self.temp_names.push((name.to_owned(), channel));
-                        self.temp_names.len() - 1
-                    }
-                };
-                self.frame.set_f64(&self.temp_names[i].1, c.value());
+            for (zone, (name, c)) in sensor_temps.into_iter().enumerate() {
+                if zone == self.temp_names.len() {
+                    self.temp_names.push(Keyed::Temp.channel(name));
+                }
+                debug_assert_eq!(
+                    (self.temp_names[zone].strip_prefix("temp_"))
+                        .and_then(|s| s.strip_suffix("_c")),
+                    Some(name),
+                    "zone {zone} changed its sensor"
+                );
+                self.frame.set_f64(&self.temp_names[zone], c.value());
                 max_c = max_c.max(c.value());
             }
             if max_c.is_finite() {
@@ -147,6 +161,20 @@ impl Telemetry {
             }
             self.frame.set_f64("fps", fps.unwrap_or(f64::NAN));
             self.frame.end_row();
+        }
+    }
+
+    /// Sizes the frame for every row a run ending at `end` can record,
+    /// so its columns do not grow by doubling mid-run. A row count that
+    /// is not finite (an unbounded run) reserves nothing; a larger one
+    /// than [`MAX_RESERVED_ROWS`] reserves that many, and the frame grows
+    /// by doubling past them.
+    pub(crate) fn reserve_until(&mut self, end: Seconds) {
+        let rows = ((end.value() - self.next_sample) / self.sample_period).ceil() + 1.0;
+        if rows.is_finite() {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            self.frame
+                .reserve(rows.min(MAX_RESERVED_ROWS as f64) as usize);
         }
     }
 
@@ -184,13 +212,13 @@ impl Telemetry {
     /// Frequency residency of a component.
     #[must_use]
     pub fn residency(&self, id: ComponentId) -> Option<&Residency> {
-        self.residency.get(&id)
+        self.residency[id as usize].as_ref()
     }
 
     /// Energy consumed by a component so far (joules).
     #[must_use]
     pub fn energy(&self, id: ComponentId) -> f64 {
-        self.energy.get(&id).copied().unwrap_or(0.0)
+        self.energy[id as usize]
     }
 
     /// Total energy so far (joules).

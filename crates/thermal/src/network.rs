@@ -183,9 +183,10 @@ impl RcNetwork {
     }
 
     /// Evaluates the trajectory `x(t) = Ad(dt)·x0 + ∫Bd·u` at `dt` ahead
-    /// of the current state *without* advancing the network — the probe
-    /// the event-driven engine bisects on to predict trip-point
-    /// crossings. Uses the network's solver (and so the shared
+    /// of the current state *without* advancing the network, writing the
+    /// node temperatures into `temps` (cleared first; its capacity is
+    /// reused) — the probe the event-driven engine bisects on to predict
+    /// trip-point crossings. Uses the network's solver (and so the shared
     /// [`TransitionCache`](crate::TransitionCache), keyed by the probed
     /// `dt`); only the solver's internal memo mutates, which is why
     /// `&mut self` is required.
@@ -193,18 +194,19 @@ impl RcNetwork {
     /// # Errors
     ///
     /// Same conditions as [`step`](Self::step).
-    pub fn peek(&mut self, dt: Seconds, powers: &[Watts]) -> Result<Vec<Kelvin>> {
+    pub fn peek(&mut self, dt: Seconds, powers: &[Watts], temps: &mut Vec<Kelvin>) -> Result<()> {
         if powers.len() != self.len() {
             return Err(ThermalError::PowerLengthMismatch {
                 expected: self.len(),
                 actual: powers.len(),
             });
         }
-        let mut temps = self.temperatures.clone();
+        temps.clear();
+        temps.extend_from_slice(&self.temperatures);
         if dt.value() > 0.0 {
-            self.solver.step(&self.lti, &mut temps, dt, powers)?;
+            self.solver.step(&self.lti, temps, dt, powers)?;
         }
-        Ok(temps)
+        Ok(())
     }
 
     /// The steady-state temperatures for a fixed power injection (linear

@@ -139,10 +139,7 @@ impl Workload for ThreeDMark {
         // Finished when GT2's local clock has run out; checked through
         // the recorded history rather than wall time so partial delivery
         // cannot end the benchmark early.
-        self.gt2
-            .rolling_fps(Seconds::new(0.5))
-            .is_some_and(|_| false)
-            || self.gt2_elapsed() >= self.gt2_duration
+        self.gt2.whole_seconds() as f64 >= self.gt2_duration
     }
 
     fn median_fps(&self) -> Option<f64> {
@@ -155,12 +152,6 @@ impl Workload for ThreeDMark {
         self.gt2
             .rolling_fps(window)
             .or_else(|| self.gt1.rolling_fps(window))
-    }
-}
-
-impl ThreeDMark {
-    fn gt2_elapsed(&self) -> f64 {
-        self.gt2.fps_buckets().len() as f64
     }
 }
 
@@ -736,6 +727,39 @@ mod tests {
         let gt2 = b.gt2_fps().unwrap();
         assert!((gt1 - 97.0).abs() < 3.0, "GT1 = {gt1}");
         assert!((gt2 - 51.0).abs() < 2.0, "GT2 = {gt2}");
+    }
+
+    #[test]
+    fn threedmark_finishes_on_the_pass_its_gt2_buckets_fill() {
+        // `is_finished` counts GT2's whole seconds off its last history
+        // time. It must flip on the same pass as the count of GT2's
+        // per-second FPS buckets it replaced, for a whole GT2 duration,
+        // fractional ones (perfbench draws durations like 14.4 s) and a
+        // tick that does not divide a second.
+        for (gt2, dt) in [(3.0, 0.01), (2.4, 0.01), (14.4, 0.007)] {
+            let gt1 = 1.5;
+            let mut b = ThreeDMark::with_durations(Seconds::new(gt1), Seconds::new(gt2));
+            let dt = Seconds::new(dt);
+            let mut flipped = None;
+            for i in 0..10_000 {
+                let now = Seconds::new(f64::from(i) * dt.value());
+                let buckets_full = b.gt2.fps_buckets().len() as f64 >= b.gt2_duration;
+                assert_eq!(b.is_finished(), buckets_full, "GT2 {gt2} s, pass {i}");
+                if buckets_full && flipped.is_none() {
+                    flipped = Some(now.value());
+                }
+                let d = b.demand(now, dt);
+                let gpu = d.gpu_cycles.min(600.0e6 * dt.value());
+                b.deliver(d.cpu_cycles, gpu, now, dt);
+            }
+            // GT2 ends once its clock has run whole seconds past its span.
+            let flipped = flipped.expect("GT2 finishes");
+            let due = gt1 + gt2.ceil();
+            assert!(
+                (due..due + 2.0 * dt.value()).contains(&flipped),
+                "GT2 {gt2} s finished at {flipped} s, due {due} s"
+            );
+        }
     }
 
     #[test]

@@ -180,13 +180,20 @@ impl FramePipeline {
         Some((f_end - f_start) / window.value())
     }
 
+    /// Whole seconds of history: the number of per-second buckets behind
+    /// the median (`fps_buckets().len()`), read off the last sample time
+    /// without building them.
+    #[must_use]
+    pub(crate) fn whole_seconds(&self) -> usize {
+        self.history
+            .last()
+            .map_or(0, |&(t_end, _)| t_end.floor() as usize)
+    }
+
     /// Per-second frame counts (the samples behind the median).
     #[must_use]
     pub(crate) fn fps_buckets(&self) -> Vec<f64> {
-        let Some(&(t_end, _)) = self.history.last() else {
-            return Vec::new();
-        };
-        let whole_seconds = t_end.floor() as usize;
+        let whole_seconds = self.whole_seconds();
         let mut buckets = Vec::with_capacity(whole_seconds);
         let mut prev_frames = 0.0;
         let mut idx = 0;
