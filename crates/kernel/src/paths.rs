@@ -1,7 +1,7 @@
 //! Canonical sysfs path layout for the simulated control plane.
 //!
 //! Mirrors the Linux cpufreq / thermal-zone / hwmon layout so governors
-//! and tooling written against the virtual tree read like their real
+//! and tooling written against the virtual sysfs read like their real
 //! counterparts. CPU clusters are addressed by their first CPU (policy
 //! convention: `cpu0` = little, `cpu4` = big on both of the paper's
 //! platforms); the GPU uses the devfreq-style node.
@@ -10,12 +10,12 @@ use mpt_soc::ComponentId;
 
 /// Directory of a component's frequency-scaling policy.
 #[must_use]
-pub(crate) fn cpufreq_dir(id: ComponentId) -> String {
+pub(crate) fn cpufreq_dir(id: ComponentId) -> &'static str {
     match id {
-        ComponentId::LittleCluster => "/sys/devices/system/cpu/cpu0/cpufreq".to_owned(),
-        ComponentId::BigCluster => "/sys/devices/system/cpu/cpu4/cpufreq".to_owned(),
-        ComponentId::Gpu => "/sys/class/devfreq/gpu".to_owned(),
-        ComponentId::Memory => "/sys/class/devfreq/mem".to_owned(),
+        ComponentId::LittleCluster => "/sys/devices/system/cpu/cpu0/cpufreq",
+        ComponentId::BigCluster => "/sys/devices/system/cpu/cpu4/cpufreq",
+        ComponentId::Gpu => "/sys/class/devfreq/gpu",
+        ComponentId::Memory => "/sys/class/devfreq/mem",
     }
 }
 
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn all_components_have_distinct_dirs() {
-        let mut dirs: Vec<String> = ComponentId::ALL.iter().map(|&id| cpufreq_dir(id)).collect();
+        let mut dirs: Vec<&str> = ComponentId::ALL.iter().map(|&id| cpufreq_dir(id)).collect();
         dirs.sort();
         dirs.dedup();
         assert_eq!(dirs.len(), 4);

@@ -1,5 +1,6 @@
 //! The simulation engine: shared core state plus the staged pipeline.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -738,7 +739,7 @@ impl Simulator {
             .workloads
             .iter()
             .find(|a| a.pid == pid)
-            .and_then(|a| a.workload.as_any().downcast_ref::<T>())
+            .and_then(|a| (a.workload.as_ref() as &dyn Any).downcast_ref::<T>())
     }
 
     /// The median FPS reported by a workload, if it renders frames.

@@ -35,12 +35,9 @@ pub struct SystemView<'a> {
     /// The same powers mapped onto the thermal network's nodes, indexed
     /// like [`network`](Self::network)'s nodes.
     pub node_powers: &'a [Watts],
-    /// The cpufreq policies (read the current frequencies and caps
-    /// here; *write* caps through [`sysfs`](Self::sysfs), the control
-    /// plane of record — caps set directly on a policy are overwritten
-    /// by the sysfs state on the next tick).
-    pub policies: &'a mut BTreeMap<ComponentId, CpuFreqPolicy>,
-    /// The sysfs control plane.
+    /// The cpufreq policies: the current frequencies and caps.
+    pub policies: &'a BTreeMap<ComponentId, CpuFreqPolicy>,
+    /// The sysfs control plane, where caps are written.
     pub sysfs: &'a SysFs,
 }
 

@@ -136,7 +136,7 @@ impl Governors {
                     scheduler: &mut core.scheduler,
                     powers: &core.last_powers,
                     node_powers: &core.node_powers,
-                    policies: &mut core.policies,
+                    policies: &core.policies,
                     sysfs: &core.sysfs,
                 });
             }

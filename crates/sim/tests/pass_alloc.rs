@@ -6,14 +6,16 @@
 //! run (`run_for`, `run_until`) sizes the telemetry frame for every row
 //! it can record before its first pass, and the event engine's trip
 //! bisection probes into a buffer the core keeps against thresholds
-//! fixed at build. What is left:
+//! fixed at build. A frame pipeline keeps one count per closed second
+//! and a two-second window of deliveries, and a sysfs write looks its
+//! path up without copying it. What is left:
 //!
-//! - a frame pipeline's history growing by doubling (one sample per
-//!   pass): the one allocation each quiet gate below counts;
+//! - a frame pipeline's per-second counts growing by doubling (one entry
+//!   per simulated second): the one allocation the GT2 gate counts;
 //! - a frequency first seen by the residency table, and the event log;
 //! - the work of a thermal poll that changes a cap: the governor's
-//!   returned action `Vec`, and the sysfs path and value strings, the
-//!   write and the event-log entry that apply it.
+//!   returned action `Vec`, and the sysfs path and value strings and the
+//!   event-log entry that apply it.
 //!
 //! Each test runs a simulator for 30 s (10 ms tick, 100 ms telemetry)
 //! and counts the allocations of its last 1,000 passes. A counting
@@ -107,10 +109,10 @@ fn nexus_step_wise_pass_does_not_allocate() {
         .trip_reference(Celsius::new(38.0))
         .build()
         .unwrap();
-    // Measured: 1, the app's frame history doubling.
+    // Measured: 0.
     let allocs = steady_state_allocs(sim);
     assert!(
-        allocs < 10,
+        allocs < 3,
         "1,000 Nexus passes made {allocs} allocations; only amortized growth may allocate"
     );
 }
@@ -145,10 +147,10 @@ fn odroid_ipa(control_c: f64, bench: ThreeDMark) -> Simulator {
 #[test]
 fn odroid_ipa_pass_allocates_less_than_once() {
     // Control at 80 °C: the run stays at 65-69 °C, so every poll takes
-    // the headroom branch and finds no cap to release. Measured: 1.
+    // the headroom branch and finds no cap to release. Measured: 0.
     let allocs = steady_state_allocs(odroid_ipa(80.0, ThreeDMark::new()));
     assert!(
-        allocs < 10,
+        allocs < 3,
         "1,000 Odroid passes made {allocs} allocations; a pass must not allocate"
     );
 }
@@ -158,14 +160,31 @@ fn odroid_gt2_pass_allocates_less_than_once() {
     // The same 80 °C setup with a 10 s GT1, so the counted passes
     // (20-30 s) run 3DMark's second graphics test, whose completion
     // the demand, schedule and events stages check on every pass.
-    // Measured: 1. A check that rebuilt GT2's per-second FPS buckets
-    // made 3,016.
+    // Measured: 1, GT2's per-second counts doubling at its 17th second.
+    // A check that rebuilt GT2's per-second FPS buckets made 3,016.
     let bench = ThreeDMark::with_durations(Seconds::new(10.0), Seconds::new(60.0));
     let allocs = steady_state_allocs(odroid_ipa(80.0, bench));
     assert!(
-        allocs < 10,
+        allocs < 3,
         "1,000 Odroid GT2 passes made {allocs} allocations; a pass must not allocate"
     );
+}
+
+#[test]
+fn sysfs_cap_write_does_not_allocate() {
+    // A cap write looks its path up in the attribute table without
+    // copying it, and the `scaling_max_freq` handler parses the value
+    // into an atomic. Measured: 0; when a write copied its path into
+    // components, 700.
+    let sim = odroid_ipa(80.0, ThreeDMark::new());
+    let path = mpt_kernel::paths::max_freq(ComponentId::BigCluster);
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..100 {
+        sim.sysfs().write(&path, "1400000").unwrap();
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(sim.sysfs().read(&path).unwrap(), "1400000");
+    assert_eq!(allocs, 0, "100 cap writes made {allocs} allocations");
 }
 
 #[test]
@@ -175,11 +194,11 @@ fn odroid_ipa_divvy_poll_allocates_only_for_cap_changes() {
     // whose per-actor state lives in fixed arrays. The governor itself
     // allocates only the returned action `Vec`, on polls that change a
     // cap. The rest is the simulator applying the window's 9 cap changes
-    // (a sysfs path and value string, the write, an event-log entry) and
-    // the frame history the other gates see. Measured: 111.
+    // (a sysfs path and value string, an event-log entry). Measured: 38;
+    // when a write copied its path into components, 111.
     let allocs = steady_state_allocs(odroid_ipa(45.0, ThreeDMark::new()));
     assert!(
-        allocs < 130,
+        allocs < 50,
         "1,000 hot Odroid passes made {allocs} allocations; only cap changes may allocate"
     );
 }

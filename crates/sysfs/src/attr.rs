@@ -1,19 +1,17 @@
-//! Attribute nodes: stored values or live handlers.
+//! Attributes: constants or live handlers.
 
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 type ReadFn = Arc<dyn Fn() -> String + Send + Sync>;
 type WriteFn = Arc<dyn Fn(&str) -> std::result::Result<(), String> + Send + Sync>;
 
-/// A leaf node of the sysfs tree.
+/// One file of the sysfs tree.
 ///
-/// An attribute may store a plain string value (like a writable knob whose
-/// only effect is observed by whoever reads it back) or delegate reads and
-/// writes to handlers backed by simulator state (like a temperature sensor
-/// whose value is computed on demand).
+/// An attribute is a constant (like `cpuinfo_max_freq`) or delegates reads
+/// and writes to handlers backed by simulator state (like a temperature
+/// sensor whose value is computed on demand, or a frequency cap stored in
+/// an atomic).
 ///
 /// # Examples
 ///
@@ -37,20 +35,6 @@ pub struct Attribute {
 }
 
 impl Attribute {
-    /// A read-write attribute storing a plain string value.
-    #[must_use]
-    pub fn value(initial: impl Into<String>) -> Self {
-        let cell = Arc::new(Mutex::new(initial.into()));
-        let read_cell = Arc::clone(&cell);
-        Self {
-            read: Arc::new(move || read_cell.lock().clone()),
-            write: Some(Arc::new(move |v| {
-                *cell.lock() = v.to_owned();
-                Ok(())
-            })),
-        }
-    }
-
     /// A read-only attribute storing a fixed string value (e.g.
     /// `cpuinfo_max_freq`).
     #[must_use]
@@ -118,14 +102,6 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn value_attribute_round_trips() {
-        let a = Attribute::value("hello");
-        assert_eq!(a.read(), "hello");
-        a.write("world").unwrap().unwrap();
-        assert_eq!(a.read(), "world");
-    }
-
-    #[test]
     fn constant_rejects_writes() {
         let a = Attribute::constant("600000");
         assert!(!a.is_writable());
@@ -154,7 +130,7 @@ mod tests {
 
     #[test]
     fn debug_representation_is_nonempty() {
-        let a = Attribute::value("x");
+        let a = Attribute::constant("x");
         assert!(format!("{a:?}").contains("Attribute"));
     }
 }

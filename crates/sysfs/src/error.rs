@@ -5,11 +5,11 @@ use std::fmt;
 /// Errors returned by [`SysFs`](crate::SysFs) operations.
 ///
 /// Mirrors the errno values a real sysfs access would produce: `ENOENT`,
-/// `EACCES`, `EINVAL`, `EEXIST`, `ENOTDIR`.
+/// `EACCES`, `EINVAL`, `EEXIST`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SysFsError {
-    /// No attribute or directory exists at the path (`ENOENT`).
+    /// No attribute exists at the path (`ENOENT`).
     NotFound {
         /// The offending path.
         path: String,
@@ -28,18 +28,14 @@ pub enum SysFsError {
         /// Handler-supplied reason.
         reason: String,
     },
-    /// An attribute is already registered at the path (`EEXIST`).
+    /// The path is taken (`EEXIST`): an attribute is registered at it,
+    /// attributes lie below it, or it lies below an attribute.
     AlreadyExists {
         /// The offending path.
         path: String,
     },
-    /// A path component that must be a directory is an attribute
-    /// (`ENOTDIR`), or a directory was used where an attribute is required.
-    NotADirectory {
-        /// The offending path.
-        path: String,
-    },
-    /// The path itself is malformed (empty, or not absolute).
+    /// The path itself is malformed (relative, naming no component, or
+    /// with a `.` or `..` component).
     InvalidPath {
         /// The offending path.
         path: String,
@@ -55,7 +51,6 @@ impl SysFsError {
             | Self::ReadOnly { path }
             | Self::InvalidValue { path, .. }
             | Self::AlreadyExists { path }
-            | Self::NotADirectory { path }
             | Self::InvalidPath { path } => path,
         }
     }
@@ -74,7 +69,6 @@ impl fmt::Display for SysFsError {
                 write!(f, "invalid value {value:?} for {path}: {reason}")
             }
             Self::AlreadyExists { path } => write!(f, "attribute already exists: {path}"),
-            Self::NotADirectory { path } => write!(f, "not a directory: {path}"),
             Self::InvalidPath { path } => write!(f, "invalid sysfs path: {path:?}"),
         }
     }
@@ -101,9 +95,6 @@ mod tests {
                 reason: "not a number".into(),
             },
             SysFsError::AlreadyExists {
-                path: "/sys/x".into(),
-            },
-            SysFsError::NotADirectory {
                 path: "/sys/x".into(),
             },
             SysFsError::InvalidPath { path: "".into() },

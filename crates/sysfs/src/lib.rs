@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! A virtual sysfs attribute tree.
+//! A virtual sysfs: the Linux cpufreq/thermal control plane as one table
+//! of attributes keyed by path.
 //!
 //! Real mobile thermal/DVFS tooling is driven through the Linux sysfs
 //! control plane: governors publish knobs like
@@ -13,24 +14,36 @@
 //! same way their real counterparts do: by reading and writing small text
 //! attributes at well-known paths.
 //!
-//! The tree is thread-safe ([`SysFs`] is `Send + Sync`) and attributes can
-//! be plain stored values or live handlers backed by simulator state.
+//! The simulator registers every attribute while it is built; after that
+//! [`SysFs`] serves reads and writes through `&self` (it is
+//! `Send + Sync`), and each attribute is a constant or a live handler
+//! backed by simulator state.
 //!
 //! # Examples
 //!
 //! ```
 //! use mpt_sysfs::{Attribute, SysFs};
+//! use std::sync::atomic::{AtomicU64, Ordering};
+//! use std::sync::Arc;
 //!
-//! let fs = SysFs::new();
+//! const MAX_FREQ: &str = "/sys/devices/system/cpu/cpu4/cpufreq/scaling_max_freq";
+//! let cap_khz = Arc::new(AtomicU64::new(2_000_000));
+//! let (read, write) = (Arc::clone(&cap_khz), Arc::clone(&cap_khz));
+//! let mut fs = SysFs::new();
 //! fs.register(
-//!     "/sys/devices/system/cpu/cpu4/cpufreq/scaling_max_freq",
-//!     Attribute::value("2000000"),
+//!     MAX_FREQ,
+//!     Attribute::with_handlers(
+//!         move || read.load(Ordering::Relaxed).to_string(),
+//!         move |v| {
+//!             let khz = v.trim().parse().map_err(|_| "not a kHz frequency")?;
+//!             write.store(khz, Ordering::Relaxed);
+//!             Ok(())
+//!         },
+//!     ),
 //! )?;
-//! fs.write("/sys/devices/system/cpu/cpu4/cpufreq/scaling_max_freq", "1400000")?;
-//! assert_eq!(
-//!     fs.read("/sys/devices/system/cpu/cpu4/cpufreq/scaling_max_freq")?,
-//!     "1400000"
-//! );
+//! fs.write(MAX_FREQ, "1400000")?;
+//! assert_eq!(fs.read(MAX_FREQ)?, "1400000");
+//! assert_eq!(cap_khz.load(Ordering::Relaxed), 1_400_000);
 //! # Ok::<(), mpt_sysfs::SysFsError>(())
 //! ```
 
@@ -41,7 +54,6 @@ mod tree;
 
 pub use attr::Attribute;
 pub use error::SysFsError;
-pub use path::SysPath;
 pub use tree::SysFs;
 
 /// Result alias for sysfs operations.

@@ -1,111 +1,40 @@
-//! Normalized absolute sysfs paths.
+//! Canonical absolute sysfs paths.
 
-use std::fmt;
+use std::borrow::Cow;
 
 use crate::SysFsError;
 
-/// A normalized, absolute sysfs path such as
-/// `/sys/class/thermal/thermal_zone0/temp`.
+/// The canonical form of an absolute sysfs path such as
+/// `/sys/class/thermal/thermal_zone0/temp`: repeated separators and a
+/// trailing one collapse, so `//sys///class/` names `/sys/class`.
 ///
-/// Construction validates that the path is absolute and collapses repeated
-/// separators; `.` and `..` components are rejected (sysfs consumers in
-/// this workspace always use canonical paths).
+/// A path that is already canonical is borrowed, so looking one up
+/// allocates nothing.
 ///
-/// # Examples
+/// # Errors
 ///
-/// ```
-/// use mpt_sysfs::SysPath;
-///
-/// let p = SysPath::parse("/sys//class/thermal/")?;
-/// assert_eq!(p.as_str(), "/sys/class/thermal");
-/// assert_eq!(p.components().collect::<Vec<_>>(), vec!["sys", "class", "thermal"]);
-/// # Ok::<(), mpt_sysfs::SysFsError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SysPath(String);
-
-impl SysPath {
-    /// Parses and normalizes an absolute path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SysFsError::InvalidPath`] if the path is empty, relative,
-    /// or contains `.`/`..` components.
-    pub fn parse(path: &str) -> crate::Result<Self> {
-        if path.is_empty() || !path.starts_with('/') {
-            return Err(SysFsError::InvalidPath {
-                path: path.to_owned(),
-            });
-        }
-        let mut components = Vec::new();
-        for comp in path.split('/') {
-            match comp {
-                "" => {}
-                "." | ".." => {
-                    return Err(SysFsError::InvalidPath {
-                        path: path.to_owned(),
-                    });
-                }
-                other => components.push(other),
-            }
-        }
-        if components.is_empty() {
-            return Err(SysFsError::InvalidPath {
-                path: path.to_owned(),
-            });
-        }
-        Ok(Self(format!("/{}", components.join("/"))))
+/// [`SysFsError::InvalidPath`] if the path is relative, names no
+/// component (empty, `/`), or has a `.` or `..` component (sysfs
+/// consumers in this workspace always use canonical paths).
+pub(crate) fn canonical(path: &str) -> crate::Result<Cow<'_, str>> {
+    let components = || path.split('/').filter(|c| !c.is_empty());
+    if !path.starts_with('/')
+        || components().next().is_none()
+        || components().any(|c| c == "." || c == "..")
+    {
+        return Err(SysFsError::InvalidPath {
+            path: path.to_owned(),
+        });
     }
-
-    /// The normalized path as a string slice.
-    #[must_use]
-    pub fn as_str(&self) -> &str {
-        &self.0
+    if path.split('/').skip(1).all(|c| !c.is_empty()) {
+        return Ok(Cow::Borrowed(path));
     }
-
-    /// Iterates over the path components, root first.
-    pub fn components(&self) -> impl Iterator<Item = &str> {
-        self.0.split('/').filter(|c| !c.is_empty())
+    let mut joined = String::with_capacity(path.len());
+    for c in components() {
+        joined.push('/');
+        joined.push_str(c);
     }
-
-    /// The final component (the attribute or directory name).
-    ///
-    /// Never empty for a successfully parsed path.
-    #[must_use]
-    pub fn file_name(&self) -> &str {
-        self.components().last().unwrap_or("")
-    }
-
-    /// The parent path, or `None` if this path has a single component.
-    #[must_use]
-    pub fn parent(&self) -> Option<SysPath> {
-        let comps: Vec<&str> = self.components().collect();
-        if comps.len() <= 1 {
-            None
-        } else {
-            Some(SysPath(format!("/{}", comps[..comps.len() - 1].join("/"))))
-        }
-    }
-}
-
-impl fmt::Display for SysPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::str::FromStr for SysPath {
-    type Err = SysFsError;
-
-    fn from_str(s: &str) -> crate::Result<Self> {
-        Self::parse(s)
-    }
-}
-
-impl AsRef<str> for SysPath {
-    fn as_ref(&self) -> &str {
-        self.as_str()
-    }
+    Ok(Cow::Owned(joined))
 }
 
 #[cfg(test)]
@@ -115,55 +44,51 @@ mod tests {
 
     #[test]
     fn normalizes_duplicate_separators_and_trailing_slash() {
-        let p = SysPath::parse("//sys///devices/").unwrap();
-        assert_eq!(p.as_str(), "/sys/devices");
+        assert_eq!(canonical("//sys///devices/").unwrap(), "/sys/devices");
+        assert!(matches!(
+            canonical("/sys/devices").unwrap(),
+            Cow::Borrowed("/sys/devices")
+        ));
     }
 
     #[test]
     fn rejects_relative_and_empty_paths() {
-        assert!(SysPath::parse("sys/devices").is_err());
-        assert!(SysPath::parse("").is_err());
-        assert!(SysPath::parse("/").is_err());
+        for path in ["sys/devices", "", "/", "//"] {
+            assert_eq!(
+                canonical(path).unwrap_err(),
+                SysFsError::InvalidPath {
+                    path: path.to_owned()
+                }
+            );
+        }
     }
 
     #[test]
     fn rejects_dot_components() {
-        assert!(SysPath::parse("/sys/./x").is_err());
-        assert!(SysPath::parse("/sys/../x").is_err());
-    }
-
-    #[test]
-    fn parent_and_file_name() {
-        let p = SysPath::parse("/sys/class/thermal/thermal_zone0/temp").unwrap();
-        assert_eq!(p.file_name(), "temp");
-        assert_eq!(
-            p.parent().unwrap().as_str(),
-            "/sys/class/thermal/thermal_zone0"
-        );
-        let root = SysPath::parse("/sys").unwrap();
-        assert_eq!(root.parent(), None);
-    }
-
-    #[test]
-    fn from_str_round_trip() {
-        let p: SysPath = "/sys/kernel/debug".parse().unwrap();
-        assert_eq!(p.to_string(), "/sys/kernel/debug");
+        for path in ["/sys/./x", "/sys/../x", "/sys/x/.", "/.."] {
+            assert!(
+                matches!(canonical(path), Err(SysFsError::InvalidPath { .. })),
+                "{path}"
+            );
+        }
     }
 
     proptest! {
         #[test]
         fn prop_parse_is_idempotent(comps in proptest::collection::vec("[a-z0-9_]{1,8}", 1..6)) {
-            let raw = format!("/{}", comps.join("/"));
-            let once = SysPath::parse(&raw).unwrap();
-            let twice = SysPath::parse(once.as_str()).unwrap();
-            prop_assert_eq!(once, twice);
+            let raw = format!("//{}/", comps.join("//"));
+            let once = canonical(&raw).unwrap().into_owned();
+            prop_assert_eq!(&once, &format!("/{}", comps.join("/")));
+            let twice = canonical(&once).unwrap();
+            prop_assert!(matches!(twice, Cow::Borrowed(_)));
+            prop_assert_eq!(twice, once.as_str());
         }
 
         #[test]
         fn prop_components_round_trip(comps in proptest::collection::vec("[a-z0-9_]{1,8}", 1..6)) {
-            let raw = format!("/{}", comps.join("/"));
-            let p = SysPath::parse(&raw).unwrap();
-            let parsed: Vec<String> = p.components().map(str::to_owned).collect();
+            let raw = format!("/{}", comps.join("//"));
+            let path = canonical(&raw).unwrap();
+            let parsed: Vec<&str> = path.split('/').skip(1).collect();
             prop_assert_eq!(parsed, comps);
         }
     }

@@ -1,160 +1,92 @@
-//! The sysfs tree itself.
+//! The sysfs tree, stored flat: one attribute table keyed by canonical
+//! path.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Bound;
 
-use parking_lot::RwLock;
+use crate::path::canonical;
+use crate::{Attribute, Result, SysFsError};
 
-use crate::{Attribute, Result, SysFsError, SysPath};
-
-#[derive(Debug)]
-enum Node {
-    Dir(BTreeMap<String, Node>),
-    Attr(Attribute),
-}
-
-impl Node {
-    fn new_dir() -> Self {
-        Node::Dir(BTreeMap::new())
-    }
-}
-
-/// A thread-safe virtual sysfs tree.
+/// A virtual sysfs: every attribute under its canonical path.
 ///
-/// Cloning a `SysFs` is cheap and yields a handle to the same tree, so the
-/// simulator, governors and measurement code can all share one control
-/// plane.
+/// The table keeps a file tree's shape: the directories are the proper
+/// prefixes of attribute paths, and no path is both an attribute and a
+/// directory. The simulator fills the table once, while it is built
+/// ([`register`](Self::register) takes `&mut self`); after that the
+/// table serves reads and writes through `&self`. Attributes hold their
+/// own state (live handlers over atomics, constants), so a shared
+/// `&SysFs` may be read and written from several threads.
 ///
 /// # Examples
 ///
 /// ```
 /// use mpt_sysfs::{Attribute, SysFs};
 ///
-/// let fs = SysFs::new();
+/// let mut fs = SysFs::new();
 /// fs.register("/sys/class/thermal/thermal_zone0/temp", Attribute::constant("41500"))?;
 /// let millideg: i64 = fs.read_parsed("/sys/class/thermal/thermal_zone0/temp")?;
 /// assert_eq!(millideg, 41500);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct SysFs {
-    root: Arc<RwLock<BTreeMap<String, Node>>>,
+    attrs: BTreeMap<String, Attribute>,
 }
 
 impl SysFs {
-    /// Creates an empty tree.
+    /// Creates an empty table.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Registers an attribute at `path`, creating parent directories.
+    /// Registers an attribute at `path`.
     ///
     /// # Errors
     ///
     /// - [`SysFsError::InvalidPath`] if the path is malformed.
-    /// - [`SysFsError::AlreadyExists`] if an attribute is already present.
-    /// - [`SysFsError::NotADirectory`] if a parent component is an
-    ///   attribute.
-    pub fn register(&self, path: &str, attr: Attribute) -> Result<()> {
-        let path = SysPath::parse(path)?;
-        let comps: Vec<String> = path.components().map(str::to_owned).collect();
-        let mut guard = self.root.write();
-        let mut map = &mut *guard;
-        for comp in &comps[..comps.len() - 1] {
-            let node = map.entry(comp.clone()).or_insert_with(Node::new_dir);
-            match node {
-                Node::Dir(children) => map = children,
-                Node::Attr(_) => {
-                    return Err(SysFsError::NotADirectory {
-                        path: path.as_str().to_owned(),
-                    })
-                }
-            }
+    /// - [`SysFsError::AlreadyExists`] if an attribute or a directory is
+    ///   already there, or the path lies below an attribute.
+    pub fn register(&mut self, path: &str, attr: Attribute) -> Result<()> {
+        let path = canonical(path)?;
+        let below_attr = path
+            .match_indices('/')
+            .skip(1)
+            .any(|(end, _)| self.attrs.contains_key(&path[..end]));
+        if below_attr || self.is_dir(&path) {
+            return Err(SysFsError::AlreadyExists {
+                path: path.into_owned(),
+            });
         }
-        let leaf = comps
-            .last()
-            .expect("parsed path has at least one component");
-        match map.get(leaf) {
-            Some(Node::Attr(_) | Node::Dir(_)) => Err(SysFsError::AlreadyExists {
-                path: path.as_str().to_owned(),
+        match self.attrs.entry(path.into_owned()) {
+            Entry::Occupied(taken) => Err(SysFsError::AlreadyExists {
+                path: taken.key().clone(),
             }),
-            None => {
-                map.insert(leaf.clone(), Node::Attr(attr));
+            Entry::Vacant(slot) => {
+                slot.insert(attr);
                 Ok(())
             }
         }
     }
 
-    /// Replaces (or creates) the attribute at `path`.
-    ///
-    /// Unlike [`register`](Self::register), an existing attribute is
-    /// overwritten; this is how the simulator re-binds live handlers when a
-    /// platform is reconfigured.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`register`](Self::register), except `AlreadyExists` is
-    /// never returned for attributes (a directory at the path is still an
-    /// error).
-    pub fn bind(&self, path: &str, attr: Attribute) -> Result<()> {
-        let parsed = SysPath::parse(path)?;
-        {
-            let comps: Vec<String> = parsed.components().map(str::to_owned).collect();
-            let mut guard = self.root.write();
-            let mut map = &mut *guard;
-            for comp in &comps[..comps.len() - 1] {
-                let node = map.entry(comp.clone()).or_insert_with(Node::new_dir);
-                match node {
-                    Node::Dir(children) => map = children,
-                    Node::Attr(_) => {
-                        return Err(SysFsError::NotADirectory {
-                            path: parsed.as_str().to_owned(),
-                        })
-                    }
-                }
-            }
-            let leaf = comps.last().expect("nonempty");
-            if let Some(Node::Dir(_)) = map.get(leaf) {
-                return Err(SysFsError::NotADirectory {
-                    path: parsed.as_str().to_owned(),
-                });
-            }
-            map.insert(leaf.clone(), Node::Attr(attr));
-        }
-        Ok(())
+    /// Whether an attribute lies below the canonical path `dir`. The keys
+    /// that start with `dir` are adjacent in the table.
+    fn is_dir(&self, dir: &str) -> bool {
+        self.attrs
+            .range::<str, _>((Bound::Excluded(dir), Bound::Unbounded))
+            .take_while(|(key, _)| key.starts_with(dir))
+            .any(|(key, _)| key.as_bytes()[dir.len()] == b'/')
     }
 
-    fn with_attr<T>(&self, path: &str, f: impl FnOnce(&Attribute) -> Result<T>) -> Result<T> {
-        let parsed = SysPath::parse(path)?;
-        let guard = self.root.read();
-        let mut map = &*guard;
-        let comps: Vec<&str> = parsed.components().collect();
-        for comp in &comps[..comps.len() - 1] {
-            match map.get(*comp) {
-                Some(Node::Dir(children)) => map = children,
-                Some(Node::Attr(_)) => {
-                    return Err(SysFsError::NotADirectory {
-                        path: parsed.as_str().to_owned(),
-                    })
-                }
-                None => {
-                    return Err(SysFsError::NotFound {
-                        path: parsed.as_str().to_owned(),
-                    })
-                }
-            }
-        }
-        match map.get(*comps.last().expect("nonempty")) {
-            Some(Node::Attr(attr)) => f(attr),
-            Some(Node::Dir(_)) => Err(SysFsError::NotADirectory {
-                path: parsed.as_str().to_owned(),
-            }),
-            None => Err(SysFsError::NotFound {
-                path: parsed.as_str().to_owned(),
-            }),
-        }
+    fn attr(&self, path: &str) -> Result<&Attribute> {
+        let path = canonical(path)?;
+        self.attrs
+            .get(path.as_ref())
+            .ok_or_else(|| SysFsError::NotFound {
+                path: path.into_owned(),
+            })
     }
 
     /// Reads the attribute at `path`.
@@ -164,7 +96,7 @@ impl SysFs {
     /// [`SysFsError::NotFound`] if nothing is registered there, or a path
     /// error.
     pub fn read(&self, path: &str) -> Result<String> {
-        self.with_attr(path, |attr| Ok(attr.read()))
+        Ok(self.attr(path)?.read())
     }
 
     /// Reads and parses the attribute at `path`.
@@ -189,7 +121,7 @@ impl SysFs {
     /// [`SysFsError::NotFound`], [`SysFsError::ReadOnly`], or
     /// [`SysFsError::InvalidValue`] when the handler rejects the value.
     pub fn write(&self, path: &str, value: &str) -> Result<()> {
-        self.with_attr(path, |attr| match attr.write(value) {
+        match self.attr(path)?.write(value) {
             None => Err(SysFsError::ReadOnly {
                 path: path.to_owned(),
             }),
@@ -199,265 +131,227 @@ impl SysFs {
                 reason,
             }),
             Some(Ok(())) => Ok(()),
-        })
+        }
     }
 
     /// Whether an attribute or directory exists at `path`.
     #[must_use]
     pub fn exists(&self, path: &str) -> bool {
-        let Ok(parsed) = SysPath::parse(path) else {
-            return false;
-        };
-        let guard = self.root.read();
-        let mut map = &*guard;
-        let comps: Vec<&str> = parsed.components().collect();
-        for comp in &comps[..comps.len() - 1] {
-            match map.get(*comp) {
-                Some(Node::Dir(children)) => map = children,
-                _ => return false,
-            }
-        }
-        map.contains_key(*comps.last().expect("nonempty"))
-    }
-
-    /// Lists the entries of the directory at `path` (sorted).
-    ///
-    /// Listing `"/"` yields the top-level entries.
-    ///
-    /// # Errors
-    ///
-    /// [`SysFsError::NotFound`] or [`SysFsError::NotADirectory`].
-    pub fn list(&self, path: &str) -> Result<Vec<String>> {
-        let guard = self.root.read();
-        if path == "/" {
-            return Ok(guard.keys().cloned().collect());
-        }
-        let parsed = SysPath::parse(path)?;
-        let mut map = &*guard;
-        for comp in parsed.components() {
-            match map.get(comp) {
-                Some(Node::Dir(children)) => map = children,
-                Some(Node::Attr(_)) => {
-                    return Err(SysFsError::NotADirectory {
-                        path: parsed.as_str().to_owned(),
-                    })
-                }
-                None => {
-                    return Err(SysFsError::NotFound {
-                        path: parsed.as_str().to_owned(),
-                    })
-                }
-            }
-        }
-        Ok(map.keys().cloned().collect())
-    }
-
-    /// Walks the whole tree, invoking `visit` with each attribute path.
-    pub(crate) fn walk(&self, mut visit: impl FnMut(&str, &Attribute)) {
-        fn rec(
-            prefix: &str,
-            map: &BTreeMap<String, Node>,
-            visit: &mut impl FnMut(&str, &Attribute),
-        ) {
-            for (name, node) in map {
-                let path = format!("{prefix}/{name}");
-                match node {
-                    Node::Dir(children) => rec(&path, children, visit),
-                    Node::Attr(attr) => visit(&path, attr),
-                }
-            }
-        }
-        let guard = self.root.read();
-        rec("", &guard, &mut visit);
+        canonical(path)
+            .is_ok_and(|path| self.attrs.contains_key(path.as_ref()) || self.is_dir(&path))
     }
 }
 
 impl fmt::Debug for SysFs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut count = 0usize;
-        self.walk(|_, _| count += 1);
-        f.debug_struct("SysFs").field("attributes", &count).finish()
+        f.debug_struct("SysFs")
+            .field("attributes", &self.attrs.len())
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    const TEMP: &str = "/sys/class/thermal/thermal_zone0/temp";
+    const MAX_FREQ: &str = "/sys/devices/system/cpu/cpu0/cpufreq/scaling_max_freq";
+
+    /// A read-write kHz attribute over an atomic, as the simulator's
+    /// `scaling_max_freq` files are.
+    fn khz_attribute(initial: u64) -> Attribute {
+        let cell = Arc::new(AtomicU64::new(initial));
+        let read = Arc::clone(&cell);
+        Attribute::with_handlers(
+            move || read.load(Ordering::Relaxed).to_string(),
+            move |v| {
+                let khz = v.trim().parse().map_err(|_| "not a kHz frequency")?;
+                cell.store(khz, Ordering::Relaxed);
+                Ok(())
+            },
+        )
+    }
 
     fn sample() -> SysFs {
-        let fs = SysFs::new();
-        fs.register(
-            "/sys/class/thermal/thermal_zone0/temp",
-            Attribute::constant("40000"),
-        )
-        .unwrap();
-        fs.register(
-            "/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor",
-            Attribute::value("interactive"),
-        )
-        .unwrap();
+        let mut fs = SysFs::new();
+        fs.register(TEMP, Attribute::constant("40000")).unwrap();
+        fs.register(MAX_FREQ, khz_attribute(2_000_000)).unwrap();
         fs
     }
 
     #[test]
     fn read_write_round_trip() {
         let fs = sample();
+        fs.write(MAX_FREQ, "1400000").unwrap();
+        assert_eq!(fs.read(MAX_FREQ).unwrap(), "1400000");
+    }
+
+    #[test]
+    fn lookup_is_by_canonical_path() {
+        let mut fs = sample();
         fs.write(
-            "/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor",
-            "performance",
+            "//sys/devices/system/cpu/cpu0//cpufreq/scaling_max_freq/",
+            "900000",
         )
         .unwrap();
-        assert_eq!(
-            fs.read("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor")
-                .unwrap(),
-            "performance"
-        );
+        assert_eq!(fs.read(MAX_FREQ).unwrap(), "900000");
+        assert!(fs.exists("/sys/class/thermal/thermal_zone0/temp/"));
+        fs.register("/sys//kernel/x/", Attribute::constant("1"))
+            .unwrap();
+        assert_eq!(fs.read("/sys/kernel/x").unwrap(), "1");
+        assert_eq!(format!("{fs:?}"), "SysFs { attributes: 3 }");
+    }
+
+    #[test]
+    fn malformed_paths_are_invalid() {
+        let mut fs = sample();
+        for path in ["", "sys/class", "/", "/sys/./x", "/sys/../x"] {
+            let invalid = SysFsError::InvalidPath {
+                path: path.to_owned(),
+            };
+            assert_eq!(fs.read(path).unwrap_err(), invalid);
+            assert_eq!(fs.write(path, "1").unwrap_err(), invalid);
+            assert_eq!(
+                fs.register(path, Attribute::constant("1")).unwrap_err(),
+                invalid
+            );
+            assert!(!fs.exists(path));
+        }
     }
 
     #[test]
     fn read_missing_is_not_found() {
         let fs = sample();
-        let err = fs.read("/sys/nope").unwrap_err();
+        let err = fs.read("/sys//nope").unwrap_err();
+        assert_eq!(
+            err,
+            SysFsError::NotFound {
+                path: "/sys/nope".into()
+            }
+        );
+        // Nothing is found below an attribute either.
+        let err = fs.write(&format!("{TEMP}/sub"), "1").unwrap_err();
         assert!(matches!(err, SysFsError::NotFound { .. }));
     }
 
     #[test]
     fn writing_read_only_fails() {
         let fs = sample();
-        let err = fs
-            .write("/sys/class/thermal/thermal_zone0/temp", "0")
-            .unwrap_err();
+        let err = fs.write(TEMP, "0").unwrap_err();
         assert!(matches!(err, SysFsError::ReadOnly { .. }));
+        assert_eq!(fs.read(TEMP).unwrap(), "40000");
+    }
+
+    #[test]
+    fn rejected_value_is_invalid() {
+        let fs = sample();
+        let err = fs.write(MAX_FREQ, "fast").unwrap_err();
+        assert_eq!(
+            err,
+            SysFsError::InvalidValue {
+                path: MAX_FREQ.into(),
+                value: "fast".into(),
+                reason: "not a kHz frequency".into(),
+            }
+        );
+        assert_eq!(fs.read(MAX_FREQ).unwrap(), "2000000");
     }
 
     #[test]
     fn duplicate_registration_fails() {
-        let fs = sample();
+        let mut fs = sample();
         let err = fs
-            .register(
-                "/sys/class/thermal/thermal_zone0/temp",
-                Attribute::value("x"),
-            )
+            .register(&format!("{TEMP}//"), Attribute::constant("x"))
             .unwrap_err();
-        assert!(matches!(err, SysFsError::AlreadyExists { .. }));
-    }
-
-    #[test]
-    fn bind_replaces_existing() {
-        let fs = sample();
-        fs.bind(
-            "/sys/class/thermal/thermal_zone0/temp",
-            Attribute::constant("55000"),
-        )
-        .unwrap();
-        assert_eq!(
-            fs.read("/sys/class/thermal/thermal_zone0/temp").unwrap(),
-            "55000"
-        );
+        assert_eq!(err, SysFsError::AlreadyExists { path: TEMP.into() });
+        assert_eq!(fs.read(TEMP).unwrap(), "40000");
     }
 
     #[test]
     fn attribute_cannot_be_a_directory() {
-        let fs = sample();
+        let mut fs = sample();
+        let sub = format!("{TEMP}/sub");
+        let err = fs.register(&sub, Attribute::constant("x")).unwrap_err();
+        assert_eq!(err, SysFsError::AlreadyExists { path: sub.clone() });
+        assert!(!fs.exists(&sub));
+        // Nor can a directory become an attribute.
         let err = fs
-            .register(
-                "/sys/class/thermal/thermal_zone0/temp/sub",
-                Attribute::value("x"),
-            )
+            .register("/sys/class//thermal/", Attribute::constant("x"))
             .unwrap_err();
-        assert!(matches!(err, SysFsError::NotADirectory { .. }));
-    }
-
-    #[test]
-    fn list_directory() {
-        let fs = sample();
-        let entries = fs.list("/sys/class/thermal").unwrap();
-        assert_eq!(entries, vec!["thermal_zone0"]);
-        let top = fs.list("/").unwrap();
-        assert_eq!(top, vec!["sys"]);
-    }
-
-    #[test]
-    fn list_attribute_is_error() {
-        let fs = sample();
-        assert!(matches!(
-            fs.list("/sys/class/thermal/thermal_zone0/temp")
-                .unwrap_err(),
-            SysFsError::NotADirectory { .. }
-        ));
+        assert_eq!(
+            err,
+            SysFsError::AlreadyExists {
+                path: "/sys/class/thermal".into()
+            }
+        );
+        assert_eq!(
+            fs.read("/sys/class/thermal").unwrap_err(),
+            SysFsError::NotFound {
+                path: "/sys/class/thermal".into()
+            }
+        );
+        // A sibling whose name extends an attribute's is no conflict.
+        fs.register(&format!("{TEMP}_crit"), Attribute::constant("95000"))
+            .unwrap();
+        assert_eq!(fs.read(&format!("{TEMP}_crit")).unwrap(), "95000");
     }
 
     #[test]
     fn exists_finds_attributes_and_directories() {
-        let fs = sample();
-        assert!(fs.exists("/sys/class/thermal/thermal_zone0/temp"));
+        let mut fs = sample();
+        assert!(fs.exists(TEMP));
         assert!(fs.exists("/sys/class/thermal"));
+        assert!(fs.exists("/sys//class/thermal/"));
         assert!(!fs.exists("/sys/class/thermal/thermal_zone9/temp"));
+        // A prefix that ends inside a component names no directory, and a
+        // key sorting between a directory and its children ('-' < '/')
+        // does not hide them.
+        fs.register("/sys/class/thermal-x/y", Attribute::constant("1"))
+            .unwrap();
+        assert!(!fs.exists("/sys/class/therm"));
+        assert!(!fs.exists("/sys/class/thermal/thermal_zone0/te"));
+        assert!(fs.exists("/sys/class/thermal"));
     }
 
     #[test]
     fn read_parsed_values() {
-        let fs = sample();
-        let t: i64 = fs
-            .read_parsed("/sys/class/thermal/thermal_zone0/temp")
-            .unwrap();
+        let mut fs = sample();
+        let t: i64 = fs.read_parsed(TEMP).unwrap();
         assert_eq!(t, 40_000);
+        fs.register(
+            "/sys/class/thermal/thermal_zone0/type",
+            Attribute::constant("soc"),
+        )
+        .unwrap();
         let err = fs
-            .read_parsed::<i64>("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor")
+            .read_parsed::<i64>("/sys/class/thermal/thermal_zone0/type")
             .unwrap_err();
         assert!(matches!(err, SysFsError::InvalidValue { .. }));
     }
 
     #[test]
-    fn walk_visits_all_attributes() {
-        let fs = sample();
-        let mut paths = Vec::new();
-        fs.walk(|p, _| paths.push(p.to_owned()));
-        assert_eq!(paths.len(), 2);
-        assert!(paths.contains(&"/sys/class/thermal/thermal_zone0/temp".to_owned()));
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let fs = sample();
-        let clone = fs.clone();
-        clone
-            .write(
-                "/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor",
-                "powersave",
-            )
-            .unwrap();
-        assert_eq!(
-            fs.read("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor")
-                .unwrap(),
-            "powersave"
-        );
-    }
-
-    #[test]
     fn concurrent_access_is_safe() {
         let fs = sample();
-        let mut handles = Vec::new();
-        for i in 0..8 {
-            let fs = fs.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    let _ = fs.read("/sys/class/thermal/thermal_zone0/temp");
-                    fs.write(
-                        "/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor",
-                        &format!("gov{i}"),
-                    )
-                    .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let v = fs
-            .read("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor")
-            .unwrap();
-        assert!(v.starts_with("gov"));
+        // All eight threads start their reads and writes together.
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for i in 1..=8u64 {
+                let (fs, start) = (&fs, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..100 {
+                        assert_eq!(fs.read(TEMP).unwrap(), "40000");
+                        fs.write(MAX_FREQ, &(i * 100_000).to_string()).unwrap();
+                        let khz: u64 = fs.read_parsed(MAX_FREQ).unwrap();
+                        assert!(khz.is_multiple_of(100_000) && (100_000..=800_000).contains(&khz));
+                    }
+                });
+            }
+        });
+        let khz: u64 = fs.read_parsed(MAX_FREQ).unwrap();
+        assert!((100_000..=800_000).contains(&khz));
     }
 
     mod properties {
@@ -470,24 +364,14 @@ mod tests {
                 comps in proptest::collection::vec("[a-z0-9_]{1,8}", 1..5),
                 value in "[ -~]{0,32}",
             ) {
-                let fs = SysFs::new();
+                let mut fs = SysFs::new();
                 let path = format!("/{}", comps.join("/"));
-                fs.register(&path, Attribute::value(value.clone())).unwrap();
+                fs.register(&path, Attribute::constant(value.clone())).unwrap();
                 prop_assert_eq!(fs.read(&path).unwrap(), value);
                 prop_assert!(fs.exists(&path));
-            }
-
-            #[test]
-            fn prop_listing_contains_registered_children(
-                names in proptest::collection::btree_set("[a-z]{1,6}", 1..6),
-            ) {
-                let fs = SysFs::new();
-                for n in &names {
-                    fs.register(&format!("/dir/{n}"), Attribute::value("x")).unwrap();
+                for (end, _) in path.match_indices('/').skip(1) {
+                    prop_assert!(fs.exists(&path[..end]));
                 }
-                let listed = fs.list("/dir").unwrap();
-                let expected: Vec<String> = names.into_iter().collect();
-                prop_assert_eq!(listed, expected);
             }
         }
     }

@@ -109,14 +109,6 @@ impl AppModel {
 }
 
 impl Workload for AppModel {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn name(&self) -> &str {
         &self.name
     }

@@ -95,14 +95,6 @@ impl Default for ThreeDMark {
 }
 
 impl Workload for ThreeDMark {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn name(&self) -> &str {
         "3DMark"
     }
@@ -137,7 +129,7 @@ impl Workload for ThreeDMark {
 
     fn is_finished(&self) -> bool {
         // Finished when GT2's local clock has run out; checked through
-        // the recorded history rather than wall time so partial delivery
+        // GT2's closed seconds rather than wall time so partial delivery
         // cannot end the benchmark early.
         self.gt2.whole_seconds() as f64 >= self.gt2_duration
     }
@@ -246,14 +238,6 @@ impl Default for Nenamark {
 }
 
 impl Workload for Nenamark {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn name(&self) -> &str {
         "Nenamark"
     }
@@ -360,14 +344,6 @@ impl Default for BasicMathLarge {
 }
 
 impl Workload for BasicMathLarge {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn name(&self) -> &str {
         "basicmath_large"
     }
@@ -432,14 +408,6 @@ impl SteadyCompute {
 }
 
 impl Workload for SteadyCompute {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -515,14 +483,6 @@ impl BurstyCompute {
 }
 
 impl Workload for BurstyCompute {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -647,14 +607,6 @@ impl PhasedCompute {
 }
 
 impl Workload for PhasedCompute {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -731,9 +683,9 @@ mod tests {
 
     #[test]
     fn threedmark_finishes_on_the_pass_its_gt2_buckets_fill() {
-        // `is_finished` counts GT2's whole seconds off its last history
-        // time. It must flip on the same pass as the count of GT2's
-        // per-second FPS buckets it replaced, for a whole GT2 duration,
+        // `is_finished` counts GT2's closed seconds. It must flip on the
+        // same pass as the count of GT2's per-second FPS buckets, for a
+        // whole GT2 duration,
         // fractional ones (perfbench draws durations like 14.4 s) and a
         // tick that does not divide a second.
         for (gt2, dt) in [(3.0, 0.01), (2.4, 0.01), (14.4, 0.007)] {

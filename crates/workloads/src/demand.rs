@@ -38,17 +38,12 @@ impl Demand {
 ///
 /// Call order per tick: [`demand`](Workload::demand) first, then (after
 /// the simulator allocates capacity) [`deliver`](Workload::deliver) with
-/// the cycles actually granted.
+/// the cycles actually granted. The `Any` supertrait lets a
+/// `&dyn Workload` upcast to `&dyn Any`, so benchmark scores and app
+/// pipelines can be read back by concrete type after a run.
 pub trait Workload: fmt::Debug + Send + std::any::Any {
     /// The workload's display name.
     fn name(&self) -> &str;
-
-    /// Upcast for downcasting concrete workload types (benchmark scores
-    /// and app pipelines are read back through this after a run).
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable upcast.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 
     /// The resource request for the tick beginning at `now`.
     fn demand(&mut self, now: Seconds, dt: Seconds) -> Demand;
@@ -110,14 +105,6 @@ mod tests {
         #[derive(Debug)]
         struct Nop;
         impl Workload for Nop {
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-
             fn name(&self) -> &str {
                 "nop"
             }

@@ -1,6 +1,12 @@
 //! Frame pipeline: delivered cycles → completed frames → FPS statistics.
 
+use std::collections::VecDeque;
+
 use mpt_units::Seconds;
+
+/// The widest trailing window [`FramePipeline::rolling_fps`] answers for;
+/// the pipeline keeps just enough deliveries to cover it.
+const MAX_WINDOW_S: f64 = 2.0;
 
 /// A double-sided (CPU + GPU) frame pipeline with a vsync-style target
 /// rate and time-varying per-frame costs.
@@ -15,7 +21,9 @@ use mpt_units::Seconds;
 /// FPS) — exactly the mechanics behind the paper's Table I.
 ///
 /// Progress is tracked in *frames*, not cycles, so cost changes apply to
-/// future work only.
+/// future work only. The statistics need no per-pass history: the
+/// pipeline keeps the frames of each whole second as it closes, and the
+/// deliveries of the last two seconds for the trailing rate.
 ///
 /// # Examples
 ///
@@ -44,8 +52,15 @@ pub struct FramePipeline {
     /// Frames of GPU-side work finished.
     gpu_progress: f64,
     completed: f64,
-    /// (time, total completed frames) samples.
-    history: Vec<(f64, f64)>,
+    /// Frames completed in each whole second closed so far.
+    buckets: Vec<f64>,
+    /// Completed frames when the last closed second ended.
+    closed_frames: f64,
+    /// (end time, total completed frames) of each delivery of the last
+    /// `MAX_WINDOW_S`, and of the one before them.
+    recent: VecDeque<(f64, f64)>,
+    /// When the first delivery ended.
+    first_end: Option<f64>,
 }
 
 impl FramePipeline {
@@ -73,7 +88,10 @@ impl FramePipeline {
             cpu_progress: 0.0,
             gpu_progress: 0.0,
             completed: 0.0,
-            history: Vec::new(),
+            buckets: Vec::new(),
+            closed_frames: 0.0,
+            recent: VecDeque::new(),
+            first_end: None,
         }
     }
 
@@ -160,68 +178,78 @@ impl FramePipeline {
             self.gpu_progress = allowed;
         }
         self.completed = self.cpu_progress.min(self.gpu_progress).max(self.completed);
-        self.history
-            .push((now.value() + dt.value(), self.completed));
+        self.record(now.value() + dt.value());
     }
 
-    /// Frames completed per second over the trailing `window`.
+    /// Books the frames completed by a delivery ending at `end`: closes
+    /// every whole second the delivery reaches, and slides the window of
+    /// recent deliveries. Deliveries end at increasing times, as the
+    /// simulator's passes do.
+    fn record(&mut self, end: f64) {
+        self.first_end.get_or_insert(end);
+        // A second's count runs to the last delivery ending within it:
+        // this one if it ends exactly on the boundary, else the one
+        // before it.
+        let mut boundary = (self.buckets.len() + 1) as f64;
+        while boundary <= end {
+            let frames_at = if end == boundary {
+                self.completed
+            } else {
+                self.recent.back().map_or(0.0, |&(_, frames)| frames)
+            };
+            self.buckets.push(frames_at - self.closed_frames);
+            self.closed_frames = frames_at;
+            boundary += 1.0;
+        }
+        self.recent.push_back((end, self.completed));
+        let cutoff = end - MAX_WINDOW_S;
+        while self.recent.get(1).is_some_and(|&(t, _)| t <= cutoff) {
+            self.recent.pop_front();
+        }
+    }
+
+    /// Frames completed per second over the trailing `window` (at most
+    /// two seconds).
     ///
     /// Returns `None` until at least `window` of history exists.
     #[must_use]
     pub(crate) fn rolling_fps(&self, window: Seconds) -> Option<f64> {
-        let (t_end, f_end) = *self.history.last()?;
+        debug_assert!(
+            window.value() <= MAX_WINDOW_S,
+            "rolling_fps keeps {MAX_WINDOW_S} s of deliveries, not {window:?}"
+        );
+        let (t_end, f_end) = *self.recent.back()?;
         let t_start = t_end - window.value();
-        if self.history.first()?.0 > t_start {
+        if self.first_end? > t_start {
             return None;
         }
-        // Find the completed count at t_start (last sample <= t_start).
-        let idx = self.history.partition_point(|&(t, _)| t <= t_start);
-        let f_start = self.history[idx.saturating_sub(1)].1;
+        // The completed count at t_start: the last delivery ending by
+        // then. The window holds it, since its front ends by `t_start`.
+        let idx = self.recent.partition_point(|&(t, _)| t <= t_start);
+        let f_start = self.recent[idx.saturating_sub(1)].1;
         Some((f_end - f_start) / window.value())
     }
 
-    /// Whole seconds of history: the number of per-second buckets behind
-    /// the median (`fps_buckets().len()`), read off the last sample time
-    /// without building them.
+    /// The number of whole seconds closed so far (`fps_buckets().len()`).
     #[must_use]
     pub(crate) fn whole_seconds(&self) -> usize {
-        self.history
-            .last()
-            .map_or(0, |&(t_end, _)| t_end.floor() as usize)
+        self.buckets.len()
     }
 
     /// Per-second frame counts (the samples behind the median).
     #[must_use]
-    pub(crate) fn fps_buckets(&self) -> Vec<f64> {
-        let whole_seconds = self.whole_seconds();
-        let mut buckets = Vec::with_capacity(whole_seconds);
-        let mut prev_frames = 0.0;
-        let mut idx = 0;
-        for sec in 1..=whole_seconds {
-            let boundary = sec as f64;
-            while idx < self.history.len() && self.history[idx].0 <= boundary {
-                idx += 1;
-            }
-            let frames_at = if idx == 0 {
-                0.0
-            } else {
-                self.history[idx - 1].1
-            };
-            buckets.push(frames_at - prev_frames);
-            prev_frames = frames_at;
-        }
-        buckets
+    pub(crate) fn fps_buckets(&self) -> &[f64] {
+        &self.buckets
     }
 
     /// The median of the per-second frame counts — the paper's reported
     /// metric. Returns `None` with less than one full second of history.
     #[must_use]
     pub fn median_fps(&self) -> Option<f64> {
-        let buckets = self.fps_buckets();
-        if buckets.is_empty() {
+        if self.buckets.is_empty() {
             return None;
         }
-        let mut sorted = buckets;
+        let mut sorted = self.fps_buckets().to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let n = sorted.len();
         Some(if n % 2 == 1 {
@@ -319,6 +347,102 @@ mod tests {
         let mut p = FramePipeline::new(1.0e6, 1.0e6, 60.0);
         run(&mut p, 0.5, 1e9, 1e9);
         assert!(p.rolling_fps(Seconds::new(2.0)).is_none());
+    }
+
+    /// The statistics as computed from a full per-delivery history of
+    /// `(end time, completed frames)`, before the pipeline kept only
+    /// closed seconds and a trailing window: the reference the pipeline
+    /// must match bit for bit.
+    struct FullHistory(Vec<(f64, f64)>);
+
+    impl FullHistory {
+        fn rolling_fps(&self, window: f64) -> Option<f64> {
+            let (t_end, f_end) = *self.0.last()?;
+            let t_start = t_end - window;
+            if self.0.first()?.0 > t_start {
+                return None;
+            }
+            let idx = self.0.partition_point(|&(t, _)| t <= t_start);
+            let f_start = self.0[idx.saturating_sub(1)].1;
+            Some((f_end - f_start) / window)
+        }
+
+        fn whole_seconds(&self) -> usize {
+            self.0
+                .last()
+                .map_or(0, |&(t_end, _)| t_end.floor() as usize)
+        }
+
+        fn fps_buckets(&self) -> Vec<f64> {
+            let mut buckets = Vec::new();
+            let mut prev_frames = 0.0;
+            let mut idx = 0;
+            for sec in 1..=self.whole_seconds() {
+                let boundary = sec as f64;
+                while idx < self.0.len() && self.0[idx].0 <= boundary {
+                    idx += 1;
+                }
+                let frames_at = if idx == 0 { 0.0 } else { self.0[idx - 1].1 };
+                buckets.push(frames_at - prev_frames);
+                prev_frames = frames_at;
+            }
+            buckets
+        }
+
+        fn median_fps(&self) -> Option<f64> {
+            let mut sorted = self.fps_buckets();
+            if sorted.is_empty() {
+                return None;
+            }
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let n = sorted.len();
+            Some(if n % 2 == 1 {
+                sorted[n / 2]
+            } else {
+                0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+            })
+        }
+    }
+
+    fn bits(v: Option<f64>) -> Option<u64> {
+        v.map(f64::to_bits)
+    }
+
+    #[test]
+    fn kept_seconds_and_window_match_the_full_history() {
+        // Whole and fractional spans at the simulator's 10 ms tick and at
+        // a 7 ms tick, whose delivery ends fall on and around second
+        // boundaries; the clock accumulates as the simulator's does.
+        for (tick, seconds) in [(0.01, 6.0), (0.01, 4.37), (0.007, 6.0), (0.007, 3.5)] {
+            let dt = Seconds::new(tick);
+            let mut p = FramePipeline::new(0.5e6, 10.0e6, 60.0);
+            let mut history = FullHistory(Vec::new());
+            let mut now = Seconds::ZERO;
+            for pass in 0..(seconds / tick).round() as usize {
+                // The GPU swings between starved, throttled and free, so
+                // the per-second counts and trailing rates differ.
+                let gpu_rate = [0.0, 150.0e6, 600.0e6][(pass / 37) % 3];
+                let (cw, gw) = p.demand(now, dt);
+                p.deliver(cw, gw.min(gpu_rate * tick), now, dt);
+                history.0.push((now.value() + tick, p.completed));
+                now += dt;
+
+                let at = format!("{tick} s tick, pass {pass}");
+                assert_eq!(p.whole_seconds(), history.whole_seconds(), "{at}");
+                let kept: Vec<u64> = p.fps_buckets().iter().map(|b| b.to_bits()).collect();
+                let full: Vec<u64> = history.fps_buckets().iter().map(|b| b.to_bits()).collect();
+                assert_eq!(kept, full, "{at}");
+                assert_eq!(bits(p.median_fps()), bits(history.median_fps()), "{at}");
+                for window in [0.5, 1.0, 2.0] {
+                    assert_eq!(
+                        bits(p.rolling_fps(Seconds::new(window))),
+                        bits(history.rolling_fps(window)),
+                        "{at}, {window} s window"
+                    );
+                }
+            }
+            assert!(p.recent.len() <= (MAX_WINDOW_S / tick) as usize + 2);
+        }
     }
 
     #[test]

@@ -126,14 +126,6 @@ impl TraceWorkload {
 }
 
 impl Workload for TraceWorkload {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn name(&self) -> &str {
         &self.name
     }

@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (fps_free - fps_thr) / fps_free * 100.0
     );
 
-    // 5. The control plane is a real sysfs tree.
+    // 5. The control plane is sysfs files at their Linux paths.
     let khz: u64 = throttled
         .sysfs()
         .read_parsed("/sys/class/devfreq/gpu/scaling_max_freq")?;
