@@ -317,6 +317,7 @@ impl SimBuilder {
             clock: SimClock::new(self.dt),
             telemetry: Telemetry::new(self.telemetry_period),
             sysfs: SysFs::new(),
+            max_freq_paths: Default::default(),
             last_powers: [None; 4],
             pending_migrations: Arc::new(Mutex::new(Vec::new())),
             live,
@@ -349,7 +350,8 @@ impl SimBuilder {
             tick_hist,
             stage_hists,
             stepping: self.stepping,
-            last_fingerprint: None,
+            control: Default::default(),
+            control_seen: false,
             quiescent: false,
             counted_passes: 0,
         })

@@ -2,7 +2,8 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::io::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpt_kernel::{CpuFreqPolicy, Pid, Scheduler, ThermalAction};
@@ -113,6 +114,11 @@ pub(crate) struct SimCore {
     pub(crate) clock: SimClock,
     pub(crate) telemetry: Telemetry,
     pub(crate) sysfs: SysFs,
+    /// Each component's `scaling_max_freq` path, by `ComponentId as
+    /// usize` (empty for a component the platform lacks), built once by
+    /// [`register_sysfs`](Self::register_sysfs) for the thermal
+    /// governor's writes.
+    pub(crate) max_freq_paths: [String; 4],
     /// Per-component power of the latest power stage, by
     /// `ComponentId as usize` (`None` for a component the platform
     /// lacks).
@@ -149,9 +155,14 @@ pub(crate) struct SimCore {
 /// ([`SimCore::publish_sysfs`]); a file formats its number in its unit
 /// only when someone reads it. `scaling_max_freq` writes land here too.
 /// Each slot is a self-contained number that publishes no other data,
-/// so every access is `Relaxed`.
+/// so every slot access is `Relaxed`; only the written flag publishes
+/// the writes before it.
 #[derive(Debug)]
 pub(crate) struct LiveSysfs {
+    /// Set by every accepted `scaling_max_freq` or cpuset write (and at
+    /// build), cleared by the sysfs-control stage as it applies them
+    /// ([`take_written`](Self::take_written)).
+    written: AtomicBool,
     /// `scaling_cur_freq` in kHz, indexed by `ComponentId as usize`.
     cur_khz: [AtomicU64; 4],
     /// `scaling_max_freq` in kHz, indexed by `ComponentId as usize`.
@@ -170,6 +181,7 @@ impl LiveSysfs {
     pub(crate) fn new(platform: &Platform, processes: usize) -> Self {
         let slots = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
         Self {
+            written: AtomicBool::new(true),
             cur_khz: Default::default(),
             max_khz: Default::default(),
             zone_c: slots(platform.temperature_sensors().len()),
@@ -181,6 +193,18 @@ impl LiveSysfs {
     /// A zone's temperature as last stored.
     pub(crate) fn zone(&self, zone: usize) -> Celsius {
         Celsius::new(load_f64(&self.zone_c[zone]))
+    }
+
+    /// Marks a control write for the sysfs-control stage, after the
+    /// write's own store or queue push.
+    fn mark_written(&self) {
+        self.written.store(true, Ordering::Release);
+    }
+
+    /// Whether a control file was written since the last call, clearing
+    /// the mark.
+    pub(crate) fn take_written(&self) -> bool {
+        self.written.swap(false, Ordering::Acquire)
     }
 }
 
@@ -197,6 +221,15 @@ fn load_f64(slot: &AtomicU64) -> f64 {
     f64::from_bits(slot.load(Ordering::Relaxed))
 }
 
+/// `value` in decimal, written into `buf` (a `u64` has at most 20
+/// digits) rather than a new `String`.
+fn decimal(value: u64, buf: &mut [u8; 20]) -> &str {
+    let mut rest = &mut buf[..];
+    write!(rest, "{value}").expect("a u64 has at most 20 digits");
+    let len = 20 - rest.len();
+    std::str::from_utf8(&buf[..len]).expect("decimal digits are ASCII")
+}
+
 /// Per-run event-engine wake totals, mirrored into the recorder's
 /// counters and reported to the live journal at the end of a run. Driven
 /// purely by simulated state, so deterministic across worker counts.
@@ -209,6 +242,24 @@ pub struct MacroStats {
     pub wakes_coalesced: u64,
     /// Bisection iterations spent refining trip-crossing wake times.
     pub trip_bisection_iters: u64,
+}
+
+/// The control state the macro-stepper must not jump across a change
+/// of: each policy's frequency and cap, the interaction latch, and each
+/// workload's cluster placement and completion flag. Demand *rates* are
+/// deliberately absent — the
+/// [`Workload::next_phase_change`](mpt_workloads::Workload) contract
+/// covers those. Compared exactly, so two snapshots are equal only when
+/// the state is.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct ControlState {
+    /// `(frequency, cap)` per policy, by `ComponentId as usize` (`None`
+    /// for a component the platform lacks).
+    policies: [Option<(Hertz, Option<Hertz>)>; 4],
+    interaction: bool,
+    /// `(cluster, finished)` per attached workload, in attach order; the
+    /// cluster is `None` for a process the scheduler no longer has.
+    workloads: Vec<(Option<ComponentId>, bool)>,
 }
 
 impl SimCore {
@@ -257,28 +308,20 @@ impl SimCore {
         Ok(self.control_of(|zone| self.peeked[self.sensor_nodes[zone]].to_celsius()))
     }
 
-    /// Hash of the control state the macro-stepper must not jump across
-    /// a change of: per-policy frequency and cap, the interaction latch,
-    /// and each workload's cluster placement and completion flag. Demand
-    /// *rates* are deliberately absent — the
-    /// [`Workload::next_phase_change`](mpt_workloads::Workload) contract
-    /// covers those.
-    pub(crate) fn control_fingerprint(&self, interaction: bool) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+    /// Writes the control state after a pass into `into`, reusing its
+    /// buffer: what [`ControlState`] holds, with `interaction` the
+    /// pass's interaction latch.
+    pub(crate) fn snapshot_control(&self, interaction: bool, into: &mut ControlState) {
+        into.policies = [None; 4];
         for (&id, policy) in &self.policies {
-            id.key().hash(&mut h);
-            policy.current().as_khz().hash(&mut h);
-            policy.max_cap().map(Hertz::as_khz).hash(&mut h);
+            into.policies[id as usize] = Some((policy.current(), policy.max_cap()));
         }
-        interaction.hash(&mut h);
-        for a in &self.workloads {
-            if let Some(p) = self.scheduler.process(a.pid) {
-                p.cluster().key().hash(&mut h);
-            }
-            a.workload.is_finished().hash(&mut h);
-        }
-        h.finish()
+        into.interaction = interaction;
+        into.workloads.clear();
+        into.workloads.extend(self.workloads.iter().map(|a| {
+            let cluster = self.scheduler.process(a.pid).map(|p| p.cluster());
+            (cluster, a.workload.is_finished())
+        }));
     }
 
     /// Writes a sysfs attribute on behalf of the simulator core, counting
@@ -289,20 +332,25 @@ impl SimCore {
         Ok(())
     }
 
+    /// Writes each action's cap to its component's `scaling_max_freq`
+    /// file, the value formatted on the stack, then applies the caps.
     pub(crate) fn apply_thermal_actions(&mut self, actions: &[ThermalAction]) -> Result<()> {
         for action in actions {
-            match *action {
+            let (component, cap) = match *action {
                 ThermalAction::SetMaxFreq { component, freq } => {
                     self.recorder.incr(Counter::ThrottleEvents);
-                    let path = mpt_kernel::paths::max_freq(component);
-                    self.sysfs_write(&path, &freq.as_khz().to_string())?;
+                    (component, freq)
                 }
-                ThermalAction::ClearCap { component } => {
-                    let top = self.component(component).opps().highest().frequency();
-                    let path = mpt_kernel::paths::max_freq(component);
-                    self.sysfs_write(&path, &top.as_khz().to_string())?;
-                }
-            }
+                ThermalAction::ClearCap { component } => (
+                    component,
+                    self.component(component).opps().highest().frequency(),
+                ),
+            };
+            let mut digits = [0; 20];
+            self.sysfs_write(
+                &self.max_freq_paths[component as usize],
+                decimal(cap.as_khz(), &mut digits),
+            )?;
         }
         // Caps take effect immediately within the same poll.
         self.apply_sysfs_caps();
@@ -333,8 +381,9 @@ impl SimCore {
             // write is refused (EINVAL) and the old cap stays.
             self.live.max_khz[id as usize].store(top.as_khz(), Ordering::Relaxed);
             let live = Arc::clone(&self.live);
+            let max_freq = mpt_kernel::paths::max_freq(id);
             self.sysfs.register(
-                &mpt_kernel::paths::max_freq(id),
+                &max_freq,
                 Attribute::with_handlers(
                     live_read(&self.live, move |l| {
                         l.max_khz[id as usize].load(Ordering::Relaxed).to_string()
@@ -344,10 +393,12 @@ impl SimCore {
                             .filter(|&k| k <= u64::MAX / 1_000)
                             .ok_or("not a kHz frequency")?;
                         live.max_khz[id as usize].store(khz, Ordering::Relaxed);
+                        live.mark_written();
                         Ok(())
                     },
                 ),
             )?;
+            self.max_freq_paths[id as usize] = max_freq;
             // Nothing applies a floor or a governor change written here,
             // so both files refuse writes rather than accept and ignore.
             self.sysfs.register(
@@ -386,6 +437,7 @@ impl SimCore {
         // task placement.
         for (i, a) in self.workloads.iter().enumerate() {
             let queue = Arc::clone(&self.pending_migrations);
+            let live = Arc::clone(&self.live);
             let raw = a.pid.value();
             self.sysfs.register(
                 &mpt_kernel::paths::cpuset_cluster(raw),
@@ -408,6 +460,7 @@ impl SimCore {
                             .lock()
                             .expect("queue mutex is never poisoned")
                             .push((Pid::new(raw), cluster));
+                        live.mark_written();
                         Ok(())
                     },
                 ),
@@ -511,10 +564,13 @@ pub struct Simulator {
     pub(crate) stage_hists: [HistId; STAGES.len()],
     /// How [`run_for`](Simulator::run_for) advances time.
     pub(crate) stepping: SteppingMode,
-    /// Control-state fingerprint after the previous pass; a long jump is
-    /// only allowed once the fingerprint has been stable across two
-    /// consecutive passes.
-    pub(crate) last_fingerprint: Option<u64>,
+    /// The control state after the previous event pass (`[0]`, once
+    /// `control_seen`) and the buffer the next one is written into
+    /// (`[1]`); the two swap after each pass, so a snapshot allocates
+    /// nothing once both have grown. A long jump is only allowed once two
+    /// consecutive snapshots are equal.
+    pub(crate) control: [ControlState; 2],
+    pub(crate) control_seen: bool,
     pub(crate) quiescent: bool,
     /// Passes already added to the tick and stage-run counters.
     pub(crate) counted_passes: u64,
@@ -854,7 +910,7 @@ impl Simulator {
     /// Two guards keep this equivalent to fixed-dt stepping: a stage
     /// that answers [`Wake::EveryTick`] (frame-based workloads, pending
     /// control writes) pins the pass to one base tick, and jumps are
-    /// only taken while the control-state fingerprint is stable across
+    /// only taken while the [`ControlState`] is unchanged across
     /// consecutive passes.
     fn event_step(&mut self, end: Seconds) -> Result<()> {
         let now = self.core.clock.now();
@@ -910,9 +966,11 @@ impl Simulator {
             Seconds::new(steps as f64 * base.value())
         };
         let interaction = self.pass(dt)?;
-        let fingerprint = self.core.control_fingerprint(interaction);
-        self.quiescent = self.last_fingerprint == Some(fingerprint);
-        self.last_fingerprint = Some(fingerprint);
+        let [previous, current] = &mut self.control;
+        self.core.snapshot_control(interaction, current);
+        self.quiescent = self.control_seen && current == previous;
+        self.control_seen = true;
+        std::mem::swap(previous, current);
         Ok(())
     }
 
@@ -993,7 +1051,88 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimBuilder;
+    use mpt_soc::platforms;
+    use mpt_workloads::benchmarks::{ComputePhase, PhasedCompute};
     use proptest::prelude::*;
+
+    /// An Odroid running a 2 s task on the big cluster, every policy on
+    /// `performance` (so no frequency moves by itself), 1 s in.
+    fn settled() -> Simulator {
+        let task = PhasedCompute::new(
+            "task",
+            vec![ComputePhase {
+                until_s: 2.0,
+                rate: 1.0e9,
+                threads: 1.0,
+            }],
+        )
+        .unwrap();
+        let mut builder = SimBuilder::new(platforms::exynos_5422());
+        for id in ComponentId::ALL {
+            builder = builder.governor(id, mpt_kernel::GovernorKind::Performance);
+        }
+        let mut sim = builder
+            .attach(Box::new(task), ComponentId::BigCluster)
+            .build()
+            .unwrap();
+        sim.run_for(Seconds::new(1.0)).unwrap();
+        sim
+    }
+
+    fn snapshot(sim: &Simulator, interaction: bool) -> ControlState {
+        let mut state = ControlState::default();
+        sim.core.snapshot_control(interaction, &mut state);
+        state
+    }
+
+    #[test]
+    fn control_snapshot_changes_with_each_control_input() {
+        let mut sim = settled();
+        let before = snapshot(&sim, false);
+        sim.step().unwrap();
+        assert_eq!(snapshot(&sim, false), before, "a pass that changes nothing");
+
+        fn policy(sim: &mut Simulator) -> &mut CpuFreqPolicy {
+            sim.core.policies.get_mut(&ComponentId::BigCluster).unwrap()
+        }
+        /// Makes one change after a pass, returning the interaction latch.
+        type Change = fn(&mut Simulator) -> bool;
+        let changes: [(&str, Change); 5] = [
+            ("a frequency change", |sim| {
+                // Clamp the frequency down, then lift the cap again.
+                let lowest = policy(sim).opps().lowest().frequency();
+                policy(sim).set_max_cap(Some(lowest));
+                policy(sim).set_max_cap(None);
+                false
+            }),
+            ("a cap", |sim| {
+                let top = policy(sim).current();
+                policy(sim).set_max_cap(Some(top));
+                false
+            }),
+            ("the interaction latch", |_| true),
+            ("a migration", |sim| {
+                let pid = sim.pid_of("task").unwrap();
+                sim.core
+                    .scheduler
+                    .migrate(pid, ComponentId::LittleCluster)
+                    .unwrap();
+                false
+            }),
+            ("a workload completion", |sim| {
+                sim.run_for(Seconds::new(1.5)).unwrap();
+                assert!(sim.all_finished());
+                false
+            }),
+        ];
+        for (what, change) in changes {
+            let mut sim = settled();
+            sim.step().unwrap();
+            let interaction = change(&mut sim);
+            assert_ne!(snapshot(&sim, interaction), before, "{what}");
+        }
+    }
 
     /// The reference: a queue of the wakes in stage order with the run
     /// end appended, stably sorted by time, so a tie goes to the earlier

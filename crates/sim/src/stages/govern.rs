@@ -14,8 +14,12 @@ use crate::{Result, SystemPolicy, SystemView};
 /// Applies external writes to the sysfs control plane — frequency caps
 /// and queued cpuset migrations — at the start of the tick, so a daemon
 /// (or test) writing between ticks sees its change take effect exactly
-/// one tick later, as on real hardware.
+/// one tick later, as on real hardware. A pass after no control write
+/// returns at once.
 pub(crate) fn sysfs_control(core: &mut SimCore) -> Result<()> {
+    if !core.live.take_written() {
+        return Ok(());
+    }
     core.apply_sysfs_caps();
     core.apply_pending_migrations()
 }

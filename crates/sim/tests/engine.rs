@@ -4,11 +4,11 @@ use std::sync::Arc;
 
 use mpt_kernel::{StepWiseGovernor, ThermalGovernor, TripPoint};
 use mpt_obs::{Counter, Recorder};
-use mpt_sim::{SimBuilder, SimError, Simulator, SteppingMode};
+use mpt_sim::{EventKind, MacroStats, SimBuilder, SimError, Simulator, SteppingMode};
 use mpt_soc::{platforms, ComponentId, Platform};
 use mpt_units::{Celsius, Hertz, Seconds};
 use mpt_workloads::apps;
-use mpt_workloads::benchmarks::{BasicMathLarge, SteadyCompute};
+use mpt_workloads::benchmarks::{BasicMathLarge, ComputePhase, PhasedCompute, SteadyCompute};
 
 /// The pipeline stages, in tick order.
 const STAGES: [&str; 9] = [
@@ -666,4 +666,120 @@ fn pass_counters_stay_exact_through_every_driving_call() {
     assert!(null.clock().steps() > TIMED_EVERY);
     assert_eq!(totals(&null), (0, 0));
     assert_eq!(hist_counts(null.recorder()), vec![0; 1 + STAGES.len()]);
+}
+
+/// A two-minute Nexus run of alternating busy and idle phases under a
+/// step-wise policy whose trip the busy phases cross, in the event
+/// engine: its pass count and wake totals are pinned, so a change in
+/// when the engine judges the control state quiescent (or how it sizes
+/// and refines a macro step) fails here, not only in the benchmark's
+/// digest.
+#[test]
+fn event_stepping_pins_passes_and_wake_totals_of_a_phased_trip_run() {
+    let soc = platforms::snapdragon_810();
+    let trip = 35.5;
+    let governor = StepWiseGovernor::with_state_limits(
+        vec![TripPoint::new(Celsius::new(trip), Celsius::new(1.5))],
+        vec![
+            (soc.component(ComponentId::Gpu).unwrap().clone(), 3),
+            (soc.component(ComponentId::BigCluster).unwrap().clone(), 5),
+        ],
+    );
+    let mut phases = Vec::new();
+    let mut until_s = 0.0;
+    for (busy_s, idle_s) in [(25.0, 15.0), (30.0, 20.0), (20.0, 10.0)] {
+        until_s += busy_s;
+        phases.push(ComputePhase {
+            until_s,
+            rate: 3.0e9,
+            threads: 3.0,
+        });
+        until_s += idle_s;
+        phases.push(ComputePhase {
+            until_s,
+            rate: 0.0,
+            threads: 0.0,
+        });
+    }
+    let mut sim = SimBuilder::new(soc)
+        .stepping(SteppingMode::EventDriven)
+        .attach(
+            Box::new(PhasedCompute::new("phased", phases).unwrap()),
+            ComponentId::BigCluster,
+        )
+        .thermal_governor(Box::new(governor))
+        .thermal_period(Seconds::new(1.0))
+        .initial_temperature(Celsius::new(33.0))
+        .trip_reference(Celsius::new(trip))
+        .build()
+        .unwrap();
+    sim.run_for(Seconds::new(120.0)).unwrap();
+    let caps = (sim.events().events().iter())
+        .filter(|e| matches!(e.kind, EventKind::CapChanged { .. }))
+        .count();
+    // Measured when quiescence was judged by a hash of the control
+    // state.
+    assert_eq!(caps, 8, "the busy phases cross the trip");
+    assert_eq!(sim.clock().steps(), 4_608);
+    assert_eq!(
+        sim.macro_stats(),
+        MacroStats {
+            events_popped: 2_703,
+            wakes_coalesced: 413,
+            trip_bisection_iters: 19,
+        }
+    );
+}
+
+/// The sysfs-control stage skips its work while no control file is
+/// written, so a cap written after a stretch of passes without writes
+/// must still take effect on the very next pass, under either engine:
+/// the cap event is stamped with the time of the write and the
+/// frequency obeys the cap once that pass has run.
+#[test]
+fn a_cap_written_after_quiet_passes_applies_on_the_next_pass() {
+    for mode in [SteppingMode::FixedDt, SteppingMode::EventDriven] {
+        let mut sim = SimBuilder::new(platforms::snapdragon_810())
+            .stepping(mode)
+            .telemetry_period(Seconds::new(5.0))
+            .attach(
+                Box::new(SteadyCompute::new("load", 2.0e9, 2.0)),
+                ComponentId::BigCluster,
+            )
+            .build()
+            .unwrap();
+        sim.run_for(Seconds::new(10.0)).unwrap();
+        let cap = Hertz::from_mhz(960);
+        assert!(sim.current_frequency(ComponentId::BigCluster).unwrap() > cap);
+        assert!(sim.events().events().is_empty(), "{mode}: no write yet");
+        let written_at = sim.time();
+        let passes = sim.clock().steps();
+        sim.sysfs()
+            .write(
+                &mpt_kernel::paths::max_freq(ComponentId::BigCluster),
+                "960000",
+            )
+            .unwrap();
+        sim.run_for(sim.dt()).unwrap();
+        assert_eq!(sim.clock().steps(), passes + 1, "{mode}");
+        assert_eq!(
+            sim.current_frequency(ComponentId::BigCluster).unwrap(),
+            cap,
+            "{mode}"
+        );
+        let applied: Vec<_> = (sim.events().events().iter())
+            .map(|e| (e.time, e.kind.clone()))
+            .collect();
+        assert_eq!(
+            applied,
+            vec![(
+                written_at,
+                EventKind::CapChanged {
+                    component: ComponentId::BigCluster,
+                    cap: Some(cap),
+                }
+            )],
+            "{mode}"
+        );
+    }
 }

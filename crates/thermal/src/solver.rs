@@ -276,7 +276,7 @@ impl TransitionCache {
 }
 
 /// Memoized per-`dt` state: the discretization plus the pre-computed
-/// avoided-substep count, so the steady path repeats neither the cache
+/// avoided-substep count, so a repeated `dt` repeats neither the cache
 /// lookup nor the stability-bound division.
 #[derive(Debug, Clone)]
 struct StepMemo {
@@ -285,46 +285,63 @@ struct StepMemo {
     disc: Arc<Discretization>,
 }
 
+/// Every `dt` one solver has resolved, with the index of the last one
+/// used. The owning network's dynamics are fixed after construction, so
+/// `dt` alone keys an entry.
+#[derive(Debug, Clone, Default)]
+struct StepMemos {
+    entries: Vec<StepMemo>,
+    last: usize,
+}
+
+impl StepMemos {
+    /// The entry for `dt`: the last one used if it matches, else found
+    /// by a scan, else resolved through `cache` and kept. Records
+    /// hit/build in `stats` on a `dt`'s first use only. Shared by the
+    /// scalar, batch and replay paths.
+    fn resolve(
+        &mut self,
+        cache: &TransitionCache,
+        lti: &ThermalLti,
+        dt: Seconds,
+        stats: &mut StepStats,
+    ) -> Result<&StepMemo> {
+        let dt_bits = dt.value().to_bits();
+        if self
+            .entries
+            .get(self.last)
+            .is_none_or(|m| m.dt_bits != dt_bits)
+        {
+            self.last = match self.entries.iter().position(|m| m.dt_bits == dt_bits) {
+                Some(i) => i,
+                None => {
+                    let (disc, hit) = cache.lookup_or_build(lti, dt.value())?;
+                    stats.cache_hit = hit;
+                    stats.cache_build = !hit;
+                    self.entries.push(StepMemo {
+                        dt_bits,
+                        substeps_avoided: (lti.euler_substeps(dt.value()).saturating_sub(1)) as u32,
+                        disc,
+                    });
+                    self.entries.len() - 1
+                }
+            };
+        }
+        Ok(&self.entries[self.last])
+    }
+}
+
 /// The exact LTI solver: one cached mat-vec per step.
 ///
-/// Holds an `Arc` to a (possibly shared) [`TransitionCache`] plus a
-/// one-entry memo so the steady per-tick path never touches the cache
-/// lock, and preallocated scratch so the hot step allocates nothing.
+/// Holds an `Arc` to a (possibly shared) [`TransitionCache`] plus its
+/// own memo of every `dt` it has stepped, so it visits the cache lock
+/// once per distinct `dt`, and preallocated scratch so the hot step
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct ExactLti {
     cache: Arc<TransitionCache>,
-    /// The last step's `dt` resolution. The owning network's dynamics are
-    /// fixed after construction, so `dt` alone keys the memo.
-    memo: Option<StepMemo>,
+    memos: StepMemos,
     x: Vec<f64>,
-}
-
-/// Resolves the discretization for `dt`, preferring the per-solver memo
-/// over the shared cache, and records hit/build in `stats`. Shared by
-/// the scalar and batch step paths.
-fn memoized_disc<'m>(
-    cache: &Arc<TransitionCache>,
-    memo: &'m mut Option<StepMemo>,
-    lti: &ThermalLti,
-    dt: Seconds,
-    stats: &mut StepStats,
-) -> Result<&'m StepMemo> {
-    let dt_bits = dt.value().to_bits();
-    let stale = match memo {
-        Some(m) => m.dt_bits != dt_bits,
-        None => true,
-    };
-    if stale {
-        let (disc, hit) = cache.lookup_or_build(lti, dt.value())?;
-        stats.cache_hit = hit;
-        stats.cache_build = !hit;
-        *memo = Some(StepMemo {
-            dt_bits,
-            substeps_avoided: (lti.euler_substeps(dt.value()).saturating_sub(1)) as u32,
-            disc,
-        });
-    }
-    Ok(memo.as_ref().expect("memo just ensured"))
 }
 
 impl ExactLti {
@@ -340,7 +357,7 @@ impl ExactLti {
     pub fn with_cache(cache: Arc<TransitionCache>) -> Self {
         Self {
             cache,
-            memo: None,
+            memos: StepMemos::default(),
             x: Vec::new(),
         }
     }
@@ -389,9 +406,9 @@ impl ExactLti {
             feed.offsets.iter().all(|&o| o < ticks.max(1)),
             "offsets lie inside the trace"
         );
-        let Self { cache, memo, .. } = self;
+        let Self { cache, memos, .. } = self;
         let mut stats = StepStats::default();
-        let m = memoized_disc(cache, memo, lti, feed.dt, &mut stats)?;
+        let m = memos.resolve(cache, lti, feed.dt, &mut stats)?;
         stats.substeps_avoided = m.substeps_avoided;
         strip::replay(m.disc.kernel_layout(), fleet, feed, watch, chunk, &mut done)?;
         Ok(stats)
@@ -412,9 +429,9 @@ impl ThermalSolver for ExactLti {
         dt: Seconds,
         powers: &[Watts],
     ) -> Result<StepStats> {
-        let Self { cache, memo, x, .. } = self;
+        let Self { cache, memos, x } = self;
         let mut stats = StepStats::default();
-        let m = memoized_disc(cache, memo, lti, dt, &mut stats)?;
+        let m = memos.resolve(cache, lti, dt, &mut stats)?;
         stats.substeps_avoided = m.substeps_avoided;
         let disc = &*m.disc;
         let n = temperatures.len();
@@ -449,9 +466,9 @@ impl ThermalSolver for ExactLti {
         fleet: &mut FleetState,
         dt: Seconds,
     ) -> Result<StepStats> {
-        let Self { cache, memo, .. } = self;
+        let Self { cache, memos, .. } = self;
         let mut stats = StepStats::default();
-        let m = memoized_disc(cache, memo, lti, dt, &mut stats)?;
+        let m = memos.resolve(cache, lti, dt, &mut stats)?;
         stats.substeps_avoided = m.substeps_avoided;
         debug_assert_eq!(fleet.nodes(), m.disc.n);
         strip::step_plane(m.disc.kernel_layout(), fleet)?;
@@ -579,6 +596,41 @@ mod tests {
             .unwrap();
         assert!(other_dt.cache_build);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn memo_keeps_every_dt_and_consults_the_cache_once_per_dt() {
+        // An event-engine rhythm: base ticks between macro steps of two
+        // lengths. One solver stepping it must give the bits of a fresh
+        // solver per step, and touch the shared cache only on each
+        // `dt`'s first use: a hit for the base tick another solver
+        // built, a build for each macro length.
+        let lti = odroid_lti();
+        let mut powers = vec![Watts::ZERO; lti.len()];
+        powers[1] = Watts::new(2.5);
+        let dt = Seconds::from_millis(10.0);
+        let cache = Arc::new(TransitionCache::new());
+        let mut warm = vec![lti.ambient; lti.len()];
+        ExactLti::with_cache(Arc::clone(&cache))
+            .step(&lti, &mut warm, dt, &powers)
+            .unwrap();
+        let mut solver = ExactLti::with_cache(Arc::clone(&cache));
+        let mut temps = vec![lti.ambient; lti.len()];
+        let mut fresh_temps = temps.clone();
+        let steps = [1.0, 7.0, 1.0, 3.0, 7.0, 1.0];
+        let expected = [(true, false), (false, true), (false, false), (false, true)]
+            .into_iter()
+            .chain([(false, false); 2]);
+        for (k, (hit, build)) in steps.into_iter().zip(expected) {
+            let step = Seconds::new(k * dt.value());
+            let stats = solver.step(&lti, &mut temps, step, &powers).unwrap();
+            ExactLti::new()
+                .step(&lti, &mut fresh_temps, step, &powers)
+                .unwrap();
+            assert_eq!(temps, fresh_temps, "{k}·dt");
+            assert_eq!((stats.cache_hit, stats.cache_build), (hit, build), "{k}·dt");
+        }
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

@@ -186,6 +186,10 @@ impl FramePipeline {
     /// recent deliveries. Deliveries end at increasing times, as the
     /// simulator's passes do.
     fn record(&mut self, end: f64) {
+        debug_assert!(
+            self.recent.back().is_none_or(|&(last, _)| end > last),
+            "a delivery ending at {end} s does not end after the one before it"
+        );
         self.first_end.get_or_insert(end);
         // A second's count runs to the last delivery ending within it:
         // this one if it ends exactly on the boundary, else the one
@@ -267,11 +271,12 @@ mod tests {
 
     const DT: Seconds = Seconds::new(0.01);
 
-    /// Drives the pipeline with a capacity limit per tick on each side.
-    fn run(p: &mut FramePipeline, seconds: f64, cpu_rate: f64, gpu_rate: f64) {
+    /// Drives the pipeline from `start` for `seconds` with a capacity
+    /// limit per tick on each side.
+    fn run(p: &mut FramePipeline, start: f64, seconds: f64, cpu_rate: f64, gpu_rate: f64) {
         let ticks = (seconds / DT.value()) as usize;
         for i in 0..ticks {
-            let now = Seconds::new(i as f64 * DT.value());
+            let now = Seconds::new(start + i as f64 * DT.value());
             let (cw, gw) = p.demand(now, DT);
             p.deliver(
                 cw.min(cpu_rate * DT.value()),
@@ -286,7 +291,7 @@ mod tests {
     fn gpu_bound_fps_matches_rate_over_cost() {
         // GPU can deliver 350 Mcycles/s, frames cost 10 M: 35 FPS.
         let mut p = FramePipeline::new(0.5e6, 10.0e6, 60.0);
-        run(&mut p, 20.0, 1e9, 350.0e6);
+        run(&mut p, 0.0, 20.0, 1e9, 350.0e6);
         let fps = p.median_fps().unwrap();
         assert!((fps - 35.0).abs() < 1.5, "fps = {fps}");
     }
@@ -294,7 +299,7 @@ mod tests {
     #[test]
     fn vsync_caps_fast_platforms() {
         let mut p = FramePipeline::new(0.5e6, 2.0e6, 60.0);
-        run(&mut p, 10.0, 1e9, 1e9);
+        run(&mut p, 0.0, 10.0, 1e9, 1e9);
         let fps = p.median_fps().unwrap();
         assert!(fps <= 61.0, "fps = {fps} exceeds vsync");
         assert!(fps >= 58.0);
@@ -305,7 +310,7 @@ mod tests {
         // CPU side can do 70 Mcycles/s, frames cost 2 M CPU: 35 FPS even
         // though the GPU is idle-fast.
         let mut p = FramePipeline::new(2.0e6, 1.0e6, 60.0);
-        run(&mut p, 20.0, 70.0e6, 1e9);
+        run(&mut p, 0.0, 20.0, 70.0e6, 1e9);
         let fps = p.median_fps().unwrap();
         assert!((fps - 35.0).abs() < 1.5, "fps = {fps}");
     }
@@ -322,7 +327,7 @@ mod tests {
     #[test]
     fn starved_pipeline_completes_nothing() {
         let mut p = FramePipeline::new(1.0e6, 10.0e6, 60.0);
-        run(&mut p, 5.0, 0.0, 0.0);
+        run(&mut p, 0.0, 5.0, 0.0, 0.0);
         assert_eq!(p.completed, 0.0);
         assert_eq!(p.median_fps(), Some(0.0));
     }
@@ -331,7 +336,7 @@ mod tests {
     fn rolling_fps_reflects_recent_rate() {
         let mut p = FramePipeline::new(0.1e6, 10.0e6, 120.0);
         // Fast for 5 s then starved for 5 s.
-        run(&mut p, 5.0, 1e9, 1e9);
+        run(&mut p, 0.0, 5.0, 1e9, 1e9);
         let fast = p.rolling_fps(Seconds::new(2.0)).unwrap();
         for i in 500..1000 {
             let now = Seconds::new(i as f64 * DT.value());
@@ -345,7 +350,7 @@ mod tests {
     #[test]
     fn rolling_fps_needs_enough_history() {
         let mut p = FramePipeline::new(1.0e6, 1.0e6, 60.0);
-        run(&mut p, 0.5, 1e9, 1e9);
+        run(&mut p, 0.0, 0.5, 1e9, 1e9);
         assert!(p.rolling_fps(Seconds::new(2.0)).is_none());
     }
 
@@ -450,18 +455,18 @@ mod tests {
         let mut a = FramePipeline::new(0.5e6, 10.0e6, 60.0);
         let mut b = FramePipeline::new(0.5e6, 10.0e6, 60.0);
         b.set_costs(1.0e6, 20.0e6);
-        run(&mut a, 10.0, 1e9, 300.0e6);
-        run(&mut b, 10.0, 1e9, 300.0e6);
+        run(&mut a, 0.0, 10.0, 1e9, 300.0e6);
+        run(&mut b, 0.0, 10.0, 1e9, 300.0e6);
         assert!(b.median_fps().unwrap() < a.median_fps().unwrap());
     }
 
     #[test]
     fn cost_change_applies_to_future_frames_only() {
         let mut p = FramePipeline::new(1.0e6, 10.0e6, 240.0);
-        run(&mut p, 5.0, 1e9, 300.0e6); // ~30 fps
+        run(&mut p, 0.0, 5.0, 1e9, 300.0e6); // ~30 fps
         let before = p.completed;
         p.set_costs(1.0e6, 20.0e6); // frames get twice as heavy
-        run(&mut p, 5.0, 1e9, 300.0e6);
+        run(&mut p, 5.0, 5.0, 1e9, 300.0e6);
         let after = p.completed - before;
         // Second half should complete roughly half the frames of the first.
         assert!(after < before * 0.65, "before {before}, after {after}");
@@ -478,7 +483,7 @@ mod tests {
     #[test]
     fn cpu_only_pipeline_works() {
         let mut p = FramePipeline::new(2.0e6, 0.0, 60.0);
-        run(&mut p, 10.0, 70.0e6, 0.0);
+        run(&mut p, 0.0, 10.0, 70.0e6, 0.0);
         let fps = p.median_fps().unwrap();
         assert!((fps - 35.0).abs() < 1.5, "fps = {fps}");
     }
@@ -490,8 +495,8 @@ mod tests {
         fn prop_fps_monotone_in_gpu_rate(r1 in 50.0_f64..500.0, r2 in 50.0_f64..500.0) {
             let mut a = FramePipeline::new(0.1e6, 10.0e6, 120.0);
             let mut b = FramePipeline::new(0.1e6, 10.0e6, 120.0);
-            run(&mut a, 10.0, 1e9, r1 * 1e6);
-            run(&mut b, 10.0, 1e9, r2 * 1e6);
+            run(&mut a, 0.0, 10.0, 1e9, r1 * 1e6);
+            run(&mut b, 0.0, 10.0, 1e9, r2 * 1e6);
             if r1 < r2 {
                 prop_assert!(a.median_fps().unwrap() <= b.median_fps().unwrap() + 1.0);
             }
@@ -513,7 +518,7 @@ mod tests {
         #[test]
         fn prop_fps_never_exceeds_vsync(rate in 0.0_f64..2000.0) {
             let mut p = FramePipeline::new(0.1e6, 1.0e6, 60.0);
-            run(&mut p, 10.0, 1e9, rate * 1e6);
+            run(&mut p, 0.0, 10.0, 1e9, rate * 1e6);
             if let Some(fps) = p.median_fps() {
                 prop_assert!(fps <= 61.0);
             }
