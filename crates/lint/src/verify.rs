@@ -6,10 +6,14 @@
 //! power inputs are replaced by **intervals** bounding everything the
 //! workload zoo, OPP tables and (for fleet cells) the full `ParamJitter`
 //! ranges can realize, and an outward-rounded interval mat-vec
-//! ([`Discretization::step_interval`]) propagates a guaranteed per-node
-//! temperature envelope through every scenario phase. Every concrete
-//! trajectory — either engine, either platform, any jitter draw — lies
-//! inside the envelope, so its verdicts are proofs, not observations:
+//! propagates a guaranteed per-node temperature envelope through every
+//! scenario phase. Each constant-power span's input term
+//! `Bd·[p_lo, p_hi]` is formed once ([`Discretization::interval_input`]),
+//! and [`Discretization::step_interval`] adds it to `Ad·[lo, hi]` in one
+//! pair of buffers swapped every tick, so a certificate allocates
+//! nothing per tick. Every concrete trajectory — either engine, either
+//! platform, any jitter draw — lies inside the envelope, so its verdicts
+//! are proofs, not observations:
 //!
 //! - **MPT601** (info): the envelope's upper bound stays at least
 //!   [`DEFAULT_MARGIN_C`] below the trip reference — the scenario can
@@ -61,7 +65,7 @@ use mpt_core::scenario::{
 };
 use mpt_soc::{ComponentId, FleetSpec, Platform, ThermalLti};
 use mpt_thermal::linalg::{self, Mat};
-use mpt_thermal::Discretization;
+use mpt_thermal::{Discretization, IntervalInput};
 use mpt_units::Celsius;
 
 use crate::diag::{Code, Diagnostic, Report};
@@ -122,7 +126,6 @@ fn phase_at(phases: &[ComputePhase], t: f64) -> Option<(f64, f64, bool)> {
 /// constant, with the per-cluster `(threads, rate)` caps active in it.
 #[derive(Debug, Clone)]
 struct Segment {
-    start_s: f64,
     end_s: f64,
     little: Vec<(f64, f64)>,
     big: Vec<(f64, f64)>,
@@ -154,7 +157,6 @@ fn segments(spec: &ScenarioSpec) -> Result<Vec<Segment>, String> {
     for win in cuts.windows(2) {
         let (t0, t1) = (win[0], win[1]);
         let mut seg = Segment {
-            start_s: t0,
             end_s: t1,
             little: Vec::new(),
             big: Vec::new(),
@@ -182,7 +184,6 @@ fn segments(spec: &ScenarioSpec) -> Result<Vec<Segment>, String> {
     }
     if segs.is_empty() {
         segs.push(Segment {
-            start_s: 0.0,
             end_s: 0.0,
             little: Vec::new(),
             big: Vec::new(),
@@ -331,23 +332,6 @@ impl Envelope {
     pub fn upper_c(&self, sample: usize, node: usize) -> f64 {
         self.hi[sample * self.n + node] + self.ambient_hi_c
     }
-
-    /// The hottest node's upper bound at a sample, Celsius.
-    #[must_use]
-    pub(crate) fn max_upper_c(&self, sample: usize) -> f64 {
-        (0..self.n)
-            .map(|i| self.upper_c(sample, i))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// The hottest node's lower bound at a sample, Celsius. Any concrete
-    /// trajectory's *maximum* temperature is at least this.
-    #[must_use]
-    pub(crate) fn max_lower_c(&self, sample: usize) -> f64 {
-        (0..self.n)
-            .map(|i| self.lower_c(sample, i))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 /// A finished verification: the MPT6xx diagnostics, the summary the
@@ -483,6 +467,189 @@ pub fn verify_scenario(spec: &ScenarioSpec, origin: &str) -> Result<Verification
     verify_cell(spec, None, origin)
 }
 
+/// A cell's interval problem, derived once from its spec: the network
+/// and its base-tick discretization, one per-node power interval per
+/// constant-power span with the span's end time, the ambient and
+/// initial-state intervals, and the horizon.
+struct Cell {
+    platform: Platform,
+    lti: ThermalLti,
+    segs: Vec<Segment>,
+    disc: Discretization,
+    /// The unscaled worst-case power shape: the sustained budget is a
+    /// property of the platform and workload mix, not of the jitter box.
+    shape: Vec<f64>,
+    powers: Vec<NodePower>,
+    /// When each entry of `powers` stops applying, seconds.
+    ends_s: Vec<f64>,
+    /// The ambient interval, absolute Celsius.
+    amb_c: (f64, f64),
+    /// The initial-state interval, deviation from ambient.
+    x0: (f64, f64),
+    ticks: usize,
+}
+
+impl Cell {
+    fn new(spec: &ScenarioSpec, fleet: Option<&FleetSpec>) -> Result<Self, String> {
+        let platform = spec.platform.build();
+        let lti = platform
+            .thermal_spec()
+            .lti()
+            .map_err(|e| format!("thermal network has no LTI form: {e}"))?;
+        let n = lti.len();
+        let disc = Discretization::build(&lti, BASE_DT_S)
+            .map_err(|e| format!("cannot discretize thermal network: {e}"))?;
+        let segs = segments(spec)?;
+        let seg_powers: Vec<NodePower> = segs
+            .iter()
+            .map(|s| segment_power(&platform, s, n, None))
+            .collect();
+        let mut shape = vec![0.0_f64; n];
+        for p in &seg_powers {
+            for (s, &hi) in shape.iter_mut().zip(&p.hi) {
+                *s = s.max(hi);
+            }
+        }
+
+        let base_amb = lti.ambient.to_celsius().value();
+        let (amb_lo, amb_hi) = fleet.map_or((base_amb, base_amb), |f| {
+            let (o_lo, o_hi) = f.ambient_c.bounds();
+            (base_amb + o_lo, base_amb + o_hi)
+        });
+        let x0 = spec
+            .initial_temperature_c
+            .map_or((0.0, 0.0), |t0| (t0 - amb_hi, t0 - amb_lo));
+
+        // Fleet cells inject `trace × leakage_scale × workload_mix`, with
+        // per-device circular phase offsets — any segment's power can
+        // appear at any time, so the envelope uses the hull over segments
+        // scaled by the full jitter box.
+        let (powers, ends_s) = if let Some(f) = fleet {
+            let scale = linalg::interval_mul(f.leakage_scale.bounds(), f.workload_mix.bounds());
+            let mut hull = NodePower {
+                lo: vec![f64::INFINITY; n],
+                hi: vec![f64::NEG_INFINITY; n],
+            };
+            for p in &seg_powers {
+                for i in 0..n {
+                    hull.lo[i] = hull.lo[i].min(p.lo[i]);
+                    hull.hi[i] = hull.hi[i].max(p.hi[i]);
+                }
+            }
+            for i in 0..n {
+                let (lo, hi) = linalg::interval_mul((hull.lo[i], hull.hi[i]), scale);
+                hull.lo[i] = lo;
+                hull.hi[i] = hi;
+            }
+            (vec![hull], vec![spec.duration_s])
+        } else {
+            (seg_powers, segs.iter().map(|s| s.end_s).collect())
+        };
+        Ok(Self {
+            platform,
+            lti,
+            segs,
+            disc,
+            shape,
+            powers,
+            ends_s,
+            amb_c: (amb_lo, amb_hi),
+            x0,
+            ticks: (spec.duration_s / BASE_DT_S).round().max(0.0) as usize,
+        })
+    }
+
+    /// Propagates the envelope tick by tick, until the horizon or until
+    /// its upper bound escapes the leakage-model cap, scanning each
+    /// sample against `trip_c` as it is stored. Each span's input term
+    /// is formed once, and one pair of buffers takes every step.
+    fn propagate(&self, trip_c: f64) -> (Envelope, Scan) {
+        let n = self.lti.len();
+        let inputs: Vec<IntervalInput> = (self.powers.iter())
+            .map(|p| self.disc.interval_input(&p.lo, &p.hi))
+            .collect();
+        let mut env = Envelope {
+            dt_s: BASE_DT_S,
+            node_names: (self.platform.thermal_spec().nodes.iter())
+                .map(|nd| nd.name.clone())
+                .collect(),
+            ambient_lo_c: self.amb_c.0,
+            ambient_hi_c: self.amb_c.1,
+            n,
+            lo: Vec::with_capacity((self.ticks + 1) * n),
+            hi: Vec::with_capacity((self.ticks + 1) * n),
+            truncated_at_s: None,
+        };
+        let mut scan = Scan::new(trip_c, self.amb_c);
+        let (mut lo, mut hi) = (vec![self.x0.0; n], vec![self.x0.1; n]);
+        let (mut next_lo, mut next_hi) = (vec![0.0; n], vec![0.0; n]);
+        env.lo.extend_from_slice(&lo);
+        env.hi.extend_from_slice(&hi);
+        scan.observe(0, &lo, &hi);
+        let mut span = 0usize;
+        for k in 0..self.ticks {
+            let t = k as f64 * BASE_DT_S;
+            while span + 1 < self.ends_s.len() && t >= self.ends_s[span] - 1e-12 {
+                span += 1;
+            }
+            self.disc
+                .step_interval(&inputs[span], &lo, &hi, &mut next_lo, &mut next_hi);
+            std::mem::swap(&mut lo, &mut next_lo);
+            std::mem::swap(&mut hi, &mut next_hi);
+            env.lo.extend_from_slice(&lo);
+            env.hi.extend_from_slice(&hi);
+            if scan.observe(k + 1, &lo, &hi) > MAX_SANE_TEMP_C {
+                env.truncated_at_s = Some((k + 1) as f64 * BASE_DT_S);
+                break;
+            }
+        }
+        (env, scan)
+    }
+}
+
+/// The verdict scan: each sample's hottest upper and lower bound,
+/// Celsius, against the trip reference.
+#[derive(Debug)]
+struct Scan {
+    trip_c: f64,
+    /// The ambient interval the samples deviate from, Celsius.
+    amb_c: (f64, f64),
+    peak_upper: f64,
+    peak_lower: f64,
+    first_straddle: Option<f64>,
+    first_guaranteed: Option<f64>,
+}
+
+impl Scan {
+    fn new(trip_c: f64, amb_c: (f64, f64)) -> Self {
+        Self {
+            trip_c,
+            amb_c,
+            peak_upper: f64::NEG_INFINITY,
+            peak_lower: f64::NEG_INFINITY,
+            first_straddle: None,
+            first_guaranteed: None,
+        }
+    }
+
+    /// Folds in sample `s` and returns its hottest upper bound.
+    fn observe(&mut self, s: usize, lo: &[f64], hi: &[f64]) -> f64 {
+        let hottest =
+            |x: &[f64], amb: f64| (x.iter().map(|v| v + amb)).fold(f64::NEG_INFINITY, f64::max);
+        let (max_lo, max_hi) = (hottest(lo, self.amb_c.0), hottest(hi, self.amb_c.1));
+        self.peak_upper = self.peak_upper.max(max_hi);
+        self.peak_lower = self.peak_lower.max(max_lo);
+        let t = s as f64 * BASE_DT_S;
+        if max_hi >= self.trip_c && self.first_straddle.is_none() {
+            self.first_straddle = Some(t);
+        }
+        if max_lo >= self.trip_c && self.first_guaranteed.is_none() {
+            self.first_guaranteed = Some(t);
+        }
+        max_hi
+    }
+}
+
 /// Verifies one scenario, optionally widened to a fleet's full
 /// `ParamJitter` ranges: propagates the guaranteed temperature envelope,
 /// resolves the trip reference, and emits the MPT601/602/603 verdict
@@ -497,121 +664,19 @@ pub fn verify_cell(
     fleet: Option<&FleetSpec>,
     origin: &str,
 ) -> Result<Verification, String> {
-    let platform = spec.platform.build();
-    let thermal = platform.thermal_spec();
-    let lti = thermal
-        .lti()
-        .map_err(|e| format!("thermal network has no LTI form: {e}"))?;
-    let n = lti.len();
-    let disc = Discretization::build(&lti, BASE_DT_S)
-        .map_err(|e| format!("cannot discretize thermal network: {e}"))?;
-    let segs = segments(spec)?;
-    let seg_powers: Vec<NodePower> = segs
-        .iter()
-        .map(|s| segment_power(&platform, s, n, None))
-        .collect();
-    // The unscaled worst-case power shape: the sustained budget is a
-    // property of the platform and workload mix, not of the jitter box.
-    let mut shape = vec![0.0_f64; n];
-    for p in &seg_powers {
-        for (s, &hi) in shape.iter_mut().zip(&p.hi) {
-            *s = s.max(hi);
-        }
-    }
-
-    // The ambient and initial-state intervals, absolute Celsius.
-    let base_amb = lti.ambient.to_celsius().value();
-    let (amb_lo, amb_hi) = fleet.map_or((base_amb, base_amb), |f| {
-        let (o_lo, o_hi) = f.ambient_c.bounds();
-        (base_amb + o_lo, base_amb + o_hi)
-    });
-    let (x0_lo, x0_hi) = spec
-        .initial_temperature_c
-        .map_or((0.0, 0.0), |t0| (t0 - amb_hi, t0 - amb_lo));
-
-    // Fleet cells inject `trace × leakage_scale × workload_mix`, with
-    // per-device circular phase offsets — any segment's power can appear
-    // at any time, so the envelope uses the hull over segments scaled by
-    // the full jitter box.
-    let (powers, seg_bounds): (Vec<NodePower>, Vec<(f64, f64)>) = if let Some(f) = fleet {
-        let scale = linalg::interval_mul(f.leakage_scale.bounds(), f.workload_mix.bounds());
-        let mut hull = NodePower {
-            lo: vec![f64::INFINITY; n],
-            hi: vec![f64::NEG_INFINITY; n],
-        };
-        for p in &seg_powers {
-            for i in 0..n {
-                hull.lo[i] = hull.lo[i].min(p.lo[i]);
-                hull.hi[i] = hull.hi[i].max(p.hi[i]);
-            }
-        }
-        for i in 0..n {
-            let (lo, hi) = linalg::interval_mul((hull.lo[i], hull.hi[i]), scale);
-            hull.lo[i] = lo;
-            hull.hi[i] = hi;
-        }
-        (vec![hull], vec![(0.0, spec.duration_s)])
-    } else {
-        (
-            seg_powers,
-            segs.iter().map(|s| (s.start_s, s.end_s)).collect(),
-        )
-    };
-
-    // Propagate the envelope tick by tick.
-    let ticks = (spec.duration_s / BASE_DT_S).round().max(0.0) as usize;
-    let mut lo = vec![x0_lo; n];
-    let mut hi = vec![x0_hi; n];
-    let mut env = Envelope {
-        dt_s: BASE_DT_S,
-        node_names: thermal.nodes.iter().map(|nd| nd.name.clone()).collect(),
-        ambient_lo_c: amb_lo,
-        ambient_hi_c: amb_hi,
-        n,
-        lo: Vec::with_capacity((ticks + 1) * n),
-        hi: Vec::with_capacity((ticks + 1) * n),
-        truncated_at_s: None,
-    };
-    env.lo.extend_from_slice(&lo);
-    env.hi.extend_from_slice(&hi);
-    let mut seg_idx = 0usize;
-    for k in 0..ticks {
-        let t = k as f64 * BASE_DT_S;
-        while seg_idx + 1 < seg_bounds.len() && t >= seg_bounds[seg_idx].1 - 1e-12 {
-            seg_idx += 1;
-        }
-        let p = &powers[seg_idx];
-        disc.step_interval(&mut lo, &mut hi, &p.lo, &p.hi);
-        env.lo.extend_from_slice(&lo);
-        env.hi.extend_from_slice(&hi);
-        let peak = hi.iter().copied().fold(f64::NEG_INFINITY, f64::max) + amb_hi;
-        if peak > MAX_SANE_TEMP_C {
-            env.truncated_at_s = Some((k + 1) as f64 * BASE_DT_S);
-            break;
-        }
-    }
-
-    // The verdict scan.
+    let cell = Cell::new(spec, fleet)?;
     let (trip_c, reference) = resolve_trip(spec, fleet);
-    let mut peak_upper = f64::NEG_INFINITY;
-    let mut peak_lower = f64::NEG_INFINITY;
-    let mut first_straddle = None;
-    let mut first_guaranteed = None;
-    for s in 0..env.samples() {
-        let max_hi = env.max_upper_c(s);
-        let max_lo = env.max_lower_c(s);
-        peak_upper = peak_upper.max(max_hi);
-        peak_lower = peak_lower.max(max_lo);
-        let t = s as f64 * BASE_DT_S;
-        if max_hi >= trip_c && first_straddle.is_none() {
-            first_straddle = Some(t);
-        }
-        if max_lo >= trip_c && first_guaranteed.is_none() {
-            first_guaranteed = Some(t);
-        }
-    }
+    let (env, scan) = cell.propagate(trip_c);
+    let Scan {
+        peak_upper,
+        peak_lower,
+        first_straddle,
+        first_guaranteed,
+        ..
+    } = scan;
+    let amb_hi = cell.amb_c.1;
 
-    let budget = sustained_budget(&lti, &shape, trip_c, amb_hi);
+    let budget = sustained_budget(&cell.lti, &cell.shape, trip_c, amb_hi);
 
     let mut report = Report::default();
     report.checks_run += 1;
@@ -672,7 +737,7 @@ pub fn verify_cell(
     if matches!(spec.thermal, ThermalPolicySpec::StepWise { .. }) {
         report.checks_run += 1;
         if let Some((s, t_hot, t_cool)) =
-            stepwise_limit_cycle(&platform, &lti, &segs, trip_c, amb_hi)
+            stepwise_limit_cycle(&cell.platform, &cell.lti, &cell.segs, trip_c, amb_hi)
         {
             limit_cycle = true;
             report.diagnostics.push(Diagnostic::new(
@@ -713,7 +778,7 @@ pub fn verify_cell(
         limit_cycle,
         sustained_budget_w: budget,
         devices: fleet.map_or(1, |f| f.devices),
-        ticks,
+        ticks: cell.ticks,
     };
     Ok(Verification {
         report,
@@ -913,5 +978,151 @@ mod tests {
             assert!(!v.label.is_empty());
             assert!(v.summary.ticks > 0);
         }
+    }
+
+    /// The interval step as the certifier took it every tick before each
+    /// span's input was formed once, kept as the reference: the interval
+    /// mat-vec into fresh buffers, then each powered column's
+    /// `interval_mul` products added row by row.
+    fn reference_step(disc: &Discretization, lo: &mut [f64], hi: &mut [f64], p: &NodePower) {
+        let n = disc.len();
+        let (ad, bd_cols) = disc.matrices();
+        let mut next_lo = vec![0.0; n];
+        let mut next_hi = vec![0.0; n];
+        linalg::interval_mat_vec(ad, n, lo, hi, &mut next_lo, &mut next_hi);
+        for j in 0..n {
+            if p.lo[j] == 0.0 && p.hi[j] == 0.0 {
+                continue;
+            }
+            let col = &bd_cols[j * n..(j + 1) * n];
+            for i in 0..n {
+                let (dl, dh) = linalg::interval_mul((col[i], col[i]), (p.lo[j], p.hi[j]));
+                next_lo[i] += dl;
+                next_hi[i] += dh;
+            }
+        }
+        lo.copy_from_slice(&next_lo);
+        hi.copy_from_slice(&next_hi);
+    }
+
+    /// The envelope and verdict scan of `cell` as the certifier took them
+    /// before: [`reference_step`] every tick, then a scan over the
+    /// stored samples.
+    fn reference_propagation(cell: &Cell, like: &Envelope, trip_c: f64) -> (Envelope, Scan) {
+        let n = cell.lti.len();
+        let amb_hi = cell.amb_c.1;
+        let mut lo = vec![cell.x0.0; n];
+        let mut hi = vec![cell.x0.1; n];
+        let mut env = Envelope {
+            lo: lo.clone(),
+            hi: hi.clone(),
+            truncated_at_s: None,
+            ..like.clone()
+        };
+        let mut seg_idx = 0usize;
+        for k in 0..cell.ticks {
+            let t = k as f64 * BASE_DT_S;
+            while seg_idx + 1 < cell.ends_s.len() && t >= cell.ends_s[seg_idx] - 1e-12 {
+                seg_idx += 1;
+            }
+            reference_step(&cell.disc, &mut lo, &mut hi, &cell.powers[seg_idx]);
+            env.lo.extend_from_slice(&lo);
+            env.hi.extend_from_slice(&hi);
+            let peak = hi.iter().copied().fold(f64::NEG_INFINITY, f64::max) + amb_hi;
+            if peak > MAX_SANE_TEMP_C {
+                env.truncated_at_s = Some((k + 1) as f64 * BASE_DT_S);
+                break;
+            }
+        }
+        let mut scan = Scan::new(trip_c, cell.amb_c);
+        for s in 0..env.samples() {
+            let hottest = |bound: fn(&Envelope, usize, usize) -> f64| {
+                (0..n)
+                    .map(|i| bound(&env, s, i))
+                    .fold(f64::NEG_INFINITY, f64::max)
+            };
+            let (max_hi, max_lo) = (hottest(Envelope::upper_c), hottest(Envelope::lower_c));
+            scan.peak_upper = scan.peak_upper.max(max_hi);
+            scan.peak_lower = scan.peak_lower.max(max_lo);
+            let t = s as f64 * BASE_DT_S;
+            if max_hi >= trip_c && scan.first_straddle.is_none() {
+                scan.first_straddle = Some(t);
+            }
+            if max_lo >= trip_c && scan.first_guaranteed.is_none() {
+                scan.first_guaranteed = Some(t);
+            }
+        }
+        (env, scan)
+    }
+
+    /// Every shipped scenario and campaign cell, fleet cells included,
+    /// and a phased scenario on each platform, whose power changes span
+    /// mid-run (no shipped cell has more than one span).
+    #[test]
+    fn shipped_and_phased_envelopes_have_the_bits_of_the_per_tick_reference() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("scenarios readable")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "json"))
+            .collect();
+        paths.sort();
+        let mut cells: Vec<(String, ScenarioSpec, Option<FleetSpec>)> = Vec::new();
+        for path in &paths {
+            let name = path
+                .file_name()
+                .expect("named")
+                .to_string_lossy()
+                .into_owned();
+            let json = std::fs::read_to_string(path).expect("readable");
+            if name.ends_with(".campaign.json") {
+                let campaign: CampaignSpec = serde_json::from_str(&json).expect("parses");
+                for c in campaign.expand().expect("expands") {
+                    cells.push((format!("{name}[{}]", c.label), c.scenario, c.fleet));
+                }
+            } else {
+                cells.push((name, serde_json::from_str(&json).expect("parses"), None));
+            }
+        }
+        assert!(cells.len() >= 30, "only {} shipped cells", cells.len());
+        assert!(cells.iter().any(|(_, _, fleet)| fleet.is_some()));
+        for platform in ["snapdragon810", "exynos5422"] {
+            let phased = spec(&format!(
+                r#"{{ "platform": "{platform}", "duration_s": 12.0,
+                      "initial_temperature_c": 40.0,
+                      "thermal": {{ "policy": "step_wise", "trips_c": [60.0], "period_s": 1.0 }},
+                      "workloads": [
+                        {{ "kind": "phased", "name": "p", "phases": [
+                          {{ "until_s": 2.555, "rate": 2.0e9, "threads": 2.0 }},
+                          {{ "until_s": 6.0, "rate": 0.0 }},
+                          {{ "until_s": 9.25, "rate": 1.0e9, "threads": 1.0 }} ] }} ] }}"#
+            ));
+            assert_eq!(Cell::new(&phased, None).unwrap().powers.len(), 4);
+            cells.push((format!("{platform} phased"), phased, None));
+        }
+        let mut truncated = 0;
+        for (label, spec, fleet) in &cells {
+            let v = verify_cell(spec, fleet.as_ref(), label).expect("verifies");
+            let cell = Cell::new(spec, fleet.as_ref()).expect("derives");
+            let (trip_c, _) = resolve_trip(spec, fleet.as_ref());
+            let (env, scan) = reference_propagation(&cell, &v.envelope, trip_c);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&v.envelope.lo), bits(&env.lo), "{label}: lower bounds");
+            assert_eq!(bits(&v.envelope.hi), bits(&env.hi), "{label}: upper bounds");
+            assert_eq!(v.envelope.truncated_at_s, env.truncated_at_s, "{label}");
+            let s = &v.summary;
+            assert_eq!(
+                bits(&[s.peak_upper_c, s.peak_lower_c]),
+                bits(&[scan.peak_upper, scan.peak_lower]),
+                "{label}: peaks"
+            );
+            assert_eq!(
+                (s.first_straddle_s, s.first_guaranteed_s),
+                (scan.first_straddle, scan.first_guaranteed),
+                "{label}: first crossings"
+            );
+            truncated += usize::from(env.truncated_at_s.is_some());
+        }
+        assert!(truncated > 0, "some shipped envelope escapes the cap");
     }
 }

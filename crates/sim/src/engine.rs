@@ -163,6 +163,12 @@ pub(crate) struct LiveSysfs {
     /// build), cleared by the sysfs-control stage as it applies them
     /// ([`take_written`](Self::take_written)).
     written: AtomicBool,
+    /// Set by every accepted cpuset write after its queue push, cleared
+    /// where [`SimCore::apply_pending_migrations`] drains the queue, so
+    /// the wake scan learns a migration is pending without the queue's
+    /// lock. It publishes nothing (the queue is read under its mutex),
+    /// so its accesses are `Relaxed`.
+    migrating: AtomicBool,
     /// `scaling_cur_freq` in kHz, indexed by `ComponentId as usize`.
     cur_khz: [AtomicU64; 4],
     /// `scaling_max_freq` in kHz, indexed by `ComponentId as usize`.
@@ -182,6 +188,7 @@ impl LiveSysfs {
         let slots = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
         Self {
             written: AtomicBool::new(true),
+            migrating: AtomicBool::new(false),
             cur_khz: Default::default(),
             max_khz: Default::default(),
             zone_c: slots(platform.temperature_sensors().len()),
@@ -205,6 +212,11 @@ impl LiveSysfs {
     /// the mark.
     pub(crate) fn take_written(&self) -> bool {
         self.written.swap(false, Ordering::Acquire)
+    }
+
+    /// Whether a queued migration waits for the sysfs-control stage.
+    pub(crate) fn migration_pending(&self) -> bool {
+        self.migrating.load(Ordering::Relaxed)
     }
 }
 
@@ -460,6 +472,7 @@ impl SimCore {
                             .lock()
                             .expect("queue mutex is never poisoned")
                             .push((Pid::new(raw), cluster));
+                        live.migrating.store(true, Ordering::Relaxed);
                         live.mark_written();
                         Ok(())
                     },
@@ -500,12 +513,14 @@ impl SimCore {
     }
 
     pub(crate) fn apply_pending_migrations(&mut self) -> Result<()> {
-        let moves: Vec<(Pid, ComponentId)> = self
-            .pending_migrations
-            .lock()
-            .expect("queue mutex is never poisoned")
-            .drain(..)
-            .collect();
+        let moves: Vec<(Pid, ComponentId)> = {
+            let mut queue = self
+                .pending_migrations
+                .lock()
+                .expect("queue mutex is never poisoned");
+            self.live.migrating.store(false, Ordering::Relaxed);
+            queue.drain(..).collect()
+        };
         for (pid, cluster) in moves {
             self.scheduler.migrate(pid, cluster)?;
         }

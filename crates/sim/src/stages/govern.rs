@@ -27,12 +27,7 @@ pub(crate) fn sysfs_control(core: &mut SimCore) -> Result<()> {
 /// A queued cpuset migration must take effect one tick later, exactly as
 /// in fixed mode — don't jump across it.
 pub(crate) fn sysfs_control_wake(core: &SimCore) -> Wake {
-    let pending = !core
-        .pending_migrations
-        .lock()
-        .expect("queue mutex is never poisoned")
-        .is_empty();
-    if pending {
+    if core.live.migration_pending() {
         Wake::EveryTick
     } else {
         Wake::Never

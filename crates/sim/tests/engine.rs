@@ -783,3 +783,58 @@ fn a_cap_written_after_quiet_passes_applies_on_the_next_pass() {
         );
     }
 }
+
+/// The event engine's wake scan reads a pending-migration mark, not the
+/// migration queue. A cpuset write after a stretch of passes without
+/// writes must still pin the next pass to one tick and move the process
+/// in it, under either engine, and the engine must leave every-tick
+/// stepping once the migration is applied.
+#[test]
+fn a_cpuset_written_after_quiet_passes_migrates_on_the_next_pass() {
+    for mode in [SteppingMode::FixedDt, SteppingMode::EventDriven] {
+        let mut sim = SimBuilder::new(platforms::snapdragon_810())
+            .stepping(mode)
+            .telemetry_period(Seconds::new(5.0))
+            .attach(
+                Box::new(SteadyCompute::new("load", 2.0e9, 2.0)),
+                ComponentId::BigCluster,
+            )
+            .build()
+            .unwrap();
+        // Off the telemetry grid, where no other stage pins the pass.
+        sim.run_for(Seconds::new(10.5)).unwrap();
+        let quiet_passes = sim.clock().steps();
+        let pid = sim.pid_of("load").unwrap();
+        assert!(
+            sim.events().migrations().next().is_none(),
+            "{mode}: no write yet"
+        );
+        let written_at = sim.time();
+        sim.sysfs()
+            .write(&mpt_kernel::paths::cpuset_cluster(pid.value()), "little")
+            .unwrap();
+        // The predicate runs between passes, so this is one pass.
+        sim.run_until(|s| s.time() > written_at, Seconds::new(10.0))
+            .unwrap();
+        assert_eq!(sim.clock().steps(), quiet_passes + 1, "{mode}");
+        let pass = (sim.time() - written_at).value();
+        assert!(
+            (pass - sim.dt().value()).abs() < 1e-9,
+            "{mode}: {pass} s pass"
+        );
+        assert_eq!(
+            sim.scheduler().process(pid).unwrap().cluster(),
+            ComponentId::LittleCluster,
+            "{mode}"
+        );
+        let moved: Vec<_> = sim.events().migrations().map(|e| e.time).collect();
+        assert_eq!(moved, vec![written_at], "{mode}");
+        let applied = sim.clock().steps();
+        sim.run_for(Seconds::new(10.0)).unwrap();
+        assert!(
+            sim.clock().steps() - applied <= quiet_passes,
+            "{mode}: {} passes for 10 s after the move, {quiet_passes} before",
+            sim.clock().steps() - applied
+        );
+    }
+}

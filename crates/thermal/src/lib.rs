@@ -75,7 +75,9 @@ pub use error::ThermalError;
 pub use fleet::{FleetState, TraceFeed, TripWatch};
 pub use lumped::{FixedPoints, LumpedModel, Stability};
 pub use network::RcNetwork;
-pub use solver::{Discretization, ExactLti, StepStats, ThermalSolver, TransitionCache};
+pub use solver::{
+    Discretization, ExactLti, IntervalInput, StepStats, ThermalSolver, TransitionCache,
+};
 
 /// Result alias for thermal operations.
 pub type Result<T> = std::result::Result<T, ThermalError>;

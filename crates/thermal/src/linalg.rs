@@ -408,7 +408,7 @@ pub(crate) fn interval_dot(a: &[f64], x_lo: &[f64], x_hi: &[f64]) -> (f64, f64) 
 /// This is the abstract transformer of the MPT6xx verifier: applied to the
 /// exact discretization `Ad = exp(A·dt)` it propagates a guaranteed
 /// per-node temperature envelope one tick forward.
-pub(crate) fn interval_mat_vec(
+pub fn interval_mat_vec(
     m: &[f64],
     n: usize,
     x_lo: &[f64],

@@ -164,40 +164,78 @@ impl Discretization {
         })
     }
 
-    /// Propagates a guaranteed state envelope one tick forward:
-    /// given `x_k ∈ [lo, hi]` (elementwise, deviation coordinates) and a
-    /// per-node power interval `p_k ∈ [p_lo, p_hi]`, overwrites
-    /// `lo`/`hi` with outward-rounded bounds on
-    /// `x_{k+1} = Ad·x_k + Bd·p_k`.
+    /// `Ad` flat row-major and `Bd` column-major: the bits every step of
+    /// this discretization reads.
+    #[must_use]
+    pub fn matrices(&self) -> (&[f64], &[f64]) {
+        (&self.ad, &self.bd_cols)
+    }
+
+    /// Forms the input term `Bd·[p_lo, p_hi]` of [`step_interval`] for a
+    /// per-node power interval, once for every tick it holds over.
+    ///
+    /// [`step_interval`]: Self::step_interval
+    #[must_use]
+    pub fn interval_input(&self, p_lo: &[f64], p_hi: &[f64]) -> IntervalInput {
+        let n = self.n;
+        debug_assert_eq!(p_lo.len(), n);
+        debug_assert_eq!(p_hi.len(), n);
+        let mut terms = Vec::new();
+        for j in 0..n {
+            if p_lo[j] == 0.0 && p_hi[j] == 0.0 {
+                continue;
+            }
+            let col = &self.bd_cols[j * n..(j + 1) * n];
+            terms.extend(
+                col.iter()
+                    .map(|&b| linalg::interval_mul((b, b), (p_lo[j], p_hi[j]))),
+            );
+        }
+        IntervalInput { terms }
+    }
+
+    /// Propagates a guaranteed state envelope one tick forward: given
+    /// `x_k ∈ [lo, hi]` (elementwise, deviation coordinates) and a power
+    /// interval `p_k ∈ [p_lo, p_hi]` that `input` was
+    /// [formed](Self::interval_input) from, writes outward-rounded bounds
+    /// on `x_{k+1} = Ad·x_k + Bd·p_k` into `next_lo`/`next_hi`.
     ///
     /// This is the abstract transformer of the MPT6xx reachability
     /// verifier: because it reuses the *same cached* `(Ad, Bd)` the
     /// exact-LTI solver steps with, every concrete trajectory whose power
     /// stays inside the interval is contained in the envelope by
     /// induction, with outward rounding absorbing floating-point error.
-    pub fn step_interval(&self, lo: &mut [f64], hi: &mut [f64], p_lo: &[f64], p_hi: &[f64]) {
+    pub fn step_interval(
+        &self,
+        input: &IntervalInput,
+        lo: &[f64],
+        hi: &[f64],
+        next_lo: &mut [f64],
+        next_hi: &mut [f64],
+    ) {
         let n = self.n;
-        debug_assert_eq!(lo.len(), n);
-        debug_assert_eq!(hi.len(), n);
-        debug_assert_eq!(p_lo.len(), n);
-        debug_assert_eq!(p_hi.len(), n);
-        let mut next_lo = vec![0.0; n];
-        let mut next_hi = vec![0.0; n];
-        linalg::interval_mat_vec(&self.ad, n, lo, hi, &mut next_lo, &mut next_hi);
-        for j in 0..n {
-            if p_lo[j] == 0.0 && p_hi[j] == 0.0 {
-                continue;
-            }
-            let col = &self.bd_cols[j * n..(j + 1) * n];
-            for i in 0..n {
-                let (dl, dh) = linalg::interval_mul((col[i], col[i]), (p_lo[j], p_hi[j]));
-                next_lo[i] += dl;
-                next_hi[i] += dh;
+        debug_assert_eq!(next_lo.len(), n);
+        debug_assert_eq!(next_hi.len(), n);
+        linalg::interval_mat_vec(&self.ad, n, lo, hi, next_lo, next_hi);
+        for col in input.terms.chunks_exact(n) {
+            for ((l, h), &(dl, dh)) in next_lo.iter_mut().zip(next_hi.iter_mut()).zip(col) {
+                *l += dl;
+                *h += dh;
             }
         }
-        lo.copy_from_slice(&next_lo);
-        hi.copy_from_slice(&next_hi);
     }
+}
+
+/// The input term `Bd·[p_lo, p_hi]` of an interval step, formed once by
+/// [`Discretization::interval_input`] for a power interval held over
+/// many ticks.
+#[derive(Debug)]
+pub struct IntervalInput {
+    /// The outward-rounded products `Bd[i][j]·[p_lo[j], p_hi[j]]` as
+    /// `(lo, hi)`, column by column over the powered nodes `j` in
+    /// ascending order, row `i` within each: the order a step adds them
+    /// in, so every sum keeps its bits.
+    terms: Vec<(f64, f64)>,
 }
 
 /// Key of one cached discretization: the step size plus the network's
@@ -480,6 +518,7 @@ impl ThermalSolver for ExactLti {
 mod tests {
     use super::*;
     use mpt_soc::platforms;
+    use proptest::prelude::*;
 
     fn odroid_lti() -> ThermalLti {
         platforms::exynos_5422().thermal_spec().lti().unwrap()
@@ -524,10 +563,12 @@ mod tests {
         let mut temps = vec![lti.ambient; n];
         let mut lo = vec![0.0; n];
         let mut hi = vec![0.0; n];
+        let (mut next_lo, mut next_hi) = (vec![0.0; n], vec![0.0; n]);
         let p_lo = vec![0.0; n];
         let mut p_hi = vec![0.0; n];
         p_hi[1] = 3.0;
         p_hi[2] = 3.0;
+        let input = disc.interval_input(&p_lo, &p_hi);
         let mut powers = vec![Watts::ZERO; n];
         for k in 0..500u32 {
             // A deterministic pseudo-random walk inside the interval.
@@ -536,7 +577,9 @@ mod tests {
             solver
                 .step(&lti, &mut temps, Seconds::new(0.01), &powers)
                 .unwrap();
-            disc.step_interval(&mut lo, &mut hi, &p_lo, &p_hi);
+            disc.step_interval(&input, &lo, &hi, &mut next_lo, &mut next_hi);
+            std::mem::swap(&mut lo, &mut next_lo);
+            std::mem::swap(&mut hi, &mut next_hi);
             for i in 0..n {
                 let dev = temps[i].value() - lti.ambient.value();
                 assert!(
@@ -545,6 +588,97 @@ mod tests {
                     lo[i],
                     hi[i]
                 );
+            }
+        }
+    }
+
+    /// The interval step as the certifier took it every tick before
+    /// each power interval's input was formed once, kept as the
+    /// reference: the interval mat-vec into fresh buffers, then each
+    /// powered column's `interval_mul` products added row by row.
+    fn reference_step(
+        disc: &Discretization,
+        lo: &mut [f64],
+        hi: &mut [f64],
+        p_lo: &[f64],
+        p_hi: &[f64],
+    ) {
+        let n = disc.n;
+        let mut next_lo = vec![0.0; n];
+        let mut next_hi = vec![0.0; n];
+        linalg::interval_mat_vec(&disc.ad, n, lo, hi, &mut next_lo, &mut next_hi);
+        for j in 0..n {
+            if p_lo[j] == 0.0 && p_hi[j] == 0.0 {
+                continue;
+            }
+            let col = &disc.bd_cols[j * n..(j + 1) * n];
+            for i in 0..n {
+                let (dl, dh) = linalg::interval_mul((col[i], col[i]), (p_lo[j], p_hi[j]));
+                next_lo[i] += dl;
+                next_hi[i] += dh;
+            }
+        }
+        lo.copy_from_slice(&next_lo);
+        hi.copy_from_slice(&next_hi);
+    }
+
+    /// A node's power interval from a drawn kind and `(lo, width)`:
+    /// unpowered, powered from zero, or anywhere across zero.
+    fn node_power(kind: u8, (lo, width): (f64, f64)) -> (f64, f64) {
+        match kind {
+            0 => (0.0, 0.0),
+            1 => (0.0, width),
+            _ => (lo, lo + width),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Stepping with each segment's input formed once, in one pair of
+        /// swapped buffers, gives the reference's bits at every tick, over
+        /// arbitrary-sign matrices of 1–8 nodes, state and power
+        /// intervals below, above and across zero, and 1–4 segments of
+        /// 1–125 ticks each.
+        #[test]
+        fn formed_inputs_step_the_bits_of_the_per_tick_formula(
+            n in 1usize..9,
+            ad in collection::vec(-1.0f64..1.0, 64),
+            bd in collection::vec(-1.0f64..1.0, 64),
+            x0 in collection::vec((-5.0f64..5.0, 0.0f64..5.0), 8),
+            segments in collection::vec(
+                (collection::vec((0u8..3, (-5.0f64..5.0, 0.0f64..5.0)), 8), 1usize..126),
+                1..5,
+            ),
+        ) {
+            // Rows of `Ad` sum to at most 1 in magnitude, so the envelope
+            // stays finite over the run.
+            let disc = Discretization {
+                n,
+                ad: ad[..n * n].iter().map(|a| a / n as f64).collect(),
+                bd_cols: bd[..n * n].to_vec(),
+                kernel_layout: OnceLock::new(),
+            };
+            let (mut lo, mut hi): (Vec<f64>, Vec<f64>) =
+                x0[..n].iter().map(|&(l, w)| (l, l + w)).unzip();
+            let (mut ref_lo, mut ref_hi) = (lo.clone(), hi.clone());
+            let (mut next_lo, mut next_hi) = (vec![0.0; n], vec![0.0; n]);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (k, (powers, ticks)) in segments.iter().enumerate() {
+                let (p_lo, p_hi): (Vec<f64>, Vec<f64>) =
+                    powers[..n].iter().map(|&(kind, p)| node_power(kind, p)).unzip();
+                let input = disc.interval_input(&p_lo, &p_hi);
+                for tick in 0..*ticks {
+                    disc.step_interval(&input, &lo, &hi, &mut next_lo, &mut next_hi);
+                    std::mem::swap(&mut lo, &mut next_lo);
+                    std::mem::swap(&mut hi, &mut next_hi);
+                    reference_step(&disc, &mut ref_lo, &mut ref_hi, &p_lo, &p_hi);
+                    prop_assert!(
+                        bits(&lo) == bits(&ref_lo) && bits(&hi) == bits(&ref_hi),
+                        "n {n}, segment {k}, tick {tick}: [{lo:?}, {hi:?}] against \
+                         [{ref_lo:?}, {ref_hi:?}]"
+                    );
+                }
             }
         }
     }

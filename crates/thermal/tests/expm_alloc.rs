@@ -36,8 +36,9 @@ thread_local! {
 // contract, no bookkeeping that could alias or retain the pointers; the
 // counter is a const-initialised thread-local `Cell` (no allocation, no
 // destructor) with no effect on allocation itself. This file and the
-// simulator-pass alloc-discipline test are the workspace's two
-// sanctioned `unsafe` sites (see ci.yml's unsafe gate).
+// simulator-pass and certifier alloc-discipline tests are the
+// workspace's three sanctioned `unsafe` sites (see ci.yml's unsafe
+// gate).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
